@@ -44,6 +44,13 @@ pub enum AdjointError {
     Store(StoreError),
     /// The record is empty (no forward run captured).
     EmptyRecord,
+    /// An [`Objective::AtStep`] points past the end of the run.
+    StepOutOfRange {
+        /// The requested step.
+        step: usize,
+        /// The last valid step index.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for AdjointError {
@@ -54,6 +61,9 @@ impl std::fmt::Display for AdjointError {
             }
             AdjointError::Store(e) => write!(f, "jacobian store failed: {e}"),
             AdjointError::EmptyRecord => write!(f, "forward record is empty"),
+            AdjointError::StepOutOfRange { step, max } => {
+                write!(f, "objective step {step} out of range (last step {max})")
+            }
         }
     }
 }
@@ -64,6 +74,26 @@ impl From<StoreError> for AdjointError {
     fn from(e: StoreError) -> Self {
         AdjointError::Store(e)
     }
+}
+
+/// Rejects [`Objective::AtStep`] objectives that point past a run of
+/// `n_times` recorded points (DC included) — they would otherwise index
+/// out of bounds when evaluated. Every driver calls this before it reads
+/// an objective value.
+///
+/// # Errors
+///
+/// Returns [`AdjointError::StepOutOfRange`] for the first offender.
+pub fn check_objective_steps(objectives: &[Objective], n_times: usize) -> Result<(), AdjointError> {
+    let max = n_times.saturating_sub(1);
+    for o in objectives {
+        if let Objective::AtStep { step, .. } = *o {
+            if step > max {
+                return Err(AdjointError::StepOutOfRange { step, max });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Timing breakdown of an adjoint pass (Fig. 7's bar segments).

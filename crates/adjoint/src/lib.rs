@@ -52,6 +52,7 @@
 pub mod adjoint;
 pub mod direct;
 pub mod fd;
+pub mod lanes;
 pub mod objective;
 pub mod store;
 
@@ -59,21 +60,22 @@ pub mod store;
 pub mod mutation;
 
 pub use adjoint::{
-    adjoint_sensitivities, adjoint_sensitivities_per_objective, AdjointCursor, AdjointError,
-    AdjointStats, SensitivityResult, WindowTerminal,
+    adjoint_sensitivities, adjoint_sensitivities_per_objective, check_objective_steps,
+    AdjointCursor, AdjointError, AdjointStats, SensitivityResult, WindowTerminal,
 };
 pub use direct::{direct_sensitivities, DirectError};
 pub use fd::{finite_difference, objective_value, FdError};
 pub use objective::Objective;
 pub use store::{
-    BackwardJacobians, BackwardReader, CaptureStore, CompressedStore, DiskStore, DurationHistogram,
+    BackwardJacobians, BackwardReader, CompressedStore, DiskStore, DurationHistogram,
     FailingWriter, ForwardRecord, HybridStore, JacobianStore, PipelinedStore, PrefetchReader,
     RawStore, RecomputeStore, RunMeta, StepMatrices, StoreConfig, StoreError, StoreMetrics,
     TensorLayout, TensorSlot,
 };
 
-use masc_circuit::transient::{transient, TranError, TranOptions, TranStats};
-use masc_circuit::{Circuit, ParamRef};
+use masc_circuit::transient::{transient, transient_ws, TranError, TranOptions, TranStats};
+use masc_circuit::{Circuit, ParamRef, System};
+use masc_sparse::LuWorkspace;
 
 /// Errors from the end-to-end pipeline.
 #[derive(Debug)]
@@ -156,6 +158,7 @@ pub fn run_xyce_like(
     let mut system = circuit.elaborate()?;
     let mut record = ForwardRecord::new(store::TensorLayout::of(&system), &StoreConfig::Recompute)?;
     let tran_result = transient(circuit, &mut system, tran, &mut record)?;
+    check_objective_steps(objectives, tran_result.times.len())?;
     let objective_values = objectives
         .iter()
         .map(|o| o.value(&tran_result.states, &tran_result.steps))
@@ -187,20 +190,58 @@ pub fn run_adjoint(
     params: &[ParamRef],
 ) -> Result<SensitivityRun, RunError> {
     let mut system = circuit.elaborate()?;
-    let mut record = ForwardRecord::new(store::TensorLayout::of(&system), store)?;
-    let tran_result = transient(circuit, &mut system, tran, &mut record)?;
+    let record = ForwardRecord::new(store::TensorLayout::of(&system), store)?;
+    let (run, _) = run_recorded(
+        circuit,
+        &mut system,
+        tran,
+        record,
+        LuWorkspace::new(),
+        drop,
+        objectives,
+        params,
+    )?;
+    Ok(run)
+}
+
+/// The forward + reverse body of [`run_adjoint`] over a caller-prepared
+/// record and forward LU workspace: transient into `record`, objective
+/// values off the trajectory, then one batched reverse sweep. The forward
+/// workspace goes to `retire_lu` as soon as the transient is done — its
+/// factors are dead weight once the reverse pass allocates its own —
+/// where `masc-serve` pools the symbolic analysis and `run_adjoint` just
+/// drops it. Also returns the run metadata, which `masc-serve` keeps next
+/// to the tensors its record's store captured.
+///
+/// # Errors
+///
+/// Returns [`RunError`] if any stage fails.
+#[allow(clippy::too_many_arguments)]
+pub fn run_recorded(
+    circuit: &Circuit,
+    system: &mut System,
+    tran: &TranOptions,
+    mut record: ForwardRecord,
+    mut lu: LuWorkspace,
+    retire_lu: impl FnOnce(LuWorkspace),
+    objectives: &[Objective],
+    params: &[ParamRef],
+) -> Result<(SensitivityRun, RunMeta), RunError> {
+    let tran_result = transient_ws(circuit, system, tran, &mut record, &mut lu)?;
+    retire_lu(lu);
+    check_objective_steps(objectives, tran_result.times.len())?;
     let objective_values = objectives
         .iter()
         .map(|o| o.value(&tran_result.states, &tran_result.steps))
         .collect();
     let (meta, reader) = record.into_parts()?;
-    let sensitivities =
-        adjoint_sensitivities(circuit, &mut system, &meta, reader, objectives, params)?;
+    let sensitivities = adjoint_sensitivities(circuit, system, &meta, reader, objectives, params)?;
     let store_metrics = sensitivities.stats.store.clone();
-    Ok(SensitivityRun {
+    let run = SensitivityRun {
         objective_values,
         sensitivities,
         tran_stats: tran_result.stats,
         store_metrics,
-    })
+    };
+    Ok((run, meta))
 }

@@ -4,9 +4,10 @@
 
 use super::{
     throttle, BackwardReader, EncodePlan, EncodedBlock, JacobianStore, RawSeries, StepMatrices,
-    StoreError, StoreMetrics, TensorEncodePlan,
+    StoreError, StoreMetrics, TensorEncodePlan, TensorSlot,
 };
-use masc_compress::{BackwardDecompressor, MascConfig, TensorCompressor};
+use crate::lanes::lock_ignoring_poison;
+use masc_compress::{BackwardDecompressor, CompressedTensor, MascConfig, TensorCompressor};
 use masc_sparse::Pattern;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -528,6 +529,17 @@ impl<W: Write> Write for FailingWriter<W> {
 // MASC compressed, in memory
 // ---------------------------------------------------------------------------
 
+/// Compressed bytes of the blocks `tc` sealed since `*accounted`, which is
+/// advanced past them.
+pub(super) fn newly_sealed_bytes(tc: &TensorCompressor, accounted: &mut usize) -> u64 {
+    let mut bytes = 0;
+    while *accounted < tc.sealed_len() {
+        bytes += tc.compressed_block(*accounted).map_or(0, <[u8]>::len) as u64;
+        *accounted += 1;
+    }
+    bytes
+}
+
 /// MASC in-memory compression: two streaming [`TensorCompressor`]s (one
 /// per tensor) sharing the paper's one-step-late compression schedule.
 #[derive(Debug)]
@@ -538,6 +550,7 @@ pub struct CompressedStore {
     g_accounted: usize,
     c_accounted: usize,
     metrics: StoreMetrics,
+    slot: Option<TensorSlot>,
 }
 
 impl CompressedStore {
@@ -549,27 +562,24 @@ impl CompressedStore {
             g_accounted: 0,
             c_accounted: 0,
             metrics: StoreMetrics::default(),
+            slot: None,
         }
+    }
+
+    /// Makes `finish` also deposit a clone of the sealed tensor pair into
+    /// the returned slot, so the caller keeps the compressed artifact after
+    /// the reverse pass consumed its decoder (`masc-serve` caches the pair,
+    /// `masc-window` replays one pair per window across iterations).
+    pub fn capture(&mut self) -> TensorSlot {
+        let slot = TensorSlot::default();
+        self.slot = Some(Arc::clone(&slot));
+        slot
     }
 
     /// Counts freshly sealed compressed blocks into `bytes_written`.
     fn account_sealed(&mut self) {
-        while self.g_accounted < self.g.sealed_len() {
-            let len = self
-                .g
-                .compressed_block(self.g_accounted)
-                .map_or(0, <[u8]>::len);
-            self.metrics.bytes_written += len as u64;
-            self.g_accounted += 1;
-        }
-        while self.c_accounted < self.c.sealed_len() {
-            let len = self
-                .c
-                .compressed_block(self.c_accounted)
-                .map_or(0, <[u8]>::len);
-            self.metrics.bytes_written += len as u64;
-            self.c_accounted += 1;
-        }
+        self.metrics.bytes_written += newly_sealed_bytes(&self.g, &mut self.g_accounted)
+            + newly_sealed_bytes(&self.c, &mut self.c_accounted);
         self.metrics.compress_time = self.g.compress_time() + self.c.compress_time();
     }
 }
@@ -584,14 +594,8 @@ impl JacobianStore for CompressedStore {
 
     fn encode_plan(&self) -> Option<EncodePlan> {
         Some(EncodePlan {
-            g: TensorEncodePlan {
-                maps: self.g.maps().clone(),
-                config: self.g.config(),
-            },
-            c: TensorEncodePlan {
-                maps: self.c.maps().clone(),
-                config: self.c.config(),
-            },
+            g: TensorEncodePlan::of(&self.g),
+            c: TensorEncodePlan::of(&self.c),
         })
     }
 
@@ -624,11 +628,11 @@ impl JacobianStore for CompressedStore {
         self.c.seal();
         self.account_sealed();
         let this = *self;
-        Ok(Box::new(CompressedReader {
-            g: this.g.finish().into_backward(),
-            c: this.c.finish().into_backward(),
-            metrics: this.metrics,
-        }))
+        let (g, c) = (this.g.finish(), this.c.finish());
+        if let Some(slot) = &this.slot {
+            *lock_ignoring_poison(slot) = Some((g.clone(), c.clone()));
+        }
+        Ok(Box::new(PairReader::new(g, c, this.metrics)))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -636,14 +640,26 @@ impl JacobianStore for CompressedStore {
     }
 }
 
+/// The one newest-first replay of a sealed `(G, C)` tensor pair: both
+/// tensors decode in lockstep and must agree on every step index.
 #[derive(Debug)]
-struct CompressedReader {
+pub(super) struct PairReader {
     g: BackwardDecompressor,
     c: BackwardDecompressor,
     metrics: StoreMetrics,
 }
 
-impl BackwardReader for CompressedReader {
+impl PairReader {
+    pub(super) fn new(g: CompressedTensor, c: CompressedTensor, metrics: StoreMetrics) -> Self {
+        Self {
+            g: g.into_backward(),
+            c: c.into_backward(),
+            metrics,
+        }
+    }
+}
+
+impl BackwardReader for PairReader {
     fn fetch(&mut self, step: usize) -> Result<StepMatrices, StoreError> {
         let (gs, g) = self
             .g

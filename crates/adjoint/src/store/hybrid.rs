@@ -10,7 +10,7 @@
 //! the reverse sweep needs *first* and the disk holds the blocks it needs
 //! *last* — reads overlap the early reverse-pass compute.
 
-use super::backends::SpillFile;
+use super::backends::{newly_sealed_bytes, SpillFile};
 use super::{
     throttle, BackwardReader, EncodePlan, EncodedBlock, JacobianStore, StepMatrices, StoreError,
     StoreMetrics, TensorEncodePlan,
@@ -77,22 +77,8 @@ impl HybridStore {
     /// (before any of them spill: spilled blocks leave an empty
     /// placeholder behind).
     fn account_sealed(&mut self) {
-        while self.g_accounted < self.g.sealed_len() {
-            let len = self
-                .g
-                .compressed_block(self.g_accounted)
-                .map_or(0, <[u8]>::len);
-            self.metrics.bytes_written += len as u64;
-            self.g_accounted += 1;
-        }
-        while self.c_accounted < self.c.sealed_len() {
-            let len = self
-                .c
-                .compressed_block(self.c_accounted)
-                .map_or(0, <[u8]>::len);
-            self.metrics.bytes_written += len as u64;
-            self.c_accounted += 1;
-        }
+        self.metrics.bytes_written += newly_sealed_bytes(&self.g, &mut self.g_accounted)
+            + newly_sealed_bytes(&self.c, &mut self.c_accounted);
         self.metrics.compress_time = self.g.compress_time() + self.c.compress_time();
     }
 
@@ -152,14 +138,8 @@ impl JacobianStore for HybridStore {
 
     fn encode_plan(&self) -> Option<EncodePlan> {
         Some(EncodePlan {
-            g: TensorEncodePlan {
-                maps: self.g.maps().clone(),
-                config: self.g.config(),
-            },
-            c: TensorEncodePlan {
-                maps: self.c.maps().clone(),
-                config: self.c.config(),
-            },
+            g: TensorEncodePlan::of(&self.g),
+            c: TensorEncodePlan::of(&self.c),
         })
     }
 

@@ -21,10 +21,12 @@
 //! - [`PipelinedStore`] — wraps any backend, moving compression + spill
 //!   I/O onto a worker thread behind a bounded queue and prefetching the
 //!   reverse pass through a [`PrefetchReader`] (DESIGN.md §3.8).
-//! - [`CaptureStore`] — compresses like [`CompressedStore`] but also
-//!   clones the sealed tensor pair into a [`TensorSlot`] at `finish`, so
-//!   callers (`masc-serve`'s cache, `masc-window`'s per-window records)
-//!   keep the compressed artifact after the reverse pass consumed it.
+//!
+//! A sealed tensor pair replays through one reader whether it comes
+//! straight out of a [`CompressedStore`] or was kept by the caller
+//! ([`CompressedStore::capture`] → [`TensorSlot`], reopened with
+//! [`BackwardJacobians::from_tensors`]): `masc-serve`'s cache hits and
+//! `masc-window`'s per-window passes read exactly what `run_adjoint` reads.
 //!
 //! Custom backends implement [`JacobianStore`] + [`BackwardReader`] and
 //! plug in through [`ForwardRecord::with_store`]. Every backend carries a
@@ -33,23 +35,21 @@
 //! latency histograms).
 
 mod backends;
-mod capture;
 mod hybrid;
 mod metrics;
 mod pipelined;
 
 pub use backends::{CompressedStore, DiskStore, FailingWriter, RawStore, RecomputeStore};
-pub use capture::{CaptureStore, TensorSlot};
 pub use hybrid::HybridStore;
 pub use metrics::{DurationHistogram, StoreMetrics};
 pub use pipelined::{PipelinedStore, PrefetchReader};
 
 use masc_circuit::transient::{JacobianSink, SinkError};
 use masc_circuit::System;
-use masc_compress::MascConfig;
+use masc_compress::{CompressedTensor, MascConfig};
 use masc_sparse::{CsrMatrix, Pattern};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which Jacobian storage strategy to use.
@@ -249,6 +249,10 @@ impl From<masc_compress::CompressError> for StoreError {
     }
 }
 
+/// The sealed `(G, C)` hand-off slot [`CompressedStore::capture`] fills at
+/// `finish`.
+pub type TensorSlot = Arc<Mutex<Option<(CompressedTensor, CompressedTensor)>>>;
+
 /// How the per-step matrices are split into the two stored tensors.
 ///
 /// `G` and `C` are gathered onto their own sub-patterns before storage so
@@ -316,6 +320,14 @@ pub struct TensorEncodePlan {
 }
 
 impl TensorEncodePlan {
+    /// The plan `tc` itself encodes by.
+    pub fn of(tc: &masc_compress::TensorCompressor) -> Self {
+        Self {
+            maps: tc.maps().clone(),
+            config: tc.config(),
+        }
+    }
+
     /// Encodes block `step` (`values` against `reference`, or as a seed
     /// block when the config's seed schedule says so).
     pub fn encode(&self, step: usize, values: &[f64], reference: &[f64]) -> EncodedBlock {
@@ -653,6 +665,18 @@ impl BackwardJacobians {
         Self {
             next_step: steps,
             reader: backends::recompute_reader(),
+        }
+    }
+
+    /// Replays a sealed `(G, C)` tensor pair the caller kept (see
+    /// [`CompressedStore::capture`]) through the same reader a
+    /// [`CompressedStore`] seals into. A pair whose tensors disagree on
+    /// length or step index surfaces as [`StoreError::TensorTruncated`] at
+    /// the offending step.
+    pub fn from_tensors(g: CompressedTensor, c: CompressedTensor) -> Self {
+        Self {
+            next_step: g.len(),
+            reader: Box::new(backends::PairReader::new(g, c, StoreMetrics::default())),
         }
     }
 

@@ -9,13 +9,13 @@
 #![allow(clippy::disallowed_methods)]
 
 use masc_adjoint::store::{
-    BackwardReader, CompressedStore, DiskStore, EncodePlan, EncodedBlock, FailingWriter,
-    ForwardRecord, HybridStore, JacobianStore, PipelinedStore, StepMatrices, StoreConfig,
-    StoreError, StoreMetrics, TensorLayout,
+    BackwardJacobians, BackwardReader, CompressedStore, DiskStore, EncodePlan, EncodedBlock,
+    FailingWriter, ForwardRecord, HybridStore, JacobianStore, PipelinedStore, StepMatrices,
+    StoreConfig, StoreError, StoreMetrics, TensorLayout,
 };
 use masc_circuit::parser::parse_netlist;
 use masc_circuit::transient::{transient, JacobianSink, TranError};
-use masc_compress::MascConfig;
+use masc_compress::{CompressedTensor, MascConfig, TensorCompressor};
 use masc_sparse::{CsrMatrix, Pattern, TripletMatrix};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -241,6 +241,71 @@ fn fully_empty_tensor_with_recorded_steps_errors() {
     let err = reader.next_back().expect_err("empty tensor must error");
     assert!(
         matches!(err, StoreError::TensorTruncated { step: 3 }),
+        "got {err:?}"
+    );
+}
+
+/// A `len`-step tensor over the test pattern (block `s` holds `s + 0.1k`).
+fn sealed_tensor(p: &Arc<Pattern>, len: usize) -> CompressedTensor {
+    let mut tc = TensorCompressor::new(p.clone(), MascConfig::default());
+    for s in 0..len {
+        let vals: Vec<f64> = (0..p.nnz()).map(|k| s as f64 + k as f64 * 0.1).collect();
+        tc.push(&vals);
+    }
+    tc.finish()
+}
+
+/// A kept pair replays through `from_tensors` exactly like the store's own
+/// reader — and the captured pair *is* what the store's reader decodes.
+#[test]
+fn captured_pair_replays_like_the_store_reader() {
+    let p = pattern();
+    let mut store = CompressedStore::new(p.clone(), p.clone(), MascConfig::default());
+    let slot = store.capture();
+    let mut record = ForwardRecord::with_store(layout(&p), Box::new(store));
+    feed(&mut record, &p, 6);
+    let mut direct = record.into_reader().unwrap();
+    let (g, c) = slot.lock().unwrap().take().expect("finish fills the slot");
+    let mut replay = BackwardJacobians::from_tensors(g, c);
+    for step in (0..6).rev() {
+        let a = direct.next_back().unwrap().expect("store reader step");
+        let b = replay.next_back().unwrap().expect("replayed step");
+        assert_eq!(a.0, step);
+        assert_eq!(a, b);
+    }
+    assert!(direct.next_back().unwrap().is_none());
+    assert!(replay.next_back().unwrap().is_none());
+}
+
+/// A pair whose tensors disagree — C shorter than G, or C longer so the
+/// step indices mismatch — is a structured truncation at the offending
+/// step, never a panic or a silently misaligned replay.
+#[test]
+fn mismatched_pair_yields_tensor_truncated() {
+    let p = pattern();
+
+    // C shorter than G: its newest block is step 3 where G's is step 5,
+    // so the very first fetch disagrees on the step index.
+    let mut reader = BackwardJacobians::from_tensors(sealed_tensor(&p, 6), sealed_tensor(&p, 4));
+    let err = reader.next_back().expect_err("step mismatch must error");
+    assert!(
+        matches!(err, StoreError::TensorTruncated { step: 5 }),
+        "got {err:?}"
+    );
+
+    // C longer than G: same disagreement from the other side.
+    let mut reader = BackwardJacobians::from_tensors(sealed_tensor(&p, 4), sealed_tensor(&p, 6));
+    let err = reader.next_back().expect_err("step mismatch must error");
+    assert!(
+        matches!(err, StoreError::TensorTruncated { step: 3 }),
+        "got {err:?}"
+    );
+
+    // An empty C under a non-empty G: nothing to pair step 2 with.
+    let mut reader = BackwardJacobians::from_tensors(sealed_tensor(&p, 3), sealed_tensor(&p, 0));
+    let err = reader.next_back().expect_err("missing C must error");
+    assert!(
+        matches!(err, StoreError::TensorTruncated { step: 2 }),
         "got {err:?}"
     );
 }

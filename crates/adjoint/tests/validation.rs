@@ -7,8 +7,8 @@
 #![allow(clippy::disallowed_methods)]
 
 use masc_adjoint::{
-    adjoint_sensitivities, direct_sensitivities, finite_difference, run_adjoint, ForwardRecord,
-    Objective, StoreConfig, TensorLayout,
+    adjoint_sensitivities, direct_sensitivities, finite_difference, run_adjoint, AdjointError,
+    ForwardRecord, Objective, RunError, StoreConfig, TensorLayout,
 };
 use masc_circuit::parser::parse_netlist;
 use masc_circuit::transient::{transient, TranOptions};
@@ -360,6 +360,20 @@ fn multiple_objectives_one_pass() {
     assert!(run.sensitivities.values[3][0].abs() < 1e-12);
     // But the output objectives do.
     assert!(run.sensitivities.values[1][0].abs() > 1e-12);
+
+    // One step past the run is a structured error, not an index panic.
+    let max = tran.step_count();
+    let late = [Objective::AtStep {
+        unknown: vin,
+        step: max + 1,
+    }];
+    let err = run_adjoint(&mut circuit, &tran, &StoreConfig::RawMemory, &late, &params);
+    match err {
+        Err(RunError::Adjoint(AdjointError::StepOutOfRange { step, max: m })) => {
+            assert_eq!((step, m), (max + 1, max));
+        }
+        other => panic!("expected StepOutOfRange, got {other:?}"),
+    }
 }
 
 #[test]

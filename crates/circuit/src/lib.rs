@@ -56,6 +56,6 @@ pub use dc::{dc_operating_point, DcSolution};
 pub use devices::Device;
 pub use newton::{NewtonError, NewtonOptions};
 pub use transient::{
-    transient, JacobianSink, NullSink, SinkError, TranError, TranOptions, TranResult,
+    transient, BeStepper, JacobianSink, NullSink, SinkError, TranError, TranOptions, TranResult,
 };
 pub use waveform::Waveform;

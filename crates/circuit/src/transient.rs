@@ -6,9 +6,9 @@
 //! memory, stream them to disk, or compress them with the spatiotemporal
 //! compressor (paper Algorithm 2, lines 2–8).
 
-use crate::circuit::{Circuit, System};
+use crate::circuit::{Circuit, Evaluation, System};
 use crate::dc::{dc_operating_point_ws, DcSolution};
-use crate::newton::{newton_solve, NewtonError, NewtonOptions};
+use crate::newton::{newton_solve, NewtonError, NewtonOptions, NewtonStats};
 use masc_sparse::{CsrMatrix, LuWorkspace};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -244,6 +244,88 @@ impl TranResult {
     }
 }
 
+/// One fixed-`h` backward-Euler step: the single home of the implicit
+/// Newton solve every driver integrates with ([`transient_ws`], the sweep's
+/// lockstep waves, the window engine's fine and coarse propagators), so
+/// their trajectories agree bit for bit by construction.
+///
+/// The stepper owns the Newton controls, the evaluation buffers, the
+/// Jacobian/residual scratch and the previous accepted charge `q_prev`; the
+/// caller owns the state vector, the [`System`] and the schedule (which
+/// `(t, h)` to step to, what to do on failure).
+#[derive(Debug)]
+pub struct BeStepper {
+    newton: NewtonOptions,
+    /// The latest device evaluation. After [`start`](Self::start) or a
+    /// successful [`step`](Self::step) it holds `G`, `C`, `f`, `q`, `b` at
+    /// the accepted point — what a [`JacobianSink`] is offered.
+    pub ev: Evaluation,
+    j: CsrMatrix,
+    r: Vec<f64>,
+    q_prev: Vec<f64>,
+}
+
+impl BeStepper {
+    /// Allocates the buffers for `system`'s pattern.
+    pub fn new(system: &System, newton: NewtonOptions) -> Self {
+        Self {
+            newton,
+            ev: system.new_evaluation(),
+            j: CsrMatrix::zeros(system.pattern.clone()),
+            r: vec![0.0; system.n],
+            q_prev: vec![0.0; system.n],
+        }
+    }
+
+    /// Evaluates at the start point `(x, t)` and takes its charge as the
+    /// history the first step differentiates against.
+    pub fn start(&mut self, circuit: &Circuit, system: &mut System, x: &[f64], t: f64) {
+        system.eval_into(circuit, x, t, &mut self.ev);
+        self.q_prev.copy_from_slice(&self.ev.q);
+    }
+
+    /// The charge at the last accepted point.
+    pub fn q_prev(&self) -> &[f64] {
+        &self.q_prev
+    }
+
+    /// Newton-solves `(q(x) − q_prev)/h + f(x) + b(t) = 0` for `x` in place
+    /// (starting from its current contents), then re-evaluates at the
+    /// converged point and rolls `q_prev` forward. On failure `q_prev` is
+    /// untouched, so the caller may restore `x` and retry with another `h`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NewtonError`] if the iteration fails to converge or the
+    /// Jacobian is singular.
+    pub fn step(
+        &mut self,
+        circuit: &Circuit,
+        system: &mut System,
+        lu: &mut LuWorkspace,
+        x: &mut [f64],
+        t: f64,
+        h: f64,
+    ) -> Result<NewtonStats, NewtonError> {
+        let (ev, q_prev) = (&mut self.ev, &self.q_prev);
+        let stats = newton_solve(x, &self.newton, lu, &mut self.j, &mut self.r, |x, r, j| {
+            system.eval_into(circuit, x, t, ev);
+            for (i, ri) in r.iter_mut().enumerate() {
+                *ri = (ev.q[i] - q_prev[i]) / h + ev.f[i] + ev.b[i];
+            }
+            // J = G + C/h over the shared pattern.
+            let jv = j.values_mut();
+            jv.copy_from_slice(ev.g.values());
+            for (jv, cv) in jv.iter_mut().zip(ev.c.values()) {
+                *jv += cv / h;
+            }
+        })?;
+        system.eval_into(circuit, x, t, &mut self.ev);
+        self.q_prev.copy_from_slice(&self.ev.q);
+        Ok(stats)
+    }
+}
+
 /// Runs a backward-Euler transient analysis, feeding every accepted step's
 /// Jacobians to `sink`.
 ///
@@ -281,7 +363,6 @@ pub fn transient_ws<S: JacobianSink>(
 ) -> Result<TranResult, TranError> {
     let run_start = Instant::now();
     system.reset_stats();
-    let n = system.n;
     let mut stats = TranStats::default();
 
     // DC operating point, offered to the sink as step 0.
@@ -293,9 +374,9 @@ pub fn transient_ws<S: JacobianSink>(
     stats.newton_iterations += dc_stats.iterations;
     stats.lu_time += dc_stats.lu_time;
 
-    let mut ev = system.new_evaluation();
-    system.eval_into(circuit, &x_prev, 0.0, &mut ev);
-    sink.on_step(0, 0.0, opts.dt, &x_prev, &ev.g, &ev.c)
+    let mut be = BeStepper::new(system, opts.newton);
+    be.start(circuit, system, &x_prev, 0.0);
+    sink.on_step(0, 0.0, opts.dt, &x_prev, &be.ev.g, &be.ev.c)
         .map_err(|source| TranError::Sink {
             step: 0,
             t: 0.0,
@@ -310,9 +391,6 @@ pub fn transient_ws<S: JacobianSink>(
     states.push(x_prev.clone());
     hs.push(opts.dt);
 
-    let mut q_prev = ev.q.clone();
-    let mut j = CsrMatrix::zeros(system.pattern.clone());
-    let mut r = vec![0.0; n];
     let mut x = x_prev.clone();
 
     let mut t_now = 0.0f64;
@@ -330,18 +408,7 @@ pub fn transient_ws<S: JacobianSink>(
                 (t_now + h_clamped, h_clamped)
             }
         };
-        let attempt = newton_solve(&mut x, &opts.newton, lu, &mut j, &mut r, |x, r, j| {
-            system.eval_into(circuit, x, t, &mut ev);
-            for i in 0..n {
-                r[i] = (ev.q[i] - q_prev[i]) / h_used + ev.f[i] + ev.b[i];
-            }
-            // J = G + C/h over the shared pattern.
-            let jv = j.values_mut();
-            jv.copy_from_slice(ev.g.values());
-            for (jv, cv) in jv.iter_mut().zip(ev.c.values()) {
-                *jv += cv / h_used;
-            }
-        });
+        let attempt = be.step(circuit, system, lu, &mut x, t, h_used);
         let newton = match (attempt, &opts.adaptive) {
             (Ok(newton), _) => newton,
             (Err(source), None) => return Err(TranError::Step { step, t, source }),
@@ -359,14 +426,12 @@ pub fn transient_ws<S: JacobianSink>(
         stats.newton_iterations += newton.iterations;
         stats.lu_time += newton.lu_time;
 
-        // Refresh matrices at the converged point for the sink. A sink
-        // failure aborts the whole run: the Newton accept path must not
-        // keep integrating past a state the reverse pass can never read.
-        system.eval_into(circuit, &x, t, &mut ev);
-        sink.on_step(step, t, h_used, &x, &ev.g, &ev.c)
+        // A sink failure aborts the whole run: the Newton accept path
+        // must not keep integrating past a state the reverse pass can
+        // never read.
+        sink.on_step(step, t, h_used, &x, &be.ev.g, &be.ev.c)
             .map_err(|source| TranError::Sink { step, t, source })?;
 
-        q_prev.copy_from_slice(&ev.q);
         x_prev.copy_from_slice(&x);
         t_now = t;
         times.push(t);

@@ -192,8 +192,8 @@ pub(crate) fn decode_range(
     maps: &StampMaps,
     params: &HeaderParams,
     range: core::ops::Range<usize>,
-    chunk_start: usize,
 ) -> Result<(), CompressError> {
+    let chunk_start = range.start;
     let warmups = region_warmups(maps, range.clone(), params);
     let mut seen = [0usize; 3];
     let mut res_state = ResidualState::new();
@@ -543,7 +543,7 @@ pub fn decompress_matrix(
         .get(header.payload_offset..)
         .ok_or(CompressError::Corrupt("payload offset past end of stream"))?;
     let mut r = BitReader::new(payload);
-    decode_range(&mut r, &mut out, reference, maps, &header.params, 0..nnz, 0)?;
+    decode_range(&mut r, &mut out, reference, maps, &header.params, 0..nnz)?;
     if let Some(expected) = header.expected_checksum {
         if checksum(&out) != expected {
             return Err(CompressError::ChecksumMismatch);

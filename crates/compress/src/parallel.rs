@@ -7,10 +7,10 @@
 //! (own residual window, own Markov warm-up, in-matrix predictions confined
 //! to the chunk), so both compression and decompression parallelize.
 //!
-//! Two stream eras coexist:
-//!
-//! Era 2 (written by this encoder) — per-chunk headers, segregated
-//! selection/residual substreams, chunk-local decode buffers:
+//! One chunked stream era is written and read (era 2) — per-chunk headers,
+//! segregated selection/residual substreams, chunk-local decode buffers
+//! (`decode_range_local` gives each chunk a buffer of exactly the chunk's
+//! length):
 //!
 //! ```text
 //! [common header with FLAG_CHUNKED | FLAG_CHUNK_HEADERS]
@@ -19,23 +19,19 @@
 //! [chunk payloads, byte-aligned]
 //! ```
 //!
-//! Era 1 (legacy, still decodable) — `FLAG_CHUNKED` alone, interleaved
-//! selection/residual bits, `[varint byte_len × n]` length table only.
-//!
-//! The era-2 decoder gives each chunk a buffer of exactly the chunk's
-//! length (`decode_range_local`); the era-1 decoder needed an nnz-sized
-//! scratch matrix per worker, which made wide matrices memory-bound and
-//! flattened thread scaling.
+//! Era-1 chunked streams (`FLAG_CHUNKED` without `FLAG_CHUNK_HEADERS`,
+//! interleaved selection/residual bits) were only ever minted inside this
+//! repository and are rejected with a structured error.
 
 use crate::config::MascConfig;
 use crate::matrix::{
-    checksum, decode_range, decode_range_local, encode_range_split, parse_header, write_header,
-    HeaderParams, ParsedHeader, FLAG_CHUNKED, FLAG_CHUNK_HEADERS, FLAG_CROSS_INSTANCE, FLAG_SEEDED,
+    checksum, decode_range_local, encode_range_split, parse_header, write_header, HeaderParams,
+    ParsedHeader, FLAG_CHUNKED, FLAG_CHUNK_HEADERS, FLAG_CROSS_INSTANCE, FLAG_SEEDED,
 };
 use crate::predictor::StampMaps;
 use crate::stats::CompressStats;
 use crate::CompressError;
-use masc_bitio::{varint, BitReader, BitWriter};
+use masc_bitio::{varint, BitWriter};
 use std::time::{Duration, Instant};
 
 /// Splits `0..nnz` into `chunk_size` ranges.
@@ -422,116 +418,7 @@ fn checksum_partial(
     acc
 }
 
-/// Era-1 decode (legacy chained-chunk format): kept verbatim so streams
-/// minted before the per-chunk-header era stay readable.
-fn decompress_chunked_legacy(
-    bytes: &[u8],
-    reference: &[f64],
-    maps: &StampMaps,
-    config: &MascConfig,
-    header: &ParsedHeader,
-) -> Result<Vec<f64>, CompressError> {
-    let nnz = maps.order().len();
-    let mut pos = header.payload_offset;
-    let (chunk_size, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-    pos += used;
-    let (n_chunks, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-    pos += used;
-    let ranges = chunk_ranges(nnz, chunk_size as usize);
-    if ranges.len() != n_chunks as usize {
-        return Err(CompressError::Corrupt("chunk count mismatch"));
-    }
-    let mut lens = Vec::with_capacity(ranges.len());
-    for _ in 0..n_chunks {
-        let (len, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-        pos += used;
-        lens.push(len as usize);
-    }
-    let mut offsets = Vec::with_capacity(ranges.len());
-    for &len in &lens {
-        offsets.push(pos);
-        pos = pos.checked_add(len).ok_or(CompressError::Truncated)?;
-    }
-    if pos > bytes.len() {
-        return Err(CompressError::Truncated);
-    }
-
-    let threads = config.threads.max(1).min(ranges.len().max(1));
-    let mut out = vec![0.0f64; nnz];
-    if threads <= 1 || ranges.len() <= 1 {
-        for (i, range) in ranges.iter().enumerate() {
-            let payload = &bytes[offsets[i]..offsets[i] + lens[i]];
-            decode_chunk_into(
-                &mut out,
-                payload,
-                reference,
-                maps,
-                &header.params,
-                range.clone(),
-            )?;
-        }
-    } else {
-        // Workers decode into nnz-sized scratch buffers (the era-1 bit
-        // layout interleaves selections with residuals, so the chunk-local
-        // fast path cannot apply); compact and scatter after.
-        let per = ranges.len().div_ceil(threads);
-        let workers = ranges.len().div_ceil(per);
-        type ChunkValues = Vec<(usize, Vec<f64>)>;
-        let results: Vec<Result<ChunkValues, CompressError>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for tid in 0..workers {
-                let ranges = &ranges;
-                let lens = &lens;
-                let offsets = &offsets;
-                let params = &header.params;
-                handles.push(scope.spawn(move || {
-                    let mut local = Vec::new();
-                    let mut scratch = vec![0.0f64; nnz];
-                    for i in (tid * per)..((tid + 1) * per).min(ranges.len()) {
-                        let payload = &bytes[offsets[i]..offsets[i] + lens[i]];
-                        decode_chunk_into(
-                            &mut scratch,
-                            payload,
-                            reference,
-                            maps,
-                            params,
-                            ranges[i].clone(),
-                        )?;
-                        let compact: Vec<f64> = ranges[i]
-                            .clone()
-                            .map(|p| scratch[maps.order()[p]])
-                            .collect();
-                        local.push((i, compact));
-                    }
-                    Ok(local)
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or(Err(CompressError::Corrupt("decode worker panicked")))
-                })
-                .collect()
-        });
-        for result in results {
-            for (i, compact) in result? {
-                for (p, v) in ranges[i].clone().zip(compact) {
-                    out[maps.order()[p]] = v;
-                }
-            }
-        }
-    }
-
-    if let Some(expected) = header.expected_checksum {
-        if checksum(&out) != expected {
-            return Err(CompressError::ChecksumMismatch);
-        }
-    }
-    Ok(out)
-}
-
-/// Decompresses a chunked stream of either era.
+/// Decompresses a chunked (era-2) stream.
 ///
 /// # Errors
 ///
@@ -553,6 +440,11 @@ pub fn decompress_matrix_parallel(
             "serial stream passed to the chunked decoder",
         ));
     }
+    if !header.chunk_headers {
+        return Err(CompressError::Corrupt(
+            "era-1 chunked stream (no per-chunk headers) is no longer readable",
+        ));
+    }
     let zeros;
     let reference: &[f64] = if header.seeded {
         zeros = vec![0.0f64; nnz];
@@ -560,24 +452,7 @@ pub fn decompress_matrix_parallel(
     } else {
         reference
     };
-    if header.chunk_headers {
-        decompress_chunked_v2(bytes, reference, maps, config, &header)
-    } else {
-        decompress_chunked_legacy(bytes, reference, maps, config, &header)
-    }
-}
-
-fn decode_chunk_into(
-    out: &mut [f64],
-    payload: &[u8],
-    reference: &[f64],
-    maps: &StampMaps,
-    params: &HeaderParams,
-    range: core::ops::Range<usize>,
-) -> Result<(), CompressError> {
-    let chunk_start = range.start;
-    let mut r = BitReader::new(payload);
-    decode_range(&mut r, out, reference, maps, params, range, chunk_start)
+    decompress_chunked_v2(bytes, reference, maps, config, &header)
 }
 
 /// Per-chunk wall timings of one compress + decompress cycle.

@@ -1,5 +1,6 @@
-//! Wire-format backward compatibility: golden v1 streams, minted by the
-//! pre-chunk-header encoder, must keep decoding bit-exactly forever.
+//! Wire-format backward compatibility: golden serial-format and era-2
+//! chunked streams must keep decoding bit-exactly forever; the one kept
+//! era-1 chunked stream must keep failing with a structured error.
 //!
 //! The fixture inputs are regenerated in-test from a fixed LCG (no
 //! transcendentals, so the values are reproducible to the bit on any
@@ -10,7 +11,7 @@
 
 use masc_compress::{
     compress_matrix_parallel, decode_block, decompress_matrix, decompress_matrix_parallel,
-    CompressedTensor, MascConfig, StampMaps,
+    CompressError, CompressedTensor, MascConfig, StampMaps,
 };
 use masc_sparse::{Pattern, TripletMatrix};
 use std::sync::Arc;
@@ -45,10 +46,6 @@ fn banded_pattern(n: usize, band: usize) -> Arc<Pattern> {
     t.to_csr().pattern().clone()
 }
 
-fn empty_pattern() -> Arc<Pattern> {
-    TripletMatrix::new(0, 0).to_csr().pattern().clone()
-}
-
 /// The fixed input corpus: (pattern, current values, reference values).
 fn matrix_inputs() -> (Arc<Pattern>, Vec<f64>, Vec<f64>) {
     let p = banded_pattern(40, 2);
@@ -69,10 +66,8 @@ fn tensor_inputs() -> (Arc<Pattern>, Vec<Vec<f64>>) {
 // Minting configs (era-1 encoder, recorded for posterity):
 // - serial_default.bin       MascConfig::default()
 // - serial_nomarkov.bin      markov off, checksum off
-// - chunked_{17,1,huge}.bin  chunked_cfg(17 / 1 / 1<<20)
-// - chunked_empty.bin        chunked_cfg(8), empty pattern
+// - chunked_17.bin           chunked_cfg(17) (era-1 chunked: now rejected)
 // - tensor_serial.bin        MascConfig::default()
-// - tensor_chunked.bin       chunk_size 32, threads 2, min_warmup 4
 fn chunked_cfg(chunk_size: usize) -> MascConfig {
     MascConfig {
         chunk_size,
@@ -110,53 +105,40 @@ fn v1_serial_fixtures_decode_bit_exact() {
     }
 }
 
+/// Era-1 chunked streams (`FLAG_CHUNKED` without `FLAG_CHUNK_HEADERS`) are
+/// no longer readable: both entry points say so instead of misdecoding.
 #[test]
-fn v1_chunked_fixtures_decode_bit_exact() {
-    let (p, cur, reference) = matrix_inputs();
+fn v1_chunked_fixture_is_rejected_as_era_1() {
+    let (p, _, reference) = matrix_inputs();
     let maps = StampMaps::new(&p);
-    for (name, chunk) in [
-        ("chunked_17.bin", 17usize),
-        ("chunked_1.bin", 1),
-        ("chunked_huge.bin", 1 << 20),
-    ] {
-        // Decode with several thread counts: the stream fixes the chunk
-        // grid, so the decoder config's chunk_size must not matter.
-        for threads in [1usize, 4] {
-            let cfg = MascConfig {
-                threads,
-                ..chunked_cfg(chunk)
-            };
-            let out = decompress_matrix_parallel(&fixture(name), &reference, &maps, &cfg)
-                .unwrap_or_else(|e| panic!("{name} (threads {threads}): {e}"));
-            assert_bits_eq(&out, &cur);
+    let bytes = fixture("chunked_17.bin");
+    for threads in [1usize, 4] {
+        let cfg = MascConfig {
+            threads,
+            ..chunked_cfg(17)
+        };
+        for result in [
+            decompress_matrix_parallel(&bytes, &reference, &maps, &cfg),
+            decode_block(&bytes, &reference, &maps, &cfg),
+        ] {
+            match result {
+                Err(CompressError::Corrupt(why)) => {
+                    assert!(why.starts_with("era-1 chunked stream"), "{why}")
+                }
+                other => panic!("threads {threads}: expected era-1 rejection, got {other:?}"),
+            }
         }
     }
 }
 
 #[test]
-fn v1_empty_chunked_fixture_decodes() {
-    let ep = empty_pattern();
-    let emaps = StampMaps::new(&ep);
-    let out =
-        decompress_matrix_parallel(&fixture("chunked_empty.bin"), &[], &emaps, &chunked_cfg(8))
-            .unwrap();
-    assert!(out.is_empty());
-}
-
-#[test]
-fn v1_tensor_fixtures_decode_bit_exact() {
+fn v1_tensor_fixture_decodes_bit_exact() {
     let (_, series) = tensor_inputs();
-    for name in ["tensor_serial.bin", "tensor_chunked.bin"] {
-        let tensor =
-            CompressedTensor::from_bytes(&fixture(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(tensor.len(), series.len(), "{name}");
-        let all = tensor
-            .decompress_all()
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        for (step, (a, b)) in all.iter().zip(&series).enumerate() {
-            assert_bits_eq(a, b);
-            let _ = step;
-        }
+    let tensor = CompressedTensor::from_bytes(&fixture("tensor_serial.bin")).unwrap();
+    assert_eq!(tensor.len(), series.len());
+    let all = tensor.decompress_all().unwrap();
+    for (a, b) in all.iter().zip(&series) {
+        assert_bits_eq(a, b);
     }
 }
 
@@ -178,8 +160,8 @@ fn v1_truncated_fixtures_error_not_panic() {
 // ---------------------------------------------------------------------------
 //
 // `decode_block` sniffs the era off the first header byte (serial vs
-// chunked via FLAG_CHUNKED, era-1 vs era-2 chunked via FLAG_CHUNK_HEADERS)
-// and dispatches. *Every* strict prefix of a valid stream — any era — must
+// chunked via FLAG_CHUNKED; chunked without FLAG_CHUNK_HEADERS is the
+// rejected era 1) and dispatches. *Every* strict prefix of a valid stream — any era — must
 // come back as a structured error from the sniffing entry point: never a
 // panic, and never a misclassified decode that "succeeds" on garbage.
 
@@ -238,9 +220,9 @@ fn v2_chunk_header_fixture_decodes_bit_exact() {
     }
 }
 
-/// Every strict prefix of every matrix fixture, era-1 and era-2, fed to
-/// the sniffing `decode_block` entry point: structured error, no panic,
-/// no bogus success.
+/// Every strict prefix of every matrix fixture — serial, era-2, and the
+/// rejected era-1 chunked one — fed to the sniffing `decode_block` entry
+/// point: structured error, no panic, no bogus success.
 #[test]
 fn era_sniff_every_prefix_truncation_errors() {
     let (p, _, reference) = matrix_inputs();
@@ -250,8 +232,6 @@ fn era_sniff_every_prefix_truncation_errors() {
         ("serial_default.bin", fixture("serial_default.bin")),
         ("serial_nomarkov.bin", fixture("serial_nomarkov.bin")),
         ("chunked_17.bin", fixture("chunked_17.bin")),
-        ("chunked_1.bin", fixture("chunked_1.bin")),
-        ("chunked_huge.bin", fixture("chunked_huge.bin")),
         (
             "v2/chunked_headers_17.bin",
             fixture_v2("chunked_headers_17.bin"),
@@ -269,20 +249,17 @@ fn era_sniff_every_prefix_truncation_errors() {
     }
 }
 
-/// Every strict prefix of the tensor fixtures must fail structured —
+/// Every strict prefix of the tensor fixture must fail structured —
 /// either at `from_bytes` framing or when the surviving blocks decode.
 #[test]
 fn tensor_every_prefix_truncation_errors() {
-    for name in ["tensor_serial.bin", "tensor_chunked.bin"] {
-        let bytes = fixture(name);
-        for cut in 0..bytes.len() {
-            let result =
-                CompressedTensor::from_bytes(&bytes[..cut]).and_then(|t| t.decompress_all());
-            assert!(
-                result.is_err(),
-                "{name} truncated to {cut}/{} bytes must error, got Ok",
-                bytes.len()
-            );
-        }
+    let bytes = fixture("tensor_serial.bin");
+    for cut in 0..bytes.len() {
+        let result = CompressedTensor::from_bytes(&bytes[..cut]).and_then(|t| t.decompress_all());
+        assert!(
+            result.is_err(),
+            "tensor_serial.bin truncated to {cut}/{} bytes must error, got Ok",
+            bytes.len()
+        );
     }
 }

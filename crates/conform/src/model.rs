@@ -22,8 +22,9 @@
 //!   and a committer reorders their out-of-order output back into strict
 //!   step order.
 //! - [`window_sweep_model`] — the window engine's dirty-lane sweep
-//!   (`crates/window/src/engine.rs`): each sweep processes exactly the
-//!   lanes dirty at its start, re-dirties propagation targets between
+//!   (`crates/window/src/engine.rs`) over the one shared lane fan-out
+//!   (`crates/adjoint/src/lanes.rs::wave`): each sweep processes exactly
+//!   the lanes dirty at its start, re-dirties propagation targets between
 //!   sweeps, and surfaces the lowest-index failure deterministically.
 //!
 //! Every assertion must hold on *every explored schedule*; a violation
@@ -263,10 +264,12 @@ pub fn pipelined_commit_model(s: &Sched) {
     );
 }
 
-/// Window-engine sweep bookkeeping: each wave processes exactly the
-/// lanes dirty at its start on parallel workers (each clearing its own
-/// flag), propagation re-dirties a successor between waves, and worker
-/// failures surface as the lowest window index regardless of schedule.
+/// Window-engine sweep bookkeeping over the shared lane fan-out
+/// (`masc_adjoint::lanes::wave`, the same protocol `masc-sweep` runs its
+/// instances on): each wave processes exactly the lanes dirty at its
+/// start on parallel workers (each clearing its own flag), propagation
+/// re-dirties a successor between waves, and worker failures surface as
+/// the lowest item index regardless of schedule.
 pub fn window_sweep_model(s: &Sched) {
     const LANES: usize = 3;
     let dirty = s.mutex(vec![true; LANES]);

@@ -3,14 +3,15 @@
 //! [`resolve`] canonicalizes a wire-level [`JobRequest`] into a
 //! [`ResolvedJob`] — the deck is parsed and re-serialized through
 //! [`write_netlist`] so the cache key addresses deck *content*, not
-//! spelling. [`run_cold`] runs the forward transient through an
-//! asynchronous [`PipelinedStore`] wrapped around a [`CaptureStore`]
-//! (a compressing store that also hands the two sealed tensors back for
-//! caching), then the reverse pass. [`run_hit`] skips the forward pass
-//! entirely: the cached tensors decode newest-first straight into an
-//! [`AdjointCursor`] and the objective values come from the cached
-//! trajectory, so its [`TranStats`] stay at zero steps — the telemetry
-//! proof that the transient never ran.
+//! spelling. [`run_cold`] is [`masc_adjoint::run_adjoint`]'s own
+//! forward + reverse body ([`run_recorded`]) over an asynchronous
+//! [`PipelinedStore`] wrapped around a capturing [`CompressedStore`]
+//! (which hands the two sealed tensors back for caching). [`run_hit`]
+//! skips the forward pass entirely: the cached tensors replay newest-first
+//! through [`BackwardJacobians::from_tensors`] into the same
+//! [`adjoint_sensitivities`] loop, and the objective values come from the
+//! cached trajectory, so its [`TranStats`] stay at zero steps — the
+//! telemetry proof that the transient never ran.
 //!
 //! Both paths drive the reverse arithmetic identically (same canonical
 //! deck, same fresh per-job cursor workspace, bit-identical decoded
@@ -20,19 +21,20 @@
 use crate::cache::{entry_key, job_fingerprint, CacheEntry};
 use crate::protocol::{JobRequest, ObjectiveSpec, ParamSelector};
 use crate::ServeError;
-use masc_adjoint::store::{StepMatrices, StoreError, TensorLayout};
+use masc_adjoint::lanes::lock_ignoring_poison;
+use masc_adjoint::store::{StoreError, TensorLayout};
 use masc_adjoint::{
-    adjoint_sensitivities, AdjointCursor, CaptureStore, ForwardRecord, Objective, PipelinedStore,
-    StoreMetrics,
+    adjoint_sensitivities, check_objective_steps, run_recorded, AdjointError, BackwardJacobians,
+    CompressedStore, ForwardRecord, Objective, PipelinedStore, StoreMetrics,
 };
 use masc_circuit::netlist::write_netlist;
 use masc_circuit::parser::parse_netlist;
-use masc_circuit::transient::{transient_ws, TranOptions, TranStats};
+use masc_circuit::transient::{TranOptions, TranStats};
 use masc_circuit::{Circuit, ParamRef, System};
 use masc_compress::MascConfig;
 use masc_sparse::{LuWorkspace, Pattern, SymbolicLu};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// A job after deck canonicalization and name resolution.
 #[derive(Debug, Clone)]
@@ -126,24 +128,6 @@ pub fn resolve(req: &JobRequest, masc: &MascConfig) -> Result<ResolvedJob, Serve
     })
 }
 
-/// Rejects `at:<step>` objectives that point past the recorded waveform
-/// (they would otherwise index out of bounds when evaluated).
-fn validate_steps(objectives: &[Objective], n_times: usize) -> Result<(), ServeError> {
-    let max = n_times.saturating_sub(1);
-    for o in objectives {
-        if let Objective::AtStep { step, .. } = *o {
-            if step > max {
-                return Err(ServeError::StepOutOfRange { step, max });
-            }
-        }
-    }
-    Ok(())
-}
-
-fn lock_ignoring_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Most sparsity patterns whose symbolic analyses the pool retains.
 const MAX_POOL_PATTERNS: usize = 64;
 
@@ -178,13 +162,14 @@ impl WorkspacePool {
         let Some(sym) = ws.symbolic().cloned() else {
             return;
         };
-        if self.map.len() >= MAX_POOL_PATTERNS {
+        let key = pattern_key(pattern);
+        if self.map.len() >= MAX_POOL_PATTERNS && !self.map.contains_key(&key) {
             // The pool is bounded; drop an arbitrary resident analysis.
             if let Some(k) = self.map.keys().next().copied() {
                 self.map.remove(&k);
             }
         }
-        self.map.insert(pattern_key(pattern), sym);
+        self.map.insert(key, sym);
     }
 
     /// Number of pooled analyses.
@@ -206,8 +191,8 @@ fn elaborate_canonical(job: &ResolvedJob) -> Result<(Circuit, System), ServeErro
 }
 
 /// Runs the full pipeline for a cache miss: forward transient through a
-/// pipelined capture store, reverse pass over the captured tensors, and
-/// the cache entry to persist.
+/// pipelined capturing store, reverse pass over its tensors, and the cache
+/// entry to persist.
 ///
 /// # Errors
 ///
@@ -220,45 +205,40 @@ pub fn run_cold(
 ) -> Result<(JobOutcome, CacheEntry), ServeError> {
     let (circuit, mut system) = elaborate_canonical(job)?;
     let layout = TensorLayout::of(&system);
-    let capture = CaptureStore::new(&layout, job.masc.clone());
-    let slot = capture.slot();
+    let mut capture = CompressedStore::new(
+        layout.g_pattern.clone(),
+        layout.c_pattern.clone(),
+        job.masc.clone(),
+    );
+    let slot = capture.capture();
     let store = PipelinedStore::spawn_pool(Box::new(capture), 2, 2, 1);
-    let mut record = ForwardRecord::with_store(layout, Box::new(store));
+    let record = ForwardRecord::with_store(layout, Box::new(store));
 
-    let mut lu = lock_ignoring_poison(pool).checkout(&system.pattern);
-    let tran_result = transient_ws(&circuit, &mut system, &job.tran, &mut record, &mut lu)?;
-    lock_ignoring_poison(pool).deposit(&system.pattern, &lu);
-
-    validate_steps(&job.objectives, tran_result.times.len())?;
-    let objective_values: Vec<f64> = job
-        .objectives
-        .iter()
-        .map(|o| o.value(&tran_result.states, &tran_result.steps))
-        .collect();
-
-    let (meta, backward) = record.into_parts()?;
-    let result = adjoint_sensitivities(
+    let pattern = system.pattern.clone();
+    let lu = lock_ignoring_poison(pool).checkout(&pattern);
+    let (run, meta) = run_recorded(
         &circuit,
         &mut system,
-        &meta,
-        backward,
+        &job.tran,
+        record,
+        lu,
+        |lu| lock_ignoring_poison(pool).deposit(&pattern, &lu),
         &job.objectives,
         &job.params,
     )?;
-    let store_metrics = result.stats.store.clone();
 
     let tensors = lock_ignoring_poison(&slot).take();
     let Some((g, c)) = tensors else {
-        // The capture store's finish always fills the slot; an empty slot
+        // The capturing store's finish always fills the slot; an empty slot
         // means the store was never finished (unreachable in this flow).
         return Err(ServeError::Store(StoreError::TensorTruncated { step: 0 }));
     };
     let outcome = JobOutcome {
         hit: false,
-        objective_values,
-        sensitivities: result.values,
-        tran_stats: tran_result.stats,
-        store_metrics,
+        objective_values: run.objective_values,
+        sensitivities: run.sensitivities.values,
+        tran_stats: run.tran_stats,
+        store_metrics: run.store_metrics,
     };
     let entry = CacheEntry {
         fingerprint: job.fingerprint.clone(),
@@ -269,17 +249,10 @@ pub fn run_cold(
     Ok((outcome, entry))
 }
 
-fn same_pattern(a: &Pattern, b: &Pattern) -> bool {
-    a.rows() == b.rows()
-        && a.cols() == b.cols()
-        && a.row_ptr() == b.row_ptr()
-        && a.col_idx() == b.col_idx()
-}
-
-/// Replays a cached entry: decodes the tensors newest-first straight into
-/// an [`AdjointCursor`], with objective values read off the cached
-/// trajectory. The forward transient never runs — the returned
-/// [`TranStats`] are all zero.
+/// Replays a cached entry: validates it against the job, then runs
+/// [`adjoint_sensitivities`] over the cached tensors, with objective values
+/// read off the cached trajectory. The forward transient never runs — the
+/// returned [`TranStats`] are all zero.
 ///
 /// # Errors
 ///
@@ -295,12 +268,9 @@ pub fn run_hit(job: &ResolvedJob, entry: &CacheEntry) -> Result<JobOutcome, Serv
         return Err(ServeError::CacheMismatch);
     }
     let (circuit, mut system) = elaborate_canonical(job)?;
-    let layout = TensorLayout::of(&system);
     // Stale-entry defense: the cached tensors must also match the job's
     // exact sparsity structure and trajectory shape.
-    if !same_pattern(entry.g.pattern(), &layout.g_pattern)
-        || !same_pattern(entry.c.pattern(), &layout.c_pattern)
-    {
+    if *entry.g.pattern() != system.g_pattern || *entry.c.pattern() != system.c_pattern {
         return Err(ServeError::CacheMismatch);
     }
     let n_times = entry.meta.times.len();
@@ -313,7 +283,7 @@ pub fn run_hit(job: &ResolvedJob, entry: &CacheEntry) -> Result<JobOutcome, Serv
     {
         return Err(ServeError::CacheMismatch);
     }
-    validate_steps(&job.objectives, n_times)?;
+    check_objective_steps(&job.objectives, n_times)?;
 
     let objective_values: Vec<f64> = job
         .objectives
@@ -321,20 +291,21 @@ pub fn run_hit(job: &ResolvedJob, entry: &CacheEntry) -> Result<JobOutcome, Serv
         .map(|o| o.value(&entry.meta.states, &entry.meta.hs))
         .collect();
 
-    let mut cursor =
-        AdjointCursor::new(&circuit, &system, &entry.meta, &job.objectives, &job.params);
-    let mut g_back = entry.g.clone().into_backward();
-    let mut c_back = entry.c.clone().into_backward();
-    loop {
-        match (g_back.next_matrix()?, c_back.next_matrix()?) {
-            (None, None) => break,
-            (Some((gs, g)), Some((cs, c))) if gs == cs => {
-                cursor.offer(&mut system, gs, StepMatrices::Stored { g, c })?;
-            }
-            _ => return Err(ServeError::CacheMismatch),
-        }
-    }
-    let result = cursor.finish();
+    let reader = BackwardJacobians::from_tensors(entry.g.clone(), entry.c.clone());
+    let result = adjoint_sensitivities(
+        &circuit,
+        &mut system,
+        &entry.meta,
+        reader,
+        &job.objectives,
+        &job.params,
+    )
+    .map_err(|e| match e {
+        // A tensor that fails to replay indicts the entry, not the job.
+        AdjointError::Store(StoreError::Compress(e)) => ServeError::Compress(e),
+        AdjointError::Store(_) => ServeError::CacheMismatch,
+        e => e.into(),
+    })?;
     Ok(JobOutcome {
         hit: true,
         objective_values,

@@ -33,7 +33,7 @@ pub use engine::{JobOutcome, ResolvedJob};
 pub use protocol::{JobRequest, ObjectiveSpec, ParamSelector, ProtocolError, Request};
 pub use server::{ServeConfig, Server};
 
-use masc_adjoint::{AdjointError, StoreError};
+use masc_adjoint::{AdjointError, RunError, StoreError};
 use masc_circuit::parser::ParseNetlistError;
 use masc_circuit::transient::TranError;
 use masc_circuit::CircuitError;
@@ -176,7 +176,21 @@ impl From<TranError> for ServeError {
 
 impl From<AdjointError> for ServeError {
     fn from(e: AdjointError) -> Self {
-        ServeError::Adjoint(e)
+        match e {
+            AdjointError::StepOutOfRange { step, max } => ServeError::StepOutOfRange { step, max },
+            e => ServeError::Adjoint(e),
+        }
+    }
+}
+
+impl From<RunError> for ServeError {
+    fn from(e: RunError) -> Self {
+        match e {
+            RunError::Circuit(e) => e.into(),
+            RunError::Tran(e) => e.into(),
+            RunError::Store(e) => e.into(),
+            RunError::Adjoint(e) => e.into(),
+        }
     }
 }
 

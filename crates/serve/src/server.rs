@@ -17,17 +17,14 @@ use crate::cache::{CacheMetrics, TensorCache};
 use crate::engine::{resolve, run_cold, run_hit, JobOutcome, WorkspacePool};
 use crate::protocol::{self, JobRequest, Request, MAX_LINE_BYTES};
 use crate::ServeError;
+use masc_adjoint::lanes::lock_ignoring_poison as lock;
 use masc_compress::MascConfig;
 use std::collections::{HashSet, VecDeque};
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Server configuration.
 #[derive(Debug, Clone)]

@@ -67,18 +67,19 @@ pub mod wire;
 
 pub use wire::{SuperTensorHeader, SuperTensorIndex, WireError, WIRE_VERSION};
 
+use masc_adjoint::lanes::wave;
 use masc_adjoint::{
-    AdjointCursor, AdjointError, Objective, RunMeta, SensitivityResult, StepMatrices,
+    check_objective_steps, AdjointCursor, AdjointError, Objective, RunMeta, SensitivityResult,
+    StepMatrices,
 };
 use masc_circuit::dc::dc_operating_point_ws;
-use masc_circuit::newton::newton_solve;
-use masc_circuit::transient::TranOptions;
-use masc_circuit::{Circuit, CircuitError, Evaluation, NewtonError, ParamRef, System};
+use masc_circuit::transient::{BeStepper, TranOptions};
+use masc_circuit::{Circuit, CircuitError, NewtonError, ParamRef, System};
 use masc_compress::{
     decode_block, encode_cross_block, BackwardDecompressor, CompressError, MascConfig, StampMaps,
     TensorCompressor,
 };
-use masc_sparse::{CsrMatrix, LuWorkspace};
+use masc_sparse::LuWorkspace;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -305,36 +306,27 @@ struct ForwardInst {
     system: System,
     lu: LuWorkspace,
     x: Vec<f64>,
-    x_prev: Vec<f64>,
-    q_prev: Vec<f64>,
-    ev: Evaluation,
-    j: CsrMatrix,
-    r: Vec<f64>,
+    be: BeStepper,
     meta: RunMeta,
     g_compact: Vec<f64>,
     c_compact: Vec<f64>,
 }
 
 impl ForwardInst {
-    /// Records the converged state at `(step, t, h)`: re-evaluates at the
-    /// accepted point, gathers the compact `G`/`C` arrays, and advances the
-    /// history — the exact post-convergence schedule of
-    /// [`masc_circuit::transient::transient_ws`].
-    fn accept(&mut self, circuit: &Circuit, t: f64, h: f64) {
-        self.system.eval_into(circuit, &self.x, t, &mut self.ev);
-        let gv = self.ev.g.values();
+    /// Records the accepted point `(t, h)` the stepper just evaluated:
+    /// gathers the compact `G`/`C` arrays and extends the history.
+    fn record(&mut self, t: f64, h: f64) {
+        let gv = self.be.ev.g.values();
         for (dst, &slot) in self.g_compact.iter_mut().zip(self.system.g_slots.iter()) {
             *dst = gv[slot];
         }
-        let cv = self.ev.c.values();
+        let cv = self.be.ev.c.values();
         for (dst, &slot) in self.c_compact.iter_mut().zip(self.system.c_slots.iter()) {
             *dst = cv[slot];
         }
         self.meta.times.push(t);
         self.meta.hs.push(h);
         self.meta.states.push(self.x.clone());
-        self.q_prev.copy_from_slice(&self.ev.q);
-        self.x_prev.copy_from_slice(&self.x);
     }
 }
 
@@ -343,53 +335,6 @@ impl ForwardInst {
 struct ReverseInst<'a> {
     cursor: AdjointCursor<'a>,
     system: System,
-}
-
-/// Runs `f(instance_index, item)` over `items` on up to `workers` scoped
-/// threads (instance `i` maps to slice position `i - base`). Instances are
-/// distributed round-robin; with one worker (or one item) the loop runs
-/// inline. On failure the error of the *lowest* instance index is
-/// surfaced, so diagnostics are deterministic regardless of thread timing.
-fn wave<T, F>(items: &mut [T], base: usize, workers: usize, f: &F) -> Result<(), SweepError>
-where
-    T: Send,
-    F: Fn(usize, &mut T) -> Result<(), SweepError> + Sync,
-{
-    let lanes = workers.max(1).min(items.len());
-    if lanes <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(base + i, item)?;
-        }
-        return Ok(());
-    }
-    let mut buckets: Vec<Vec<(usize, &mut T)>> = (0..lanes).map(|_| Vec::new()).collect();
-    for (i, item) in items.iter_mut().enumerate() {
-        buckets[i % lanes].push((base + i, item));
-    }
-    let failures: Vec<(usize, SweepError)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(lanes);
-        for bucket in buckets {
-            handles.push(scope.spawn(move || {
-                for (idx, item) in bucket {
-                    if let Err(e) = f(idx, item) {
-                        return Some((idx, e));
-                    }
-                }
-                None
-            }));
-        }
-        handles
-            .into_iter()
-            .filter_map(|h| {
-                h.join()
-                    .unwrap_or(Some((usize::MAX, SweepError::WorkerPanicked)))
-            })
-            .collect()
-    });
-    match failures.into_iter().min_by_key(|(idx, _)| *idx) {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
 }
 
 fn validate_param(base: &Circuit, p: &ParamRef) -> Result<(), SweepError> {
@@ -448,16 +393,8 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
         let n = system.n;
         insts.push(ForwardInst {
             x: vec![0.0; n],
-            x_prev: vec![0.0; n],
-            q_prev: vec![0.0; n],
-            ev: system.new_evaluation(),
-            j: CsrMatrix::zeros(system.pattern.clone()),
-            r: vec![0.0; n],
-            meta: RunMeta {
-                times: Vec::new(),
-                hs: Vec::new(),
-                states: Vec::new(),
-            },
+            be: BeStepper::new(&system, plan.tran.newton),
+            meta: RunMeta::default(),
             g_compact: vec![0.0; system.g_slots.len()],
             c_compact: vec![0.0; system.c_slots.len()],
             lu: LuWorkspace::new(),
@@ -491,7 +428,8 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
                 source,
             })?;
         inst.x.copy_from_slice(&sol.x);
-        inst.accept(circuit, 0.0, dt);
+        inst.be.start(circuit, &mut inst.system, &inst.x, 0.0);
+        inst.record(0.0, dt);
         Ok(())
     };
     dc(0, &mut insts[0])?;
@@ -503,7 +441,7 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
     }
     {
         let (_, rest) = insts.split_at_mut(1);
-        wave(rest, 1, workers, &dc)?;
+        wave(rest, 1, workers, SweepError::WorkerPanicked, &dc)?;
     }
 
     // Super-tensor accumulators. Instance 0 flows through the temporal
@@ -549,9 +487,9 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
     };
     collect_step(&insts);
 
-    // Lockstep transient: the time loop replicates the fixed-grid schedule
-    // of `transient_ws` exactly, so every instance's states and matrices
-    // are bitwise those of an independent single run.
+    // Lockstep transient on `transient_ws`'s fixed grid (`t = step·dt`),
+    // every instance advancing through the one shared stepper, so its
+    // states and matrices are bitwise those of an independent single run.
     let mut t_now = 0.0f64;
     let mut step = 0usize;
     let t_end = plan.tran.t_stop * (1.0 - 1e-12);
@@ -559,39 +497,24 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
         step += 1;
         let t = step as f64 * dt;
         let advance = |k: usize, inst: &mut ForwardInst| -> Result<(), SweepError> {
-            let circuit = &circuits[k];
-            let ForwardInst {
-                system,
-                lu,
-                x,
-                q_prev,
-                ev,
-                j,
-                r,
-                ..
-            } = inst;
-            let n = system.n;
-            newton_solve(x, &plan.tran.newton, lu, j, r, |x, r, j| {
-                system.eval_into(circuit, x, t, ev);
-                for i in 0..n {
-                    r[i] = (ev.q[i] - q_prev[i]) / dt + ev.f[i] + ev.b[i];
-                }
-                // J = G + C/h over the shared pattern.
-                let jv = j.values_mut();
-                jv.copy_from_slice(ev.g.values());
-                for (jv, cv) in jv.iter_mut().zip(ev.c.values()) {
-                    *jv += cv / dt;
-                }
-            })
-            .map_err(|source| SweepError::Step {
-                instance: k,
-                step,
-                source,
-            })?;
-            inst.accept(circuit, t, dt);
+            inst.be
+                .step(
+                    &circuits[k],
+                    &mut inst.system,
+                    &mut inst.lu,
+                    &mut inst.x,
+                    t,
+                    dt,
+                )
+                .map_err(|source| SweepError::Step {
+                    instance: k,
+                    step,
+                    source,
+                })?;
+            inst.record(t, dt);
             Ok(())
         };
-        wave(&mut insts, 0, workers, &advance)?;
+        wave(&mut insts, 0, workers, SweepError::WorkerPanicked, &advance)?;
         collect_step(&insts);
         t_now = t;
     }
@@ -635,6 +558,13 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
         metas.push(inst.meta);
         systems.push(inst.system);
     }
+    // Every instance shares the one fixed grid, so instance 0 stands for all.
+    check_objective_steps(&plan.objectives, metas[0].times.len()).map_err(|source| {
+        SweepError::Adjoint {
+            instance: 0,
+            source,
+        }
+    })?;
     let mut rev: Vec<ReverseInst> = Vec::with_capacity(n_inst);
     for (k, system) in systems.into_iter().enumerate() {
         // Instance 0 gets a fresh workspace — exactly what a single run's
@@ -685,7 +615,8 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
         let mut items: Vec<(&mut ReverseInst, Option<StepMatrices>)> =
             rev.iter_mut().zip(mats).collect();
         serial_time += decode_start.elapsed();
-        wave(&mut items, 0, workers, &|k, (inst, mat)| {
+        let on_panic = SweepError::WorkerPanicked;
+        wave(&mut items, 0, workers, on_panic, &|k, (inst, mat)| {
             let matrices = mat
                 .take()
                 .ok_or(SweepError::Internal("step matrices consumed twice"))?;

@@ -3,7 +3,9 @@
 //! current-source decks), super-tensor worker-count invariance, and plan
 //! validation errors.
 
-use masc_adjoint::{fd, run_adjoint, ForwardRecord, Objective, StoreConfig, TensorLayout};
+use masc_adjoint::{
+    fd, run_adjoint, AdjointError, ForwardRecord, Objective, StoreConfig, TensorLayout,
+};
 use masc_circuit::devices::{Capacitor, CurrentSource, Device, Resistor};
 use masc_circuit::transient::TranOptions;
 use masc_circuit::waveform::Waveform;
@@ -315,6 +317,19 @@ fn plan_validation_errors() {
         run_sweep(&base, &bogus),
         Err(SweepError::InvalidParam { .. })
     ));
+
+    // An `AtStep` objective past the shared grid is a structured error,
+    // not an out-of-bounds index into the recorded states.
+    let mut late = plan_for(&base, 2, 1);
+    let step = late.tran.step_count() + 1;
+    late.objectives.push(Objective::AtStep { unknown: 0, step });
+    match run_sweep(&base, &late) {
+        Err(SweepError::Adjoint {
+            source: AdjointError::StepOutOfRange { step: s, max },
+            ..
+        }) => assert_eq!((s, max), (step, step - 1)),
+        other => panic!("expected StepOutOfRange, got {other:?}"),
+    }
 }
 
 /// `SweepStats::serial_time` telemetry is coherent and monotone in N

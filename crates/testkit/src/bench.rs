@@ -113,13 +113,13 @@ impl Group<'_> {
         }
 
         // Warm up and estimate the per-iteration cost.
-        let warm_start = Instant::now();
+        let warmup_start = Instant::now();
         let mut warm_iters = 0u64;
-        while warm_start.elapsed() < WARMUP || warm_iters == 0 {
+        while warmup_start.elapsed() < WARMUP || warm_iters == 0 {
             black_box(f());
             warm_iters += 1;
         }
-        let est_ns = (warm_start.elapsed().as_nanos() as f64 / warm_iters as f64).max(1.0);
+        let est_ns = (warmup_start.elapsed().as_nanos() as f64 / warm_iters as f64).max(1.0);
         let iters_per_sample = ((SAMPLE_TARGET.as_nanos() as f64 / est_ns) as u64).max(1);
 
         let mut samples_ns: Vec<f64> = Vec::with_capacity(self.sample_size);

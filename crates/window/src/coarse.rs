@@ -7,18 +7,16 @@
 //! converge. Accuracy just buys fewer iterations. One propagator instance
 //! serves the whole run serially, so its scratch state never races.
 
-use masc_circuit::newton::{newton_solve, NewtonError, NewtonOptions};
-use masc_circuit::{Circuit, Evaluation, System};
-use masc_sparse::{CsrMatrix, LuWorkspace};
+use crate::split::WindowSpan;
+use masc_circuit::newton::{NewtonError, NewtonOptions};
+use masc_circuit::transient::BeStepper;
+use masc_circuit::{Circuit, System};
+use masc_sparse::LuWorkspace;
 
 pub(crate) struct Coarse {
     system: System,
     lu: LuWorkspace,
-    ev: Evaluation,
-    j: CsrMatrix,
-    r: Vec<f64>,
-    q_prev: Vec<f64>,
-    newton: NewtonOptions,
+    be: BeStepper,
     substeps: usize,
 }
 
@@ -31,58 +29,30 @@ impl Coarse {
         newton: NewtonOptions,
         substeps: usize,
     ) -> Self {
-        let n = system.n;
         Self {
-            ev: system.new_evaluation(),
-            j: CsrMatrix::zeros(system.pattern.clone()),
-            r: vec![0.0; n],
-            q_prev: vec![0.0; n],
+            be: BeStepper::new(&system, newton),
             lu,
-            newton,
             substeps: substeps.max(1),
             system,
         }
     }
 
-    /// Advances `x` from `t_a` to `t_b` with `substeps` backward-Euler
-    /// steps, in place.
+    /// Advances `x` across `span` of the `dt` grid with `substeps`
+    /// backward-Euler steps, in place.
     pub(crate) fn propagate(
         &mut self,
         circuit: &Circuit,
         x: &mut [f64],
-        t_a: f64,
-        t_b: f64,
+        span: WindowSpan,
+        dt: f64,
     ) -> Result<(), NewtonError> {
-        let n = self.system.n;
+        let (t_a, t_b) = (span.start as f64 * dt, span.end as f64 * dt);
         let h = (t_b - t_a) / self.substeps as f64;
-        self.system.eval_into(circuit, x, t_a, &mut self.ev);
-        self.q_prev.copy_from_slice(&self.ev.q);
+        self.be.start(circuit, &mut self.system, x, t_a);
         for s in 1..=self.substeps {
             let t = t_a + s as f64 * h;
-            let system = &mut self.system;
-            let ev = &mut self.ev;
-            let q_prev = &self.q_prev;
-            newton_solve(
-                x,
-                &self.newton,
-                &mut self.lu,
-                &mut self.j,
-                &mut self.r,
-                |x, r, j| {
-                    system.eval_into(circuit, x, t, ev);
-                    for i in 0..n {
-                        r[i] = (ev.q[i] - q_prev[i]) / h + ev.f[i] + ev.b[i];
-                    }
-                    // J = G + C/h over the shared pattern.
-                    let jv = j.values_mut();
-                    jv.copy_from_slice(ev.g.values());
-                    for (jv, cv) in jv.iter_mut().zip(ev.c.values()) {
-                        *jv += cv / h;
-                    }
-                },
-            )?;
-            self.system.eval_into(circuit, x, t, &mut self.ev);
-            self.q_prev.copy_from_slice(&self.ev.q);
+            self.be
+                .step(circuit, &mut self.system, &mut self.lu, x, t, h)?;
         }
         Ok(())
     }
@@ -104,13 +74,13 @@ impl Coarse {
         t: f64,
         h: f64,
     ) -> f64 {
-        self.system.eval_into(circuit, a, t, &mut self.ev);
-        self.q_prev.copy_from_slice(&self.ev.q);
-        self.system.eval_into(circuit, b, t, &mut self.ev);
-        self.ev
+        self.be.start(circuit, &mut self.system, a, t);
+        self.system.eval_into(circuit, b, t, &mut self.be.ev);
+        self.be
+            .ev
             .q
             .iter()
-            .zip(&self.q_prev)
+            .zip(self.be.q_prev())
             .map(|(x, y)| ((x - y) / h).abs())
             .fold(0.0f64, f64::max)
     }

@@ -2,9 +2,9 @@
 //!
 //! Forward: seed window-initial states with the serial coarse propagator,
 //! then Parareal-iterate — stale windows re-integrate concurrently, each
-//! sealing its own compressed tensor pair through [`CaptureStore`], and a
-//! serial ascending sweep corrects the seeds. A bitwise-stability guard
-//! (an unchanged seed forwards the fine end state verbatim) makes the
+//! sealing its own compressed tensor pair ([`CompressedStore::capture`]),
+//! and a serial ascending sweep corrects the seeds. A bitwise-stability
+//! guard (an unchanged seed forwards the fine end state verbatim) makes the
 //! iteration *exactly* convergent in at most `W` sweeps at `tol = 0`.
 //!
 //! Reverse: the mirror image. Per-window adjoint passes run concurrently
@@ -21,69 +21,18 @@
 use crate::coarse::Coarse;
 use crate::split::{split_steps, WindowSpan};
 use crate::{WindowError, WindowOptions, WindowResult, WindowStats};
+use masc_adjoint::lanes::{lock_ignoring_poison, wave};
 use masc_adjoint::store::{StepMatrices, TensorLayout};
 use masc_adjoint::{
-    AdjointCursor, AdjointError, CaptureStore, ForwardRecord, Objective, RunMeta, WindowTerminal,
+    check_objective_steps, AdjointCursor, AdjointError, BackwardJacobians, CompressedStore,
+    ForwardRecord, Objective, RunMeta, WindowTerminal,
 };
 use masc_circuit::dc::dc_operating_point_ws;
-use masc_circuit::newton::newton_solve;
-use masc_circuit::transient::{JacobianSink, TranOptions};
+use masc_circuit::transient::{BeStepper, JacobianSink, TranOptions};
 use masc_circuit::{Circuit, ParamRef, System};
 use masc_compress::CompressedTensor;
 use masc_sparse::{CsrMatrix, LuWorkspace};
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-fn lock_ignoring_poison<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs `f(window_index, item)` over `items` on up to `lanes` scoped
-/// threads (round-robin distribution; one lane or one item runs inline).
-/// On failure the error of the *lowest* window index is surfaced, so
-/// diagnostics are deterministic regardless of thread timing; a panicking
-/// lane surfaces as [`WindowError::WorkerPanicked`].
-fn wave<T, F>(items: &mut [T], lanes: usize, f: &F) -> Result<(), WindowError>
-where
-    T: Send,
-    F: Fn(usize, &mut T) -> Result<(), WindowError> + Sync,
-{
-    let lanes = lanes.max(1).min(items.len());
-    if lanes <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item)?;
-        }
-        return Ok(());
-    }
-    let mut buckets: Vec<Vec<(usize, &mut T)>> = (0..lanes).map(|_| Vec::new()).collect();
-    for (i, item) in items.iter_mut().enumerate() {
-        buckets[i % lanes].push((i, item));
-    }
-    let failures: Vec<(usize, WindowError)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(lanes);
-        for bucket in buckets {
-            handles.push(scope.spawn(move || {
-                for (idx, item) in bucket {
-                    if let Err(e) = f(idx, item) {
-                        return Some((idx, e));
-                    }
-                }
-                None
-            }));
-        }
-        handles
-            .into_iter()
-            .filter_map(|h| {
-                h.join()
-                    .unwrap_or(Some((usize::MAX, WindowError::WorkerPanicked)))
-            })
-            .collect()
-    });
-    match failures.into_iter().min_by_key(|(idx, _)| *idx) {
-        Some((_, e)) => Err(e),
-        None => Ok(()),
-    }
-}
 
 /// L∞ distance between two equally sized vectors.
 fn linf(a: &[f64], b: &[f64]) -> f64 {
@@ -119,12 +68,12 @@ struct Lane {
     fine_time: Duration,
 }
 
-/// Fine backward-Euler integration of one window on the global grid,
-/// replicating [`masc_circuit::transient::transient_ws`]'s fixed-grid
-/// schedule exactly so a converged windowed trajectory is bitwise the
-/// monolithic one. Seals the window's compressed tensor pair through the
-/// [`CaptureStore`] seam (local block 0 holds the matrices at the seed
-/// state and anchors the compression chain).
+/// Fine backward-Euler integration of one window on the global grid
+/// (`t = step·dt`) through the same stepper as
+/// [`masc_circuit::transient::transient_ws`], so a converged windowed
+/// trajectory is bitwise the monolithic one. Seals the window's compressed
+/// tensor pair (local block 0 holds the matrices at the seed state and
+/// anchors the compression chain).
 fn fine_run(
     k: usize,
     lane: &mut Lane,
@@ -139,76 +88,42 @@ fn fine_run(
     let span = lane.span;
     let dt = tran.dt;
     let layout = TensorLayout::of(&lane.system);
-    let store = CaptureStore::new(&layout, opts.masc.clone());
-    let slot = store.slot();
+    let mut store = CompressedStore::new(
+        layout.g_pattern.clone(),
+        layout.c_pattern.clone(),
+        opts.masc.clone(),
+    );
+    let slot = store.capture();
     let mut record = ForwardRecord::with_store(layout, Box::new(store));
-    let n = lane.system.n;
-    let mut ev = lane.system.new_evaluation();
+    let mut be = BeStepper::new(&lane.system, tran.newton);
     let t_a = span.start as f64 * dt;
     let mut x = lane.seed.clone();
-    lane.system.eval_into(circuit, &x, t_a, &mut ev);
+    be.start(circuit, &mut lane.system, &x, t_a);
     record
-        .on_step(0, t_a, dt, &x, &ev.g, &ev.c)
+        .on_step(0, t_a, dt, &x, &be.ev.g, &be.ev.c)
         .map_err(|source| WindowError::Sink {
             window: k,
             step: span.start,
             source,
         })?;
-    let mut q_prev = ev.q.clone();
-    let mut j = CsrMatrix::zeros(lane.system.pattern.clone());
-    let mut r = vec![0.0; n];
-    // Warm start: seed each step's Newton from the previous Parareal
-    // iterate's converged state at the same step (benchmark-only — breaks
-    // bitwise exactness, results then agree to Newton tolerance).
-    let warm = if opts.warm_start && lane.states.len() == span.len() + 1 {
-        Some(std::mem::take(&mut lane.states))
-    } else {
-        None
-    };
     let mut states = Vec::with_capacity(span.len() + 1);
     states.push(x.clone());
     for ls in 1..=span.len() {
         let gstep = span.start + ls;
         let t = gstep as f64 * dt;
-        if let Some(wstates) = &warm {
-            x.copy_from_slice(&wstates[ls]);
-        }
-        let system = &mut lane.system;
-        newton_solve(
-            &mut x,
-            &tran.newton,
-            &mut lane.lu,
-            &mut j,
-            &mut r,
-            |x, r, j| {
-                system.eval_into(circuit, x, t, &mut ev);
-                for i in 0..n {
-                    r[i] = (ev.q[i] - q_prev[i]) / dt + ev.f[i] + ev.b[i];
-                }
-                // J = G + C/h over the shared pattern.
-                let jv = j.values_mut();
-                jv.copy_from_slice(ev.g.values());
-                for (jv, cv) in jv.iter_mut().zip(ev.c.values()) {
-                    *jv += cv / dt;
-                }
-            },
-        )
-        .map_err(|source| WindowError::Step {
-            window: k,
-            step: gstep,
-            source,
-        })?;
-        // Refresh matrices at the converged point for the store, exactly
-        // as the monolithic transient does.
-        lane.system.eval_into(circuit, &x, t, &mut ev);
+        be.step(circuit, &mut lane.system, &mut lane.lu, &mut x, t, dt)
+            .map_err(|source| WindowError::Step {
+                window: k,
+                step: gstep,
+                source,
+            })?;
         record
-            .on_step(ls, t, dt, &x, &ev.g, &ev.c)
+            .on_step(ls, t, dt, &x, &be.ev.g, &be.ev.c)
             .map_err(|source| WindowError::Sink {
                 window: k,
                 step: gstep,
                 source,
             })?;
-        q_prev.copy_from_slice(&ev.q);
         states.push(x.clone());
     }
     record.on_finish().map_err(|source| WindowError::Sink {
@@ -246,9 +161,10 @@ struct RevLane {
     pass_time: Duration,
 }
 
-/// One full reverse pass over a window's sealed tensors: decode
-/// newest-first, feed an [`AdjointCursor`], accumulate the `dO/dp`
-/// partial, export the outgoing terminal. The `w` recursion is
+/// One full reverse pass over a window's sealed tensors: replay them
+/// newest-first through the shared pair reader, feed an [`AdjointCursor`],
+/// accumulate the `dO/dp` partial, export the outgoing terminal. The `w`
+/// recursion is
 /// parameter-independent and `φ` accumulation is cheap next to
 /// decode + factor + solve, so every Parareal iteration runs full passes:
 /// at convergence the incoming terminals are the accepted ones, which
@@ -263,34 +179,20 @@ fn adjoint_pass(
     params: &[ParamRef],
 ) -> Result<(), WindowError> {
     let start = Instant::now();
-    let mut bg = lane.tensors.0.clone().into_backward();
-    let mut bc = lane.tensors.1.clone().into_backward();
+    let mut reader =
+        BackwardJacobians::from_tensors(lane.tensors.0.clone(), lane.tensors.1.clone());
     let mut cursor = AdjointCursor::new(circuit, &lane.system, meta, objectives, params);
     if let Some(t) = &lane.term_in {
         cursor.inject_terminal(t.ws.clone(), t.h);
     }
-    loop {
-        let Some((ls, g)) = bg.next_matrix().map_err(WindowError::Compress)? else {
-            break;
-        };
-        let (lsc, c) = bc
-            .next_matrix()
-            .map_err(WindowError::Compress)?
-            .ok_or(WindowError::Internal("G/C tensor length mismatch"))?;
-        if ls != lsc {
-            return Err(WindowError::Internal("G/C tensor step mismatch"));
-        }
+    while let Some((ls, matrices)) = reader.next_back()? {
         if ls == 0 && lane.span.start > 0 {
             // Local block 0 anchors the compression chain but duplicates
             // the predecessor window's boundary step — skip it.
             continue;
         }
         cursor
-            .offer(
-                &mut lane.system,
-                lane.span.start + ls,
-                StepMatrices::Stored { g, c },
-            )
+            .offer(&mut lane.system, lane.span.start + ls, matrices)
             .map_err(|source| WindowError::Adjoint { window: k, source })?;
     }
     let (result, term) = cursor.finish_window();
@@ -307,7 +209,7 @@ fn adjoint_pass(
 /// `v ← g + Cᵀw/h_c`, `Jᵀw = v` from the right edge to the left with
 /// coarse-node gradient sources. The matrices are taken from the window's
 /// *left-boundary* block — the predecessor window's newest stored step,
-/// one `next_matrix` decode — because that is the operating point where
+/// one block decode — because that is the operating point where
 /// the exported terminal acts; on networks whose Jacobian swings with the
 /// drive, a right-edge freeze would bias the terminal by the full
 /// within-window drift. Freezing keeps it a fixed linear map, which is
@@ -341,16 +243,11 @@ impl AdjCoarse {
     ) -> Result<Self, WindowError> {
         let substeps = substeps.max(1).min(span.len());
         let h_c = span.len() as f64 * dt / substeps as f64;
-        let mut bg = tensors.0.clone().into_backward();
-        let mut bc = tensors.1.clone().into_backward();
-        let (_, g_b) = bg
-            .next_matrix()
-            .map_err(WindowError::Compress)?
-            .ok_or(WindowError::Internal("window tensor is empty"))?;
-        let (_, c_b) = bc
-            .next_matrix()
-            .map_err(WindowError::Compress)?
-            .ok_or(WindowError::Internal("window tensor is empty"))?;
+        let newest =
+            BackwardJacobians::from_tensors(tensors.0.clone(), tensors.1.clone()).next_back()?;
+        let Some((_, StepMatrices::Stored { g: g_b, c: c_b })) = newest else {
+            return Err(WindowError::Internal("window tensor is empty"));
+        };
         let mut g_mat = CsrMatrix::zeros(system.pattern.clone());
         let mut c_mat = CsrMatrix::zeros(system.pattern.clone());
         system.scatter_g(&g_b, g_mat.values_mut());
@@ -521,6 +418,10 @@ pub fn run_windowed(
     let n_steps = tran.step_count();
     let spans = split_steps(n_steps, opts.windows)?;
     let w = spans.len();
+    check_objective_steps(objectives, n_steps + 1).map_err(|source| WindowError::Adjoint {
+        window: w - 1,
+        source,
+    })?;
     let dt = tran.dt;
 
     // One elaborated system per window lane plus one for the coarse
@@ -589,13 +490,8 @@ pub fn run_windowed(
         for _ in 0..50 {
             let mut y = u0.clone();
             for (kk, span) in spans.iter().enumerate() {
-                c.propagate(
-                    circuit,
-                    &mut y,
-                    span.start as f64 * dt,
-                    span.end as f64 * dt,
-                )
-                .map_err(|source| WindowError::Coarse { window: kk, source })?;
+                c.propagate(circuit, &mut y, *span, dt)
+                    .map_err(|source| WindowError::Coarse { window: kk, source })?;
             }
             let jump = linf(&y, &u0);
             u0 = y;
@@ -609,15 +505,9 @@ pub fn run_windowed(
         let c = coarse
             .as_mut()
             .ok_or(WindowError::Internal("multi-window run without coarse"))?;
-        let span = spans[k];
         let mut x = lanes[k].seed.clone();
-        c.propagate(
-            circuit,
-            &mut x,
-            span.start as f64 * dt,
-            span.end as f64 * dt,
-        )
-        .map_err(|source| WindowError::Coarse { window: k, source })?;
+        c.propagate(circuit, &mut x, spans[k], dt)
+            .map_err(|source| WindowError::Coarse { window: k, source })?;
         lanes[k].gc_end = Some(x.clone());
         lanes[k + 1].seed = x;
     }
@@ -634,13 +524,20 @@ pub fn run_windowed(
     let mut converged = false;
     while stats.forward_iterations < cap {
         stats.fine_runs += lanes.iter().filter(|l| l.dirty).count();
-        wave(&mut lanes, opts.lanes, &|k, lane| {
+        let refine = |k: usize, lane: &mut Lane| {
             if !lane.dirty {
                 lane.fine_time = Duration::ZERO;
                 return Ok(());
             }
             fine_run(k, lane, circuit, tran, opts)
-        })?;
+        };
+        wave(
+            &mut lanes,
+            0,
+            opts.lanes,
+            WindowError::WorkerPanicked,
+            &refine,
+        )?;
         stats
             .forward_lane_times
             .push(lanes.iter().map(|l| l.fine_time).collect());
@@ -662,16 +559,10 @@ pub fn run_windowed(
                 let c = coarse
                     .as_mut()
                     .ok_or(WindowError::Internal("multi-window run without coarse"))?;
-                let span = spans[k];
                 let mut gc = lanes[k].seed.clone();
                 let t0 = Instant::now();
-                c.propagate(
-                    circuit,
-                    &mut gc,
-                    span.start as f64 * dt,
-                    span.end as f64 * dt,
-                )
-                .map_err(|source| WindowError::Coarse { window: k, source })?;
+                c.propagate(circuit, &mut gc, spans[k], dt)
+                    .map_err(|source| WindowError::Coarse { window: k, source })?;
                 stats.coarse_time += t0.elapsed();
                 let old_gc = lanes[k]
                     .gc_end
@@ -840,13 +731,20 @@ pub fn run_windowed(
         let mut a_converged = false;
         while stats.adjoint_iterations < a_cap {
             stats.adjoint_runs += rev.iter().filter(|l| l.dirty).count();
-            wave(&mut rev, opts.lanes, &|k, lane| {
+            let repass = |k: usize, lane: &mut RevLane| {
                 if !lane.dirty {
                     lane.pass_time = Duration::ZERO;
                     return Ok(());
                 }
                 adjoint_pass(k, lane, circuit, &meta, objectives, params)
-            })?;
+            };
+            wave(
+                &mut rev,
+                0,
+                opts.lanes,
+                WindowError::WorkerPanicked,
+                &repass,
+            )?;
             stats
                 .adjoint_lane_times
                 .push(rev.iter().map(|l| l.pass_time).collect());
@@ -919,9 +817,10 @@ pub fn run_windowed(
     } else {
         // Single window: one full pass is the whole reverse schedule.
         stats.adjoint_runs += 1;
-        wave(&mut rev, opts.lanes, &|k, lane| {
+        let pass = |k: usize, lane: &mut RevLane| {
             adjoint_pass(k, lane, circuit, &meta, objectives, params)
-        })?;
+        };
+        wave(&mut rev, 0, opts.lanes, WindowError::WorkerPanicked, &pass)?;
         stats
             .adjoint_lane_times
             .push(rev.iter().map(|l| l.pass_time).collect());

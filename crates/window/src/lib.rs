@@ -6,7 +6,7 @@
 //! [`masc_sparse::SymbolicLu`]), and then iterates Parareal corrections:
 //! every iteration integrates the stale windows *concurrently* on
 //! `std::thread::scope` lanes, each lane writing its own sealed compressed
-//! tensor through the adjoint crate's [`masc_adjoint::CaptureStore`] seam,
+//! tensor pair ([`masc_adjoint::CompressedStore::capture`]),
 //! until the interface jumps between consecutive windows fall below
 //! `tol`. The reverse pass mirrors the scheme: per-window adjoint chains
 //! run concurrently, adjoint terminal conditions are stitched backward
@@ -69,7 +69,7 @@ pub use split::{split_steps, WindowSpan};
 use masc_adjoint::{AdjointError, RunMeta, StoreError};
 use masc_circuit::transient::SinkError;
 use masc_circuit::{CircuitError, NewtonError};
-use masc_compress::{CompressError, MascConfig};
+use masc_compress::MascConfig;
 use std::time::Duration;
 
 /// Options for a windowed run.
@@ -107,11 +107,6 @@ pub struct WindowOptions {
     pub periodic: bool,
     /// Backward-Euler substeps of the coarse propagator per window.
     pub coarse_substeps: usize,
-    /// Start each re-integration's Newton iterations from the previous
-    /// Parareal iterate's stored states. Cuts re-run cost sharply but
-    /// breaks bitwise exactness (results agree only to Newton tolerance),
-    /// so it is off by default and benchmark-only.
-    pub warm_start: bool,
     /// Compressor configuration for the per-window tensors.
     pub masc: MascConfig,
     /// Test-only fault hook: panic inside the fine integration of this
@@ -132,7 +127,6 @@ impl WindowOptions {
             max_iterations: 0,
             periodic: false,
             coarse_substeps: 8,
-            warm_start: false,
             masc: MascConfig::default(),
             fault_panic_window: None,
         }
@@ -197,8 +191,6 @@ pub enum WindowError {
     },
     /// A window's compressed tensor could not be sealed or reopened.
     Store(StoreError),
-    /// A per-window tensor block failed to decode.
-    Compress(CompressError),
     /// A window's adjoint pass failed.
     Adjoint {
         /// The window that failed.
@@ -253,7 +245,6 @@ impl std::fmt::Display for WindowError {
                 source,
             } => write!(f, "window {window} step {step}: {source}"),
             WindowError::Store(e) => write!(f, "per-window tensor store failed: {e}"),
-            WindowError::Compress(e) => write!(f, "per-window tensor failed to decode: {e}"),
             WindowError::Adjoint { window, source } => {
                 write!(f, "window {window} adjoint pass failed: {source}")
             }
@@ -277,7 +268,6 @@ impl std::error::Error for WindowError {
             WindowError::Coarse { source, .. } | WindowError::Step { source, .. } => Some(source),
             WindowError::Sink { source, .. } => Some(source),
             WindowError::Store(e) => Some(e),
-            WindowError::Compress(e) => Some(e),
             WindowError::Adjoint { source, .. } => Some(source),
             _ => None,
         }
@@ -287,12 +277,6 @@ impl std::error::Error for WindowError {
 impl From<StoreError> for WindowError {
     fn from(e: StoreError) -> Self {
         WindowError::Store(e)
-    }
-}
-
-impl From<CompressError> for WindowError {
-    fn from(e: CompressError) -> Self {
-        WindowError::Compress(e)
     }
 }
 

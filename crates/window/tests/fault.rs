@@ -63,7 +63,7 @@ fn ladder(stages: usize) -> Circuit {
 
 /// Jacobian spill files (`masc-jacobians-{pid}-{seq}.bin`) currently in
 /// the system temp dir. Windowed runs keep every per-window tensor in
-/// memory through `CaptureStore`, so this set must not grow — even when a
+/// memory (`CompressedStore::capture`), so this set must not grow — even when a
 /// lane dies mid-integration.
 fn spill_files() -> BTreeSet<PathBuf> {
     let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) else {

@@ -12,7 +12,7 @@ run() {
 
 run cargo fmt --all --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
-run cargo build --release --offline --workspace --benches
+run cargo build --release --offline --workspace --bins --benches
 run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 run cargo run -q --offline --release -p masc-lint
 run cargo test -q --offline -p masc-lint
