@@ -68,9 +68,8 @@ pub use fd::{finite_difference, objective_value, FdError};
 pub use objective::Objective;
 pub use store::{
     BackwardJacobians, BackwardReader, CompressedStore, DiskStore, DurationHistogram,
-    FailingWriter, ForwardRecord, HybridStore, JacobianStore, PipelinedStore, PrefetchReader,
-    RawStore, RecomputeStore, RunMeta, StepMatrices, StoreConfig, StoreError, StoreMetrics,
-    TensorLayout, TensorSlot,
+    FailingWriter, ForwardRecord, HybridStore, JacobianStore, RawStore, RecomputeStore, RunMeta,
+    StepMatrices, StoreConfig, StoreError, StoreMetrics, TensorLayout, TensorSlot,
 };
 
 use masc_circuit::transient::{transient, transient_ws, TranError, TranOptions, TranStats};

@@ -3,8 +3,8 @@
 //! in-memory compression — the bars of the paper's Fig. 7.
 
 use super::{
-    throttle, BackwardReader, EncodePlan, EncodedBlock, JacobianStore, RawSeries, StepMatrices,
-    StoreError, StoreMetrics, TensorEncodePlan, TensorSlot,
+    check_bandwidth, throttle, BackwardReader, JacobianStore, RawSeries, StepMatrices, StoreError,
+    StoreMetrics, TensorSlot,
 };
 use crate::lanes::lock_ignoring_poison;
 use masc_compress::{BackwardDecompressor, CompressedTensor, MascConfig, TensorCompressor};
@@ -328,13 +328,15 @@ impl DiskStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] if the spill file cannot be created.
+    /// Returns [`StoreError::Io`] if `bandwidth` is not a positive finite
+    /// number or the spill file cannot be created.
     pub fn create(
         dir: &Path,
         bandwidth: Option<f64>,
         g_nnz: usize,
         c_nnz: usize,
     ) -> Result<Self, StoreError> {
+        check_bandwidth(bandwidth)?;
         let spill = SpillFile::create_in(dir)?;
         let writer: Box<dyn Write + Send> = Box::new(spill.clone_handle()?);
         Ok(Self {
@@ -588,25 +590,6 @@ impl JacobianStore for CompressedStore {
     fn put(&mut self, _step: usize, g: &[f64], c: &[f64]) -> Result<(), StoreError> {
         self.g.push(g);
         self.c.push(c);
-        self.account_sealed();
-        Ok(())
-    }
-
-    fn encode_plan(&self) -> Option<EncodePlan> {
-        Some(EncodePlan {
-            g: TensorEncodePlan::of(&self.g),
-            c: TensorEncodePlan::of(&self.c),
-        })
-    }
-
-    fn put_encoded(
-        &mut self,
-        _step: usize,
-        g: EncodedBlock,
-        c: EncodedBlock,
-    ) -> Result<(), StoreError> {
-        self.g.push_encoded(g.bytes, &g.stats);
-        self.c.push_encoded(c.bytes, &c.stats);
         self.account_sealed();
         Ok(())
     }

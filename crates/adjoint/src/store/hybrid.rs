@@ -12,8 +12,8 @@
 
 use super::backends::{newly_sealed_bytes, SpillFile};
 use super::{
-    throttle, BackwardReader, EncodePlan, EncodedBlock, JacobianStore, StepMatrices, StoreError,
-    StoreMetrics, TensorEncodePlan,
+    check_bandwidth, throttle, BackwardReader, JacobianStore, StepMatrices, StoreError,
+    StoreMetrics,
 };
 use masc_compress::{BackwardDecompressor, MascConfig, TensorCompressor};
 use masc_sparse::Pattern;
@@ -48,7 +48,8 @@ impl HybridStore {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] if the spill file cannot be created.
+    /// Returns [`StoreError::Io`] if `bandwidth` is not a positive finite
+    /// number or the spill file cannot be created.
     pub fn create(
         g_pattern: Arc<Pattern>,
         c_pattern: Arc<Pattern>,
@@ -57,6 +58,7 @@ impl HybridStore {
         bandwidth: Option<f64>,
         resident_blocks: usize,
     ) -> Result<Self, StoreError> {
+        check_bandwidth(bandwidth)?;
         Ok(Self {
             g: TensorCompressor::new(g_pattern, config.clone()),
             c: TensorCompressor::new(c_pattern, config),
@@ -132,25 +134,6 @@ impl JacobianStore for HybridStore {
     fn put(&mut self, _step: usize, g: &[f64], c: &[f64]) -> Result<(), StoreError> {
         self.g.push(g);
         self.c.push(c);
-        self.account_sealed();
-        self.spill_excess()
-    }
-
-    fn encode_plan(&self) -> Option<EncodePlan> {
-        Some(EncodePlan {
-            g: TensorEncodePlan::of(&self.g),
-            c: TensorEncodePlan::of(&self.c),
-        })
-    }
-
-    fn put_encoded(
-        &mut self,
-        _step: usize,
-        g: EncodedBlock,
-        c: EncodedBlock,
-    ) -> Result<(), StoreError> {
-        self.g.push_encoded(g.bytes, &g.stats);
-        self.c.push_encoded(c.bytes, &c.stats);
         self.account_sealed();
         self.spill_excess()
     }

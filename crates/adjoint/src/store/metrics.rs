@@ -119,19 +119,6 @@ pub struct StoreMetrics {
     pub io_time: Duration,
     /// Simulated-bandwidth sleep time, both directions.
     pub throttle_wait: Duration,
-    /// Time the forward pass spent blocked on a full pipeline queue
-    /// (zero for synchronous backends).
-    pub backpressure_wait: Duration,
-    /// Deepest pipeline queue observed, in steps (zero for synchronous
-    /// backends).
-    pub max_queue_depth: usize,
-    /// Reverse-pass fetches served from the prefetch buffer without
-    /// waiting.
-    pub prefetch_hits: u64,
-    /// Reverse-pass fetches that had to wait for the prefetch worker.
-    pub prefetch_misses: u64,
-    /// Time the reverse pass spent waiting for the prefetch worker.
-    pub prefetch_wait: Duration,
     /// Per-step capture latencies.
     pub put_hist: DurationHistogram,
     /// Per-step fetch latencies.
@@ -168,11 +155,6 @@ impl StoreMetrics {
         self.decompress_time += other.decompress_time;
         self.io_time += other.io_time;
         self.throttle_wait += other.throttle_wait;
-        self.backpressure_wait += other.backpressure_wait;
-        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
-        self.prefetch_hits += other.prefetch_hits;
-        self.prefetch_misses += other.prefetch_misses;
-        self.prefetch_wait += other.prefetch_wait;
         self.put_hist.merge(&other.put_hist);
         self.fetch_hist.merge(&other.fetch_hist);
     }

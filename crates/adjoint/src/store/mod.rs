@@ -4,8 +4,10 @@
 //! A [`ForwardRecord`] plugs into the transient analysis as a
 //! [`JacobianSink`] and captures, per accepted step, the solution `x_n`,
 //! step size `h_n`, and — through a pluggable [`JacobianStore`] backend —
-//! the `G`/`C` matrices. Five backends ship here, plus an asynchronous
-//! wrapper:
+//! the `G`/`C` matrices. Five backends ship here, all synchronous: each
+//! step is stored on the stepping thread, as the paper's Algorithm 2
+//! compresses `M_{n-1}` against `M_n` inline (DESIGN.md §3.8 records why
+//! there is no asynchronous path):
 //!
 //! - [`RecomputeStore`] — store nothing; the reverse pass re-evaluates
 //!   every device (Xyce-like; the `T_Jac` cost of Table 1).
@@ -18,9 +20,6 @@
 //! - [`HybridStore`] — the most recent K *compressed* blocks stay in
 //!   memory; older blocks spill to disk as compressed bytes, so the
 //!   paper's compression ratio multiplies the effective disk bandwidth.
-//! - [`PipelinedStore`] — wraps any backend, moving compression + spill
-//!   I/O onto a worker thread behind a bounded queue and prefetching the
-//!   reverse pass through a [`PrefetchReader`] (DESIGN.md §3.8).
 //!
 //! A sealed tensor pair replays through one reader whether it comes
 //! straight out of a [`CompressedStore`] or was kept by the caller
@@ -37,12 +36,10 @@
 mod backends;
 mod hybrid;
 mod metrics;
-mod pipelined;
 
 pub use backends::{CompressedStore, DiskStore, FailingWriter, RawStore, RecomputeStore};
 pub use hybrid::HybridStore;
 pub use metrics::{DurationHistogram, StoreMetrics};
-pub use pipelined::{PipelinedStore, PrefetchReader};
 
 use masc_circuit::transient::{JacobianSink, SinkError};
 use masc_circuit::System;
@@ -80,26 +77,6 @@ pub enum StoreConfig {
         /// Compressor configuration.
         masc: MascConfig,
     },
-    /// Any other backend behind an asynchronous pipeline: compression and
-    /// spill I/O run on a worker thread fed by a bounded channel, and the
-    /// reverse pass prefetches/decodes block `t − 1` while the adjoint
-    /// solve consumes block `t`.
-    Pipelined {
-        /// The wrapped synchronous backend.
-        inner: Box<StoreConfig>,
-        /// Bounded channel capacity, in steps (`put` blocks when full —
-        /// the backpressure that keeps memory bounded).
-        queue_depth: usize,
-        /// Reverse-pass prefetch window, in decoded steps.
-        lookahead: usize,
-        /// Encode worker threads. `1` is the classic single-worker
-        /// pipeline; `> 1` runs a worker pool over the wrapped store's
-        /// [`JacobianStore::encode_plan`] (blocks are encoded concurrently
-        /// and committed in step order, so the stored bytes stay identical
-        /// to the synchronous path). Stores without an encode plan fall
-        /// back to the single worker.
-        workers: usize,
-    },
 }
 
 impl StoreConfig {
@@ -113,34 +90,12 @@ impl StoreConfig {
         }
     }
 
-    /// Wraps `inner` in the asynchronous pipeline with default bounds
-    /// (double-buffered: a 2-step queue and a 2-step prefetch window).
-    pub fn pipelined(inner: StoreConfig) -> Self {
-        StoreConfig::Pipelined {
-            inner: Box::new(inner),
-            queue_depth: 2,
-            lookahead: 2,
-            workers: 1,
-        }
-    }
-
-    /// Wraps `inner` in the asynchronous pipeline with a pool of `workers`
-    /// encode threads (the queue grows with the pool so every worker can
-    /// hold a job).
-    pub fn pipelined_pool(inner: StoreConfig, workers: usize) -> Self {
-        StoreConfig::Pipelined {
-            inner: Box::new(inner),
-            queue_depth: workers.max(1) + 1,
-            lookahead: 2,
-            workers,
-        }
-    }
-
     /// Builds the backend this configuration describes.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] if a spill file cannot be created.
+    /// Returns [`StoreError::Io`] if a spill file cannot be created or a
+    /// `bandwidth` is not a positive finite number.
     pub fn build(&self, layout: &TensorLayout) -> Result<Box<dyn JacobianStore>, StoreError> {
         Ok(match self {
             StoreConfig::Recompute => Box::new(RecomputeStore::new()),
@@ -172,17 +127,6 @@ impl StoreConfig {
                 *bandwidth,
                 *resident_blocks,
             )?),
-            StoreConfig::Pipelined {
-                inner,
-                queue_depth,
-                lookahead,
-                workers,
-            } => Box::new(PipelinedStore::spawn_pool(
-                inner.build(layout)?,
-                *queue_depth,
-                *lookahead,
-                *workers,
-            )),
         })
     }
 }
@@ -199,16 +143,6 @@ pub enum StoreError {
         /// The step whose matrices were missing.
         step: usize,
     },
-    /// The asynchronous pipeline worker failed while persisting a step
-    /// that `put` had already accepted. `step` is the step the *worker*
-    /// was persisting when it failed, which may be earlier than the step
-    /// the forward loop had reached when the error surfaced.
-    Worker {
-        /// The step whose persist failed inside the worker.
-        step: usize,
-        /// The underlying store failure.
-        source: Box<StoreError>,
-    },
 }
 
 impl std::fmt::Display for StoreError {
@@ -218,9 +152,6 @@ impl std::fmt::Display for StoreError {
             StoreError::Compress(e) => write!(f, "jacobian decompression: {e}"),
             StoreError::TensorTruncated { step } => {
                 write!(f, "jacobian tensor has no matrices for step {step}")
-            }
-            StoreError::Worker { step, source } => {
-                write!(f, "pipeline worker failed at step {step}: {source}")
             }
         }
     }
@@ -232,7 +163,6 @@ impl std::error::Error for StoreError {
             StoreError::Io(e) => Some(e),
             StoreError::Compress(e) => Some(e),
             StoreError::TensorTruncated { .. } => None,
-            StoreError::Worker { source, .. } => Some(source.as_ref()),
         }
     }
 }
@@ -292,78 +222,33 @@ impl TensorLayout {
     }
 }
 
+/// Rejects a simulated bandwidth that is not a positive finite number of
+/// bytes/second, before the caller creates its spill file.
+pub(crate) fn check_bandwidth(bandwidth: Option<f64>) -> Result<(), StoreError> {
+    match bandwidth {
+        Some(bw) if !(bw.is_finite() && bw > 0.0) => Err(StoreError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("store bandwidth must be positive and finite, got {bw}"),
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// Throttles a transfer to `bandwidth` bytes/second by sleeping off the
-/// surplus. Returns the simulated wait.
+/// surplus. Returns the simulated wait. Total: a target that does not fit
+/// a `Duration` (a vanishing bandwidth) is not slept on.
 pub(crate) fn throttle(bytes: usize, bandwidth: Option<f64>, elapsed: Duration) -> Duration {
     let Some(bw) = bandwidth else {
         return Duration::ZERO;
     };
-    let target = Duration::from_secs_f64(bytes as f64 / bw);
-    if target > elapsed {
-        let sleep = target - elapsed;
+    let Ok(target) = Duration::try_from_secs_f64(bytes as f64 / bw) else {
+        return Duration::ZERO;
+    };
+    let sleep = target.saturating_sub(elapsed);
+    if !sleep.is_zero() {
         std::thread::sleep(sleep);
-        sleep
-    } else {
-        Duration::ZERO
     }
-}
-
-/// Everything a pipeline worker needs to encode one tensor's blocks
-/// outside the store: the shared stamp maps and the codec configuration
-/// (including its `seed_interval` schedule).
-#[derive(Debug, Clone)]
-pub struct TensorEncodePlan {
-    /// Shared stamp maps over the tensor's pattern.
-    pub maps: Arc<masc_compress::StampMaps>,
-    /// Codec configuration the store would use internally.
-    pub config: MascConfig,
-}
-
-impl TensorEncodePlan {
-    /// The plan `tc` itself encodes by.
-    pub fn of(tc: &masc_compress::TensorCompressor) -> Self {
-        Self {
-            maps: tc.maps().clone(),
-            config: tc.config(),
-        }
-    }
-
-    /// Encodes block `step` (`values` against `reference`, or as a seed
-    /// block when the config's seed schedule says so).
-    pub fn encode(&self, step: usize, values: &[f64], reference: &[f64]) -> EncodedBlock {
-        let (bytes, stats) = if self.config.is_seed_step(step) {
-            masc_compress::encode_seed_block(values, &self.maps, &self.config)
-        } else {
-            masc_compress::encode_block(values, reference, &self.maps, &self.config)
-        };
-        EncodedBlock { bytes, stats }
-    }
-
-    /// Encodes block `step` as the tensor's final seed block (what the
-    /// store's internal `seal` would produce).
-    pub fn encode_seed(&self, values: &[f64]) -> EncodedBlock {
-        let (bytes, stats) = masc_compress::encode_seed_block(values, &self.maps, &self.config);
-        EncodedBlock { bytes, stats }
-    }
-}
-
-/// A store's offer to have block encoding done by an external worker pool
-/// (see [`JacobianStore::encode_plan`]).
-#[derive(Debug, Clone)]
-pub struct EncodePlan {
-    /// Plan for the `G` tensor.
-    pub g: TensorEncodePlan,
-    /// Plan for the `C` tensor.
-    pub c: TensorEncodePlan,
-}
-
-/// One tensor block encoded out-of-band, with its encoder statistics.
-#[derive(Debug, Clone)]
-pub struct EncodedBlock {
-    /// The compressed stream.
-    pub bytes: Vec<u8>,
-    /// Statistics from encoding this block.
-    pub stats: masc_compress::CompressStats,
+    sleep
 }
 
 /// One reverse-order step's matrices, or a request to recompute them.
@@ -407,49 +292,6 @@ pub trait JacobianStore: std::fmt::Debug + Send {
     ///
     /// Returns [`StoreError`] when the step cannot be persisted.
     fn put(&mut self, step: usize, g: &[f64], c: &[f64]) -> Result<(), StoreError>;
-
-    /// A plan for encoding blocks *outside* the store, or `None` (the
-    /// default) when the store only encodes internally in [`put`](Self::put).
-    /// A store that returns a plan promises that feeding it blocks through
-    /// [`put_encoded`](Self::put_encoded) — encoded per the plan, committed
-    /// in step order, with the final step as a seed block — produces the
-    /// same stored bytes as the equivalent `put` sequence.
-    fn encode_plan(&self) -> Option<EncodePlan> {
-        None
-    }
-
-    /// Accepts block `step` pre-encoded by an external worker following
-    /// [`encode_plan`](Self::encode_plan). Blocks must arrive in step
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] when the block cannot be persisted; the
-    /// default (for stores without an encode plan) always errors.
-    fn put_encoded(
-        &mut self,
-        step: usize,
-        g: EncodedBlock,
-        c: EncodedBlock,
-    ) -> Result<(), StoreError> {
-        let _ = (step, g, c);
-        Err(StoreError::Io(std::io::Error::other(
-            "store does not accept externally encoded blocks",
-        )))
-    }
-
-    /// Blocks until every step accepted so far is durably persisted.
-    /// Synchronous backends are always caught up; the pipelined adapter
-    /// drains its queue here so a deferred persist failure surfaces
-    /// before the forward pass completes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError`] (typically [`StoreError::Worker`]) if a
-    /// previously accepted step failed to persist.
-    fn sync(&mut self) -> Result<(), StoreError> {
-        Ok(())
-    }
 
     /// Current storage footprint in bytes (matrix data only, all tiers).
     fn resident_bytes(&self) -> usize;
@@ -516,7 +358,8 @@ impl ForwardRecord {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] if a disk spill file cannot be created.
+    /// Returns [`StoreError::Io`] if a disk spill file cannot be created
+    /// or the configured `bandwidth` is not a positive finite number.
     pub fn new(layout: TensorLayout, config: &StoreConfig) -> Result<Self, StoreError> {
         let store = config.build(&layout)?;
         Ok(Self::with_store(layout, store))
@@ -642,10 +485,6 @@ impl JacobianSink for ForwardRecord {
         m.record_put(elapsed);
         m.note_resident(resident);
         Ok(())
-    }
-
-    fn on_finish(&mut self) -> Result<(), SinkError> {
-        self.store.sync().map_err(SinkError::new)
     }
 }
 

@@ -394,232 +394,3 @@ fn metrics_histograms_count_every_step() {
     assert!(m.fetch_time > Duration::ZERO);
     assert!(m.peak_resident_bytes > 0);
 }
-
-// ---------------------------------------------------------------------------
-// Pipelined (asynchronous) store
-// ---------------------------------------------------------------------------
-
-/// Contents of the single spill file in `dir` (the reader must still be
-/// alive so the file has not been cleaned up yet).
-fn spill_bytes(dir: &PathBuf) -> Vec<u8> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .expect("spill dir exists")
-        .map(|e| e.expect("dir entry").path())
-        .collect();
-    assert_eq!(entries.len(), 1, "exactly one spill file expected");
-    std::fs::read(entries.pop().expect("one entry")).expect("spill file readable")
-}
-
-#[test]
-fn pipelined_compressed_round_trip() {
-    for queue_depth in [0, 1, 4] {
-        check_backward(StoreConfig::Pipelined {
-            inner: Box::new(StoreConfig::Compressed(MascConfig::default())),
-            queue_depth,
-            lookahead: 2,
-            workers: 1,
-        });
-    }
-}
-
-#[test]
-fn pooled_pipelined_compressed_round_trip() {
-    for workers in [2, 4] {
-        check_backward(StoreConfig::pipelined_pool(
-            StoreConfig::Compressed(MascConfig::default()),
-            workers,
-        ));
-    }
-}
-
-#[test]
-fn pooled_pipelined_hybrid_round_trip() {
-    check_backward(StoreConfig::pipelined_pool(
-        StoreConfig::Hybrid {
-            dir: scratch_dir("pool-hybrid-rt"),
-            bandwidth: None,
-            resident_blocks: 1,
-            masc: MascConfig::default(),
-        },
-        3,
-    ));
-}
-
-/// A pool over a store with no encode plan (raw disk) must fall back to
-/// the single-worker pipeline and still round-trip.
-#[test]
-fn pooled_pipeline_over_planless_store_falls_back() {
-    check_backward(StoreConfig::pipelined_pool(
-        StoreConfig::Disk {
-            dir: scratch_dir("pool-disk-fallback"),
-            bandwidth: None,
-        },
-        4,
-    ));
-}
-
-#[test]
-fn pipelined_disk_round_trip() {
-    check_backward(StoreConfig::Pipelined {
-        inner: Box::new(StoreConfig::Disk {
-            dir: scratch_dir("piped-disk-rt"),
-            bandwidth: None,
-        }),
-        queue_depth: 2,
-        lookahead: 1,
-        workers: 1,
-    });
-}
-
-#[test]
-fn pipelined_recompute_passes_markers_and_skips_gather() {
-    let p = pattern();
-    let config = StoreConfig::pipelined(StoreConfig::Recompute);
-    let mut record = ForwardRecord::new(layout(&p), &config).unwrap();
-    feed(&mut record, &p, 6);
-    assert_eq!(record.storage_bytes(), 0, "recompute stores nothing");
-    let mut reader = record.into_reader().unwrap();
-    let mut seen = 0;
-    while let Some((_, matrices)) = reader.next_back().unwrap() {
-        assert_eq!(matrices, StepMatrices::Recompute);
-        seen += 1;
-    }
-    assert_eq!(seen, 6);
-}
-
-/// The acceptance bar of the async path: for any worker-queue depth and
-/// any intra-matrix thread count, the *compressed byte stream on disk* is
-/// identical to the synchronous hybrid store's — the pipeline moves
-/// compression in time, never reorders or re-encodes it.
-#[test]
-fn pipelined_hybrid_spill_stream_is_byte_identical_to_sync() {
-    let p = pattern();
-    let steps = 18usize;
-    let run = |config: StoreConfig, dir: &PathBuf| -> (Vec<u8>, u64) {
-        let mut record = ForwardRecord::new(layout(&p), &config).unwrap();
-        for s in 0..steps {
-            let vals: Vec<f64> = (0..p.nnz())
-                .map(|k| 1e-3 * ((s as f64 * 0.61 + k as f64).sin() + 2.0))
-                .collect();
-            let g = CsrMatrix::from_parts(p.clone(), vals.clone()).unwrap();
-            let c = CsrMatrix::from_parts(p.clone(), vals).unwrap();
-            record
-                .on_step(s, s as f64 * 1e-6, 1e-6, &[0.0; 3], &g, &c)
-                .unwrap();
-        }
-        let mut reader = record.into_reader().unwrap();
-        // Read the spill file while the reader still owns it; with zero
-        // resident blocks every compressed block is in this file.
-        let bytes = spill_bytes(dir);
-        while reader.next_back().unwrap().is_some() {}
-        (bytes, reader.metrics().bytes_written)
-    };
-    for threads in [1usize, 3] {
-        let masc = MascConfig {
-            threads,
-            chunk_size: 8, // several chunks per block at this nnz
-            markov_min_warmup: 4,
-            ..MascConfig::default()
-        };
-        let sync_dir = scratch_dir(&format!("exact-sync-{threads}"));
-        let hybrid = |dir: &PathBuf| StoreConfig::Hybrid {
-            dir: dir.clone(),
-            bandwidth: None,
-            resident_blocks: 0,
-            masc: masc.clone(),
-        };
-        let (sync_stream, sync_written) = run(hybrid(&sync_dir), &sync_dir);
-        assert!(!sync_stream.is_empty());
-        for queue_depth in [1usize, 4] {
-            // workers > 1 exercises the encode pool (out-of-order encode,
-            // in-order commit); the bytes must still match the sync path.
-            for workers in [1usize, 4] {
-                let dir = scratch_dir(&format!("exact-piped-{threads}-{queue_depth}-{workers}"));
-                let (piped_stream, piped_written) = run(
-                    StoreConfig::Pipelined {
-                        inner: Box::new(hybrid(&dir)),
-                        queue_depth,
-                        lookahead: 2,
-                        workers,
-                    },
-                    &dir,
-                );
-                assert_eq!(
-                    sync_stream, piped_stream,
-                    "threads={threads} queue_depth={queue_depth} workers={workers}: \
-                     spill streams differ"
-                );
-                assert_eq!(sync_written, piped_written);
-            }
-        }
-    }
-}
-
-#[test]
-fn pipelined_metrics_track_queue_backpressure_and_prefetch() {
-    let p = pattern();
-    let steps = 10usize;
-    // A throttled disk inner store (~50 kB/s) makes the worker slower
-    // than the producer, so the depth-1 queue fills and `put` blocks.
-    let config = StoreConfig::Pipelined {
-        inner: Box::new(StoreConfig::Disk {
-            dir: scratch_dir("piped-metrics"),
-            bandwidth: Some(50_000.0),
-        }),
-        queue_depth: 1,
-        lookahead: 2,
-        workers: 1,
-    };
-    let mut record = ForwardRecord::new(layout(&p), &config).unwrap();
-    feed(&mut record, &p, steps);
-    let mut reader = record.into_reader().unwrap();
-    while reader.next_back().unwrap().is_some() {}
-    let m = reader.metrics();
-    assert!(m.max_queue_depth >= 1, "queue depth was tracked");
-    assert!(
-        m.backpressure_wait > Duration::ZERO,
-        "a throttled worker behind a depth-1 queue must stall the producer"
-    );
-    assert_eq!(
-        m.prefetch_hits + m.prefetch_misses,
-        steps as u64,
-        "every reverse fetch is classified"
-    );
-    assert_eq!(m.put_hist.count(), steps as u64);
-    assert_eq!(m.fetch_hist.count(), steps as u64);
-    assert_eq!(m.bytes_written, (steps * 2 * p.nnz() * 8) as u64);
-}
-
-#[test]
-fn empty_pipelined_record_reader() {
-    let p = pattern();
-    let config = StoreConfig::pipelined(StoreConfig::Compressed(MascConfig::default()));
-    let record = ForwardRecord::new(layout(&p), &config).unwrap();
-    let mut reader = record.into_reader().unwrap();
-    assert!(reader.next_back().unwrap().is_none());
-}
-
-#[test]
-fn pipelined_hybrid_spill_cleanup_on_success() {
-    let p = pattern();
-    let dir = scratch_dir("piped-cleanup");
-    let config = StoreConfig::Pipelined {
-        inner: Box::new(StoreConfig::Hybrid {
-            dir: dir.clone(),
-            bandwidth: None,
-            resident_blocks: 1,
-            masc: MascConfig::default(),
-        }),
-        queue_depth: 2,
-        lookahead: 2,
-        workers: 1,
-    };
-    let mut record = ForwardRecord::new(layout(&p), &config).unwrap();
-    feed(&mut record, &p, 12);
-    assert_eq!(dir_entries(&dir), 1);
-    {
-        let mut reader = record.into_reader().unwrap();
-        while reader.next_back().unwrap().is_some() {}
-    } // drop joins the prefetch worker and removes the spill file
-    assert_eq!(dir_entries(&dir), 0);
-}

@@ -9,9 +9,8 @@
 #![allow(clippy::disallowed_methods)]
 
 use masc_adjoint::store::{
-    BackwardJacobians, BackwardReader, CompressedStore, DiskStore, EncodePlan, EncodedBlock,
-    FailingWriter, ForwardRecord, HybridStore, JacobianStore, PipelinedStore, StepMatrices,
-    StoreConfig, StoreError, StoreMetrics, TensorLayout,
+    BackwardJacobians, BackwardReader, CompressedStore, DiskStore, FailingWriter, ForwardRecord,
+    JacobianStore, StepMatrices, StoreConfig, StoreError, StoreMetrics, TensorLayout,
 };
 use masc_circuit::parser::parse_netlist;
 use masc_circuit::transient::{transient, JacobianSink, TranError};
@@ -310,274 +309,39 @@ fn mismatched_pair_yields_tensor_truncated() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Faults through the asynchronous pipeline
-// ---------------------------------------------------------------------------
-
-/// A disk-full fault inside the *pipeline worker* must surface exactly
-/// like the synchronous case — as `TranError::Sink`, never a panic or a
-/// silent drop — and the error chain must carry a
-/// `StoreError::Worker { step }` naming the step whose persist actually
-/// failed (the forward loop may already be a few steps ahead when the
-/// failure is noticed).
+/// A simulated bandwidth that is not a positive finite number is refused
+/// when the record is built — as a structured error, before any spill
+/// file exists — instead of panicking in the throttle at the first `put`.
 #[test]
-fn pipelined_transient_surfaces_disk_full_as_sink_error() {
-    let parsed = parse_netlist(
-        "V1 in 0 SIN(0 1 1e6)\n\
-         R1 in out 1k\n\
-         C1 out 0 1n\n\
-         .tran 20n 2u\n\
-         .end",
-    )
-    .expect("valid netlist");
-    let mut circuit = parsed.circuit;
-    let mut system = circuit.elaborate().expect("elaborates");
-    let tran = parsed.tran.expect(".tran present");
-    let layout = TensorLayout::of(&system);
-    let step_bytes = (layout.g_pattern.nnz() + layout.c_pattern.nnz()) * 8;
-
-    let dir = scratch_dir("piped-disk-full");
-    let mut store = DiskStore::create(&dir, None, layout.g_pattern.nnz(), layout.c_pattern.nnz())
-        .expect("spill file creates");
-    // Steps 0..=4 fit exactly; the worker's write for step 5 fails.
-    store.wrap_writer(|w| Box::new(FailingWriter::new(w, 5 * step_bytes)));
-    let piped = PipelinedStore::spawn(Box::new(store), 2, 2);
-    let mut record = ForwardRecord::with_store(layout, Box::new(piped));
-
-    let err = transient(&circuit, &mut system, &tran, &mut record)
-        .expect_err("the injected fault must abort the transient");
-    match &err {
-        TranError::Sink { step, source, .. } => {
+fn bad_bandwidth_is_rejected_before_the_spill_file_exists() {
+    let p = pattern();
+    for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let dir = scratch_dir("bad-bandwidth");
+        let configs = [
+            StoreConfig::Disk {
+                dir: dir.clone(),
+                bandwidth: Some(bad),
+            },
+            StoreConfig::hybrid(dir.clone(), Some(bad)),
+        ];
+        for config in configs {
+            let err = ForwardRecord::new(layout(&p), &config)
+                .expect_err("a bad bandwidth must not build a store");
             assert!(
-                *step >= 5,
-                "the forward loop cannot notice before the failing step, got {step}"
+                matches!(&err, StoreError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+                "bandwidth {bad}: got {err:?}"
             );
-            assert!(
-                source.to_string().contains("injected disk-full fault"),
-                "error chain must carry the I/O cause, got: {source}"
-            );
-            let store_err = source
-                .inner()
-                .downcast_ref::<StoreError>()
-                .expect("sink error wraps a StoreError");
-            match store_err {
-                StoreError::Worker { step, .. } => {
-                    assert_eq!(*step, 5, "the worker names the step whose persist failed")
-                }
-                other => panic!("expected StoreError::Worker, got {other:?}"),
-            }
+            assert_eq!(dir_entries(&dir), 0, "bandwidth {bad}: spill file leaked");
         }
-        other => panic!("expected TranError::Sink, got {other:?}"),
     }
-    // Abort path: dropping the record joins the worker and removes the
-    // spill file.
-    assert_eq!(dir_entries(&dir), 1);
-    drop(record);
-    assert_eq!(dir_entries(&dir), 0);
-}
-
-/// A worker failure *after the last accepted step's `on_step` returned*
-/// must still abort the transient: `on_finish` drains the queue.
-#[test]
-fn pipelined_fault_on_final_queued_step_still_aborts() {
-    let p = pattern();
-    let lay = layout(&p);
-    let step_bytes = 2 * p.nnz() * 8;
-    let dir = scratch_dir("piped-late-fault");
-    let mut store = DiskStore::create(&dir, None, p.nnz(), p.nnz()).expect("spill file creates");
-    // Allow every step except the very last one.
-    store.wrap_writer(|w| Box::new(FailingWriter::new(w, 3 * step_bytes)));
-    let piped = PipelinedStore::spawn(Box::new(store), 8, 2);
-    let mut record = ForwardRecord::with_store(lay, Box::new(piped));
-    // With a deep queue, all four puts are accepted before the worker
-    // reaches the failing write.
-    feed(&mut record, &p, 4);
-    let err = JacobianSink::on_finish(&mut record).expect_err("drain must surface the fault");
-    assert!(
-        err.to_string().contains("injected disk-full fault"),
-        "got: {err}"
-    );
-    drop(record);
-    assert_eq!(dir_entries(&dir), 0);
-}
-
-/// Join-on-drop: abandoning a pipelined record mid-run must terminate the
-/// worker thread and release the wrapped store (proven by the spill file
-/// disappearing — only the store's drop removes it).
-#[test]
-fn dropped_pipelined_record_joins_worker_and_cleans_up() {
-    let p = pattern();
-    let dir = scratch_dir("piped-abandoned");
-    let config = StoreConfig::Pipelined {
-        inner: Box::new(StoreConfig::Disk {
-            dir: dir.clone(),
-            bandwidth: None,
-        }),
-        queue_depth: 2,
-        lookahead: 2,
-        workers: 1,
+    // A bandwidth so small the throttle target overflows a `Duration` is
+    // valid input: the store must neither panic nor sleep on it.
+    let config = StoreConfig::Disk {
+        dir: scratch_dir("tiny-bandwidth"),
+        bandwidth: Some(1e-300),
     };
     let mut record = ForwardRecord::new(layout(&p), &config).unwrap();
-    feed(&mut record, &p, 5);
-    assert_eq!(dir_entries(&dir), 1);
-    drop(record); // mid-record: never finished into a reader
-    assert_eq!(
-        dir_entries(&dir),
-        0,
-        "the worker must be joined and the store dropped"
-    );
-}
-
-/// Same for the reverse side: dropping a reader mid-sweep joins the
-/// prefetch thread and cleans the spill file up.
-#[test]
-fn dropped_prefetching_reader_joins_worker_and_cleans_up() {
-    let p = pattern();
-    let dir = scratch_dir("piped-reader-drop");
-    let config = StoreConfig::Pipelined {
-        inner: Box::new(StoreConfig::Disk {
-            dir: dir.clone(),
-            bandwidth: None,
-        }),
-        queue_depth: 2,
-        lookahead: 1,
-        workers: 1,
-    };
-    let mut record = ForwardRecord::new(layout(&p), &config).unwrap();
-    feed(&mut record, &p, 20);
+    feed(&mut record, &p, 2);
     let mut reader = record.into_reader().unwrap();
-    reader.next_back().unwrap(); // consume one step, then abandon
-    drop(reader);
-    assert_eq!(dir_entries(&dir), 0);
-}
-
-/// A hybrid store whose encoded-block commit fails at one exact step —
-/// the scripted stand-in for the spill tier filling up while a
-/// multi-worker pipeline is encoding ahead of it.
-#[derive(Debug)]
-struct FailingEncodedStore {
-    inner: HybridStore,
-    fail_at: usize,
-}
-
-impl JacobianStore for FailingEncodedStore {
-    fn put(&mut self, step: usize, g: &[f64], c: &[f64]) -> Result<(), StoreError> {
-        self.inner.put(step, g, c)
-    }
-
-    fn encode_plan(&self) -> Option<EncodePlan> {
-        self.inner.encode_plan()
-    }
-
-    fn put_encoded(
-        &mut self,
-        step: usize,
-        g: EncodedBlock,
-        c: EncodedBlock,
-    ) -> Result<(), StoreError> {
-        if step == self.fail_at {
-            return Err(StoreError::Io(std::io::Error::other(
-                "injected encoded-commit fault",
-            )));
-        }
-        self.inner.put_encoded(step, g, c)
-    }
-
-    fn resident_bytes(&self) -> usize {
-        self.inner.resident_bytes()
-    }
-
-    fn metrics(&self) -> &StoreMetrics {
-        self.inner.metrics()
-    }
-
-    fn metrics_mut(&mut self) -> &mut StoreMetrics {
-        self.inner.metrics_mut()
-    }
-
-    fn finish(self: Box<Self>) -> Result<Box<dyn BackwardReader>, StoreError> {
-        Box::new(self.inner).finish()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-}
-
-/// ISSUE 6 satellite: with a pool of W > 1 encode workers, a commit
-/// failure at step k must surface as `StoreError::Worker { step: k }`
-/// (wrapped in `TranError::Sink` at the first step the forward loop can
-/// notice), and the hybrid spill file must be cleaned up on drop.
-#[test]
-fn pooled_pipeline_fault_names_exact_step_and_cleans_spill() {
-    const FAIL_AT: usize = 5;
-
-    let parsed = parse_netlist(
-        "V1 in 0 SIN(0 1 1e6)\n\
-         R1 in out 1k\n\
-         C1 out 0 1n\n\
-         .tran 20n 2u\n\
-         .end",
-    )
-    .expect("valid netlist");
-    let mut circuit = parsed.circuit;
-    let mut system = circuit.elaborate().expect("elaborates");
-    let tran = parsed.tran.expect(".tran present");
-    let layout = TensorLayout::of(&system);
-
-    let dir = scratch_dir("pool-fault");
-    // resident_blocks = 0: every committed block spills immediately, so
-    // the spill file demonstrably exists before the fault hits.
-    let hybrid = HybridStore::create(
-        layout.g_pattern.clone(),
-        layout.c_pattern.clone(),
-        MascConfig::default(),
-        &dir,
-        None,
-        0,
-    )
-    .expect("spill file creates");
-    let store = FailingEncodedStore {
-        inner: hybrid,
-        fail_at: FAIL_AT,
-    };
-    let piped = PipelinedStore::spawn_pool(Box::new(store), 4, 2, 3);
-    let mut record = ForwardRecord::with_store(layout, Box::new(piped));
-
-    let err = transient(&circuit, &mut system, &tran, &mut record)
-        .expect_err("the injected fault must abort the transient");
-    match &err {
-        TranError::Sink { step, source, .. } => {
-            // The pool encodes step k only once step k + 1 arrives, so the
-            // forward loop cannot notice before then — but the parked
-            // error must name the failing step exactly.
-            assert!(
-                *step >= FAIL_AT,
-                "fault visible no earlier than the failing step, got {step}"
-            );
-            assert!(
-                source.to_string().contains("injected encoded-commit fault"),
-                "error chain must carry the commit cause, got: {source}"
-            );
-            let store_err = source
-                .inner()
-                .downcast_ref::<StoreError>()
-                .expect("sink error wraps a StoreError");
-            match store_err {
-                StoreError::Worker { step, .. } => {
-                    assert_eq!(
-                        *step, FAIL_AT,
-                        "the pool names the step whose commit failed"
-                    )
-                }
-                other => panic!("expected StoreError::Worker, got {other:?}"),
-            }
-        }
-        other => panic!("expected TranError::Sink, got {other:?}"),
-    }
-    // Abort path: dropping the record joins the pool (workers + committer)
-    // and the wrapped hybrid store removes its spill file.
-    assert_eq!(dir_entries(&dir), 1);
-    drop(record);
-    assert_eq!(dir_entries(&dir), 0);
+    while reader.next_back().unwrap().is_some() {}
 }

@@ -203,20 +203,6 @@ fn all_stores_agree_exactly() {
                 resident_blocks: 3,
                 masc: MascConfig::default(),
             },
-            // The async pipeline must not change a single bit relative to
-            // its synchronous inner backend.
-            StoreConfig::pipelined(StoreConfig::Compressed(MascConfig::default())),
-            StoreConfig::Pipelined {
-                inner: Box::new(StoreConfig::Hybrid {
-                    dir: std::env::temp_dir().join("masc-validation"),
-                    bandwidth: None,
-                    resident_blocks: 3,
-                    masc: MascConfig::default(),
-                }),
-                queue_depth: 4,
-                lookahead: 3,
-                workers: 1,
-            },
         ];
         let mut results = Vec::new();
         for store in &stores {

@@ -60,13 +60,6 @@ fn bench_adjoint_stores(bench: &mut Bench) {
             "hybrid",
             StoreConfig::hybrid(std::env::temp_dir().join("masc-bench"), None),
         ),
-        (
-            "pipelined",
-            StoreConfig::pipelined(StoreConfig::hybrid(
-                std::env::temp_dir().join("masc-bench"),
-                None,
-            )),
-        ),
     ];
     for (label, store) in stores {
         group.bench(&format!("store/{label}"), || {

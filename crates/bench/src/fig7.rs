@@ -2,16 +2,15 @@
 //! Xyce-like recompute baseline vs raw disk storage, plus this repo's
 //! hybrid compressed+spill tier.
 //!
-//! Runs the same circuit + objectives + parameters through six Jacobian
-//! stores and reports the reverse-pass times from the unified
-//! [`StoreMetrics`](masc_adjoint::StoreMetrics) telemetry. Expected shape
-//! (paper §6.4): MASC ≈ half the recompute baseline's sensitivity time and
-//! several times faster than bandwidth-limited raw disk I/O; the hybrid
-//! store tracks MASC because its spilled bytes are compressed, so the
-//! compression ratio multiplies the effective disk bandwidth; the
-//! pipelined hybrid additionally overlaps compression + spill I/O with
-//! the forward solve and prefetch-decodes ahead of the reverse sweep, and
-//! reports its queue/backpressure/prefetch telemetry.
+//! Runs the same circuit + objectives + parameters through five Jacobian
+//! stores — every one synchronous, storing each step on the stepping
+//! thread (DESIGN.md §3.8) — and reports the reverse-pass times from the
+//! unified [`StoreMetrics`](masc_adjoint::StoreMetrics) telemetry.
+//! Expected shape (paper §6.4): MASC ≈ half the recompute baseline's
+//! sensitivity time and several times faster than bandwidth-limited raw
+//! disk I/O; the hybrid store tracks MASC because its spilled bytes are
+//! compressed, so the compression ratio multiplies the effective disk
+//! bandwidth.
 
 use crate::render_table;
 use masc_adjoint::{run_adjoint, run_xyce_like, Objective, StoreConfig};
@@ -35,15 +34,6 @@ pub struct Bar {
     pub fetch_s: f64,
     /// Peak Jacobian storage across tiers (bytes).
     pub peak_bytes: usize,
-    /// Forward-pass stall waiting on a full pipeline queue (s); zero for
-    /// synchronous stores.
-    pub backpressure_s: f64,
-    /// Deepest pipeline queue observed, in steps.
-    pub max_queue_depth: usize,
-    /// Reverse-pass fetches served instantly from the prefetch buffer.
-    pub prefetch_hits: u64,
-    /// Reverse-pass fetches that waited on the prefetch worker.
-    pub prefetch_misses: u64,
 }
 
 /// Fig. 7 configuration.
@@ -68,7 +58,7 @@ impl Default for Config {
     }
 }
 
-/// Runs the three-store comparison.
+/// Runs the five-store comparison.
 pub fn run(config: &Config) -> Vec<Bar> {
     // BJT chain: the heaviest device models (two limited exponentials,
     // diffusion charges), matching the paper's BJT-dominated Fig. 7 setup
@@ -96,20 +86,11 @@ pub fn run(config: &Config) -> Vec<Bar> {
         (
             "Hybrid (compressed + spill)",
             StoreConfig::Hybrid {
-                dir: spill_dir.clone(),
-                bandwidth: Some(config.disk_bandwidth),
-                resident_blocks: 8,
-                masc: MascConfig::default(),
-            },
-        ),
-        (
-            "Pipelined (async hybrid)",
-            StoreConfig::pipelined(StoreConfig::Hybrid {
                 dir: spill_dir,
                 bandwidth: Some(config.disk_bandwidth),
                 resident_blocks: 8,
                 masc: MascConfig::default(),
-            }),
+            },
         ),
         ("Raw memory (upper bound)", StoreConfig::RawMemory),
     ];
@@ -148,10 +129,6 @@ pub fn run(config: &Config) -> Vec<Bar> {
             store_s: metrics.store_time.as_secs_f64(),
             fetch_s: metrics.fetch_time.as_secs_f64(),
             peak_bytes: metrics.peak_resident_bytes,
-            backpressure_s: metrics.backpressure_wait.as_secs_f64(),
-            max_queue_depth: metrics.max_queue_depth,
-            prefetch_hits: metrics.prefetch_hits,
-            prefetch_misses: metrics.prefetch_misses,
         });
     }
     bars
@@ -172,25 +149,12 @@ pub fn render(bars: &[Bar]) -> String {
                 format!("{:.3}", b.store_s),
                 format!("{:.3}", b.fetch_s),
                 format!("{:.2}", b.peak_bytes as f64 / 1e6),
-                format!("{:.3}", b.backpressure_s),
-                format!("{}", b.max_queue_depth),
-                format!("{}/{}", b.prefetch_hits, b.prefetch_misses),
             ]
         })
         .collect();
     render_table(
         &[
-            "Store",
-            "Fwd(s)",
-            "Rev(s)",
-            "Total(s)",
-            "Speedup",
-            "Store(s)",
-            "Fetch(s)",
-            "Peak(MB)",
-            "BkPr(s)",
-            "Queue",
-            "Pf hit/miss",
+            "Store", "Fwd(s)", "Rev(s)", "Total(s)", "Speedup", "Store(s)", "Fetch(s)", "Peak(MB)",
         ],
         &data,
     )
@@ -208,7 +172,7 @@ mod tests {
             disk_bandwidth: 2e6,
         };
         let bars = run(&config);
-        assert_eq!(bars.len(), 6);
+        assert_eq!(bars.len(), 5);
         let disk = bars[1].reverse_s;
         let masc = bars[2].reverse_s;
         let hybrid = bars[3].reverse_s;
@@ -220,21 +184,9 @@ mod tests {
         // throttled bandwidth its reverse pass beats raw disk.
         assert!(hybrid < disk, "hybrid {hybrid} vs disk {disk}");
         // Compressed storage is far below raw.
-        assert!(bars[2].peak_bytes * 2 < bars[5].peak_bytes);
-        // The pipelined hybrid reports its async telemetry: every reverse
-        // step is either a prefetch hit or a miss, and the queue was used.
-        let piped = &bars[4];
-        assert!(
-            piped.prefetch_hits + piped.prefetch_misses > 0,
-            "every reverse fetch is classified hit or miss"
-        );
-        assert!(piped.max_queue_depth >= 1, "queue depth was tracked");
-        // Synchronous stores report no pipeline activity.
-        assert_eq!(bars[3].prefetch_hits + bars[3].prefetch_misses, 0);
-        assert_eq!(bars[3].max_queue_depth, 0);
+        assert!(bars[2].peak_bytes * 2 < bars[4].peak_bytes);
         let text = render(&bars);
         assert!(text.contains("MASC"));
         assert!(text.contains("Hybrid"));
-        assert!(text.contains("Pipelined"));
     }
 }

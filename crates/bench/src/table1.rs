@@ -5,9 +5,9 @@
 //! sensitivity (the Xyce-like baseline that re-evaluates devices during
 //! the reverse pass), reporting `T_Sens/T_Tran` and `T_Jac/T_Sens` —
 //! plus, as the counterpoint the rest of the repo builds, the same
-//! sensitivities through the asynchronous pipelined MASC store
-//! (compression overlapped with the forward solve, prefetched reverse
-//! pass) and its speedup over the baseline.
+//! sensitivities through the MASC compressed store (one batched reverse
+//! sweep over Jacobians compressed inline on the stepping thread,
+//! paper Algorithm 2) and its speedup over the baseline.
 
 use crate::render_table;
 use masc_adjoint::{run_adjoint, run_xyce_like, Objective, StoreConfig};
@@ -44,9 +44,9 @@ pub struct Row {
     pub ratio: f64,
     /// Fraction of sensitivity time spent on Jacobian recomputation.
     pub jac_fraction: f64,
-    /// Sensitivity wall time through the pipelined MASC store (s).
+    /// Sensitivity wall time through the MASC compressed store (s).
     pub masc_s: f64,
-    /// Baseline sensitivity time over the pipelined-MASC time.
+    /// Baseline sensitivity time over the MASC time.
     pub masc_speedup: f64,
 }
 
@@ -90,15 +90,15 @@ pub fn run(scale: f64) -> Vec<Row> {
         let jac_fraction = run.sensitivities.stats.recompute_time.as_secs_f64() / sens_s.max(1e-12);
 
         // The repo's answer to the table's motivating cost: one batched
-        // reverse sweep over stored Jacobians, compressed off-thread.
+        // reverse sweep over stored, compressed Jacobians.
         let masc = run_adjoint(
             &mut circuit,
             &tran,
-            &StoreConfig::pipelined(StoreConfig::Compressed(MascConfig::default())),
+            &StoreConfig::Compressed(MascConfig::default()),
             &objectives,
             &params,
         )
-        .expect("pipelined adjoint runs");
+        .expect("compressed-store adjoint runs");
         let masc_s = masc.sensitivities.stats.total_time.as_secs_f64();
 
         rows.push(Row {

@@ -69,10 +69,10 @@ pub trait JacobianSink {
     ) -> Result<(), SinkError>;
 
     /// Called once after the last accepted step, before the transient run
-    /// returns. Asynchronous sinks drain their queues here so a persist
-    /// failure detected after `on_step` returned still aborts the run
-    /// (as [`TranError::Sink`] at the final step) instead of surfacing
-    /// later — or never.
+    /// returns; an error aborts the run as [`TranError::Sink`] at the
+    /// final step. Every sink in this workspace persists inside `on_step`
+    /// and keeps the default no-op (DESIGN.md §3.8); the hook remains for
+    /// sinks that wrap another sink and forward it.
     ///
     /// # Errors
     ///
@@ -448,8 +448,7 @@ pub fn transient_ws<S: JacobianSink>(
         }
     }
 
-    // Drain asynchronous sinks: a queued step that failed to persist
-    // after its on_step returned must still abort the run.
+    // A sink that deferred work past on_step reports its failure here.
     sink.on_finish().map_err(|source| TranError::Sink {
         step,
         t: t_now,

@@ -77,8 +77,7 @@ pub use parallel::{
 pub use predictor::{Region, StampMaps};
 pub use stats::{CompressStats, ModelClass};
 pub use tensor::{
-    decode_block, encode_block, encode_cross_block, encode_seed_block, BackwardDecompressor,
-    CompressedTensor, TensorCompressor,
+    decode_block, encode_cross_block, BackwardDecompressor, CompressedTensor, TensorCompressor,
 };
 
 use crate::residual::ResidualError;

@@ -53,29 +53,6 @@ fn decompress_dispatch(
     }
 }
 
-/// Compresses one matrix into a standalone block against `reference`
-/// (block-level byte API: tiered stores move these blocks between memory
-/// and disk without re-encoding).
-pub fn encode_block(
-    values: &[f64],
-    reference: &[f64],
-    maps: &StampMaps,
-    config: &MascConfig,
-) -> (Vec<u8>, CompressStats) {
-    compress_dispatch(values, reference, maps, config)
-}
-
-/// Compresses one matrix as a *seed* block: self-referential, decodable
-/// without a temporal predecessor. Tensor chains restart at seed blocks,
-/// which is what makes groups of blocks independently decodable.
-pub fn encode_seed_block(
-    values: &[f64],
-    maps: &StampMaps,
-    config: &MascConfig,
-) -> (Vec<u8>, CompressStats) {
-    compress_matrix_seeded(values, maps, config)
-}
-
 /// Compresses one matrix as a *cross-instance* block: `reference` is the
 /// same-timestep matrix of the previous sweep instance rather than the
 /// temporal successor. Super-tensors write instance 0 through the ordinary
@@ -190,15 +167,6 @@ impl TensorCompressor {
             self.stats.merge(&stats);
             self.blocks.push(bytes);
         }
-    }
-
-    /// Appends a block that was encoded out-of-band (a pipelined store's
-    /// worker pool). The caller guarantees the block was produced by
-    /// [`encode_block`] against the values of step `sealed_len() + 1` — or
-    /// by [`encode_seed_block`] — with this compressor's config.
-    pub fn push_encoded(&mut self, bytes: Vec<u8>, stats: &CompressStats) {
-        self.stats.merge(stats);
-        self.blocks.push(bytes);
     }
 
     /// Number of matrices pushed so far.

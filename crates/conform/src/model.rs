@@ -16,11 +16,6 @@
 //! - [`single_flight_model`] — `masc-serve`'s in-flight key dedup
 //!   (`Server::submit`): one leader computes, waiters park on a condvar
 //!   until the key is released, everyone observes the cached value.
-//! - [`pipelined_commit_model`] — the pipelined store's encode pool
-//!   (`crates/adjoint/src/store/pipelined.rs::spawn_pool`): a bounded
-//!   job channel fans out to workers sharing a mutex-wrapped receiver,
-//!   and a committer reorders their out-of-order output back into strict
-//!   step order.
 //! - [`window_sweep_model`] — the window engine's dirty-lane sweep
 //!   (`crates/window/src/engine.rs`) over the one shared lane fan-out
 //!   (`crates/adjoint/src/lanes.rs::wave`): each sweep processes exactly
@@ -32,7 +27,7 @@
 //! `MASC_SCHED_REPRO` replay line, via `masc-conform --model-check`.
 
 use masc_testkit::sched::{Explorer, Sched, ScheduleFailure};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Outcome of model-checking one coordination core.
@@ -200,70 +195,6 @@ pub fn single_flight_model(s: &Sched) {
     );
 }
 
-/// `PipelinedStore::spawn_pool` commit order: a bounded job channel fans
-/// 4 sequenced steps out to 2 encode workers sharing a mutex-wrapped
-/// receiver; a committer parks out-of-order steps and commits them in
-/// strict sequence. Asserts the commit log is exactly `0..4` in order.
-pub fn pipelined_commit_model(s: &Sched) {
-    const STEPS: usize = 4;
-    let (job_tx, job_rx) = s.channel::<usize>(2);
-    let (enc_tx, enc_rx) = s.channel::<usize>(2 + 2);
-    let shared_rx = s.mutex(job_rx);
-    let log = s.mutex(Vec::<usize>::new());
-
-    for _ in 0..2 {
-        let shared_rx = shared_rx.clone();
-        let enc_tx = enc_tx.clone();
-        s.spawn(move || loop {
-            // The production pattern: the receiver guard is confined to
-            // the recv expression, then the worker encodes unlocked.
-            let job = {
-                let rx = shared_rx.lock();
-                rx.recv()
-            };
-            match job {
-                Ok(seq) => {
-                    if enc_tx.send(seq).is_err() {
-                        break;
-                    }
-                }
-                Err(_) => break,
-            }
-        });
-    }
-    // The committer's channel must close when the last worker exits.
-    drop(enc_tx);
-
-    {
-        let log = log.clone();
-        s.spawn(move || {
-            let mut parked: BTreeMap<usize, ()> = BTreeMap::new();
-            let mut next = 0usize;
-            while let Ok(seq) = enc_rx.recv() {
-                parked.insert(seq, ());
-                while parked.remove(&next).is_some() {
-                    log.lock().push(next);
-                    next += 1;
-                }
-            }
-            assert!(parked.is_empty(), "committer exited with parked steps");
-        });
-    }
-
-    for seq in 0..STEPS {
-        job_tx.send(seq).expect("workers alive while producing");
-    }
-    drop(job_tx);
-    s.join_all();
-
-    let committed = log.lock().clone();
-    assert_eq!(
-        committed,
-        (0..STEPS).collect::<Vec<_>>(),
-        "steps committed out of order"
-    );
-}
-
 /// Window-engine sweep bookkeeping over the shared lane fan-out
 /// (`masc_adjoint::lanes::wave`, the same protocol `masc-sweep` runs its
 /// instances on): each wave processes exactly the lanes dirty at its
@@ -330,7 +261,6 @@ pub fn models() -> Vec<NamedModel> {
     vec![
         ("serve-queue-shutdown", job_queue_model as fn(&Sched)),
         ("serve-single-flight", single_flight_model),
-        ("pipelined-commit-order", pipelined_commit_model),
         ("window-dirty-sweep", window_sweep_model),
     ]
 }
@@ -341,7 +271,7 @@ pub fn models() -> Vec<NamedModel> {
 /// The schedule budget is sized with margin: the armed
 /// `lost-wakeup-close` deadlock surfaces deterministically well inside
 /// the first ~700 schedules of the default seed sequence, so 2000 keeps
-/// a >3x cushion while a full four-model sweep stays under two seconds.
+/// a >3x cushion while a full three-model sweep stays under two seconds.
 pub fn model_explorer(budget: Option<Duration>) -> Explorer {
     Explorer {
         schedules: 2000,

@@ -3,10 +3,10 @@
 //! `store-equiv` is the differential check behind the paper's lossless
 //! claim at system level: every `JacobianStore` backend must produce the
 //! same objective values and adjoint gradients as the raw in-memory
-//! store, bit for bit, on the same deck — the MASC compression, hybrid
-//! spill tier, and asynchronous pipeline may change *where* bytes live
-//! but never *what* the reverse pass reads. This is the oracle that
-//! catches the `StaleSpillBlock` injected defect.
+//! store, bit for bit, on the same deck — the MASC compression and the
+//! hybrid spill tier may change *where* bytes live but never *what* the
+//! reverse pass reads. This is the oracle that catches the
+//! `StaleSpillBlock` injected defect.
 //!
 //! `adjoint-oracle` cross-checks the adjoint gradients against two
 //! independent computations of the same quantity: direct (forward)
@@ -148,7 +148,7 @@ impl Oracle for StoreEquivalence {
     }
 
     fn describe(&self) -> &'static str {
-        "disk/compressed/hybrid/pipelined stores match the raw store bit-exact"
+        "disk/compressed/hybrid stores match the raw store bit-exact"
     }
 
     fn generate(&self, rng: &mut Rng) -> Vec<u8> {
@@ -167,13 +167,6 @@ impl Oracle for StoreEquivalence {
             Err(_) => return Ok(()),
         };
         let dir = scratch_dir();
-        // A 2-block residency forces most steps through the spill tier.
-        let hybrid = StoreConfig::Hybrid {
-            dir: dir.clone(),
-            bandwidth: None,
-            resident_blocks: 2,
-            masc: MascConfig::default(),
-        };
         let configs: Vec<(&str, StoreConfig)> = vec![
             (
                 "disk",
@@ -183,12 +176,16 @@ impl Oracle for StoreEquivalence {
                 },
             ),
             ("compressed", StoreConfig::Compressed(MascConfig::default())),
-            ("hybrid", hybrid.clone()),
             (
-                "pipelined-compressed",
-                StoreConfig::pipelined(StoreConfig::Compressed(MascConfig::default())),
+                "hybrid",
+                StoreConfig::Hybrid {
+                    dir: dir.clone(),
+                    bandwidth: None,
+                    // Forces most steps through the spill tier.
+                    resident_blocks: 2,
+                    masc: MascConfig::default(),
+                },
             ),
-            ("pipelined-hybrid", StoreConfig::pipelined(hybrid)),
         ];
         let result = (|| {
             for (name, config) in &configs {

@@ -4,11 +4,12 @@
 //! [`ResolvedJob`] — the deck is parsed and re-serialized through
 //! [`write_netlist`] so the cache key addresses deck *content*, not
 //! spelling. [`run_cold`] is [`masc_adjoint::run_adjoint`]'s own
-//! forward + reverse body ([`run_recorded`]) over an asynchronous
-//! [`PipelinedStore`] wrapped around a capturing [`CompressedStore`]
-//! (which hands the two sealed tensors back for caching). [`run_hit`]
-//! skips the forward pass entirely: the cached tensors replay newest-first
-//! through [`BackwardJacobians::from_tensors`] into the same
+//! forward + reverse body ([`run_recorded`]) over a capturing
+//! [`CompressedStore`], which compresses on the stepping thread like
+//! every other driver and hands the two sealed tensors back for caching
+//! (DESIGN.md §3.8). [`run_hit`] skips the forward pass entirely: the
+//! cached tensors replay newest-first through
+//! [`BackwardJacobians::from_tensors`] into the same
 //! [`adjoint_sensitivities`] loop, and the objective values come from the
 //! cached trajectory, so its [`TranStats`] stay at zero steps — the
 //! telemetry proof that the transient never ran.
@@ -25,7 +26,7 @@ use masc_adjoint::lanes::lock_ignoring_poison;
 use masc_adjoint::store::{StoreError, TensorLayout};
 use masc_adjoint::{
     adjoint_sensitivities, check_objective_steps, run_recorded, AdjointError, BackwardJacobians,
-    CompressedStore, ForwardRecord, Objective, PipelinedStore, StoreMetrics,
+    CompressedStore, ForwardRecord, Objective, StoreMetrics,
 };
 use masc_circuit::netlist::write_netlist;
 use masc_circuit::parser::parse_netlist;
@@ -191,14 +192,13 @@ fn elaborate_canonical(job: &ResolvedJob) -> Result<(Circuit, System), ServeErro
 }
 
 /// Runs the full pipeline for a cache miss: forward transient through a
-/// pipelined capturing store, reverse pass over its tensors, and the cache
-/// entry to persist.
+/// capturing compressed store, reverse pass over its tensors, and the
+/// cache entry to persist.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError`] if any pipeline stage fails; on error no cache
-/// entry is produced and the pipelined store's worker cleans up after
-/// itself.
+/// entry is produced.
 pub fn run_cold(
     job: &ResolvedJob,
     pool: &Mutex<WorkspacePool>,
@@ -211,8 +211,7 @@ pub fn run_cold(
         job.masc.clone(),
     );
     let slot = capture.capture();
-    let store = PipelinedStore::spawn_pool(Box::new(capture), 2, 2, 1);
-    let record = ForwardRecord::with_store(layout, Box::new(store));
+    let record = ForwardRecord::with_store(layout, Box::new(capture));
 
     let pattern = system.pattern.clone();
     let lu = lock_ignoring_poison(pool).checkout(&pattern);

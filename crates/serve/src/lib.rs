@@ -8,8 +8,8 @@
 //! by the *content* of the job: the canonical re-serialized netlist, the
 //! transient options, and the compression configuration.
 //!
-//! A cache miss runs the full forward transient through an asynchronous
-//! [`PipelinedStore`](masc_adjoint::PipelinedStore) and persists the two
+//! A cache miss runs the full forward transient through a capturing
+//! [`CompressedStore`](masc_adjoint::CompressedStore) and persists the two
 //! sealed tensors; a cache hit replays **only the reverse pass** — the
 //! tensors decode newest-first straight into an
 //! [`AdjointCursor`](masc_adjoint::AdjointCursor), the forward pass is

@@ -4,6 +4,10 @@
 
 #![allow(clippy::disallowed_methods)] // tests may unwrap/expect
 
+use masc_adjoint::{run_adjoint, StoreConfig};
+use masc_circuit::parser::parse_netlist;
+use masc_compress::MascConfig;
+use masc_serve::engine::resolve;
 use masc_serve::server::run_lines;
 use masc_serve::{JobRequest, ObjectiveSpec, ParamSelector, ServeConfig, ServeError, Server};
 use std::path::PathBuf;
@@ -91,6 +95,34 @@ fn hit_skips_forward_pass_and_is_bit_identical() {
     assert_eq!(m.inserts, 1);
     assert_eq!(server.cold_runs(), 1);
     assert_eq!(server.jobs(), 2);
+
+    // The cold path is the plain driver over the synchronous compressed
+    // store: same answer bit for bit, and exactly the bytes that store
+    // seals.
+    let masc = MascConfig::default();
+    let job = resolve(&req, &masc).expect("resolves");
+    let mut circuit = parse_netlist(&job.canonical_deck).expect("parses").circuit;
+    let plain = run_adjoint(
+        &mut circuit,
+        &job.tran,
+        &StoreConfig::Compressed(masc),
+        &job.objectives,
+        &job.params,
+    )
+    .expect("plain driver runs");
+    assert_eq!(
+        bits(&[cold.objective_values]),
+        bits(&[plain.objective_values])
+    );
+    assert_eq!(
+        bits(&cold.sensitivities),
+        bits(&plain.sensitivities.values),
+        "cold serve answer must be bit-identical to run_adjoint"
+    );
+    assert_eq!(
+        cold.store_metrics.bytes_written,
+        plain.store_metrics.bytes_written
+    );
 }
 
 #[test]

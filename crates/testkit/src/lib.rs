@@ -14,8 +14,8 @@
 //! - [`mod@bench`] — a warmup + median wall-clock timer standing in for
 //!   criterion, used by `crates/bench/benches/*`;
 //! - [`mod@sched`] — a deterministic interleaving explorer: seeded
-//!   schedule enumeration over instrumented mutex/condvar/channel shims,
-//!   with `MASC_SCHED_REPRO=<seed>` replay and preemption-trace shrinking,
+//!   schedule enumeration over instrumented mutex/condvar shims, with
+//!   `MASC_SCHED_REPRO=<seed>` replay and preemption-trace shrinking,
 //!   used by `masc-conform --model-check` to model-check the worker-pool
 //!   coordination cores.
 //!

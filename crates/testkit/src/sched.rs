@@ -1,5 +1,5 @@
 //! Deterministic interleaving explorer: a virtual scheduler over
-//! instrumented mutex/condvar/channel shims.
+//! instrumented mutex/condvar shims.
 //!
 //! The R6–R8 lint rules (masc-lint) police concurrency discipline
 //! *statically*; this module backs them *dynamically*. A model — a small
@@ -11,8 +11,8 @@
 //!   is a scheduling point where a seeded PCG32 choice picks the next
 //!   runnable thread (bounded by a **preemption budget**, which is what
 //!   makes enumeration tractable);
-//! - blocking is virtual: a thread waiting on a mutex, condvar, channel,
-//!   or [`Sched::join_all`] is simply not schedulable until the
+//! - blocking is virtual: a thread waiting on a mutex, condvar, or
+//!   [`Sched::join_all`] is simply not schedulable until the
 //!   corresponding wake arrives. **If every live thread is blocked, the
 //!   schedule deadlocked** — which is exactly how a lost wakeup
 //!   manifests — and the explorer reports it with the schedule seed;
@@ -56,7 +56,6 @@
 //! ```
 
 use crate::rng::Rng;
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -519,27 +518,6 @@ impl Sched {
             })),
         }
     }
-
-    /// Creates an instrumented bounded channel with capacity `cap`.
-    pub fn channel<T: Send>(&self, cap: usize) -> (Sender<T>, Receiver<T>) {
-        let core = Arc::new(ChannelCore {
-            kernel: Arc::clone(&self.kernel),
-            state: OsMutex::new(ChannelState {
-                queue: VecDeque::new(),
-                cap: cap.max(1),
-                senders: 1,
-                rx_alive: true,
-                send_waiters: Vec::new(),
-                recv_waiters: Vec::new(),
-            }),
-        });
-        (
-            Sender {
-                core: Arc::clone(&core),
-            },
-            Receiver { core },
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -718,186 +696,6 @@ impl CondvarShim {
             self.kernel.cv.notify_all();
         }
         self.kernel.yield_now();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bounded channel shim
-
-struct ChannelState<T> {
-    queue: VecDeque<T>,
-    cap: usize,
-    senders: usize,
-    rx_alive: bool,
-    send_waiters: Vec<usize>,
-    recv_waiters: Vec<usize>,
-}
-
-struct ChannelCore<T> {
-    kernel: Arc<Kernel>,
-    state: OsMutex<ChannelState<T>>,
-}
-
-impl<T> ChannelCore<T> {
-    fn wake(&self, waiters: Vec<usize>) {
-        if waiters.is_empty() {
-            return;
-        }
-        let mut st = self.kernel.lock_state();
-        for w in waiters {
-            Kernel::unpark(&mut st, w);
-        }
-        self.kernel.cv.notify_all();
-    }
-}
-
-/// Sending half of an instrumented bounded channel.
-pub struct Sender<T> {
-    core: Arc<ChannelCore<T>>,
-}
-
-/// Receiving half of an instrumented bounded channel.
-pub struct Receiver<T> {
-    core: Arc<ChannelCore<T>>,
-}
-
-/// Error returned by [`Sender::send`] when the receiver is gone; carries
-/// the unsent value like [`std::sync::mpsc::SendError`].
-#[derive(Debug, PartialEq, Eq)]
-pub struct SendError<T>(pub T);
-
-/// Error returned by [`Receiver::recv`] when the channel is empty and
-/// every sender is gone.
-#[derive(Debug, PartialEq, Eq)]
-pub struct RecvError;
-
-impl<T: Send> Sender<T> {
-    /// Sends `value`, virtually blocking while the channel is full.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SendError`] with the value when the receiver is gone.
-    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let tid = TID.with(|c| c.get());
-        self.core.kernel.yield_now();
-        let mut slot = Some(value);
-        loop {
-            let wake = {
-                let mut cs = self
-                    .core
-                    .state
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                if !cs.rx_alive {
-                    return Err(SendError(slot.take().expect("value present")));
-                }
-                if cs.queue.len() < cs.cap {
-                    cs.queue.push_back(slot.take().expect("value present"));
-                    cs.recv_waiters.drain(..).collect()
-                } else {
-                    if !cs.send_waiters.contains(&tid) {
-                        cs.send_waiters.push(tid);
-                    }
-                    Vec::new()
-                }
-            };
-            if slot.is_none() {
-                self.core.wake(wake);
-                return Ok(());
-            }
-            // Queue full and the value is still ours; park until space.
-            self.core.kernel.park();
-        }
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        {
-            let mut cs = self
-                .core
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            cs.senders += 1;
-        }
-        Sender {
-            core: Arc::clone(&self.core),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let wake = {
-            let mut cs = self
-                .core
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            cs.senders -= 1;
-            if cs.senders == 0 {
-                cs.recv_waiters.drain(..).collect()
-            } else {
-                Vec::new()
-            }
-        };
-        self.core.wake(wake);
-    }
-}
-
-impl<T: Send> Receiver<T> {
-    /// Receives a value, virtually blocking while the channel is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecvError`] once the channel is empty and every sender
-    /// has been dropped.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        let tid = TID.with(|c| c.get());
-        self.core.kernel.yield_now();
-        loop {
-            let (got, wake) = {
-                let mut cs = self
-                    .core
-                    .state
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                if let Some(v) = cs.queue.pop_front() {
-                    let wake: Vec<usize> = cs.send_waiters.drain(..).collect();
-                    (Some(Ok(v)), wake)
-                } else if cs.senders == 0 {
-                    (Some(Err(RecvError)), Vec::new())
-                } else {
-                    if !cs.recv_waiters.contains(&tid) {
-                        cs.recv_waiters.push(tid);
-                    }
-                    (None, Vec::new())
-                }
-            };
-            match got {
-                Some(r) => {
-                    self.core.wake(wake);
-                    return r;
-                }
-                None => self.core.kernel.park(),
-            }
-        }
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        let wake = {
-            let mut cs = self
-                .core
-                .state
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            cs.rx_alive = false;
-            cs.send_waiters.drain(..).collect()
-        };
-        self.core.wake(wake);
     }
 }
 

@@ -146,62 +146,6 @@ fn lost_wakeup_is_found_shrunk_and_seed_replayable() {
 }
 
 #[test]
-fn channel_transfers_everything_in_order() {
-    let report = small_explorer().explore(|s| {
-        let (tx, rx) = s.channel::<u32>(2);
-        s.spawn(move || {
-            for i in 0..5 {
-                tx.send(i).expect("receiver alive");
-            }
-            // Sender dropped here ends the stream.
-        });
-        let mut got = Vec::new();
-        while let Ok(v) = rx.recv() {
-            got.push(v);
-        }
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        s.join_all();
-    });
-    assert!(report.failure.is_none(), "unexpected: {:?}", report.failure);
-}
-
-#[test]
-fn channel_send_errors_after_receiver_drop() {
-    let report = small_explorer().explore(|s| {
-        let (tx, rx) = s.channel::<u8>(1);
-        drop(rx);
-        let err = tx.send(7).expect_err("receiver is gone");
-        assert_eq!(err.0, 7);
-        s.join_all();
-    });
-    assert!(report.failure.is_none(), "unexpected: {:?}", report.failure);
-}
-
-#[test]
-fn bounded_channel_blocks_producer_until_drained() {
-    // Capacity-1 rendezvous: producer outpaces consumer; both finish on
-    // every schedule and the consumer sees every item.
-    let report = small_explorer().explore(|s| {
-        let (tx, rx) = s.channel::<u32>(1);
-        let seen = s.mutex(Vec::new());
-        let seen2 = seen.clone();
-        s.spawn(move || {
-            while let Ok(v) = rx.recv() {
-                seen2.lock().push(v);
-            }
-        });
-        for i in 0..4 {
-            tx.send(i).expect("receiver alive");
-        }
-        drop(tx);
-        s.join_all();
-        let got = seen.lock().clone();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-    });
-    assert!(report.failure.is_none(), "unexpected: {:?}", report.failure);
-}
-
-#[test]
 fn exploration_is_deterministic_across_runs() {
     // Two full explorations of the same failing model agree on the
     // failing seed and the minimized trace.

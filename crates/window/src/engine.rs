@@ -126,11 +126,6 @@ fn fine_run(
             })?;
         states.push(x.clone());
     }
-    record.on_finish().map_err(|source| WindowError::Sink {
-        window: k,
-        step: span.end,
-        source,
-    })?;
     // Sealing fills the capture slot; the reader itself is not needed.
     drop(record.into_reader()?);
     let pair = lock_ignoring_poison(&slot)

@@ -23,8 +23,8 @@ run cargo test -q --offline -p masc-testkit --test sched -- --test-threads=1
 run cargo test -q --offline --workspace
 run cargo run -q --offline --release -p masc-conform -- --budget 30 --seed 4
 # Model-check gate: the deterministic interleaving explorer sweeps the
-# worker-pool coordination models (serve queue close + single-flight,
-# pipelined commit order, window dirty sweep) under a wall-clock budget.
+# three worker-pool coordination models (serve queue close, serve
+# single-flight, window dirty sweep) under a wall-clock budget.
 # It prints schedules-explored per model; on failure it prints the
 # minimized preemption trace and a MASC_SCHED_REPRO seed to replay the
 # exact schedule.
@@ -53,5 +53,10 @@ run cargo run -q --offline --release -p masc-bench --bin window -- \
 # Serve protocol smoke: pipe a miss, a hit, and a shutdown through the
 # real binary and check the wire answers.
 run scripts/serve_smoke.sh
+# The driver's frozen harness: build it against this tree and run its own
+# gate (fmt, clippy, unit tests, bitwise-verified --quick run + trace on
+# all seven workloads, BENCHMARK.json name check), so a PR that removes a
+# public item the harness imports fails here, not after merge.
+run benchmark/check.sh
 
 echo "==> ci: all checks passed"

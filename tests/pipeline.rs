@@ -253,51 +253,6 @@ fn rc_ladder_end_to_end() {
             param.path
         );
     }
-
-    // 5. The asynchronous pipelined hybrid (worker-thread compression +
-    //    spill, prefetched reverse pass) must reproduce the synchronous
-    //    hybrid's gradients *bit-for-bit*, stay within the same
-    //    finite-difference tolerance, and report its async telemetry.
-    let piped = run_adjoint(
-        &mut circuit,
-        &tran,
-        &StoreConfig::pipelined(StoreConfig::Hybrid {
-            dir: std::env::temp_dir().join("masc-pipeline"),
-            bandwidth: None,
-            resident_blocks: 4,
-            masc: MascConfig::default(),
-        }),
-        &objectives,
-        &picked,
-    )
-    .expect("pipelined adjoint runs");
-    for (j, param) in picked.iter().enumerate() {
-        let a = piped.sensitivities.values[0][j];
-        let s = hybrid.sensitivities.values[0][j];
-        assert_eq!(
-            a.to_bits(),
-            s.to_bits(),
-            "{}: pipelined {a:e} vs sync hybrid {s:e}",
-            param.path
-        );
-        let fd = finite_difference(&circuit, &tran, &objectives[0], param, 1e-5).expect("fd runs");
-        let scale = a.abs().max(fd.abs()).max(1e-15);
-        assert!(
-            (a - fd).abs() / scale < 1e-6,
-            "{}: pipelined adjoint {a:e} vs fd {fd:e}",
-            param.path
-        );
-    }
-    let m = &piped.store_metrics;
-    assert_eq!(
-        m.bytes_written, hybrid.store_metrics.bytes_written,
-        "the pipeline must not change the compressed stream size"
-    );
-    assert!(
-        m.prefetch_hits + m.prefetch_misses > 0,
-        "every reverse fetch is classified as prefetch hit or miss"
-    );
-    assert!(m.max_queue_depth >= 1, "the put queue was exercised");
 }
 
 /// Store choice does not change results even with Markov + parallel chunks.
