@@ -173,17 +173,117 @@ pub fn adjoint_sensitivities(
     Ok(result)
 }
 
+/// `∂f/∂p`, `∂q/∂p` and `∂b/∂p` of every parameter at one state, packed
+/// over each parameter's support (see [`ParamSupports`]).
+#[derive(Clone)]
+struct PackedDerivs {
+    df: Vec<f64>,
+    dq: Vec<f64>,
+    db: Vec<f64>,
+}
+
+impl PackedDerivs {
+    fn zeros(len: usize) -> Self {
+        Self {
+            df: vec![0.0; len],
+            dq: vec![0.0; len],
+            db: vec![0.0; len],
+        }
+    }
+}
+
+/// Where each parameter's derivatives can be non-zero, plus the one dense
+/// scratch triple every parameter is stamped into.
+///
+/// Parameter derivatives are device-local: parameter `j` touches only the
+/// rows `rows[offsets[j]..offsets[j + 1]]` — its device's unknowns, ground
+/// dropped and each row listed once, in order of first occurrence. The
+/// pattern is found once per cursor; each step only refills values, so a
+/// pool costs `O(Σ|support|)` rather than `O(n · n_par)`.
+struct ParamSupports {
+    rows: Vec<usize>,
+    offsets: Vec<usize>,
+    df: Vec<f64>,
+    dq: Vec<f64>,
+    db: Vec<f64>,
+}
+
+impl ParamSupports {
+    fn new(circuit: &Circuit, params: &[ParamRef], n: usize) -> Self {
+        let mut rows = Vec::new();
+        let mut offsets = Vec::with_capacity(params.len() + 1);
+        offsets.push(0);
+        for p in params {
+            let start = rows.len();
+            // A device with two terminals on one node (a diode-connected
+            // MOSFET) lists that node twice; counting it once is what keeps
+            // its gradient from being summed twice.
+            for r in circuit.devices()[p.device].unknowns().into_iter().flatten() {
+                if !rows[start..].contains(&r) {
+                    rows.push(r);
+                }
+            }
+            offsets.push(rows.len());
+        }
+        Self {
+            rows,
+            offsets,
+            df: vec![0.0; n],
+            dq: vec![0.0; n],
+            db: vec![0.0; n],
+        }
+    }
+
+    /// The packed index range of parameter `j`.
+    fn span(&self, j: usize) -> std::ops::Range<usize> {
+        self.offsets[j]..self.offsets[j + 1]
+    }
+
+    /// Stamps every parameter's derivatives at `(x, t)` into the scratch,
+    /// gathers its support into `out` and re-zeroes what it gathered.
+    ///
+    /// Correct only because a device stamps nothing outside its
+    /// `unknowns()`; the circuit crate's property tests pin that.
+    fn refill(
+        &mut self,
+        system: &System,
+        circuit: &Circuit,
+        params: &[ParamRef],
+        x: &[f64],
+        t: f64,
+        out: &mut PackedDerivs,
+    ) {
+        for (j, p) in params.iter().enumerate() {
+            system.param_deriv_sparse_into(
+                circuit,
+                p,
+                x,
+                t,
+                &mut self.df,
+                &mut self.dq,
+                &mut self.db,
+            );
+            for k in self.span(j) {
+                let r = self.rows[k];
+                out.df[k] = std::mem::take(&mut self.df[r]);
+                out.dq[k] = std::mem::take(&mut self.dq[r]);
+                out.db[k] = std::mem::take(&mut self.db[r]);
+            }
+        }
+    }
+}
+
 /// The per-step reverse-recursion engine behind [`adjoint_sensitivities`].
 ///
 /// A cursor owns everything one adjoint pass accumulates — the deferred
-/// `C_{n-1}^T w_n / h_n` update, per-parameter derivative pools, the LU
-/// workspace whose symbolic analysis is shared across all reverse steps,
-/// and the running `dO/dp` matrix — while the *source* of each step's
-/// matrices stays with the caller. [`adjoint_sensitivities`] feeds it from
-/// a [`BackwardJacobians`] reader; `masc-sweep` feeds N cursors from the
-/// per-timestep super-tensor blocks it decodes. Both drive the identical
-/// arithmetic, which is what makes sweep results bit-comparable to
-/// independent single runs.
+/// `C_{n-1}^T w_n / h_n` update, per-parameter derivatives packed over each
+/// parameter's support, the LU workspace whose symbolic analysis is shared
+/// across all reverse steps, and the running `dO/dp` matrix — while the
+/// *source* of each step's matrices stays with the caller.
+/// [`adjoint_sensitivities`] feeds it from a [`BackwardJacobians`] reader;
+/// `masc-sweep` feeds N cursors from the per-timestep super-tensor blocks
+/// it decodes. Both drive the identical arithmetic, which is what makes
+/// sweep results bit-comparable to independent single runs.
 ///
 /// Feed steps in strictly descending order (`n_steps` down to `0`) via
 /// [`offer`], then call [`finish`].
@@ -210,13 +310,14 @@ pub struct AdjointCursor<'a> {
     /// state allocates nothing per step.
     w_free: Vec<Vec<f64>>,
     w_spare: Vec<Vec<f64>>,
-    pool_here: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)>,
-    pool_prev: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)>,
+    supports: ParamSupports,
+    pool_here: PackedDerivs,
+    pool_prev: PackedDerivs,
     here_valid: bool,
     grad: Vec<f64>,
     v: Vec<f64>,
+    ct_w: Vec<f64>,
     solve_work: Vec<f64>,
-    supports: Vec<Vec<usize>>,
 }
 
 impl<'a> AdjointCursor<'a> {
@@ -251,24 +352,8 @@ impl<'a> AdjointCursor<'a> {
     ) -> Self {
         let n = system.n;
         let n_par = params.len();
-        // Parameter derivatives are device-local: precompute each
-        // parameter's support (the unknowns its device touches) so the phi
-        // dot products and scratch clearing cost O(device size), not O(n) —
-        // with hundreds of parameters the dense path would dominate the
-        // whole reverse pass.
-        let supports: Vec<Vec<usize>> = params
-            .iter()
-            .map(|p| {
-                circuit.devices()[p.device]
-                    .unknowns()
-                    .into_iter()
-                    .flatten()
-                    .collect()
-            })
-            .collect();
-        let pool_here: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = (0..n_par)
-            .map(|_| (vec![0.0; n], vec![0.0; n], vec![0.0; n]))
-            .collect();
+        let supports = ParamSupports::new(circuit, params, n);
+        let pool_here = PackedDerivs::zeros(supports.rows.len());
         Self {
             circuit,
             meta,
@@ -287,13 +372,14 @@ impl<'a> AdjointCursor<'a> {
             pending_h: 0.0,
             w_free: Vec::new(),
             w_spare: Vec::new(),
+            supports,
             pool_prev: pool_here.clone(),
             pool_here,
             here_valid: false,
             grad: vec![0.0f64; n],
             v: vec![0.0f64; n],
+            ct_w: vec![0.0f64; n],
             solve_work: Vec::new(),
-            supports,
         }
     }
 
@@ -331,15 +417,8 @@ impl<'a> AdjointCursor<'a> {
         // by the newer step's iteration, or computed fresh on the first.
         let t0 = Instant::now();
         if !self.here_valid {
-            for (j, p) in self.params.iter().enumerate() {
-                let (df, dq, db) = &mut self.pool_here[j];
-                for &r in &self.supports[j] {
-                    df[r] = 0.0;
-                    dq[r] = 0.0;
-                    db[r] = 0.0;
-                }
-                system.param_deriv_sparse_into(self.circuit, p, x, t, df, dq, db);
-            }
+            self.supports
+                .refill(system, self.circuit, self.params, x, t, &mut self.pool_here);
             self.here_valid = true;
         }
         // Derivatives at the predecessor state (consumed as dq_{n-1} now,
@@ -347,15 +426,14 @@ impl<'a> AdjointCursor<'a> {
         if step > 0 {
             let xp = &meta.states[step - 1];
             let tp = meta.times[step - 1];
-            for (j, p) in self.params.iter().enumerate() {
-                let (df, dq, db) = &mut self.pool_prev[j];
-                for &r in &self.supports[j] {
-                    df[r] = 0.0;
-                    dq[r] = 0.0;
-                    db[r] = 0.0;
-                }
-                system.param_deriv_sparse_into(self.circuit, p, xp, tp, df, dq, db);
-            }
+            self.supports.refill(
+                system,
+                self.circuit,
+                self.params,
+                xp,
+                tp,
+                &mut self.pool_prev,
+            );
         }
         self.stats.param_time += t0.elapsed();
 
@@ -382,8 +460,8 @@ impl<'a> AdjointCursor<'a> {
             objective.gradient_into(step, self.n_steps, meta.hs[step], x, &mut self.grad);
             self.v.copy_from_slice(&self.grad);
             if let Some(ws) = &self.pending_w {
-                let ct_w = self.c_mat.mul_vec_transpose(&ws[i]);
-                for (vi, ci) in self.v.iter_mut().zip(&ct_w) {
+                self.c_mat.mul_vec_transpose_into(&ws[i], &mut self.ct_w);
+                for (vi, ci) in self.v.iter_mut().zip(&self.ct_w) {
                     *vi += ci / self.pending_h;
                 }
             }
@@ -392,20 +470,20 @@ impl<'a> AdjointCursor<'a> {
             // Accumulate -w^T phi(p), summing only over each parameter's
             // support.
             let h = meta.hs[step];
-            for (j, (df, dq, db)) in self.pool_here.iter().enumerate() {
+            let (here, prev, rows) = (&self.pool_here, &self.pool_prev, &self.supports.rows);
+            for (j, dodp) in self.dodp[i].iter_mut().enumerate() {
                 let mut acc = 0.0;
                 if step > 0 {
-                    let dq_prev = &self.pool_prev[j].1;
-                    for &r in &self.supports[j] {
-                        let phi = (dq[r] - dq_prev[r]) / h + df[r] + db[r];
-                        acc += w[r] * phi;
+                    for k in self.supports.span(j) {
+                        let phi = (here.dq[k] - prev.dq[k]) / h + here.df[k] + here.db[k];
+                        acc += w[rows[k]] * phi;
                     }
                 } else {
-                    for &r in &self.supports[j] {
-                        acc += w[r] * (df[r] + db[r]);
+                    for k in self.supports.span(j) {
+                        acc += w[rows[k]] * (here.df[k] + here.db[k]);
                     }
                 }
-                self.dodp[i][j] -= acc;
+                *dodp -= acc;
             }
             w_now.push(w);
         }

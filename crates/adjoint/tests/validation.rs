@@ -56,6 +56,17 @@ fn mos_netlist() -> &'static str {
      .end"
 }
 
+/// A diode-connected NMOS (drain and gate on one node, as in every current
+/// mirror) under a resistor pull-up: the device lists node `out` twice.
+fn diode_connected_mos_netlist() -> &'static str {
+    "VDD vdd 0 PULSE(1.5 3.3 100n 50n 50n 400n 1u)\n\
+     RL vdd out 10k\n\
+     M1 out out 0 NMOS KP=2e-4 VT0=0.7 CGS=10f CGD=5f\n\
+     C1 out 0 20f\n\
+     .tran 5n 1u\n\
+     .end"
+}
+
 struct Case {
     netlist: &'static str,
     observe: &'static str,
@@ -87,6 +98,12 @@ fn cases() -> Vec<Case> {
             netlist: mos_netlist(),
             observe: "out",
             params: &["RL.r", "M1.kp", "M1.vt0"],
+            fd_tolerance: 1e-2,
+        },
+        Case {
+            netlist: diode_connected_mos_netlist(),
+            observe: "out",
+            params: &["M1.kp", "M1.vt0", "M1.cgs", "RL.r"],
             fd_tolerance: 1e-2,
         },
     ]

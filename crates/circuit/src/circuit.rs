@@ -401,10 +401,12 @@ impl System {
     }
 
     /// Like [`System::param_deriv_into`] but without clearing the buffers:
-    /// the caller guarantees every entry in the parameter's device support
-    /// is already zero (e.g. cleared selectively). This keeps per-parameter
-    /// cost proportional to the device size instead of the system size —
-    /// essential when sweeping hundreds of parameters per step.
+    /// the caller guarantees every row in the device's
+    /// [`unknowns`](crate::devices::Device::unknowns) is zero on entry, and
+    /// only those rows are written. A caller can therefore reuse one dense
+    /// scratch triple for every parameter — stamp, read the device's rows,
+    /// zero them again — at a per-parameter cost proportional to the device
+    /// size instead of the system size.
     ///
     /// # Panics
     ///

@@ -1,11 +1,13 @@
 //! Property tests on simulator physics invariants (masc-testkit).
 
 use masc_circuit::devices::{
-    Capacitor, CurrentSource, Device, Diode, Resistor, Vccs, VoltageSource,
+    Bjt, BjtPolarity, Capacitor, CurrentSource, Device, Diode, Inductor, MosPolarity, Mosfet,
+    Resistor, Vccs, Vcvs, VoltageSource,
 };
 use masc_circuit::transient::{transient, NullSink, TranOptions};
 use masc_circuit::{Circuit, Waveform};
 use masc_testkit::gen::{self, Gen};
+use masc_testkit::rng::Rng;
 use masc_testkit::{prop, prop_assert};
 
 /// Builds a random multi-device circuit over 6 nodes. Every node gets a
@@ -91,6 +93,86 @@ fn circuits() -> impl Gen<Value = Circuit> {
     })
 }
 
+/// One device of every kind over four nodes plus ground. Terminals are
+/// drawn independently, so ground terminals and two terminals on one node
+/// (a diode-connected MOSFET) both occur.
+fn every_device_kind() -> impl Gen<Value = Circuit> {
+    gen::from_fn(|rng| {
+        let mut ckt = Circuit::new();
+        let pick = |ckt: &mut Circuit, rng: &mut Rng| match rng.range_usize(0, 5) {
+            0 => None,
+            i => ckt.node(&format!("n{i}")).unknown(),
+        };
+        let wave = Waveform::Sin {
+            vo: 0.3,
+            va: 1.0,
+            freq: 1e6,
+            td: 0.0,
+            theta: 0.0,
+        };
+        let mut devices = Vec::new();
+        let (a, b) = (pick(&mut ckt, rng), pick(&mut ckt, rng));
+        devices.push(Device::Resistor(Resistor::new("R1", a, b, 1e3)));
+        let (a, b) = (pick(&mut ckt, rng), pick(&mut ckt, rng));
+        devices.push(Device::Capacitor(Capacitor::new("C1", a, b, 1e-12)));
+        let (a, b) = (pick(&mut ckt, rng), pick(&mut ckt, rng));
+        devices.push(Device::Inductor(Inductor::new("L1", a, b, 1e-6)));
+        let (a, b) = (pick(&mut ckt, rng), pick(&mut ckt, rng));
+        devices.push(Device::VoltageSource(VoltageSource::new(
+            "V1",
+            a,
+            b,
+            wave.clone(),
+        )));
+        let (a, b) = (pick(&mut ckt, rng), pick(&mut ckt, rng));
+        devices.push(Device::CurrentSource(CurrentSource::new("I1", a, b, wave)));
+        let (a, b) = (pick(&mut ckt, rng), pick(&mut ckt, rng));
+        devices.push(Device::Diode(
+            Diode::new("D1", a, b).with_junction_cap(1e-12),
+        ));
+        for (name, polarity) in [("MN", MosPolarity::Nmos), ("MP", MosPolarity::Pmos)] {
+            let (d, g, s) = (
+                pick(&mut ckt, rng),
+                pick(&mut ckt, rng),
+                pick(&mut ckt, rng),
+            );
+            devices.push(Device::Mosfet(
+                Mosfet::new(name, d, g, s, polarity).with_gate_caps(1e-15, 0.5e-15),
+            ));
+        }
+        for (name, polarity) in [("QN", BjtPolarity::Npn), ("QP", BjtPolarity::Pnp)] {
+            let (c, b, e) = (
+                pick(&mut ckt, rng),
+                pick(&mut ckt, rng),
+                pick(&mut ckt, rng),
+            );
+            devices.push(Device::Bjt(
+                Bjt::new(name, c, b, e)
+                    .with_transit_times(1e-9, 1e-8)
+                    .with_polarity(polarity),
+            ));
+        }
+        let (a, b, cp, cn) = (
+            pick(&mut ckt, rng),
+            pick(&mut ckt, rng),
+            pick(&mut ckt, rng),
+            pick(&mut ckt, rng),
+        );
+        devices.push(Device::Vccs(Vccs::new("G1", a, b, cp, cn, 1e-3)));
+        let (a, b, cp, cn) = (
+            pick(&mut ckt, rng),
+            pick(&mut ckt, rng),
+            pick(&mut ckt, rng),
+            pick(&mut ckt, rng),
+        );
+        devices.push(Device::Vcvs(Vcvs::new("E1", a, b, cp, cn, 2.0)));
+        for device in devices {
+            ckt.add(device).expect("unique names");
+        }
+        ckt
+    })
+}
+
 prop! {
     #![cases = 24]
 
@@ -152,6 +234,29 @@ prop! {
         prop_assert!(rel(ev.q[0], ev.q[1]), "q: {} vs {}", ev.q[0], ev.q[1]);
         prop_assert!(rel(ev.f[0], ev.f[1]), "f: {} vs {}", ev.f[0], ev.f[1]);
         prop_assert!(rel(ev.b[0], ev.b[1]), "b: {} vs {}", ev.b[0], ev.b[1]);
+    }
+
+    /// A parameter derivative lands only on its device's own unknowns.
+    /// The adjoint cursor relies on this: it stamps every parameter into
+    /// one shared scratch and re-zeroes just those rows afterwards.
+    /// Voltages span both signs, so MOSFETs run with `Vds < 0` too.
+    fn param_derivs_stay_on_device_unknowns(mut ckt in every_device_kind(),
+                                            voltages in gen::vecs(gen::range_f64(-5.0, 5.0), 12..13),
+                                            t in gen::range_f64(0.0, 2e-6)) {
+        let sys = ckt.elaborate().expect("elaborates");
+        let x: Vec<f64> = voltages.iter().copied().cycle().take(sys.n).collect();
+        let (mut df, mut dq, mut db) = (vec![0.0; sys.n], vec![0.0; sys.n], vec![0.0; sys.n]);
+        for p in ckt.params() {
+            sys.param_deriv_into(&ckt, &p, &x, t, &mut df, &mut dq, &mut db);
+            let own: Vec<usize> = ckt.devices()[p.device].unknowns().into_iter().flatten().collect();
+            for r in (0..sys.n).filter(|r| !own.contains(r)) {
+                prop_assert!(
+                    df[r] == 0.0 && dq[r] == 0.0 && db[r] == 0.0,
+                    "{} writes row {r} outside its unknowns {own:?}: df {} dq {} db {}",
+                    p.path, df[r], dq[r], db[r]
+                );
+            }
+        }
     }
 
     /// Every deck from the testkit netlist generator parses and elaborates.

@@ -131,8 +131,22 @@ impl CsrMatrix {
     ///
     /// Panics if `x.len() != rows`.
     pub fn mul_vec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows(), "mul_vec_transpose dimension mismatch");
         let mut y = vec![0.0; self.cols()];
+        self.mul_vec_transpose_into(x, &mut y);
+        y
+    }
+
+    /// [`CsrMatrix::mul_vec_transpose`] into a caller-owned buffer: `y` is
+    /// zeroed, then accumulated in the same order, so the result is
+    /// bit-identical to the allocating form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != rows` or `y.len() != cols`.
+    pub fn mul_vec_transpose_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.rows(), "mul_vec_transpose dimension mismatch");
+        assert_eq!(y.len(), self.cols(), "mul_vec_transpose output mismatch");
+        y.fill(0.0);
         let rp = self.pattern.row_ptr();
         let ci = self.pattern.col_idx();
         for r in 0..self.rows() {
@@ -144,7 +158,6 @@ impl CsrMatrix {
                 y[ci[k]] += self.values[k] * xr;
             }
         }
-        y
     }
 
     /// In-place `self += alpha * other` for matrices sharing one pattern.

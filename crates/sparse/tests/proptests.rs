@@ -147,6 +147,25 @@ prop! {
         let rhs: f64 = atx.iter().zip(&y).map(|(p, q)| p * q).sum();
         prop_assert!((lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()));
     }
+
+    fn mul_vec_transpose_into_matches_allocating_form(a in matrices(10)) {
+        // Zero entries of x exercise the skipped rows; the buffer starts
+        // dirty (NaN, -0.0, huge) and is reused for a second product.
+        let n = a.rows();
+        let mut y: Vec<f64> = (0..a.cols())
+            .map(|i| [f64::NAN, -0.0, 1e300][i % 3])
+            .collect();
+        for shift in [0.0, 0.7] {
+            let x: Vec<f64> = (0..n)
+                .map(|i| if i % 4 == 1 { 0.0 } else { (i as f64 * 0.61 + shift).sin() })
+                .collect();
+            let fresh = a.mul_vec_transpose(&x);
+            a.mul_vec_transpose_into(&x, &mut y);
+            for (f, b) in fresh.iter().zip(&y) {
+                prop_assert_eq!(f.to_bits(), b.to_bits());
+            }
+        }
+    }
 }
 
 /// Matrix sizes the random sweep keeps fixed: make sure the smallest cases

@@ -17,7 +17,9 @@
 //!   schedule enumeration over instrumented mutex/condvar shims, with
 //!   `MASC_SCHED_REPRO=<seed>` replay and preemption-trace shrinking,
 //!   used by `masc-conform --model-check` to model-check the worker-pool
-//!   coordination cores.
+//!   coordination cores;
+//! - [`mod@alloc`] — a counting global allocator for memory assertions
+//!   against heap truth, installed only in single-test binaries.
 //!
 //! # Examples
 //!
@@ -35,9 +37,13 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
+// `alloc` implements `GlobalAlloc`, which cannot be done without `unsafe`;
+// everything else stays free of it.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[allow(unsafe_code)]
+pub mod alloc;
 pub mod bench;
 pub mod gen;
 pub mod prop;

@@ -1,0 +1,60 @@
+#!/usr/bin/env bash
+# Appends one row to the benchmark trajectory.
+#
+# Runs the frozen harness in its one-workload form
+# (`--workload W --seed N --seconds S --trace 0`) on all seven workloads
+# of BENCHMARK.json and appends one JSON line to
+# results/benchmark_history.jsonl: the commit, the core count, the seed
+# and, per workload, solve_s, peak_rss_mb, compress_ratio and the number
+# of failed jobs. Rows are only ever appended, so the file is the
+# trajectory the numbers took from commit to commit.
+#
+# usage: scripts/bench_history.sh [--seed N] [--seconds S]
+#
+# The commit is `git describe --always --dirty`, so run it on a committed
+# tree: a row measured on uncommitted changes carries a `-dirty` suffix.
+# Takes about 7 × (S + 10) seconds.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+seed=1
+seconds=10
+out=results/benchmark_history.jsonl
+usage="usage: $0 [--seed N] [--seconds S]"
+while [[ $# -gt 0 ]]; do
+    [[ $# -ge 2 ]] || { echo "$usage" >&2; exit 2; }
+    case "$1" in
+        --seed) seed=$2 ;;
+        --seconds) seconds=$2 ;;
+        *) echo "$usage" >&2; exit 2 ;;
+    esac
+    shift 2
+done
+commit=$(git describe --always --dirty 2>/dev/null || echo unknown)
+
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+bin=benchmark/target/release/masc-benchmark
+
+# metric NAME LINE: the "value" of metric NAME in a result line, or null.
+metric() {
+    local v
+    v=$(grep -o "\"$1\": {[^}]*}" <<<"$2" | grep -o '"value": [^,}]*' | cut -d' ' -f2 || true)
+    echo "${v:-null}"
+}
+
+workloads=(mos_chain rc_mesh ram_fanout tensor_codec sweep_batch window_pit serve_replay)
+body=""
+for w in "${workloads[@]}"; do
+    echo "==> $w" >&2
+    # A run whose verification fails exits non-zero but still prints its
+    # result line; record it rather than stop.
+    line=$("$bin" --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1) || true
+    failed=$(grep -o '"failed": [0-9.]*' <<<"$line" | cut -d' ' -f2 || true)
+    body+="${body:+, }\"$w\": {\"solve_s\": $(metric solve_s "$line"), \
+\"peak_rss_mb\": $(metric peak_rss_mb "$line"), \
+\"compress_ratio\": $(metric compress_ratio "$line"), \"failed\": ${failed:-null}}"
+done
+
+printf '{"commit": "%s", "nproc": %s, "seed": %s, "seconds": %s, "workloads": {%s}}\n' \
+    "$commit" "$(nproc)" "$seed" "$seconds" "$body" >>"$out"
+echo "appended a row for $commit to $out" >&2
