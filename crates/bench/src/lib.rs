@@ -17,13 +17,9 @@ pub mod fig1;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod scaling;
-pub mod serve;
-pub mod sweep;
 pub mod table1;
 pub mod table2;
 pub mod table3;
-pub mod window;
 
 /// Parses a `--scale <f64>` / `--scale=<f64>` argument (default `default`).
 pub fn parse_scale(args: &[String], default: f64) -> f64 {

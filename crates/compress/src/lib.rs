@@ -72,7 +72,7 @@ pub use config::MascConfig;
 pub use matrix::{compress_matrix, decompress_matrix};
 pub use parallel::{
     compress_matrix_cross, compress_matrix_parallel, compress_matrix_seeded,
-    decompress_matrix_parallel, profile_matrix, MatrixProfile,
+    decompress_matrix_parallel,
 };
 pub use predictor::{Region, StampMaps};
 pub use stats::{CompressStats, ModelClass};

@@ -32,7 +32,6 @@ use crate::predictor::StampMaps;
 use crate::stats::CompressStats;
 use crate::CompressError;
 use masc_bitio::{varint, BitWriter};
-use std::time::{Duration, Instant};
 
 /// Splits `0..nnz` into `chunk_size` ranges.
 fn chunk_ranges(nnz: usize, chunk_size: usize) -> Vec<core::ops::Range<usize>> {
@@ -455,109 +454,6 @@ pub fn decompress_matrix_parallel(
     decompress_chunked_v2(bytes, reference, maps, config, &header)
 }
 
-/// Per-chunk wall timings of one compress + decompress cycle.
-///
-/// Every chunk is executed *serially* and timed individually, so the
-/// numbers describe the true parallel work distribution independent of how
-/// many cores the measuring host happens to have. A scheduler can replay
-/// these timings to compute the critical-path makespan for any worker
-/// count — which is how the scaling benchmark reports thread scaling
-/// honestly from a single-core CI box.
-#[derive(Debug, Clone, Default)]
-pub struct MatrixProfile {
-    /// Wall time to encode each chunk (independent units of work).
-    pub encode_chunk: Vec<Duration>,
-    /// Wall time to decode each chunk into its chunk-local buffer.
-    pub decode_chunk: Vec<Duration>,
-    /// Serial encode overhead: header write + stream assembly.
-    pub encode_serial: Duration,
-    /// Serial decode overhead: header/table parse + scatter + checksum.
-    pub decode_serial: Duration,
-    /// Size of the assembled era-2 stream.
-    pub compressed_bytes: usize,
-}
-
-/// Compresses and decompresses `values` once, timing each chunk serially.
-///
-/// # Errors
-///
-/// Returns [`CompressError`] if the freshly encoded stream fails to decode
-/// (which would be a codec bug, not an input property).
-///
-/// # Panics
-///
-/// Panics if `values.len()` or `reference.len()` differ from the pattern
-/// nnz.
-pub fn profile_matrix(
-    values: &[f64],
-    reference: &[f64],
-    maps: &StampMaps,
-    config: &MascConfig,
-) -> Result<MatrixProfile, CompressError> {
-    let nnz = maps.order().len();
-    assert_eq!(values.len(), nnz, "value count != pattern nnz");
-    assert_eq!(reference.len(), nnz, "reference count != pattern nnz");
-    let ranges = chunk_ranges(nnz, config.chunk_size);
-    let params = HeaderParams::from_config(config);
-    let mut profile = MatrixProfile::default();
-
-    // Encode: each chunk timed alone, assembly timed as serial overhead.
-    let mut encoded = Vec::with_capacity(ranges.len());
-    for range in &ranges {
-        let t0 = Instant::now();
-        let chunk = encode_chunk(values, reference, maps, &params, range.clone());
-        profile.encode_chunk.push(t0.elapsed());
-        encoded.push(chunk);
-    }
-    let t0 = Instant::now();
-    let mut stats = CompressStats::new();
-    let bytes = assemble_chunked(values, config, &ranges, &encoded, 0, &mut stats);
-    profile.encode_serial = t0.elapsed();
-    profile.compressed_bytes = bytes.len();
-
-    // Decode: table parse + scatter + the checksum fold are serial; each
-    // chunk's local decode and checksum partial are an independent timed
-    // unit (exactly what one worker does in the parallel path).
-    let t0 = Instant::now();
-    let header = parse_header(&bytes, nnz)?;
-    let (dranges, entries) = parse_chunk_table(&bytes, nnz, header.payload_offset)?;
-    let want_checksum = header.expected_checksum.is_some();
-    let mut out = vec![0.0f64; nnz];
-    let mut acc = 0u64;
-    let mut decode_serial = t0.elapsed();
-    for (range, entry) in dranges.iter().zip(&entries) {
-        let t0 = Instant::now();
-        let local = decode_chunk_local(
-            &bytes,
-            entry,
-            reference,
-            maps,
-            &header.params,
-            range.clone(),
-        )?;
-        let partial = if want_checksum {
-            checksum_partial(&local, range.clone(), maps, nnz)
-        } else {
-            0
-        };
-        profile.decode_chunk.push(t0.elapsed());
-        let t0 = Instant::now();
-        acc ^= partial;
-        for (off, p) in range.clone().enumerate() {
-            out[maps.order()[p]] = local[off];
-        }
-        decode_serial += t0.elapsed();
-    }
-    let t0 = Instant::now();
-    if let Some(expected) = header.expected_checksum {
-        if acc != expected {
-            return Err(CompressError::ChecksumMismatch);
-        }
-    }
-    profile.decode_serial = decode_serial + t0.elapsed();
-    Ok(profile)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -960,23 +856,5 @@ mod tests {
             decompress_matrix_parallel(&mutated, &reference, &maps, &config),
             Err(CompressError::Corrupt("unknown chunk flag bits"))
         );
-    }
-
-    #[test]
-    fn profile_covers_every_chunk() {
-        let p = pattern(60, 2);
-        let maps = StampMaps::new(&p);
-        let cur = values(&p, 1.0);
-        let reference = values(&p, 1.01);
-        let config = MascConfig {
-            chunk_size: 50,
-            markov_min_warmup: 4,
-            ..MascConfig::default()
-        };
-        let n_chunks = p.nnz().div_ceil(50);
-        let profile = profile_matrix(&cur, &reference, &maps, &config).unwrap();
-        assert_eq!(profile.encode_chunk.len(), n_chunks);
-        assert_eq!(profile.decode_chunk.len(), n_chunks);
-        assert!(profile.compressed_bytes > 0);
     }
 }

@@ -1,12 +1,12 @@
 //! End-to-end sweep validation: per-instance sensitivities vs finite
 //! differences and vs independent single runs (bit-exact on
-//! current-source decks), super-tensor worker-count invariance, and plan
-//! validation errors.
+//! current-source decks), super-tensor worker-count invariance and
+//! cross-instance byte economy, and plan validation errors.
 
 use masc_adjoint::{
     fd, run_adjoint, AdjointError, ForwardRecord, Objective, StoreConfig, TensorLayout,
 };
-use masc_circuit::devices::{Capacitor, CurrentSource, Device, Resistor};
+use masc_circuit::devices::{Capacitor, CurrentSource, Device, Diode, Resistor};
 use masc_circuit::transient::TranOptions;
 use masc_circuit::waveform::Waveform;
 use masc_circuit::{Circuit, ParamRef};
@@ -85,6 +85,91 @@ fn plan_for(base: &Circuit, n_variants: usize, workers: usize) -> SweepPlan {
             (r0.clone(), 1000.0 * (1.0 + 0.05 * k as f64)),
             (c2.clone(), 1e-6 * (1.0 + 0.02 * k as f64)),
         ]);
+    }
+    plan
+}
+
+/// A sine-driven diode RC ladder (the section every instance shares) next
+/// to one isolated DC-driven RC stage carrying the swept resistor `R0`.
+/// The diodes make `G` and `C` change every step, so instance 0's temporal
+/// chain pays real entropy, while adjacent instances differ only in `R0`'s
+/// stamp — the regime cross-instance prediction exists for.
+fn diode_ladder(stages: usize) -> Circuit {
+    let mut ckt = Circuit::new();
+    let nodes: Vec<_> = (0..stages)
+        .map(|s| ckt.node(&format!("d{s}")).unknown())
+        .collect();
+    ckt.add(Device::CurrentSource(CurrentSource::new(
+        "IL",
+        None,
+        nodes[0],
+        Waveform::Sin {
+            vo: 1e-3,
+            va: 8e-4,
+            freq: 200.0,
+            td: 0.0,
+            theta: 0.0,
+        },
+    )))
+    .unwrap();
+    for s in 0..stages {
+        ckt.add(Device::Resistor(Resistor::new(
+            format!("RL{s}"),
+            nodes[s],
+            None,
+            1000.0,
+        )))
+        .unwrap();
+        ckt.add(Device::Capacitor(Capacitor::new(
+            format!("CL{s}"),
+            nodes[s],
+            None,
+            1e-6,
+        )))
+        .unwrap();
+        ckt.add(Device::Diode(
+            Diode::new(format!("DL{s}"), nodes[s], None).with_junction_cap(1e-9),
+        ))
+        .unwrap();
+        if s + 1 < stages {
+            ckt.add(Device::Resistor(Resistor::new(
+                format!("RS{s}"),
+                nodes[s],
+                nodes[s + 1],
+                500.0,
+            )))
+            .unwrap();
+        }
+    }
+    let probe = ckt.node("p0").unknown();
+    ckt.add(Device::CurrentSource(CurrentSource::new(
+        "IP",
+        None,
+        probe,
+        Waveform::Dc(1e-3),
+    )))
+    .unwrap();
+    ckt.add(Device::Resistor(Resistor::new("R0", probe, None, 1000.0)))
+        .unwrap();
+    ckt.add(Device::Capacitor(Capacitor::new("C0", probe, None, 1e-6)))
+        .unwrap();
+    ckt
+}
+
+/// `n_variants` instances of [`diode_ladder`] stepping `R0` by 5 % each.
+fn diode_plan(base: &Circuit, steps: usize, n_variants: usize) -> SweepPlan {
+    let dt = 5e-5;
+    let tran = TranOptions::new(dt * steps as f64, dt);
+    let probe = base.find_node("p0").unwrap().unknown().unwrap();
+    let objectives = vec![
+        Objective::FinalValue { unknown: probe },
+        Objective::Integral { unknown: probe },
+    ];
+    let r0 = base.find_param("R0.r").unwrap();
+    let c0 = base.find_param("C0.c").unwrap();
+    let mut plan = SweepPlan::new(tran, objectives, vec![r0.clone(), c0]);
+    for k in 0..n_variants {
+        plan.push_variant(vec![(r0.clone(), 1000.0 * (1.0 + 0.05 * k as f64))]);
     }
     plan
 }
@@ -198,6 +283,46 @@ fn super_tensor_parses_and_compresses() {
                 .unwrap()
                 .is_empty());
         }
+    }
+
+    // Cross-instance economy of scale, on bytes only (deterministic, no
+    // timing): every instance past the first is encoded against its
+    // neighbour at the same step, so the per-instance cost falls with N
+    // and a batch beats N independent temporal chains.
+    let base = diode_ladder(8);
+    let sizes = [1usize, 2, 4, 8];
+    let bytes: Vec<usize> = sizes
+        .iter()
+        .map(|&n| {
+            run_sweep(&base, &diode_plan(&base, 30, n))
+                .unwrap()
+                .stats
+                .super_tensor_bytes
+        })
+        .collect();
+    let per_instance: Vec<f64> = bytes
+        .iter()
+        .zip(sizes)
+        .map(|(&b, n)| b as f64 / n as f64)
+        .collect();
+    for pair in per_instance.windows(2) {
+        assert!(
+            pair[1] < pair[0],
+            "bytes per instance must fall strictly with N: {per_instance:?}"
+        );
+    }
+    assert!(
+        per_instance[3] < 0.6 * bytes[0] as f64,
+        "N=8 per-instance bytes {} not under 0.6x the N=1 bytes {}",
+        per_instance[3],
+        bytes[0]
+    );
+    for (&b, n) in bytes.iter().zip(sizes).skip(1) {
+        assert!(
+            b < n * bytes[0],
+            "N={n}: batch {b} B not under {n} independent chains ({} B)",
+            n * bytes[0]
+        );
     }
 }
 

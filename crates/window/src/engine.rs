@@ -32,7 +32,7 @@ use masc_circuit::transient::{BeStepper, JacobianSink, TranOptions};
 use masc_circuit::{Circuit, ParamRef, System};
 use masc_compress::CompressedTensor;
 use masc_sparse::{CsrMatrix, LuWorkspace};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// L∞ distance between two equally sized vectors.
 fn linf(a: &[f64], b: &[f64]) -> f64 {
@@ -65,7 +65,6 @@ struct Lane {
     /// verbatim — the bitwise-stability guard).
     changed: bool,
     gc_end: Option<Vec<f64>>,
-    fine_time: Duration,
 }
 
 /// Fine backward-Euler integration of one window on the global grid
@@ -84,7 +83,6 @@ fn fine_run(
     if opts.fault_panic_window == Some(k) {
         panic!("injected fault in window {k}");
     }
-    let start = Instant::now();
     let span = lane.span;
     let dt = tran.dt;
     let layout = TensorLayout::of(&lane.system);
@@ -134,7 +132,6 @@ fn fine_run(
     lane.tensors = Some(pair);
     lane.states = states;
     lane.dirty = false;
-    lane.fine_time = start.elapsed();
     Ok(())
 }
 
@@ -153,7 +150,6 @@ struct RevLane {
     dirty: bool,
     changed: bool,
     gc_end: Option<WindowTerminal>,
-    pass_time: Duration,
 }
 
 /// One full reverse pass over a window's sealed tensors: replay them
@@ -173,7 +169,6 @@ fn adjoint_pass(
     objectives: &[Objective],
     params: &[ParamRef],
 ) -> Result<(), WindowError> {
-    let start = Instant::now();
     let mut reader =
         BackwardJacobians::from_tensors(lane.tensors.0.clone(), lane.tensors.1.clone());
     let mut cursor = AdjointCursor::new(circuit, &lane.system, meta, objectives, params);
@@ -194,7 +189,6 @@ fn adjoint_pass(
     lane.term_out = term;
     lane.partial = Some(result.values);
     lane.dirty = false;
-    lane.pass_time = start.elapsed();
     Ok(())
 }
 
@@ -467,7 +461,6 @@ pub fn run_windowed(
             dirty: true,
             changed: false,
             gc_end: None,
-            fine_time: Duration::ZERO,
         });
     }
     stats.serial_time += serial_start.elapsed();
@@ -521,7 +514,6 @@ pub fn run_windowed(
         stats.fine_runs += lanes.iter().filter(|l| l.dirty).count();
         let refine = |k: usize, lane: &mut Lane| {
             if !lane.dirty {
-                lane.fine_time = Duration::ZERO;
                 return Ok(());
             }
             fine_run(k, lane, circuit, tran, opts)
@@ -533,9 +525,6 @@ pub fn run_windowed(
             WindowError::WorkerPanicked,
             &refine,
         )?;
-        stats
-            .forward_lane_times
-            .push(lanes.iter().map(|l| l.fine_time).collect());
         stats.forward_iterations += 1;
 
         // Serial ascending correction sweep. An unchanged seed forwards
@@ -676,7 +665,6 @@ pub fn run_windowed(
             dirty: true,
             changed: false,
             gc_end: None,
-            pass_time: Duration::ZERO,
         });
     }
     // Each window's coarse adjoint freezes the matrices of its *left*
@@ -728,7 +716,6 @@ pub fn run_windowed(
             stats.adjoint_runs += rev.iter().filter(|l| l.dirty).count();
             let repass = |k: usize, lane: &mut RevLane| {
                 if !lane.dirty {
-                    lane.pass_time = Duration::ZERO;
                     return Ok(());
                 }
                 adjoint_pass(k, lane, circuit, &meta, objectives, params)
@@ -740,9 +727,6 @@ pub fn run_windowed(
                 WindowError::WorkerPanicked,
                 &repass,
             )?;
-            stats
-                .adjoint_lane_times
-                .push(rev.iter().map(|l| l.pass_time).collect());
             stats.adjoint_iterations += 1;
 
             // Serial descending correction sweep, mirror of the forward
@@ -816,9 +800,6 @@ pub fn run_windowed(
             adjoint_pass(k, lane, circuit, &meta, objectives, params)
         };
         wave(&mut rev, 0, opts.lanes, WindowError::WorkerPanicked, &pass)?;
-        stats
-            .adjoint_lane_times
-            .push(rev.iter().map(|l| l.pass_time).collect());
     }
 
     // Deterministic serial fold, descending window index (the order the

@@ -282,11 +282,8 @@ impl From<StoreError> for WindowError {
 
 /// Convergence telemetry and timing of one windowed run.
 ///
-/// The lane-time tables record, per Parareal iteration, the wall time each
-/// window's lane spent (zero for windows the dirty-flag optimization
-/// skipped). Summing `max` over each row models the critical path of a
-/// fully parallel run independent of the machine's core count — the model
-/// `masc-bench`'s `window` gate checks.
+/// The timings report the serial sections (`coarse_time`, `serial_time`)
+/// next to the end-to-end wall (`total_time`).
 #[derive(Debug, Clone, Default)]
 pub struct WindowStats {
     /// Windows actually used (after clamping to the step count).
@@ -310,13 +307,6 @@ pub struct WindowStats {
     pub fine_runs: usize,
     /// Full adjoint passes run (dirty windows only, all iterations).
     pub adjoint_runs: usize,
-    /// `forward_lane_times[iteration][window]`: fine-integration wall time
-    /// (zero when the window was clean and skipped).
-    pub forward_lane_times: Vec<Vec<Duration>>,
-    /// `adjoint_lane_times[iteration][window]`: full-pass wall time (every
-    /// pass accumulates `dO/dp`; the converged iteration's partials are
-    /// final, so there is no separate accumulation row).
-    pub adjoint_lane_times: Vec<Vec<Duration>>,
     /// Wall time in the serial coarse propagator (seeding + corrections).
     pub coarse_time: Duration,
     /// Wall time of the remaining serial sections (DC, correction sweeps,

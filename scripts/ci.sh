@@ -29,27 +29,6 @@ run cargo run -q --offline --release -p masc-conform -- --budget 30 --seed 4
 # minimized preemption trace and a MASC_SCHED_REPRO seed to replay the
 # exact schedule.
 run cargo run -q --offline --release -p masc-conform -- --model-check --budget 20
-# Thread-scaling regression gate: quick sweep, modeled 4-thread compress
-# speedup must hold (chunk independence / serial-section regression check).
-run cargo run -q --offline --release -p masc-bench --bin scaling -- \
-    --quick --json BENCH_scaling.json --gate 2.5
-# Batched-sweep regression gate: per-instance marginal cost (modeled
-# seconds and wire bytes) at N=8 must come in under 0.6x the N=1 cost
-# (cross-instance predictor / batch-engine economy-of-scale check).
-run cargo run -q --offline --release -p masc-bench --bin sweep -- \
-    --quick --json BENCH_sweep.json --gate 0.6
-# Serve-cache regression gate: a cache hit (reverse replay only) must be
-# at least 5x faster than a cold run on the diode-ladder workload (a hit
-# that re-runs the forward pass, or a slow decode path, shows up here).
-run cargo run -q --offline --release -p masc-bench --bin serve -- \
-    --quick --json BENCH_serve.json --gate 5
-# Parallel-in-time regression gate: the modeled W=4 windowed-adjoint
-# critical path must beat the monolithic pipeline by 2x with gradients
-# within 1e-6 (a broken coarse propagator, a stuck Parareal iteration,
-# or a serialized reverse pass shows up here; the model is built from
-# the engine's own lane-time tables, so it is core-count independent).
-run cargo run -q --offline --release -p masc-bench --bin window -- \
-    --quick --json BENCH_window.json --gate 2
 # Serve protocol smoke: pipe a miss, a hit, and a shutdown through the
 # real binary and check the wire answers.
 run scripts/serve_smoke.sh

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Regenerates every paper table/figure and stores the outputs under
 # results/. Dataset generation is cached in $TMPDIR/masc-dataset-cache, so
-# re-runs are fast. Expect ~10 minutes cold on a single core.
+# re-runs are fast. Expect about 3.5 minutes cold on a 2-vCPU box, release
+# build included; table3 is a minute of it. At --scale 1.0 table3 currently
+# aborts: its largest value streams exceed the decode-size caps of the
+# rle, rANS and fpzip-like decoders in crates/codec and crates/baselines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,7 +24,5 @@ run fig1
 run fig5 --scale 1.0
 run fig6 --scale 1.0
 run fig7
-run scaling
-run window
 run ablation --scale 1.0
 echo "all experiment outputs written to results/"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# End-to-end smoke for the masc-serve binary: a SOLVE miss, an identical
-# SOLVE that must hit with zero forward steps, STATS, and SHUTDOWN with a
-# clean BYE — all over the real stdin/stdout wire.
+# End-to-end smoke for the masc-serve binary: two identical SOLVEs, of
+# which exactly one must miss and the other hit with zero forward steps,
+# STATS, and SHUTDOWN with a clean BYE — all over the real stdin/stdout
+# wire. The two jobs race for the cold slot, so either may be the miss.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,14 +22,12 @@ EOF
 )
 
 echo "$OUT"
-grep -q '^OK j1 miss steps=[1-9]' <<<"$OUT" || {
-    echo "serve smoke: first solve did not answer as a miss" >&2
+MISSES=$(grep -cE '^OK j[12] miss steps=[1-9]' <<<"$OUT" || true)
+HITS=$(grep -cE '^OK j[12] hit steps=0 ' <<<"$OUT" || true)
+if [[ "$MISSES" != 1 || "$HITS" != 1 ]]; then
+    echo "serve smoke: expected one miss and one zero-step hit, got $MISSES miss(es) and $HITS hit(s)" >&2
     exit 1
-}
-grep -q '^OK j2 hit steps=0 ' <<<"$OUT" || {
-    echo "serve smoke: identical resubmission did not hit with zero forward steps" >&2
-    exit 1
-}
+fi
 grep -q '^STATS jobs=2 cold_runs=1 ' <<<"$OUT" || {
     echo "serve smoke: STATS did not report one cold run for two jobs" >&2
     exit 1
