@@ -5,7 +5,8 @@
 //!
 //! 1. run the forward transient with a [`store::ForwardRecord`] sink that
 //!    captures states and — per [`store::StoreConfig`] — Jacobians
-//!    (recompute / raw / disk / MASC-compressed);
+//!    (recompute / raw / MASC-compressed; custom stores plug in through
+//!    [`store::ForwardRecord::with_store`]);
 //! 2. run the [`adjoint`] reverse pass, which consumes the matrices in
 //!    reverse order with one transpose solve per step per objective;
 //! 3. validate against the [`direct`] forward method and [`fd`] finite
@@ -67,9 +68,9 @@ pub use direct::{direct_sensitivities, DirectError};
 pub use fd::{finite_difference, objective_value, FdError};
 pub use objective::Objective;
 pub use store::{
-    BackwardJacobians, BackwardReader, CompressedStore, DiskStore, DurationHistogram,
-    FailingWriter, ForwardRecord, HybridStore, JacobianStore, RawStore, RecomputeStore, RunMeta,
-    StepMatrices, StoreConfig, StoreError, StoreMetrics, TensorLayout, TensorSlot,
+    BackwardJacobians, BackwardReader, CompressedStore, DurationHistogram, ForwardRecord,
+    JacobianStore, RawStore, RecomputeStore, RunMeta, StepMatrices, StoreConfig, StoreError,
+    StoreMetrics, TensorLayout, TensorSlot,
 };
 
 use masc_circuit::transient::{transient, transient_ws, TranError, TranOptions, TranStats};

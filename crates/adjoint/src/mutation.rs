@@ -14,10 +14,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum Defect {
     /// No defect (the default state).
     None = 0,
-    /// The hybrid store's disk tier serves each spilled block read after
-    /// the first from a one-block stale cache, returning the previously
-    /// read block's bytes instead of the requested ones.
-    StaleSpillBlock = 1,
+    /// The sealed-pair replay serves every fetch after the first with the
+    /// previous fetch's `G` values instead of the requested step's.
+    StaleReplayBlock = 1,
 }
 
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
@@ -32,6 +31,16 @@ pub fn active(defect: Defect) -> bool {
     ACTIVE.load(Ordering::SeqCst) == defect as u8
 }
 
+/// The replay's [`Defect::StaleReplayBlock`] hook: remembers `g` in `last`
+/// and, while the defect is armed, returns the previously remembered `G`
+/// instead (the current one on the first fetch). Identity when disarmed.
+pub fn stale_replay(last: &mut Option<Vec<f64>>, g: Vec<f64>) -> Vec<f64> {
+    if !active(Defect::StaleReplayBlock) {
+        return g;
+    }
+    last.replace(g.clone()).unwrap_or(g)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -40,6 +49,9 @@ mod tests {
     fn hooks_are_inert_by_default() {
         set_defect(Defect::None);
         assert!(active(Defect::None));
-        assert!(!active(Defect::StaleSpillBlock));
+        assert!(!active(Defect::StaleReplayBlock));
+        let mut last = None;
+        assert_eq!(stale_replay(&mut last, vec![1.0]), vec![1.0]);
+        assert_eq!(stale_replay(&mut last, vec![2.0]), vec![2.0]);
     }
 }

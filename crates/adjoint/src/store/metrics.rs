@@ -3,8 +3,8 @@
 //! Every [`JacobianStore`](super::JacobianStore) backend carries one
 //! [`StoreMetrics`] through the forward pass and hands it to its backward
 //! reader, so a finished reader holds the complete forward+reverse picture:
-//! bytes moved per tier, peak residency, compression/decompression/I/O/
-//! throttle time, and per-step latency histograms. This replaces the four
+//! bytes written, peak residency, compression/decompression time, and
+//! per-step latency histograms. This replaces the four
 //! ad-hoc fields (`store_time`/`peak_bytes`/`fetch_time`/`io_wait`) the
 //! enum-based store scattered across `ForwardRecord` and
 //! `BackwardJacobians`.
@@ -91,21 +91,17 @@ impl std::fmt::Debug for DurationHistogram {
 
 /// Unified telemetry for one Jacobian store, forward and reverse.
 ///
-/// Byte counters follow the *payload* view: `bytes_written` is what the
-/// backend committed to its store after any encoding (raw f64 bytes for
-/// the raw/disk backends, compressed bytes for the compressed/hybrid
-/// backends), and `bytes_read` is what the reverse pass pulled back off
-/// the slow tier (disk). Durations are component times: `store_time` /
-/// `fetch_time` are the end-to-end per-step capture/fetch costs (they
-/// *include* compression, I/O, and throttle wait), the rest break those
-/// down.
+/// `bytes_written` follows the *payload* view: what the backend committed
+/// to its store after any encoding (raw f64 bytes for the raw backend,
+/// compressed bytes for the compressed one). Durations are component
+/// times: `store_time` / `fetch_time` are the end-to-end per-step
+/// capture/fetch costs (they *include* compression and decompression),
+/// the rest break those down.
 #[derive(Debug, Clone, Default)]
 pub struct StoreMetrics {
     /// Payload bytes committed to the store during the forward pass.
     pub bytes_written: u64,
-    /// Payload bytes read back from the slow tier during the reverse pass.
-    pub bytes_read: u64,
-    /// Peak resident (in-memory + on-disk) footprint observed, in bytes.
+    /// Peak storage footprint observed, in bytes.
     pub peak_resident_bytes: usize,
     /// Total time capturing steps during the forward pass.
     pub store_time: Duration,
@@ -115,10 +111,6 @@ pub struct StoreMetrics {
     pub compress_time: Duration,
     /// Portion of `fetch_time` spent decompressing.
     pub decompress_time: Duration,
-    /// Real I/O time (write/read syscalls), both directions.
-    pub io_time: Duration,
-    /// Simulated-bandwidth sleep time, both directions.
-    pub throttle_wait: Duration,
     /// Per-step capture latencies.
     pub put_hist: DurationHistogram,
     /// Per-step fetch latencies.
@@ -147,14 +139,11 @@ impl StoreMetrics {
     /// max; everything else sums).
     pub fn merge(&mut self, other: &Self) {
         self.bytes_written += other.bytes_written;
-        self.bytes_read += other.bytes_read;
         self.peak_resident_bytes = self.peak_resident_bytes.max(other.peak_resident_bytes);
         self.store_time += other.store_time;
         self.fetch_time += other.fetch_time;
         self.compress_time += other.compress_time;
         self.decompress_time += other.decompress_time;
-        self.io_time += other.io_time;
-        self.throttle_wait += other.throttle_wait;
         self.put_hist.merge(&other.put_hist);
         self.fetch_hist.merge(&other.fetch_hist);
     }

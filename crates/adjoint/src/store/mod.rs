@@ -4,7 +4,7 @@
 //! A [`ForwardRecord`] plugs into the transient analysis as a
 //! [`JacobianSink`] and captures, per accepted step, the solution `x_n`,
 //! step size `h_n`, and — through a pluggable [`JacobianStore`] backend —
-//! the `G`/`C` matrices. Five backends ship here, all synchronous: each
+//! the `G`/`C` matrices. Three backends ship here, all synchronous: each
 //! step is stored on the stepping thread, as the paper's Algorithm 2
 //! compresses `M_{n-1}` against `M_n` inline (DESIGN.md §3.8 records why
 //! there is no asynchronous path):
@@ -12,14 +12,7 @@
 //! - [`RecomputeStore`] — store nothing; the reverse pass re-evaluates
 //!   every device (Xyce-like; the `T_Jac` cost of Table 1).
 //! - [`RawStore`] — keep raw value arrays (the memory wall of Fig. 1).
-//! - [`DiskStore`] — stream raw values through a file, optionally
-//!   throttled to a target bandwidth. The throttle exists because a CI
-//!   box's page cache would otherwise "read" at memory speed and hide the
-//!   I/O wall the paper measures against a ~0.5 GB/s SSD.
 //! - [`CompressedStore`] — MASC in-memory compression (paper Algorithm 2).
-//! - [`HybridStore`] — the most recent K *compressed* blocks stay in
-//!   memory; older blocks spill to disk as compressed bytes, so the
-//!   paper's compression ratio multiplies the effective disk bandwidth.
 //!
 //! A sealed tensor pair replays through one reader whether it comes
 //! straight out of a [`CompressedStore`] or was kept by the caller
@@ -28,26 +21,24 @@
 //! `masc-window`'s per-window passes read exactly what `run_adjoint` reads.
 //!
 //! Custom backends implement [`JacobianStore`] + [`BackwardReader`] and
-//! plug in through [`ForwardRecord::with_store`]. Every backend carries a
-//! [`StoreMetrics`] with unified telemetry (bytes per tier, peak
-//! residency, compress/decompress/I/O/throttle durations, per-step
-//! latency histograms).
+//! plug in through [`ForwardRecord::with_store`]; the throttled raw-disk
+//! bar of the Fig. 7 reproducer (`masc-bench`) is one. Every backend
+//! carries a [`StoreMetrics`] with unified telemetry (bytes written, peak
+//! residency, compress/decompress durations, per-step latency
+//! histograms).
 
 mod backends;
-mod hybrid;
 mod metrics;
 
-pub use backends::{CompressedStore, DiskStore, FailingWriter, RawStore, RecomputeStore};
-pub use hybrid::HybridStore;
+pub use backends::{CompressedStore, RawStore, RecomputeStore};
 pub use metrics::{DurationHistogram, StoreMetrics};
 
 use masc_circuit::transient::{JacobianSink, SinkError};
 use masc_circuit::System;
 use masc_compress::{CompressedTensor, MascConfig};
 use masc_sparse::{CsrMatrix, Pattern};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Which Jacobian storage strategy to use.
 #[derive(Debug, Clone)]
@@ -56,85 +47,29 @@ pub enum StoreConfig {
     Recompute,
     /// Keep raw matrices in memory.
     RawMemory,
-    /// Stream raw matrices through a file.
-    Disk {
-        /// Directory for the spill file.
-        dir: PathBuf,
-        /// Simulated bandwidth in bytes/second (`None` = unthrottled).
-        bandwidth: Option<f64>,
-    },
     /// MASC in-memory compression.
     Compressed(MascConfig),
-    /// Compressed in memory for the most recent `resident_blocks` steps,
-    /// older compressed blocks spilled to disk.
-    Hybrid {
-        /// Directory for the spill file.
-        dir: PathBuf,
-        /// Simulated bandwidth in bytes/second (`None` = unthrottled).
-        bandwidth: Option<f64>,
-        /// Compressed blocks (per tensor) kept resident in memory.
-        resident_blocks: usize,
-        /// Compressor configuration.
-        masc: MascConfig,
-    },
 }
 
 impl StoreConfig {
-    /// A hybrid store with the default residency window.
-    pub fn hybrid(dir: PathBuf, bandwidth: Option<f64>) -> Self {
-        StoreConfig::Hybrid {
-            dir,
-            bandwidth,
-            resident_blocks: 8,
-            masc: MascConfig::default(),
-        }
-    }
-
     /// Builds the backend this configuration describes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] if a spill file cannot be created or a
-    /// `bandwidth` is not a positive finite number.
-    pub fn build(&self, layout: &TensorLayout) -> Result<Box<dyn JacobianStore>, StoreError> {
-        Ok(match self {
+    pub fn build(&self, layout: &TensorLayout) -> Box<dyn JacobianStore> {
+        match self {
             StoreConfig::Recompute => Box::new(RecomputeStore::new()),
-            StoreConfig::RawMemory => Box::new(RawStore::new(
-                layout.g_pattern.nnz(),
-                layout.c_pattern.nnz(),
-            )),
-            StoreConfig::Disk { dir, bandwidth } => Box::new(DiskStore::create(
-                dir,
-                *bandwidth,
-                layout.g_pattern.nnz(),
-                layout.c_pattern.nnz(),
-            )?),
+            StoreConfig::RawMemory => Box::new(RawStore::new()),
             StoreConfig::Compressed(masc) => Box::new(CompressedStore::new(
                 layout.g_pattern.clone(),
                 layout.c_pattern.clone(),
                 masc.clone(),
             )),
-            StoreConfig::Hybrid {
-                dir,
-                bandwidth,
-                resident_blocks,
-                masc,
-            } => Box::new(HybridStore::create(
-                layout.g_pattern.clone(),
-                layout.c_pattern.clone(),
-                masc.clone(),
-                dir,
-                *bandwidth,
-                *resident_blocks,
-            )?),
-        })
+        }
     }
 }
 
 /// Errors from the Jacobian store layer.
 #[derive(Debug)]
 pub enum StoreError {
-    /// An I/O failure in the spill file.
+    /// An I/O failure in a custom store's backing file.
     Io(std::io::Error),
     /// A compressed block failed to decode.
     Compress(masc_compress::CompressError),
@@ -148,7 +83,7 @@ pub enum StoreError {
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StoreError::Io(e) => write!(f, "jacobian spill file: {e}"),
+            StoreError::Io(e) => write!(f, "jacobian store I/O: {e}"),
             StoreError::Compress(e) => write!(f, "jacobian decompression: {e}"),
             StoreError::TensorTruncated { step } => {
                 write!(f, "jacobian tensor has no matrices for step {step}")
@@ -222,35 +157,6 @@ impl TensorLayout {
     }
 }
 
-/// Rejects a simulated bandwidth that is not a positive finite number of
-/// bytes/second, before the caller creates its spill file.
-pub(crate) fn check_bandwidth(bandwidth: Option<f64>) -> Result<(), StoreError> {
-    match bandwidth {
-        Some(bw) if !(bw.is_finite() && bw > 0.0) => Err(StoreError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("store bandwidth must be positive and finite, got {bw}"),
-        ))),
-        _ => Ok(()),
-    }
-}
-
-/// Throttles a transfer to `bandwidth` bytes/second by sleeping off the
-/// surplus. Returns the simulated wait. Total: a target that does not fit
-/// a `Duration` (a vanishing bandwidth) is not slept on.
-pub(crate) fn throttle(bytes: usize, bandwidth: Option<f64>, elapsed: Duration) -> Duration {
-    let Some(bw) = bandwidth else {
-        return Duration::ZERO;
-    };
-    let Ok(target) = Duration::try_from_secs_f64(bytes as f64 / bw) else {
-        return Duration::ZERO;
-    };
-    let sleep = target.saturating_sub(elapsed);
-    if !sleep.is_zero() {
-        std::thread::sleep(sleep);
-    }
-    sleep
-}
-
 /// One reverse-order step's matrices, or a request to recompute them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StepMatrices {
@@ -275,8 +181,8 @@ pub enum StepMatrices {
 /// The transient sink feeds each accepted step's compact `G`/`C` value
 /// arrays through [`put`](Self::put); [`finish`](Self::finish) seals the
 /// store into a [`BackwardReader`] that replays the matrices newest-first.
-/// Implementations own a [`StoreMetrics`] and account their tier traffic
-/// (bytes, compress/I/O/throttle time) into it; the generic wrapper
+/// Implementations own a [`StoreMetrics`] and account their traffic
+/// (bytes written, compress time) into it; the generic wrapper
 /// ([`ForwardRecord`]) adds the per-step timing histograms and the
 /// residency watermark.
 pub trait JacobianStore: std::fmt::Debug + Send {
@@ -293,7 +199,7 @@ pub trait JacobianStore: std::fmt::Debug + Send {
     /// Returns [`StoreError`] when the step cannot be persisted.
     fn put(&mut self, step: usize, g: &[f64], c: &[f64]) -> Result<(), StoreError>;
 
-    /// Current storage footprint in bytes (matrix data only, all tiers).
+    /// Current storage footprint in bytes (matrix data only).
     fn resident_bytes(&self) -> usize;
 
     /// Telemetry accumulated so far.
@@ -334,10 +240,6 @@ pub trait BackwardReader: std::fmt::Debug + Send {
 
     /// Mutable telemetry (the reader wrapper records fetch latencies).
     fn metrics_mut(&mut self) -> &mut StoreMetrics;
-
-    /// Releases external resources early (spill files are also removed on
-    /// drop).
-    fn cleanup(&mut self) {}
 }
 
 /// Captures everything the reverse pass needs from the forward sweep.
@@ -358,10 +260,10 @@ impl ForwardRecord {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] if a disk spill file cannot be created
-    /// or the configured `bandwidth` is not a positive finite number.
+    /// None of the shipped stores fails to build; the `Result` is part of
+    /// the public signature external callers match on.
     pub fn new(layout: TensorLayout, config: &StoreConfig) -> Result<Self, StoreError> {
-        let store = config.build(&layout)?;
+        let store = config.build(&layout);
         Ok(Self::with_store(layout, store))
     }
 
@@ -545,16 +447,5 @@ impl BackwardJacobians {
         let matrices = self.reader.fetch(step)?;
         self.reader.metrics_mut().record_fetch(start.elapsed());
         Ok(Some((step, matrices)))
-    }
-
-    /// Removes the disk spill file, if any. Called on drop as well.
-    pub fn cleanup(&mut self) {
-        self.reader.cleanup();
-    }
-}
-
-impl Drop for BackwardJacobians {
-    fn drop(&mut self) {
-        self.cleanup();
     }
 }

@@ -1,33 +1,22 @@
 //! Fault injection and error-path tests for the Jacobian store layer:
 //! a full transient must surface store I/O failures as structured
-//! [`TranError::Sink`] values (never a panic), spill files must not leak
-//! on any path, and truncated tensors must decode to
-//! [`StoreError::TensorTruncated`].
+//! [`TranError::Sink`] values (never a panic), and truncated tensors must
+//! decode to [`StoreError::TensorTruncated`].
 
 // Tests may assert with unwrap/expect; the crate's clippy.toml bans them
 // in shipping code only (masc-lint rule R1).
 #![allow(clippy::disallowed_methods)]
 
 use masc_adjoint::store::{
-    BackwardJacobians, BackwardReader, CompressedStore, DiskStore, FailingWriter, ForwardRecord,
-    JacobianStore, StepMatrices, StoreConfig, StoreError, StoreMetrics, TensorLayout,
+    BackwardJacobians, BackwardReader, CompressedStore, ForwardRecord, JacobianStore, RawStore,
+    StoreConfig, StoreError, StoreMetrics, TensorLayout,
 };
 use masc_circuit::parser::parse_netlist;
 use masc_circuit::transient::{transient, JacobianSink, TranError};
 use masc_compress::{CompressedTensor, MascConfig, TensorCompressor};
 use masc_sparse::{CsrMatrix, Pattern, TripletMatrix};
-use std::path::PathBuf;
+use std::error::Error;
 use std::sync::Arc;
-
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("masc-fault-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn dir_entries(dir: &PathBuf) -> usize {
-    std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0)
-}
 
 fn pattern() -> Arc<Pattern> {
     let mut t = TripletMatrix::new(3, 3);
@@ -63,9 +52,46 @@ fn feed(record: &mut ForwardRecord, p: &Arc<Pattern>, steps: usize) {
     }
 }
 
-/// A transient whose disk store runs out of space mid-run must abort with
-/// a structured `TranError::Sink` (not a panic), and the spill file must
-/// be removed once the record is dropped.
+/// A store on a device that fills up at step `full_at`: every `put` from
+/// then on fails with an I/O error.
+#[derive(Debug)]
+struct DiskFullStore {
+    inner: RawStore,
+    full_at: usize,
+}
+
+impl JacobianStore for DiskFullStore {
+    fn put(&mut self, step: usize, g: &[f64], c: &[f64]) -> Result<(), StoreError> {
+        if step >= self.full_at {
+            return Err(std::io::Error::other("injected disk-full fault").into());
+        }
+        self.inner.put(step, g, c)
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.inner.resident_bytes()
+    }
+
+    fn metrics(&self) -> &StoreMetrics {
+        self.inner.metrics()
+    }
+
+    fn metrics_mut(&mut self) -> &mut StoreMetrics {
+        self.inner.metrics_mut()
+    }
+
+    fn finish(self: Box<Self>) -> Result<Box<dyn BackwardReader>, StoreError> {
+        Box::new(self.inner).finish()
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// A transient whose store runs out of space mid-run must abort with a
+/// structured `TranError::Sink` at exactly the failing step (not a panic),
+/// and the error chain must carry the I/O cause.
 #[test]
 fn transient_surfaces_disk_full_as_sink_error() {
     let parsed = parse_netlist(
@@ -79,75 +105,30 @@ fn transient_surfaces_disk_full_as_sink_error() {
     let mut circuit = parsed.circuit;
     let mut system = circuit.elaborate().expect("elaborates");
     let tran = parsed.tran.expect(".tran present");
-    let layout = TensorLayout::of(&system);
-    let step_bytes = (layout.g_pattern.nnz() + layout.c_pattern.nnz()) * 8;
-
-    let dir = scratch_dir("disk-full");
-    let mut store = DiskStore::create(&dir, None, layout.g_pattern.nnz(), layout.c_pattern.nnz())
-        .expect("spill file creates");
-    // Allow ~5 steps' worth of bytes, then fail like a full disk.
-    store.wrap_writer(|w| Box::new(FailingWriter::new(w, 5 * step_bytes)));
-    let mut record = ForwardRecord::with_store(layout, Box::new(store));
+    let store = DiskFullStore {
+        inner: RawStore::new(),
+        full_at: 5,
+    };
+    let mut record = ForwardRecord::with_store(TensorLayout::of(&system), Box::new(store));
 
     let err = transient(&circuit, &mut system, &tran, &mut record)
         .expect_err("the injected fault must abort the transient");
-    match &err {
-        TranError::Sink { step, source, .. } => {
-            assert!(*step >= 1, "DC and a few steps fit in the byte budget");
-            assert!(
-                source.to_string().contains("injected disk-full fault"),
-                "error chain must carry the I/O cause, got: {source}"
-            );
-        }
-        other => panic!("expected TranError::Sink, got {other:?}"),
-    }
-    // The record still owns the spill file; dropping it must clean up.
-    assert_eq!(dir_entries(&dir), 1);
-    drop(record);
-    assert_eq!(dir_entries(&dir), 0);
-}
-
-/// Two records alive at once in the same directory must get distinct
-/// spill files (regression: the filename was `masc-jacobians-{pid}.bin`,
-/// so a second record silently clobbered the first).
-#[test]
-fn concurrent_records_use_distinct_spill_files() {
-    let p = pattern();
-    let dir = scratch_dir("concurrent");
-    let config = StoreConfig::Disk {
-        dir: dir.clone(),
-        bandwidth: None,
+    let TranError::Sink { step, source, .. } = &err else {
+        panic!("expected TranError::Sink, got {err:?}");
     };
-    let mut first = ForwardRecord::new(layout(&p), &config).unwrap();
-    let mut second = ForwardRecord::new(layout(&p), &config).unwrap();
-    assert_eq!(dir_entries(&dir), 2, "each record needs its own file");
-    feed(&mut first, &p, 4);
-    feed(&mut second, &p, 7);
-    // Both round-trip independently: interleaved writes to a shared file
-    // would corrupt at least one of them.
-    for (record, steps) in [(first, 4usize), (second, 7usize)] {
-        let mut reader = record.into_reader().unwrap();
-        let mut expect = steps;
-        while let Some((step, StepMatrices::Stored { g, .. })) = reader.next_back().unwrap() {
-            expect -= 1;
-            assert_eq!(step, expect);
-            assert_eq!(g[0], step as f64);
-        }
-        assert_eq!(expect, 0);
-    }
-    assert_eq!(dir_entries(&dir), 0);
+    assert_eq!(*step, 5, "DC and steps 1-4 fit before the disk fills");
+    let io = std::iter::successors(Some(source as &(dyn Error + 'static)), |e| (*e).source())
+        .find_map(|e| e.downcast_ref::<std::io::Error>())
+        .unwrap_or_else(|| panic!("error chain must carry the I/O cause, got: {source}"));
+    assert_eq!(io.to_string(), "injected disk-full fault");
 }
 
-/// Records are `Send`: two threads can each run a disk-backed record in
-/// the same directory simultaneously.
+/// Records are `Send`: two threads can each run a compressed record
+/// simultaneously.
 #[test]
 fn records_are_send_across_threads() {
     let p = pattern();
-    let dir = scratch_dir("threads");
-    let config = StoreConfig::Disk {
-        dir: dir.clone(),
-        bandwidth: None,
-    };
+    let config = StoreConfig::Compressed(MascConfig::default());
     let barrier = std::sync::Barrier::new(2);
     std::thread::scope(|scope| {
         for steps in [5usize, 9] {
@@ -156,7 +137,7 @@ fn records_are_send_across_threads() {
             let barrier = &barrier;
             scope.spawn(move || {
                 let mut record = ForwardRecord::new(layout(&p), &config).unwrap();
-                barrier.wait(); // both spill files exist before either writes
+                barrier.wait(); // both records exist before either writes
                 feed(&mut record, &p, steps);
                 let mut reader = record.into_reader().unwrap();
                 let mut seen = 0;
@@ -167,7 +148,6 @@ fn records_are_send_across_threads() {
             });
         }
     });
-    assert_eq!(dir_entries(&dir), 0);
 }
 
 /// A store that silently drops steps: the reader must report
@@ -307,41 +287,4 @@ fn mismatched_pair_yields_tensor_truncated() {
         matches!(err, StoreError::TensorTruncated { step: 2 }),
         "got {err:?}"
     );
-}
-
-/// A simulated bandwidth that is not a positive finite number is refused
-/// when the record is built — as a structured error, before any spill
-/// file exists — instead of panicking in the throttle at the first `put`.
-#[test]
-fn bad_bandwidth_is_rejected_before_the_spill_file_exists() {
-    let p = pattern();
-    for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-        let dir = scratch_dir("bad-bandwidth");
-        let configs = [
-            StoreConfig::Disk {
-                dir: dir.clone(),
-                bandwidth: Some(bad),
-            },
-            StoreConfig::hybrid(dir.clone(), Some(bad)),
-        ];
-        for config in configs {
-            let err = ForwardRecord::new(layout(&p), &config)
-                .expect_err("a bad bandwidth must not build a store");
-            assert!(
-                matches!(&err, StoreError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
-                "bandwidth {bad}: got {err:?}"
-            );
-            assert_eq!(dir_entries(&dir), 0, "bandwidth {bad}: spill file leaked");
-        }
-    }
-    // A bandwidth so small the throttle target overflows a `Duration` is
-    // valid input: the store must neither panic nor sleep on it.
-    let config = StoreConfig::Disk {
-        dir: scratch_dir("tiny-bandwidth"),
-        bandwidth: Some(1e-300),
-    };
-    let mut record = ForwardRecord::new(layout(&p), &config).unwrap();
-    feed(&mut record, &p, 2);
-    let mut reader = record.into_reader().unwrap();
-    while reader.next_back().unwrap().is_some() {}
 }

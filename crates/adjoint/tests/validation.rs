@@ -208,18 +208,8 @@ fn all_stores_agree_exactly() {
         let stores = [
             StoreConfig::Recompute,
             StoreConfig::RawMemory,
-            StoreConfig::Disk {
-                dir: std::env::temp_dir().join("masc-validation"),
-                bandwidth: None,
-            },
             StoreConfig::Compressed(MascConfig::default()),
             StoreConfig::Compressed(MascConfig::default().with_markov(false)),
-            StoreConfig::Hybrid {
-                dir: std::env::temp_dir().join("masc-validation"),
-                bandwidth: None,
-                resident_blocks: 3,
-                masc: MascConfig::default(),
-            },
         ];
         let mut results = Vec::new();
         for store in &stores {

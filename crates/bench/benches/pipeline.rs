@@ -56,10 +56,6 @@ fn bench_adjoint_stores(bench: &mut Bench) {
         ("recompute", StoreConfig::Recompute),
         ("raw", StoreConfig::RawMemory),
         ("masc", StoreConfig::Compressed(MascConfig::default())),
-        (
-            "hybrid",
-            StoreConfig::hybrid(std::env::temp_dir().join("masc-bench"), None),
-        ),
     ];
     for (label, store) in stores {
         group.bench(&format!("store/{label}"), || {

@@ -1,21 +1,36 @@
-//! Paper Fig. 7: end-to-end sensitivity-analysis time — MASC vs the
-//! Xyce-like recompute baseline vs raw disk storage, plus this repo's
-//! hybrid compressed+spill tier.
+//! Paper Fig. 7: end-to-end sensitivity time — MASC vs the Xyce-like
+//! recompute baseline vs raw disk storage.
 //!
-//! Runs the same circuit + objectives + parameters through five Jacobian
+//! Runs the same circuit + objectives + parameters through four Jacobian
 //! stores — every one synchronous, storing each step on the stepping
 //! thread (DESIGN.md §3.8) — and reports the reverse-pass times from the
-//! unified [`StoreMetrics`](masc_adjoint::StoreMetrics) telemetry.
+//! unified [`StoreMetrics`] telemetry.
 //! Expected shape (paper §6.4): MASC ≈ half the recompute baseline's
 //! sensitivity time and several times faster than bandwidth-limited raw
-//! disk I/O; the hybrid store tracks MASC because its spilled bytes are
-//! compressed, so the compression ratio multiplies the effective disk
-//! bandwidth.
+//! disk I/O.
+//!
+//! The raw-disk bar is a store private to this figure (`ThrottledDisk`),
+//! plugged in through [`ForwardRecord::with_store`] + [`run_recorded`]: it
+//! spills raw values to a file and sleeps each transfer up to a target
+//! bandwidth, because a CI box's page cache would otherwise "read" at
+//! memory speed and hide the I/O wall the paper measures against a
+//! ~0.5 GB/s SSD.
 
 use crate::render_table;
-use masc_adjoint::{run_adjoint, run_xyce_like, Objective, StoreConfig};
+use masc_adjoint::{
+    run_adjoint, run_recorded, run_xyce_like, BackwardReader, ForwardRecord, JacobianStore,
+    Objective, RunError, SensitivityRun, StepMatrices, StoreConfig, StoreError, StoreMetrics,
+    TensorLayout,
+};
+use masc_circuit::transient::TranOptions;
+use masc_circuit::{Circuit, ParamRef};
 use masc_compress::MascConfig;
 use masc_datasets::registry::{DatasetSpec, Family};
+use masc_sparse::LuWorkspace;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// One store's end-to-end measurement.
 #[derive(Debug, Clone)]
@@ -32,8 +47,11 @@ pub struct Bar {
     pub store_s: f64,
     /// Reverse-pass matrix-fetch time within `reverse_s` (s).
     pub fetch_s: f64,
-    /// Peak Jacobian storage across tiers (bytes).
+    /// Peak Jacobian storage, in memory or on disk (bytes).
     pub peak_bytes: usize,
+    /// The sensitivity matrix the store's run produced.
+    #[cfg(test)]
+    gradients: Vec<Vec<f64>>,
 }
 
 /// Fig. 7 configuration.
@@ -58,7 +76,17 @@ impl Default for Config {
     }
 }
 
-/// Runs the five-store comparison.
+/// The stores behind the bars.
+enum Store {
+    /// Nothing stored; one recompute sweep per objective.
+    XyceLike,
+    /// [`ThrottledDisk`].
+    Disk,
+    /// A shipped store, all objectives in one sweep.
+    Shipped(StoreConfig),
+}
+
+/// Runs the four-store comparison.
 pub fn run(config: &Config) -> Vec<Bar> {
     // BJT chain: the heaviest device models (two limited exponentials,
     // diffusion charges), matching the paper's BJT-dominated Fig. 7 setup
@@ -71,28 +99,16 @@ pub fn run(config: &Config) -> Vec<Bar> {
     };
     let spill_dir = std::env::temp_dir().join("masc-fig7");
     let stores = [
-        ("Xyce-like (per-obj recompute)", StoreConfig::Recompute),
-        (
-            "Disk (raw, throttled)",
-            StoreConfig::Disk {
-                dir: spill_dir.clone(),
-                bandwidth: Some(config.disk_bandwidth),
-            },
-        ),
+        ("Xyce-like (per-obj recompute)", Store::XyceLike),
+        ("Disk (raw, throttled)", Store::Disk),
         (
             "MASC (compressed)",
-            StoreConfig::Compressed(MascConfig::default()),
+            Store::Shipped(StoreConfig::Compressed(MascConfig::default())),
         ),
         (
-            "Hybrid (compressed + spill)",
-            StoreConfig::Hybrid {
-                dir: spill_dir,
-                bandwidth: Some(config.disk_bandwidth),
-                resident_blocks: 8,
-                masc: MascConfig::default(),
-            },
+            "Raw memory (upper bound)",
+            Store::Shipped(StoreConfig::RawMemory),
         ),
-        ("Raw memory (upper bound)", StoreConfig::RawMemory),
     ];
     let mut bars = Vec::new();
     for (label, store) in stores {
@@ -112,10 +128,17 @@ pub fn run(config: &Config) -> Vec<Bar> {
         // The recompute baseline uses the Xyce-like per-objective
         // schedule; the storage-backed stores batch all objectives into
         // one sweep (what Jacobian reuse buys).
-        let run = if matches!(store, StoreConfig::Recompute) {
-            run_xyce_like(&mut circuit, &tran, &objectives, &params)
-        } else {
-            run_adjoint(&mut circuit, &tran, &store, &objectives, &params)
+        let run = match &store {
+            Store::XyceLike => run_xyce_like(&mut circuit, &tran, &objectives, &params),
+            Store::Disk => run_disk(
+                &mut circuit,
+                &tran,
+                &spill_dir,
+                config.disk_bandwidth,
+                &objectives,
+                &params,
+            ),
+            Store::Shipped(store) => run_adjoint(&mut circuit, &tran, store, &objectives, &params),
         }
         .expect("all stores succeed");
         let forward_s = run.tran_stats.total_time.as_secs_f64();
@@ -129,9 +152,157 @@ pub fn run(config: &Config) -> Vec<Bar> {
             store_s: metrics.store_time.as_secs_f64(),
             fetch_s: metrics.fetch_time.as_secs_f64(),
             peak_bytes: metrics.peak_resident_bytes,
+            #[cfg(test)]
+            gradients: run.sensitivities.values,
         });
     }
     bars
+}
+
+/// [`run_adjoint`]'s body over a [`ThrottledDisk`] record.
+fn run_disk(
+    circuit: &mut Circuit,
+    tran: &TranOptions,
+    dir: &Path,
+    bandwidth: f64,
+    objectives: &[Objective],
+    params: &[ParamRef],
+) -> Result<SensitivityRun, RunError> {
+    let mut system = circuit.elaborate()?;
+    let layout = TensorLayout::of(&system);
+    let store = ThrottledDisk::create(dir, bandwidth, &layout)?;
+    let record = ForwardRecord::with_store(layout, Box::new(store));
+    let (run, _) = run_recorded(
+        circuit,
+        &mut system,
+        tran,
+        record,
+        LuWorkspace::new(),
+        drop,
+        objectives,
+        params,
+    )?;
+    Ok(run)
+}
+
+/// Sleeps off the part of a `bytes`-long transfer that `bandwidth`
+/// bytes/s would not have finished within the `elapsed` real I/O time.
+/// Total: a zero, negative or NaN bandwidth gives a target that does not
+/// fit a `Duration`, which is not slept on.
+fn throttle(bytes: usize, bandwidth: f64, elapsed: Duration) {
+    if let Ok(target) = Duration::try_from_secs_f64(bytes as f64 / bandwidth) {
+        std::thread::sleep(target.saturating_sub(elapsed));
+    }
+}
+
+/// The paper's raw-disk bar: every step's compact `G`/`C` values appended
+/// as little-endian f64 to one spill file, each write and read throttled
+/// to the simulated bandwidth. The store is its own newest-first reader;
+/// the file is removed when it drops.
+#[derive(Debug)]
+struct ThrottledDisk {
+    file: File,
+    path: PathBuf,
+    bandwidth: f64,
+    /// `G` values per step (the rest of a step's record is `C`).
+    g_nnz: usize,
+    step_bytes: usize,
+    steps: usize,
+    metrics: StoreMetrics,
+}
+
+impl ThrottledDisk {
+    fn create(dir: &Path, bandwidth: f64, layout: &TensorLayout) -> Result<Self, StoreError> {
+        let g_nnz = layout.g_pattern.nnz();
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("jacobians-{}.bin", std::process::id()));
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)?;
+        Ok(Self {
+            file,
+            path,
+            bandwidth,
+            g_nnz,
+            step_bytes: (g_nnz + layout.c_pattern.nnz()) * 8,
+            steps: 0,
+            metrics: StoreMetrics::default(),
+        })
+    }
+}
+
+impl Drop for ThrottledDisk {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+impl JacobianStore for ThrottledDisk {
+    fn put(&mut self, _step: usize, g: &[f64], c: &[f64]) -> Result<(), StoreError> {
+        let bytes: Vec<u8> = g.iter().chain(c).flat_map(|v| v.to_le_bytes()).collect();
+        let start = Instant::now();
+        self.file.write_all(&bytes)?;
+        throttle(bytes.len(), self.bandwidth, start.elapsed());
+        self.metrics.bytes_written += bytes.len() as u64;
+        self.steps += 1;
+        Ok(())
+    }
+
+    fn resident_bytes(&self) -> usize {
+        // Everything lives on disk.
+        self.metrics.bytes_written as usize
+    }
+
+    fn metrics(&self) -> &StoreMetrics {
+        &self.metrics
+    }
+
+    fn metrics_mut(&mut self) -> &mut StoreMetrics {
+        &mut self.metrics
+    }
+
+    fn finish(self: Box<Self>) -> Result<Box<dyn BackwardReader>, StoreError> {
+        Ok(self)
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+impl BackwardReader for ThrottledDisk {
+    fn fetch(&mut self, step: usize) -> Result<StepMatrices, StoreError> {
+        if step >= self.steps {
+            return Err(StoreError::TensorTruncated { step });
+        }
+        let mut bytes = vec![0u8; self.step_bytes];
+        let start = Instant::now();
+        self.file
+            .seek(SeekFrom::Start((step * self.step_bytes) as u64))?;
+        self.file.read_exact(&mut bytes)?;
+        throttle(bytes.len(), self.bandwidth, start.elapsed());
+        let mut values = bytes.chunks_exact(8).map(|word| {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(word);
+            f64::from_le_bytes(le)
+        });
+        let g = values.by_ref().take(self.g_nnz).collect();
+        Ok(StepMatrices::Stored {
+            g,
+            c: values.collect(),
+        })
+    }
+
+    fn metrics(&self) -> &StoreMetrics {
+        &self.metrics
+    }
+
+    fn metrics_mut(&mut self) -> &mut StoreMetrics {
+        &mut self.metrics
+    }
 }
 
 /// Renders the bars, normalized to the recompute baseline.
@@ -172,21 +343,23 @@ mod tests {
             disk_bandwidth: 2e6,
         };
         let bars = run(&config);
-        assert_eq!(bars.len(), 5);
+        assert_eq!(bars.len(), 4);
         let disk = bars[1].reverse_s;
         let masc = bars[2].reverse_s;
-        let hybrid = bars[3].reverse_s;
         // Throttled disk pays an I/O wall MASC does not. (The MASC-vs-
         // recompute speedup is a release-mode measurement — see the fig7
         // binary and EXPERIMENTS.md; debug-mode timings are misleading.)
         assert!(masc < disk, "masc {masc} vs disk {disk}");
-        // The hybrid store spills *compressed* bytes, so over the same
-        // throttled bandwidth its reverse pass beats raw disk.
-        assert!(hybrid < disk, "hybrid {hybrid} vs disk {disk}");
         // Compressed storage is far below raw.
-        assert!(bars[2].peak_bytes * 2 < bars[4].peak_bytes);
+        assert!(bars[2].peak_bytes * 2 < bars[3].peak_bytes);
+        // The disk round trip is lossless: its gradients are the raw
+        // in-memory store's, bit for bit.
+        let bits =
+            |b: &Bar| -> Vec<u64> { b.gradients.iter().flatten().map(|v| v.to_bits()).collect() };
+        assert!(!bars[1].gradients.is_empty());
+        assert_eq!(bits(&bars[1]), bits(&bars[3]));
         let text = render(&bars);
         assert!(text.contains("MASC"));
-        assert!(text.contains("Hybrid"));
+        assert!(text.contains("Disk"));
     }
 }

@@ -208,9 +208,9 @@ impl TensorCompressor {
         self.blocks.get(t).map(Vec::as_slice)
     }
 
-    /// Moves sealed block `t` out of the compressor (a tiered store spills
-    /// it to a slower tier), leaving an empty placeholder so later block
-    /// indices are unaffected. Returns `None` for an unsealed or
+    /// Moves sealed block `t` out of the compressor (the sweep engine
+    /// frames it into its super-tensor), leaving an empty placeholder so
+    /// later block indices are unaffected. Returns `None` for an unsealed or
     /// already-taken block.
     pub fn take_block(&mut self, t: usize) -> Option<Vec<u8>> {
         match self.blocks.get_mut(t) {
@@ -418,8 +418,8 @@ pub struct BackwardDecompressor {
 impl BackwardDecompressor {
     /// Creates an *empty* chained decoder: it owns no blocks, and callers
     /// feed compressed bytes newest-first through
-    /// [`decode_block`](Self::decode_block). Tiered stores use this to
-    /// decode blocks pulled from memory or disk interchangeably.
+    /// [`decode_block`](Self::decode_block). The sweep engine uses this to
+    /// decode the blocks it framed into its super-tensor.
     pub fn chained(pattern: &Arc<Pattern>, maps: Arc<StampMaps>, config: MascConfig) -> Self {
         Self {
             maps,

@@ -33,7 +33,7 @@ fn usage() -> ! {
         "usage: masc-conform [--budget <secs>] [--seed <u64>] [--only <oracle>]\n\
          \x20                   [--corpus-dir <dir>] [--max-cases <n>] [--defect <name>]\n\
          \x20                   [--list] [--replay] [--model-check] [--verbose]\n\
-         defects: wrong-stamp-candidate | varint-len-off-by-one | stale-spill-block\n\
+         defects: wrong-stamp-candidate | varint-len-off-by-one | stale-replay-block\n\
          \x20        | lost-wakeup-close (model-check only)"
     );
     std::process::exit(2);
@@ -47,8 +47,8 @@ fn arm_defect(name: &str) {
         "varint-len-off-by-one" => {
             masc_compress::mutation::set_defect(masc_compress::mutation::Defect::VarintLenOffByOne)
         }
-        "stale-spill-block" => {
-            masc_adjoint::mutation::set_defect(masc_adjoint::mutation::Defect::StaleSpillBlock)
+        "stale-replay-block" => {
+            masc_adjoint::mutation::set_defect(masc_adjoint::mutation::Defect::StaleReplayBlock)
         }
         "lost-wakeup-close" => {
             masc_serve::mutation::set_defect(masc_serve::mutation::Defect::LostWakeupClose)

@@ -134,7 +134,7 @@ fn lint_verdict_is_independent_of_armed_defects() {
         masc_compress::mutation::set_defect(masc_compress::mutation::Defect::None);
     }
 
-    masc_adjoint::mutation::set_defect(masc_adjoint::mutation::Defect::StaleSpillBlock);
+    masc_adjoint::mutation::set_defect(masc_adjoint::mutation::Defect::StaleReplayBlock);
     let armed = lint_workspace(&root);
     assert_eq!(disarmed.findings, armed.findings);
     assert_eq!(disarmed.pragmas, armed.pragmas);

@@ -110,14 +110,14 @@ fn catches_varint_len_off_by_one() {
     });
 }
 
-/// The hybrid store returns the previous spilled block instead of the one
-/// it fetched — caught as a gradient divergence (or decode failure)
-/// against the raw in-memory store.
+/// The sealed-pair replay returns the previous fetch's `G` instead of the
+/// requested step's — caught as a gradient divergence against the raw
+/// in-memory store.
 #[test]
-fn catches_stale_spill_block() {
+fn catches_stale_replay_block() {
     // End-to-end shrink candidates are expensive; a small budget still
     // produces a compact deck.
-    assert_defect_caught("stale-spill-block", "store-equiv", 40, || {
-        masc_adjoint::mutation::set_defect(masc_adjoint::mutation::Defect::StaleSpillBlock);
+    assert_defect_caught("stale-replay-block", "store-equiv", 40, || {
+        masc_adjoint::mutation::set_defect(masc_adjoint::mutation::Defect::StaleReplayBlock);
     });
 }

@@ -7,7 +7,7 @@
 //!
 //! - `wire-decode` — parses attacker-controllable bytes (codecs, varints,
 //!   cache files). R1 (panic-freedom) and R2 (bounded allocation) apply.
-//! - `store-io`    — Jacobian store I/O and spill handling. R1 + R2 apply.
+//! - `store-io`    — Jacobian store I/O and sealed-tensor replay. R1 + R2 apply.
 //! - `parser`      — text parsers (netlists, lint's own lexer). R1 + R2
 //!   apply.
 //! - `concurrency` — coordinates threads via mutexes, condvars, channels,

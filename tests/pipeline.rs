@@ -223,36 +223,6 @@ fn rc_ladder_end_to_end() {
             param.path
         );
     }
-
-    // 4. The hybrid compressed+spill store must reproduce the same
-    //    gradients to the same finite-difference tolerance.
-    let hybrid = run_adjoint(
-        &mut circuit,
-        &tran,
-        &StoreConfig::Hybrid {
-            dir: std::env::temp_dir().join("masc-pipeline"),
-            bandwidth: None,
-            resident_blocks: 4,
-            masc: MascConfig::default(),
-        },
-        &objectives,
-        &picked,
-    )
-    .expect("hybrid adjoint runs");
-    assert!(
-        hybrid.store_metrics.bytes_read > 0,
-        "with 4 resident blocks over ~100 steps the reverse pass must hit disk"
-    );
-    for (j, param) in picked.iter().enumerate() {
-        let a = hybrid.sensitivities.values[0][j];
-        let fd = finite_difference(&circuit, &tran, &objectives[0], param, 1e-5).expect("fd runs");
-        let scale = a.abs().max(fd.abs()).max(1e-15);
-        assert!(
-            (a - fd).abs() / scale < 1e-6,
-            "{}: hybrid adjoint {a:e} vs fd {fd:e}",
-            param.path
-        );
-    }
 }
 
 /// Store choice does not change results even with Markov + parallel chunks.
