@@ -20,21 +20,10 @@ pub struct MascConfig {
     pub sign_invert_diag: bool,
     /// Embed a 64-bit integrity checksum per matrix.
     pub checksum: bool,
-    /// Values per chunk for parallel (de)compression; chunks are encoded
-    /// independently so they can be processed concurrently.
+    /// Values per chunk; each chunk is encoded independently (own residual
+    /// window, own Markov warm-up). Written into every stream, and the
+    /// decoder obeys the stream's value.
     pub chunk_size: usize,
-    /// Worker threads for the parallel paths (1 = serial).
-    pub threads: usize,
-    /// Every `seed_interval`-th block of a tensor is sealed as a *seed*:
-    /// encoded against an all-zero reference instead of its successor, so
-    /// the backward chain breaks into independently-decodable groups of at
-    /// most `seed_interval` blocks that can be expanded concurrently.
-    ///
-    /// `0` (the default) disables periodic seeding — only the final block
-    /// of a tensor is a seed, exactly the classic chained layout. Smaller
-    /// intervals trade compression ratio (seed blocks lack a temporal
-    /// reference) for decode parallelism.
-    pub seed_interval: usize,
 }
 
 impl Default for MascConfig {
@@ -46,8 +35,6 @@ impl Default for MascConfig {
             sign_invert_diag: true,
             checksum: true,
             chunk_size: 1 << 16,
-            threads: 1,
-            seed_interval: 0,
         }
     }
 }
@@ -69,24 +56,6 @@ impl MascConfig {
         self.sign_invert_diag = on;
         self
     }
-
-    /// Sets the worker-thread count for parallel paths.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the tensor seed interval (`0` = seed only the final block).
-    pub fn with_seed_interval(mut self, interval: usize) -> Self {
-        self.seed_interval = interval;
-        self
-    }
-
-    /// Whether tensor block `t` should be sealed as a seed block under this
-    /// config (the final block of a tensor is always a seed regardless).
-    pub fn is_seed_step(&self, t: usize) -> bool {
-        self.seed_interval > 0 && (t + 1).is_multiple_of(self.seed_interval)
-    }
 }
 
 #[cfg(test)]
@@ -99,17 +68,13 @@ mod tests {
         assert!(c.markov);
         assert!(c.sign_invert_diag);
         assert!(c.checksum);
-        assert_eq!(c.threads, 1);
+        assert_eq!(c.chunk_size, 1 << 16);
     }
 
     #[test]
     fn builders_compose() {
-        let c = MascConfig::new()
-            .with_markov(false)
-            .with_sign_invert(false)
-            .with_threads(0);
+        let c = MascConfig::new().with_markov(false).with_sign_invert(false);
         assert!(!c.markov);
         assert!(!c.sign_invert_diag);
-        assert_eq!(c.threads, 1); // clamped
     }
 }

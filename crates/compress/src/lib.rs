@@ -16,11 +16,12 @@
 //! - **Residual coding** (paper §4.3, Fig. 5a, [`residual`]): XOR residuals
 //!   with a 1-bit all-zero case, 3-bit 8-granular leading-zero classes, and
 //!   shared significant-bit windows.
+//! - **Chunked matrix codec** (paper Algorithm 1, [`matrix`]): one wire
+//!   format, the era-2 chunked stream, whose chunks are encoded and
+//!   decoded one after another by the caller.
 //! - **Tensor streaming** (paper Algorithm 2, [`tensor`]): matrices are
 //!   compressed one step late against their successor during the forward
 //!   sweep and decompressed newest-first during the adjoint reverse sweep.
-//! - **Parallel chunked codec** ([`parallel`]) mirroring the paper's
-//!   OpenMP compressor.
 //!
 //! # Examples
 //!
@@ -59,7 +60,6 @@ pub mod config;
 pub mod lanes;
 pub mod markov;
 pub mod matrix;
-pub mod parallel;
 pub mod predictor;
 pub mod residual;
 pub mod stats;
@@ -69,16 +69,12 @@ pub mod tensor;
 pub mod mutation;
 
 pub use config::MascConfig;
-pub use matrix::{compress_matrix, decompress_matrix};
-pub use parallel::{
-    compress_matrix_cross, compress_matrix_parallel, compress_matrix_seeded,
-    decompress_matrix_parallel,
+pub use matrix::{
+    compress_matrix, compress_matrix_cross, compress_matrix_seeded, decompress_matrix,
 };
 pub use predictor::{Region, StampMaps};
 pub use stats::{CompressStats, ModelClass};
-pub use tensor::{
-    decode_block, encode_cross_block, BackwardDecompressor, CompressedTensor, TensorCompressor,
-};
+pub use tensor::{BackwardDecompressor, CompressedTensor, TensorCompressor};
 
 use crate::residual::ResidualError;
 use core::fmt;

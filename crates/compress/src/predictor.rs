@@ -201,8 +201,7 @@ impl StampMaps {
     /// paper's eq. 6 uses the negated form). In-matrix candidates
     /// (last-value, previous-diagonal) are only used when their source lies
     /// at order position `>= chunk_start`, so independently-decoded chunks
-    /// never reference values outside themselves; pass `0` for the serial
-    /// whole-matrix codec.
+    /// never reference values outside themselves.
     #[inline]
     pub fn candidates(
         &self,
@@ -253,10 +252,9 @@ impl StampMaps {
     /// [`candidates`](Self::candidates) over a *chunk-local* value buffer.
     ///
     /// `local[p - chunk_start]` holds the decoded value of order position
-    /// `p`; only positions in `chunk_start..my_pos` are ever read, so a
-    /// parallel decoder can give each chunk a buffer of exactly the chunk's
-    /// length instead of an nnz-sized scratch matrix — the allocation that
-    /// made the original chunked decoder effectively serial.
+    /// `p`; only positions in `chunk_start..my_pos` are ever read, so the
+    /// decoder gives each chunk a buffer of exactly the chunk's length
+    /// instead of an nnz-sized scratch matrix.
     #[inline]
     pub fn candidates_local(
         &self,

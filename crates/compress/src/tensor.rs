@@ -8,11 +8,7 @@
 //! consumes them — freeing each compressed block as it is expanded.
 
 use crate::config::MascConfig;
-use crate::matrix::{decompress_matrix, FLAG_CHUNKED, FLAG_SEEDED};
-use crate::parallel::{
-    compress_matrix_cross, compress_matrix_parallel, compress_matrix_seeded,
-    decompress_matrix_parallel,
-};
+use crate::matrix::{compress_matrix, compress_matrix_seeded, decompress_matrix};
 use crate::predictor::StampMaps;
 use crate::stats::CompressStats;
 use crate::CompressError;
@@ -20,69 +16,6 @@ use masc_bitio::varint;
 use masc_sparse::Pattern;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn compress_dispatch(
-    values: &[f64],
-    reference: &[f64],
-    maps: &StampMaps,
-    config: &MascConfig,
-) -> (Vec<u8>, CompressStats) {
-    compress_matrix_parallel(values, reference, maps, config)
-}
-
-/// Whether a compressed block carries the seed flag (self-referential: it
-/// decodes without a temporal predecessor). The flag byte is the stream's
-/// first byte in every era.
-fn is_seeded_block(bytes: &[u8]) -> bool {
-    bytes.first().is_some_and(|f| f & FLAG_SEEDED != 0)
-}
-
-fn decompress_dispatch(
-    bytes: &[u8],
-    reference: &[f64],
-    maps: &StampMaps,
-    config: &MascConfig,
-) -> Result<Vec<f64>, CompressError> {
-    // Dispatch on the stream itself, not on the config: a tensor may mix
-    // serial-era blocks (old persisted data) with chunked blocks.
-    let chunked = bytes.first().is_some_and(|f| f & FLAG_CHUNKED != 0);
-    if chunked {
-        decompress_matrix_parallel(bytes, reference, maps, config)
-    } else {
-        decompress_matrix(bytes, reference, maps)
-    }
-}
-
-/// Compresses one matrix as a *cross-instance* block: `reference` is the
-/// same-timestep matrix of the previous sweep instance rather than the
-/// temporal successor. Super-tensors write instance 0 through the ordinary
-/// temporal chain and instances k ≥ 1 as cross blocks against instance
-/// k − 1 — the paper's spatiotemporal prediction gaining a third, batch
-/// axis. Decode with [`decode_block`], passing instance k − 1's decoded
-/// same-step values as the reference.
-pub fn encode_cross_block(
-    values: &[f64],
-    reference: &[f64],
-    maps: &StampMaps,
-    config: &MascConfig,
-) -> (Vec<u8>, CompressStats) {
-    compress_matrix_cross(values, reference, maps, config)
-}
-
-/// Decodes one compressed block against `reference` (the newest block of a
-/// tensor was encoded against an all-zero reference).
-///
-/// # Errors
-///
-/// Returns [`CompressError`] if the block fails to decode.
-pub fn decode_block(
-    bytes: &[u8],
-    reference: &[f64],
-    maps: &StampMaps,
-    config: &MascConfig,
-) -> Result<Vec<f64>, CompressError> {
-    decompress_dispatch(bytes, reference, maps, config)
-}
 
 /// Streaming compressor for a time series of same-pattern matrices.
 #[derive(Debug, Clone)]
@@ -137,11 +70,6 @@ impl TensorCompressor {
         &self.maps
     }
 
-    /// The compressor configuration.
-    pub fn config(&self) -> MascConfig {
-        self.config.clone()
-    }
-
     /// Accepts the matrix of the next timestep (paper Algorithm 2 line 6:
     /// "compress `M_{n−1}` using `M_n`; store `M_n`").
     ///
@@ -156,13 +84,8 @@ impl TensorCompressor {
         );
         let prev = self.pending.replace(values.to_vec());
         if let (Some(prev), Some(newest)) = (prev, self.pending.as_ref()) {
-            let t = self.blocks.len();
             let start = Instant::now();
-            let (bytes, stats) = if self.config.is_seed_step(t) {
-                compress_matrix_seeded(&prev, &self.maps, &self.config)
-            } else {
-                compress_dispatch(&prev, newest, &self.maps, &self.config)
-            };
+            let (bytes, stats) = compress_matrix(&prev, newest, &self.maps, &self.config);
             self.compress_time += start.elapsed();
             self.stats.merge(&stats);
             self.blocks.push(bytes);
@@ -239,7 +162,7 @@ impl TensorCompressor {
         CompressedTensor {
             pattern: self.pattern,
             maps: self.maps,
-            config: self.config,
+            chunk_size: self.config.chunk_size,
             blocks: self.blocks,
             stats: self.stats,
             compress_time: self.compress_time,
@@ -252,7 +175,8 @@ impl TensorCompressor {
 pub struct CompressedTensor {
     pattern: Arc<Pattern>,
     maps: Arc<StampMaps>,
-    config: MascConfig,
+    /// The encoder's `MascConfig::chunk_size`, echoed by `to_bytes`.
+    chunk_size: usize,
     /// `blocks[t]` compressed against `blocks[t+1]`'s values (the final
     /// block against zeros).
     blocks: Vec<Vec<u8>>,
@@ -309,78 +233,22 @@ impl CompressedTensor {
         self.blocks.get(t).map(Vec::as_slice)
     }
 
-    /// Decodes blocks `start..=end` newest-first, with the group's newest
-    /// block decoded against a zero reference (it is either a seed block —
-    /// which ignores the reference — or the tensor's final block, whose
-    /// chain was sealed against zeros). Returns values oldest-first.
-    fn decode_group(&self, start: usize, end: usize) -> Result<Vec<Vec<f64>>, CompressError> {
-        let mut out = Vec::new();
-        let mut reference = vec![0.0; self.pattern.nnz()];
-        for t in (start..=end).rev() {
-            let values =
-                decompress_dispatch(&self.blocks[t], &reference, &self.maps, &self.config)?;
-            reference.copy_from_slice(&values);
-            out.push(values);
-        }
-        out.reverse();
-        Ok(out)
-    }
-
-    /// Indices of blocks that end an independently decodable group: every
-    /// seed block, plus the final block (whose chain roots in zeros).
-    fn group_ends(&self) -> Vec<usize> {
-        let mut ends: Vec<usize> = (0..self.blocks.len())
-            .filter(|&t| is_seeded_block(&self.blocks[t]))
-            .collect();
-        if ends.last() != Some(&(self.blocks.len() - 1)) {
-            ends.push(self.blocks.len() - 1);
-        }
-        ends
-    }
-
     /// Decompresses every matrix, oldest first (testing/inspection; peak
-    /// memory is the whole tensor).
-    ///
-    /// Seed blocks split the reference chain into independent groups; with
-    /// `config.threads > 1` the groups decode concurrently.
+    /// memory is the whole tensor). One newest-first chain from the final
+    /// block, which was sealed against zeros.
     ///
     /// # Errors
     ///
     /// Returns [`CompressError`] if any block fails to decode.
     pub fn decompress_all(&self) -> Result<Vec<Vec<f64>>, CompressError> {
-        if self.blocks.is_empty() {
-            return Ok(Vec::new());
-        }
-        let ends = self.group_ends();
-        let mut starts = Vec::with_capacity(ends.len());
-        let mut prev = 0usize;
-        for &end in &ends {
-            starts.push(prev);
-            prev = end + 1;
-        }
         let mut out = Vec::with_capacity(self.blocks.len());
-        if self.config.threads > 1 && ends.len() > 1 {
-            let groups: Vec<Result<Vec<Vec<f64>>, CompressError>> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (&start, &end) in starts.iter().zip(&ends) {
-                    handles.push(scope.spawn(move || self.decode_group(start, end)));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or(Err(CompressError::Corrupt("decode worker panicked")))
-                    })
-                    .collect()
-            });
-            for group in groups {
-                out.extend(group?);
-            }
-        } else {
-            for (&start, &end) in starts.iter().zip(&ends) {
-                out.extend(self.decode_group(start, end)?);
-            }
+        let mut reference = vec![0.0; self.pattern.nnz()];
+        for block in self.blocks.iter().rev() {
+            let values = decompress_matrix(block, &reference, &self.maps)?;
+            reference.copy_from_slice(&values);
+            out.push(values);
         }
+        out.reverse();
         Ok(out)
     }
 
@@ -390,7 +258,6 @@ impl CompressedTensor {
     pub fn into_backward(self) -> BackwardDecompressor {
         BackwardDecompressor {
             maps: self.maps,
-            config: self.config,
             nnz: self.pattern.nnz(),
             blocks: self.blocks,
             reference: None,
@@ -407,7 +274,6 @@ impl CompressedTensor {
 #[derive(Debug)]
 pub struct BackwardDecompressor {
     maps: Arc<StampMaps>,
-    config: MascConfig,
     nnz: usize,
     blocks: Vec<Vec<u8>>,
     /// The previously yielded (newer) matrix — the reference for the next.
@@ -420,10 +286,9 @@ impl BackwardDecompressor {
     /// feed compressed bytes newest-first through
     /// [`decode_block`](Self::decode_block). The sweep engine uses this to
     /// decode the blocks it framed into its super-tensor.
-    pub fn chained(pattern: &Arc<Pattern>, maps: Arc<StampMaps>, config: MascConfig) -> Self {
+    pub fn chained(pattern: &Arc<Pattern>, maps: Arc<StampMaps>) -> Self {
         Self {
             maps,
-            config,
             nnz: pattern.nnz(),
             blocks: Vec::new(),
             reference: None,
@@ -454,7 +319,7 @@ impl BackwardDecompressor {
             }
         };
         let start = Instant::now();
-        let values = decompress_dispatch(bytes, reference, &self.maps, &self.config)?;
+        let values = decompress_matrix(bytes, reference, &self.maps)?;
         self.decompress_time += start.elapsed();
         self.reference = Some(values.clone());
         Ok(values)
@@ -488,8 +353,8 @@ impl BackwardDecompressor {
     }
 }
 
-/// Serialized form of a [`CompressedTensor`] (used by the compressed-disk
-/// store and for persistence): pattern + config echo + framed blocks.
+/// Serialized form of a [`CompressedTensor`] (serve-cache entries and
+/// fixtures): pattern + chunk-size echo + framed blocks.
 impl CompressedTensor {
     /// Serializes the tensor to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -497,8 +362,8 @@ impl CompressedTensor {
         let pat = self.pattern.to_compressed_bytes();
         varint::write_u64(&mut out, pat.len() as u64);
         out.extend_from_slice(&pat);
-        varint::write_u64(&mut out, u64::from(self.config.threads > 1));
-        varint::write_u64(&mut out, self.config.chunk_size as u64);
+        varint::write_u64(&mut out, 0); // former parallel-decode flag; ignored on read
+        varint::write_u64(&mut out, self.chunk_size as u64);
         varint::write_u64(&mut out, self.blocks.len() as u64);
         for b in &self.blocks {
             #[cfg(feature = "mutation-hooks")]
@@ -527,7 +392,7 @@ impl CompressedTensor {
         )
         .map_err(|_| CompressError::Corrupt("bad pattern in tensor header"))?;
         pos = pat_end;
-        let (parallel, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
+        let (_, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
         pos += used;
         let (chunk_size, used) =
             varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
@@ -557,15 +422,10 @@ impl CompressedTensor {
         }
         let pattern = Arc::new(pattern);
         let maps = Arc::new(StampMaps::new(&pattern));
-        let config = MascConfig {
-            threads: if parallel != 0 { 2 } else { 1 },
-            chunk_size: chunk_size as usize,
-            ..MascConfig::default()
-        };
         Ok(Self {
             pattern,
             maps,
-            config,
+            chunk_size: chunk_size as usize,
             blocks,
             stats: CompressStats::new(),
             compress_time: Duration::ZERO,

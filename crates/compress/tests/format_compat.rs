@@ -1,17 +1,18 @@
-//! Wire-format backward compatibility: golden serial-format and era-2
-//! chunked streams must keep decoding bit-exactly forever; the one kept
-//! era-1 chunked stream must keep failing with a structured error.
+//! Wire-format compatibility: golden era-2 chunked streams must keep
+//! decoding bit-exactly forever; the kept era-0 serial and era-1 chunked
+//! streams must keep failing with a structured error.
 //!
 //! The fixture inputs are regenerated in-test from a fixed LCG (no
 //! transcendentals, so the values are reproducible to the bit on any
-//! platform); the compressed fixtures under `tests/corpus_v1/` are frozen
-//! artifacts of the era-1 encoder and must never be regenerated.
+//! platform); the compressed fixtures under `tests/corpus_v1/` (pre-era-2
+//! encoders) and `tests/corpus_v2/` (era-2 encoder) are frozen artifacts
+//! and must never be regenerated.
 
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
 use masc_compress::{
-    compress_matrix_parallel, decode_block, decompress_matrix, decompress_matrix_parallel,
-    CompressError, CompressedTensor, MascConfig, StampMaps,
+    compress_matrix, decompress_matrix, BackwardDecompressor, CompressError, CompressedTensor,
+    MascConfig, StampMaps, TensorCompressor,
 };
 use masc_sparse::{Pattern, TripletMatrix};
 use std::sync::Arc;
@@ -63,11 +64,11 @@ fn tensor_inputs() -> (Arc<Pattern>, Vec<Vec<f64>>) {
     (p, series)
 }
 
-// Minting configs (era-1 encoder, recorded for posterity):
-// - serial_default.bin       MascConfig::default()
-// - serial_nomarkov.bin      markov off, checksum off
-// - chunked_17.bin           chunked_cfg(17) (era-1 chunked: now rejected)
-// - tensor_serial.bin        MascConfig::default()
+// Minting configs:
+// - corpus_v1/serial_default.bin         era-0 serial, MascConfig::default()
+// - corpus_v1/chunked_17.bin             era-1 chunked, chunked_cfg(17)
+// - corpus_v2/chunked_headers_17.bin     era-2, chunked_cfg(17)
+// - corpus_v2/tensor_default.bin         era-2 tensor, MascConfig::default()
 fn chunked_cfg(chunk_size: usize) -> MascConfig {
     MascConfig {
         chunk_size,
@@ -94,52 +95,36 @@ fn assert_bits_eq(decoded: &[f64], expected: &[f64]) {
     }
 }
 
-#[test]
-fn v1_serial_fixtures_decode_bit_exact() {
-    let (p, cur, reference) = matrix_inputs();
-    let maps = StampMaps::new(&p);
-    for name in ["serial_default.bin", "serial_nomarkov.bin"] {
-        let out = decompress_matrix(&fixture(name), &reference, &maps)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_bits_eq(&out, &cur);
-    }
-}
-
-/// Era-1 chunked streams (`FLAG_CHUNKED` without `FLAG_CHUNK_HEADERS`) are
-/// no longer readable: both entry points say so instead of misdecoding.
-#[test]
-fn v1_chunked_fixture_is_rejected_as_era_1() {
+/// Both decode entry points — the free decoder and the chained backward
+/// decoder — on a pre-era-2 stream: the one structured rejection.
+fn assert_pre_era_2_rejected(bytes: &[u8]) {
     let (p, _, reference) = matrix_inputs();
     let maps = StampMaps::new(&p);
-    let bytes = fixture("chunked_17.bin");
-    for threads in [1usize, 4] {
-        let cfg = MascConfig {
-            threads,
-            ..chunked_cfg(17)
-        };
-        for result in [
-            decompress_matrix_parallel(&bytes, &reference, &maps, &cfg),
-            decode_block(&bytes, &reference, &maps, &cfg),
-        ] {
-            match result {
-                Err(CompressError::Corrupt(why)) => {
-                    assert!(why.starts_with("era-1 chunked stream"), "{why}")
-                }
-                other => panic!("threads {threads}: expected era-1 rejection, got {other:?}"),
+    let mut chain = BackwardDecompressor::chained(&p, Arc::new(StampMaps::new(&p)));
+    for result in [
+        decompress_matrix(bytes, &reference, &maps),
+        chain.decode_block(bytes),
+    ] {
+        match result {
+            Err(CompressError::Corrupt(why)) => {
+                assert!(why.starts_with("pre-era-2 stream"), "{why}")
             }
+            other => panic!("expected pre-era-2 rejection, got {other:?}"),
         }
     }
 }
 
+/// Era-0 serial streams (neither chunk flag) are no longer readable.
 #[test]
-fn v1_tensor_fixture_decodes_bit_exact() {
-    let (_, series) = tensor_inputs();
-    let tensor = CompressedTensor::from_bytes(&fixture("tensor_serial.bin")).unwrap();
-    assert_eq!(tensor.len(), series.len());
-    let all = tensor.decompress_all().unwrap();
-    for (a, b) in all.iter().zip(&series) {
-        assert_bits_eq(a, b);
-    }
+fn v1_serial_fixture_is_rejected_as_era_0() {
+    assert_pre_era_2_rejected(&fixture("serial_default.bin"));
+}
+
+/// Era-1 chunked streams (`FLAG_CHUNKED` without `FLAG_CHUNK_HEADERS`) are
+/// no longer readable either.
+#[test]
+fn v1_chunked_fixture_is_rejected_as_era_1() {
+    assert_pre_era_2_rejected(&fixture("chunked_17.bin"));
 }
 
 #[test]
@@ -149,7 +134,7 @@ fn v1_truncated_fixtures_error_not_panic() {
     let bytes = fixture("chunked_17.bin");
     for cut in [0, 1, 2, bytes.len() / 2, bytes.len() - 1] {
         assert!(
-            decompress_matrix_parallel(&bytes[..cut], &reference, &maps, &chunked_cfg(17)).is_err(),
+            decompress_matrix(&bytes[..cut], &reference, &maps).is_err(),
             "cut {cut} should fail"
         );
     }
@@ -159,10 +144,9 @@ fn v1_truncated_fixtures_error_not_panic() {
 // Era sniff on hostile short streams
 // ---------------------------------------------------------------------------
 //
-// `decode_block` sniffs the era off the first header byte (serial vs
-// chunked via FLAG_CHUNKED; chunked without FLAG_CHUNK_HEADERS is the
-// rejected era 1) and dispatches. *Every* strict prefix of a valid stream — any era — must
-// come back as a structured error from the sniffing entry point: never a
+// The decoder reads the era off the first header byte: only era 2 (both
+// FLAG_CHUNKED and FLAG_CHUNK_HEADERS) decodes. *Every* strict prefix of a
+// valid stream — any era — must come back as a structured error: never a
 // panic, and never a misclassified decode that "succeeds" on garbage.
 
 fn corpus_v2_dir() -> std::path::PathBuf {
@@ -176,10 +160,11 @@ fn fixture_v2(name: &str) -> Vec<u8> {
     std::fs::read(&path).unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()))
 }
 
-/// Mints `corpus_v2/chunked_headers_17.bin` — the era-2 (chunk-header)
-/// encoding of the same fixed matrix inputs as the era-1 corpus. Frozen
-/// once; rerun only to create the file on a fresh checkout of this test's
-/// first revision, never to regenerate it:
+/// Mints the `corpus_v2/` fixtures — the era-2 encodings of the same fixed
+/// matrix inputs as the era-1 corpus, and of the fixed tensor series.
+/// Frozen once; rerun only to create the files on a fresh checkout of the
+/// revision that introduced them, or into a scratch copy to check that
+/// today's encoder still emits the same bytes — never to regenerate them:
 ///
 /// ```sh
 /// MASC_MINT_V2=1 cargo test -p masc-compress --test format_compat mint_v2
@@ -191,9 +176,16 @@ fn mint_v2_fixtures() {
     }
     let (p, cur, reference) = matrix_inputs();
     let maps = StampMaps::new(&p);
-    let (bytes, _) = compress_matrix_parallel(&cur, &reference, &maps, &chunked_cfg(17));
+    let (bytes, _) = compress_matrix(&cur, &reference, &maps, &chunked_cfg(17));
     std::fs::create_dir_all(corpus_v2_dir()).unwrap();
     std::fs::write(corpus_v2_dir().join("chunked_headers_17.bin"), bytes).unwrap();
+    let (p, series) = tensor_inputs();
+    let mut tc = TensorCompressor::new(p, MascConfig::default());
+    for m in &series {
+        tc.push(m);
+    }
+    let tensor = tc.finish().to_bytes();
+    std::fs::write(corpus_v2_dir().join("tensor_default.bin"), tensor).unwrap();
 }
 
 #[test]
@@ -209,28 +201,34 @@ fn v2_chunk_header_fixture_decodes_bit_exact() {
         1 << 5,
         "era-2 stream carries chunk headers"
     );
-    for threads in [1usize, 4] {
-        let cfg = MascConfig {
-            threads,
-            ..chunked_cfg(17)
-        };
-        let out = decode_block(&bytes, &reference, &maps, &cfg)
-            .unwrap_or_else(|e| panic!("threads {threads}: {e}"));
-        assert_bits_eq(&out, &cur);
+    let out = decompress_matrix(&bytes, &reference, &maps).unwrap();
+    assert_bits_eq(&out, &cur);
+}
+
+#[test]
+fn v2_tensor_fixture_decodes_bit_exact() {
+    let (_, series) = tensor_inputs();
+    let tensor = CompressedTensor::from_bytes(&fixture_v2("tensor_default.bin")).unwrap();
+    assert_eq!(tensor.len(), series.len());
+    let all = tensor.decompress_all().unwrap();
+    for (a, b) in all.iter().zip(&series) {
+        assert_bits_eq(a, b);
+    }
+    let mut back = tensor.into_backward();
+    while let Some((step, values)) = back.next_matrix().unwrap() {
+        assert_bits_eq(&values, &series[step]);
     }
 }
 
-/// Every strict prefix of every matrix fixture — serial, era-2, and the
-/// rejected era-1 chunked one — fed to the sniffing `decode_block` entry
-/// point: structured error, no panic, no bogus success.
+/// Every strict prefix of every matrix fixture — the rejected era-0 and
+/// era-1 streams and the era-2 one — fed to the decoder: structured error,
+/// no panic, no bogus success.
 #[test]
 fn era_sniff_every_prefix_truncation_errors() {
     let (p, _, reference) = matrix_inputs();
     let maps = StampMaps::new(&p);
-    let cfg = chunked_cfg(17);
     let fixtures: Vec<(&str, Vec<u8>)> = vec![
         ("serial_default.bin", fixture("serial_default.bin")),
-        ("serial_nomarkov.bin", fixture("serial_nomarkov.bin")),
         ("chunked_17.bin", fixture("chunked_17.bin")),
         (
             "v2/chunked_headers_17.bin",
@@ -239,7 +237,7 @@ fn era_sniff_every_prefix_truncation_errors() {
     ];
     for (name, bytes) in &fixtures {
         for cut in 0..bytes.len() {
-            let result = decode_block(&bytes[..cut], &reference, &maps, &cfg);
+            let result = decompress_matrix(&bytes[..cut], &reference, &maps);
             assert!(
                 result.is_err(),
                 "{name} truncated to {cut}/{} bytes must error, got Ok",
@@ -253,12 +251,12 @@ fn era_sniff_every_prefix_truncation_errors() {
 /// either at `from_bytes` framing or when the surviving blocks decode.
 #[test]
 fn tensor_every_prefix_truncation_errors() {
-    let bytes = fixture("tensor_serial.bin");
+    let bytes = fixture_v2("tensor_default.bin");
     for cut in 0..bytes.len() {
         let result = CompressedTensor::from_bytes(&bytes[..cut]).and_then(|t| t.decompress_all());
         assert!(
             result.is_err(),
-            "tensor_serial.bin truncated to {cut}/{} bytes must error, got Ok",
+            "tensor_default.bin truncated to {cut}/{} bytes must error, got Ok",
             bytes.len()
         );
     }

@@ -2,23 +2,23 @@
 //!
 //! The per-chunk-header format exists so chunks decode independently; its
 //! safety story is that every header field is validated before any
-//! payload is touched. `chunked-roundtrip` checks losslessness and
-//! schedule invariance (thread count must never leak into the bytes);
-//! `chunked-headers` feeds mutated and arbitrary streams to the decoder,
-//! which must reject them with a structured error — never a panic, never
-//! an out-of-bounds scatter.
+//! payload is touched. `chunked-roundtrip` checks losslessness, and that a
+//! seeded stream ignores the caller's reference; `chunked-headers` feeds
+//! mutated and arbitrary streams to the decoder, which must reject them
+//! with a structured error — never a panic, never an out-of-bounds
+//! scatter.
 
 use crate::geninput;
 use crate::oracle::Oracle;
 use masc_compress::{
-    compress_matrix_parallel, compress_matrix_seeded, decompress_matrix_parallel, MascConfig,
-    StampMaps,
+    compress_matrix, compress_matrix_seeded, decompress_matrix, MascConfig, StampMaps,
 };
 use masc_sparse::{Pattern, TripletMatrix};
 use masc_testkit::Rng;
 use std::sync::Arc;
 
-/// Wire header: n, band, flags, chunk lo, chunk hi.
+/// Wire header: n, band, flags, chunk lo, chunk hi. Flag bits 3–4 once
+/// chose a worker count and are ignored, so recorded cases replay as-is.
 const HEADER_LEN: usize = 5;
 
 /// Banded `n × n` pattern with half-bandwidth `band`.
@@ -68,7 +68,6 @@ fn decode_case(input: &[u8]) -> Option<MatrixCase> {
         markov: flags & 1 != 0,
         sign_invert_diag: flags & 2 != 0,
         checksum: flags & 4 != 0,
-        threads: 1 + ((usize::from(flags) >> 3) & 3),
         chunk_size,
         ..MascConfig::default()
     };
@@ -105,9 +104,8 @@ fn generate_case(rng: &mut Rng) -> Vec<u8> {
     out
 }
 
-/// The era-2 chunked codec is lossless and schedule-invariant: the bytes
-/// and decoded values must not depend on the worker count, and a seeded
-/// stream must decode identically under any caller-supplied reference.
+/// The era-2 chunked codec is lossless, and a seeded stream must decode
+/// identically under any caller-supplied reference.
 pub struct ChunkedRoundtrip;
 
 impl Oracle for ChunkedRoundtrip {
@@ -116,7 +114,7 @@ impl Oracle for ChunkedRoundtrip {
     }
 
     fn describe(&self) -> &'static str {
-        "era-2 chunked matrix lossless + thread-count invariant"
+        "era-2 chunked matrix lossless, seeded stream reference-free"
     }
 
     fn generate(&self, rng: &mut Rng) -> Vec<u8> {
@@ -127,24 +125,11 @@ impl Oracle for ChunkedRoundtrip {
         let Some(case) = decode_case(input) else {
             return Ok(());
         };
-        let encode = |config: &MascConfig| {
-            if case.seeded {
-                compress_matrix_seeded(&case.values, &case.maps, config).0
-            } else {
-                compress_matrix_parallel(&case.values, &case.reference, &case.maps, config).0
-            }
+        let bytes = if case.seeded {
+            compress_matrix_seeded(&case.values, &case.maps, &case.config).0
+        } else {
+            compress_matrix(&case.values, &case.reference, &case.maps, &case.config).0
         };
-        let bytes = encode(&case.config);
-        let serial = encode(&MascConfig {
-            threads: 1,
-            ..case.config.clone()
-        });
-        if bytes != serial {
-            return Err(format!(
-                "threads={} changed the stream vs threads=1",
-                case.config.threads
-            ));
-        }
         // A seeded stream must ignore the reference; an unseeded one
         // needs the true reference back.
         let reference = if case.seeded {
@@ -152,7 +137,7 @@ impl Oracle for ChunkedRoundtrip {
         } else {
             &case.reference
         };
-        let out = decompress_matrix_parallel(&bytes, reference, &case.maps, &case.config)
+        let out = decompress_matrix(&bytes, reference, &case.maps)
             .map_err(|e| format!("decode of our own stream failed: {e:?}"))?;
         if out.len() != case.values.len() {
             return Err("decoded length mismatch".to_string());
@@ -197,8 +182,7 @@ impl Oracle for ChunkedHeaderDecode {
             // Too short for a case: treat the raw input as a stream.
             return Ok(());
         };
-        let (bytes, _) =
-            compress_matrix_parallel(&case.values, &case.reference, &case.maps, &case.config);
+        let (bytes, _) = compress_matrix(&case.values, &case.reference, &case.maps, &case.config);
         // Deterministic single-byte corruptions of a valid stream: every
         // header field and payload byte gets hit as the corpus roams.
         let mut hostile = bytes.clone();
@@ -210,20 +194,15 @@ impl Oracle for ChunkedHeaderDecode {
                 .wrapping_add(1);
             let orig = hostile[i];
             hostile[i] ^= flip;
-            let _ = decompress_matrix_parallel(&hostile, &case.reference, &case.maps, &case.config);
+            let _ = decompress_matrix(&hostile, &case.reference, &case.maps);
             hostile[i] = orig;
         }
         // Truncations at every prefix length.
         for len in 0..bytes.len() {
-            let _ = decompress_matrix_parallel(
-                &bytes[..len],
-                &case.reference,
-                &case.maps,
-                &case.config,
-            );
+            let _ = decompress_matrix(&bytes[..len], &case.reference, &case.maps);
         }
         // And the fuzz input itself as a stream.
-        let _ = decompress_matrix_parallel(input, &case.reference, &case.maps, &case.config);
+        let _ = decompress_matrix(input, &case.reference, &case.maps);
         Ok(())
     }
 }

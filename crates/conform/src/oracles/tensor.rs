@@ -2,9 +2,8 @@
 //!
 //! `tensor-roundtrip` is the harness's most important differential check:
 //! the paper's lossless claim means every configuration (Markov on/off,
-//! sign inversion, checksums, serial and chunked-parallel codecs) must
-//! reproduce the pushed value stream bit-exact through all three decode
-//! paths — in-memory, serialized (`to_bytes`/`from_bytes`), and the
+//! sign inversion, checksums, chunk sizes) must reproduce the pushed value
+//! stream bit-exact through all three decode paths — in-memory, serialized (`to_bytes`/`from_bytes`), and the
 //! chained newest-first backward decoder. This is the oracle that catches
 //! the `WrongStampCandidate` and `VarintLenOffByOne` injected defects.
 
@@ -15,7 +14,9 @@ use masc_sparse::{Pattern, TripletMatrix};
 use masc_testkit::Rng;
 use std::sync::Arc;
 
-/// Wire header: n, band, steps, flags, threads, chunk lo, chunk hi.
+/// Wire header: n, band, steps, flags, (ignored), chunk lo, chunk hi. Byte 4
+/// and flag bits 5–6 once chose a worker count and a seed interval; they
+/// are ignored so recorded cases replay as-is.
 const HEADER_LEN: usize = 7;
 
 /// A structured tensor case decoded from fuzz bytes.
@@ -43,7 +44,6 @@ fn decode_case(input: &[u8]) -> Option<TensorCase> {
     let band = (header[1] as usize) % n.min(3);
     let step_count = (header[2] as usize) % 12;
     let flags = header[3];
-    let threads = 1 + (header[4] as usize) % 2;
     let chunk_size = (usize::from(header[5]) | usize::from(header[6]) << 8) % 65;
     let pattern = banded_pattern(n, band);
     let config = MascConfig {
@@ -51,10 +51,6 @@ fn decode_case(input: &[u8]) -> Option<TensorCase> {
         sign_invert_diag: flags & 2 != 0,
         checksum: flags & 4 != 0,
         chunk_size,
-        threads,
-        // Seed intervals split the block chain into independently
-        // decodable groups — the era-2 parallel-decode seam.
-        seed_interval: (usize::from(flags) >> 5) & 3,
         ..MascConfig::default()
     };
     // Values come from the remaining payload, cycled so every input
@@ -208,7 +204,6 @@ impl Oracle for TensorRoundtrip {
                 (2, 1),
                 (2, 2),
                 (3, 0),
-                (4, 0),
                 (5, 1),
                 (6, 0),
             ] {

@@ -76,8 +76,8 @@ use masc_circuit::dc::dc_operating_point_ws;
 use masc_circuit::transient::{BeStepper, TranOptions};
 use masc_circuit::{Circuit, CircuitError, NewtonError, ParamRef, System};
 use masc_compress::{
-    decode_block, encode_cross_block, BackwardDecompressor, CompressError, MascConfig, StampMaps,
-    TensorCompressor,
+    compress_matrix_cross, decompress_matrix, BackwardDecompressor, CompressError, MascConfig,
+    StampMaps, TensorCompressor,
 };
 use masc_sparse::LuWorkspace;
 use std::sync::Arc;
@@ -466,14 +466,14 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
         g_row.push(Vec::new());
         c_row.push(Vec::new());
         for k in 1..n_inst {
-            let (bytes, _) = encode_cross_block(
+            let (bytes, _) = compress_matrix_cross(
                 &insts[k].g_compact,
                 &insts[k - 1].g_compact,
                 &g_maps,
                 &plan.masc,
             );
             g_row.push(bytes);
-            let (bytes, _) = encode_cross_block(
+            let (bytes, _) = compress_matrix_cross(
                 &insts[k].c_compact,
                 &insts[k - 1].c_compact,
                 &c_maps,
@@ -584,8 +584,8 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
         );
         rev.push(ReverseInst { cursor, system });
     }
-    let mut g_chain = BackwardDecompressor::chained(&g_pattern, g_maps.clone(), plan.masc.clone());
-    let mut c_chain = BackwardDecompressor::chained(&c_pattern, c_maps.clone(), plan.masc.clone());
+    let mut g_chain = BackwardDecompressor::chained(&g_pattern, g_maps.clone());
+    let mut c_chain = BackwardDecompressor::chained(&c_pattern, c_maps.clone());
     for t in (0..n_blocks).rev() {
         let decode_start = Instant::now();
         let mut gs = Vec::with_capacity(n_inst);
@@ -593,19 +593,9 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
         gs.push(g_chain.decode_block(index.g_block(&super_tensor, t, 0)?)?);
         cs.push(c_chain.decode_block(index.c_block(&super_tensor, t, 0)?)?);
         for k in 1..n_inst {
-            let g = decode_block(
-                index.g_block(&super_tensor, t, k)?,
-                &gs[k - 1],
-                &g_maps,
-                &plan.masc,
-            )?;
+            let g = decompress_matrix(index.g_block(&super_tensor, t, k)?, &gs[k - 1], &g_maps)?;
             gs.push(g);
-            let c = decode_block(
-                index.c_block(&super_tensor, t, k)?,
-                &cs[k - 1],
-                &c_maps,
-                &plan.masc,
-            )?;
+            let c = decompress_matrix(index.c_block(&super_tensor, t, k)?, &cs[k - 1], &c_maps)?;
             cs.push(c);
         }
         let mats = gs

@@ -225,15 +225,15 @@ fn rc_ladder_end_to_end() {
     }
 }
 
-/// Store choice does not change results even with Markov + parallel chunks.
+/// Store choice does not change results even with Markov + many small
+/// chunks per matrix.
 #[test]
-fn parallel_markov_store_matches_raw() {
+fn chunked_markov_store_matches_raw() {
     let spec = &table2_datasets()[0];
     let (mut circuit, tran) = spec.build_circuit(0.06);
     let params: Vec<_> = circuit.params().into_iter().take(4).collect();
     let objectives = [Objective::IntegralSquared { unknown: 1 }];
     let config = MascConfig {
-        threads: 2,
         chunk_size: 64,
         markov_min_warmup: 16,
         ..MascConfig::default()
