@@ -281,9 +281,10 @@ impl ParamSupports {
 /// across all reverse steps, and the running `dO/dp` matrix — while the
 /// *source* of each step's matrices stays with the caller.
 /// [`adjoint_sensitivities`] feeds it from a [`BackwardJacobians`] reader;
-/// `masc-sweep` feeds N cursors from the per-timestep super-tensor blocks
-/// it decodes. Both drive the identical arithmetic, which is what makes
-/// sweep results bit-comparable to independent single runs.
+/// `masc-sweep` feeds N cursors per timestep: instance 0 from the same
+/// reader, the rest from the cross-instance blocks it decodes against
+/// their neighbor. Both drive the identical arithmetic, which is what
+/// makes sweep results bit-comparable to independent single runs.
 ///
 /// Feed steps in strictly descending order (`n_steps` down to `0`) via
 /// [`offer`], then call [`finish`].

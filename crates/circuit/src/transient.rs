@@ -157,10 +157,28 @@ impl TranOptions {
         self
     }
 
-    /// Number of transient steps (excluding DC) in *fixed* mode; adaptive
-    /// runs determine their own count.
+    /// Number of transient steps (excluding DC) in *fixed* mode: exactly
+    /// the count [`transient_ws`] takes, i.e. the smallest `n` whose
+    /// `n·dt` reaches `t_stop` less a relative `1e-12`. On a grid where
+    /// `t_stop/dt` is not an integer the last step overshoots `t_stop`.
+    /// Adaptive runs determine their own count.
     pub fn step_count(&self) -> usize {
-        (self.t_stop / self.dt).round() as usize
+        let t_end = self.t_end();
+        let mut n = (t_end / self.dt).ceil().max(0.0) as usize;
+        // The quotient is correctly rounded, so its ceiling is off by at
+        // most one; settle on the predicate the stepping loop tests.
+        if n > 0 && (n - 1) as f64 * self.dt >= t_end {
+            n -= 1;
+        } else if (n as f64) * self.dt < t_end {
+            n = n.saturating_add(1);
+        }
+        n
+    }
+
+    /// The time the stepping loop integrates to: `t_stop` less a relative
+    /// `1e-12`, so round-off in `step·dt` never adds a sliver step.
+    fn t_end(&self) -> f64 {
+        self.t_stop * (1.0 - 1e-12)
     }
 }
 
@@ -396,7 +414,7 @@ pub fn transient_ws<S: JacobianSink>(
     let mut t_now = 0.0f64;
     let mut h = opts.dt;
     let mut step = 0usize;
-    let t_end = opts.t_stop * (1.0 - 1e-12);
+    let t_end = opts.t_end();
     while t_now < t_end {
         step += 1;
         // Fixed mode keeps the uniform grid exactly; adaptive mode clamps

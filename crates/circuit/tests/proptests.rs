@@ -259,6 +259,38 @@ prop! {
         }
     }
 
+    /// `TranOptions::step_count` is exactly the number of steps the
+    /// fixed-grid loop takes — on grids built as `n·dt`, as `t_stop/n`, and
+    /// where `t_stop/dt` is not an integer and the last step overshoots.
+    /// The window engine splits `step_count()` steps and the sweep steps
+    /// through them, so any disagreement is a different trajectory.
+    fn step_count_matches_the_fixed_grid_loop(steps in gen::range_usize(1, 40),
+                                              frac in gen::range_f64(0.01, 0.99),
+                                              grid in gen::range_usize(0, 3),
+                                              scale in gen::range_f64(-9.0, -3.0)) {
+        let unit = 10f64.powf(scale);
+        let (t_stop, dt) = match grid {
+            0 => (unit * steps as f64, unit),
+            1 => (unit, unit / steps as f64),
+            _ => (unit * (steps as f64 + frac), unit),
+        };
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a").unknown();
+        ckt.add(Device::CurrentSource(CurrentSource::new("I1", None, a, Waveform::Dc(1e-3))))
+            .expect("unique");
+        ckt.add(Device::Resistor(Resistor::new("R1", a, None, 1e3))).expect("unique");
+        ckt.add(Device::Capacitor(Capacitor::new("C1", a, None, 1e-9))).expect("unique");
+        let mut sys = ckt.elaborate().expect("elaborates");
+        let opts = TranOptions::new(t_stop, dt);
+        let result = transient(&ckt, &mut sys, &opts, &mut NullSink).expect("linear RC steps");
+        prop_assert!(
+            result.stats.steps == opts.step_count(),
+            "t_stop {t_stop:e}, dt {dt:e}: loop took {} steps, step_count() says {}",
+            result.stats.steps,
+            opts.step_count()
+        );
+    }
+
     /// Every deck from the testkit netlist generator parses and elaborates.
     fn generated_netlists_parse_and_elaborate(deck in gen::netlists(6)) {
         let parsed = masc_circuit::parser::parse_netlist(&deck).expect("parses");

@@ -125,26 +125,14 @@ impl TensorCompressor {
         self.blocks.len()
     }
 
-    /// The compressed bytes of sealed block `t`, if it exists and has not
-    /// been moved out with [`take_block`](Self::take_block).
+    /// The compressed bytes of sealed block `t`, if it exists.
     pub fn compressed_block(&self, t: usize) -> Option<&[u8]> {
         self.blocks.get(t).map(Vec::as_slice)
     }
 
-    /// Moves sealed block `t` out of the compressor (the sweep engine
-    /// frames it into its super-tensor), leaving an empty placeholder so
-    /// later block indices are unaffected. Returns `None` for an unsealed or
-    /// already-taken block.
-    pub fn take_block(&mut self, t: usize) -> Option<Vec<u8>> {
-        match self.blocks.get_mut(t) {
-            Some(b) if !b.is_empty() => Some(std::mem::take(b)),
-            _ => None,
-        }
-    }
-
     /// Seals the trailing pending matrix by compressing it against a zero
-    /// reference, leaving the compressor usable for block extraction. No-op
-    /// when nothing is pending.
+    /// reference, so every pushed matrix is counted in the sealed blocks.
+    /// No-op when nothing is pending.
     pub fn seal(&mut self) {
         if let Some(last) = self.pending.take() {
             let start = Instant::now();
@@ -282,51 +270,15 @@ pub struct BackwardDecompressor {
 }
 
 impl BackwardDecompressor {
-    /// Creates an *empty* chained decoder: it owns no blocks, and callers
-    /// feed compressed bytes newest-first through
-    /// [`decode_block`](Self::decode_block). The sweep engine uses this to
-    /// decode the blocks it framed into its super-tensor.
-    pub fn chained(pattern: &Arc<Pattern>, maps: Arc<StampMaps>) -> Self {
-        Self {
-            maps,
-            nnz: pattern.nnz(),
-            blocks: Vec::new(),
-            reference: None,
-            decompress_time: Duration::ZERO,
-        }
-    }
-
     /// Steps remaining.
     pub fn remaining(&self) -> usize {
         self.blocks.len()
     }
 
-    /// Decodes one externally supplied block against the decoder's
-    /// reference chain (zeros for the first/newest block), advancing the
-    /// chain. Blocks must arrive newest-first, exactly as the matching
-    /// compressor sealed them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompressError`] if the block fails to decode.
-    pub fn decode_block(&mut self, bytes: &[u8]) -> Result<Vec<f64>, CompressError> {
-        let zeros;
-        let reference: &[f64] = match &self.reference {
-            Some(r) => r,
-            None => {
-                zeros = vec![0.0; self.nnz];
-                &zeros
-            }
-        };
-        let start = Instant::now();
-        let values = decompress_matrix(bytes, reference, &self.maps)?;
-        self.decompress_time += start.elapsed();
-        self.reference = Some(values.clone());
-        Ok(values)
-    }
-
-    /// Decompresses and yields the next matrix, newest first. Returns
-    /// `(step_index, values)`, or `None` when exhausted.
+    /// Decompresses and yields the next matrix, newest first, against the
+    /// previously yielded one (zeros for the newest, which was sealed
+    /// against zeros). Returns `(step_index, values)`, or `None` when
+    /// exhausted.
     ///
     /// # Errors
     ///
@@ -337,7 +289,18 @@ impl BackwardDecompressor {
             return Ok(None);
         };
         let step = self.blocks.len();
-        let values = self.decode_block(&block)?;
+        let zeros;
+        let reference: &[f64] = match &self.reference {
+            Some(r) => r,
+            None => {
+                zeros = vec![0.0; self.nnz];
+                &zeros
+            }
+        };
+        let start = Instant::now();
+        let values = decompress_matrix(&block, reference, &self.maps)?;
+        self.decompress_time += start.elapsed();
+        self.reference = Some(values.clone());
         Ok(Some((step, values)))
     }
 

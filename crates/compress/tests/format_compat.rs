@@ -11,8 +11,8 @@
 #![allow(clippy::disallowed_methods)] // tests may unwrap
 
 use masc_compress::{
-    compress_matrix, decompress_matrix, BackwardDecompressor, CompressError, CompressedTensor,
-    MascConfig, StampMaps, TensorCompressor,
+    compress_matrix, decompress_matrix, CompressError, CompressedTensor, MascConfig, StampMaps,
+    TensorCompressor,
 };
 use masc_sparse::{Pattern, TripletMatrix};
 use std::sync::Arc;
@@ -95,22 +95,16 @@ fn assert_bits_eq(decoded: &[f64], expected: &[f64]) {
     }
 }
 
-/// Both decode entry points — the free decoder and the chained backward
-/// decoder — on a pre-era-2 stream: the one structured rejection.
+/// The matrix decoder (which the backward tensor decoder calls per block)
+/// on a pre-era-2 stream: the one structured rejection.
 fn assert_pre_era_2_rejected(bytes: &[u8]) {
     let (p, _, reference) = matrix_inputs();
     let maps = StampMaps::new(&p);
-    let mut chain = BackwardDecompressor::chained(&p, Arc::new(StampMaps::new(&p)));
-    for result in [
-        decompress_matrix(bytes, &reference, &maps),
-        chain.decode_block(bytes),
-    ] {
-        match result {
-            Err(CompressError::Corrupt(why)) => {
-                assert!(why.starts_with("pre-era-2 stream"), "{why}")
-            }
-            other => panic!("expected pre-era-2 rejection, got {other:?}"),
+    match decompress_matrix(bytes, &reference, &maps) {
+        Err(CompressError::Corrupt(why)) => {
+            assert!(why.starts_with("pre-era-2 stream"), "{why}")
         }
+        other => panic!("expected pre-era-2 rejection, got {other:?}"),
     }
 }
 

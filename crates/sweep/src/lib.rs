@@ -1,25 +1,29 @@
 //! Batched parameter-sweep sensitivity over one shared-structure
-//! super-tensor.
+//! compressed *super-tensor*.
 //!
 //! A [`SweepPlan`] elaborates N parameter variants of one netlist — same
 //! topology, same MNA pattern, different device values — and runs their
 //! forward transients in lockstep on `std::thread::scope` workers. Every
 //! instance shares one [`masc_sparse::SymbolicLu`] (minted by instance 0's
-//! DC factorization) and one set of stamp maps, and each timestep's N
-//! Jacobian pairs are written into a single compressed *super-tensor*:
-//! instance 0 flows through the ordinary temporal chain, instances
-//! `1..N` are era-3 *cross-instance* blocks encoded against their
-//! neighbor's same-step matrix (adjacent variants differ only in the swept
-//! stamps, so those residuals are far sparser than the temporal axis —
-//! the paper's spatiotemporal prediction gaining a third, batch axis).
+//! DC factorization) and one set of stamp maps. Instance 0's Jacobians are
+//! stored exactly as a single run stores them: two
+//! [`masc_compress::TensorCompressor`]s seal a `G`/`C` tensor pair, each
+//! matrix compressed one step late against its successor. Every instance
+//! `k ≥ 1` keeps one era-3 *cross-instance* `(G, C)` block pair per step,
+//! encoded against instance `k − 1`'s same-step matrix (adjacent variants
+//! differ only in the swept stamps, so those residuals are far sparser
+//! than the temporal axis — the paper's spatiotemporal prediction gaining
+//! a third, batch axis).
 //!
-//! The reverse pass parses the super-tensor back ([`wire`]), decodes each
-//! step's blocks (temporal chain for instance 0, neighbor reference for
-//! the rest), and feeds N [`masc_adjoint::AdjointCursor`]s concurrently.
-//! Per-instance sensitivities are bit-comparable to N independent single
-//! runs, and the super-tensor bytes are identical for any worker count:
-//! each instance's Newton arithmetic is independent and deterministic, and
-//! all encoding happens serially between waves.
+//! The reverse pass replays instance 0's pair through
+//! [`masc_adjoint::BackwardJacobians::from_tensors`] — the reader every
+//! other driver replays through — decodes each step's cross blocks
+//! newest-first against the previous instance's decoded matrix, freeing
+//! each block as it goes, and feeds N [`masc_adjoint::AdjointCursor`]s
+//! concurrently. Per-instance sensitivities are bit-comparable to N
+//! independent single runs, and the stored bytes are identical for any
+//! worker count: each instance's Newton arithmetic is independent and
+//! deterministic, and all encoding happens serially between waves.
 //!
 //! # Examples
 //!
@@ -63,21 +67,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod wire;
-
-pub use wire::{SuperTensorHeader, SuperTensorIndex, WireError, WIRE_VERSION};
-
 use masc_adjoint::lanes::wave;
 use masc_adjoint::{
-    check_objective_steps, AdjointCursor, AdjointError, Objective, RunMeta, SensitivityResult,
-    StepMatrices,
+    check_objective_steps, AdjointCursor, AdjointError, BackwardJacobians, Objective, RunMeta,
+    SensitivityResult, StepMatrices,
 };
 use masc_circuit::dc::dc_operating_point_ws;
 use masc_circuit::transient::{BeStepper, TranOptions};
 use masc_circuit::{Circuit, CircuitError, NewtonError, ParamRef, System};
 use masc_compress::{
-    compress_matrix_cross, decompress_matrix, BackwardDecompressor, CompressError, MascConfig,
-    StampMaps, TensorCompressor,
+    compress_matrix_cross, decompress_matrix, CompressError, MascConfig, StampMaps,
+    TensorCompressor,
 };
 use masc_sparse::LuWorkspace;
 use std::sync::Arc;
@@ -91,8 +91,8 @@ pub struct SweepPlan {
     /// before elaboration. An empty override list is the base itself.
     pub variants: Vec<Vec<(ParamRef, f64)>>,
     /// Transient options shared by every instance. Adaptive stepping is
-    /// rejected — lockstep integration and the per-step super-blocks need
-    /// one shared fixed time grid.
+    /// rejected — lockstep integration and the per-step cross-instance
+    /// blocks need one shared fixed time grid.
     pub tran: TranOptions,
     /// Objectives differentiated for every instance.
     pub objectives: Vec<Objective>,
@@ -101,7 +101,7 @@ pub struct SweepPlan {
     /// Compressor configuration for the super-tensor.
     pub masc: MascConfig,
     /// Worker threads for the forward Newton and reverse adjoint waves
-    /// (`0` and `1` both mean serial). The super-tensor bytes and the
+    /// (`0` and `1` both mean serial). The stored bytes and the
     /// sensitivities are identical for every worker count.
     pub workers: usize,
 }
@@ -183,9 +183,7 @@ pub enum SweepError {
         /// Underlying adjoint failure.
         source: AdjointError,
     },
-    /// The super-tensor failed to frame or parse.
-    Wire(WireError),
-    /// A super-tensor block failed to decode.
+    /// A cross-instance block failed to decode.
     Compress(CompressError),
     /// A worker thread panicked.
     WorkerPanicked,
@@ -224,8 +222,7 @@ impl std::fmt::Display for SweepError {
             SweepError::Adjoint { instance, source } => {
                 write!(f, "instance {instance} adjoint pass failed: {source}")
             }
-            SweepError::Wire(e) => write!(f, "super-tensor framing failed: {e}"),
-            SweepError::Compress(e) => write!(f, "super-tensor block failed to decode: {e}"),
+            SweepError::Compress(e) => write!(f, "cross-instance block failed to decode: {e}"),
             SweepError::WorkerPanicked => write!(f, "a sweep worker thread panicked"),
             SweepError::Internal(what) => write!(f, "sweep internal error: {what}"),
         }
@@ -238,16 +235,9 @@ impl std::error::Error for SweepError {
             SweepError::Circuit(e) => Some(e),
             SweepError::Dc { source, .. } | SweepError::Step { source, .. } => Some(source),
             SweepError::Adjoint { source, .. } => Some(source),
-            SweepError::Wire(e) => Some(e),
             SweepError::Compress(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<WireError> for SweepError {
-    fn from(e: WireError) -> Self {
-        SweepError::Wire(e)
     }
 }
 
@@ -268,24 +258,26 @@ pub struct SweepStats {
     pub forward_time: Duration,
     /// Wall time of the reverse pass (decode + N adjoint cursors).
     pub adjoint_time: Duration,
-    /// Wall time of the serial sections: super-tensor compression during
-    /// the forward pass, framing, and the per-step decode chain of the
-    /// reverse pass. Everything outside this is per-instance work that
-    /// worker lanes run concurrently, so `serial_time` plus
-    /// `(total_time - serial_time) / N` models the N-worker critical
-    /// path.
+    /// Wall time of the serial sections: compression during the forward
+    /// pass, sealing, and the per-step decode of the reverse pass.
+    /// Everything outside this is per-instance work that worker lanes run
+    /// concurrently, so `serial_time` plus `(total_time - serial_time) / N`
+    /// models the N-worker critical path.
     pub serial_time: Duration,
     /// End-to-end wall time.
     pub total_time: Duration,
-    /// Size of the framed super-tensor.
+    /// Compressed payload stored for the batch: instance 0's sealed `G`/`C`
+    /// tensors plus every cross-instance block. This is the definition of
+    /// `StoreMetrics::bytes_written`, so an N = 1 sweep stores exactly what
+    /// `run_adjoint` over `StoreConfig::Compressed` does.
     pub super_tensor_bytes: usize,
     /// Raw size of every instance's stored non-zeros (`N · (T+1) ·
     /// (nnz_G + nnz_C) · 8`).
     pub raw_bytes: usize,
 }
 
-/// The result of a sweep: per-instance sensitivities plus the shared
-/// super-tensor.
+/// The result of a sweep: per-instance sensitivities, objective values and
+/// forward metadata.
 #[derive(Debug)]
 pub struct SweepResult {
     /// `sensitivities[k].values[i][j] = dO_i/dp_j` for instance `k`.
@@ -294,9 +286,6 @@ pub struct SweepResult {
     pub objective_values: Vec<Vec<f64>>,
     /// Per-instance forward metadata (times, step sizes, states).
     pub metas: Vec<RunMeta>,
-    /// The framed compressed super-tensor (parse with
-    /// [`wire::SuperTensorIndex`]).
-    pub super_tensor: Vec<u8>,
     /// Run statistics.
     pub stats: SweepStats,
 }
@@ -356,12 +345,12 @@ fn validate_param(base: &Circuit, p: &ParamRef) -> Result<(), SweepError> {
 /// adjoint reverse passes over it.
 ///
 /// Per-instance sensitivities match N independent single runs; the
-/// super-tensor bytes are invariant to `plan.workers`.
+/// stored bytes are invariant to `plan.workers`.
 ///
 /// # Errors
 ///
 /// Returns [`SweepError`] on an invalid plan, a failed solve, or a
-/// super-tensor fault.
+/// stored block that fails to decode.
 pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepError> {
     let run_start = Instant::now();
     if plan.variants.is_empty() {
@@ -377,6 +366,12 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
     {
         validate_param(base, p)?;
     }
+    let n_steps = plan.tran.step_count();
+    // Every instance shares the one fixed grid, so instance 0 stands for all.
+    check_objective_steps(&plan.objectives, n_steps + 1).map_err(|source| SweepError::Adjoint {
+        instance: 0,
+        source,
+    })?;
     let n_inst = plan.variants.len();
     let workers = plan.workers.max(1);
     let dt = plan.tran.dt;
@@ -444,45 +439,31 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
         wave(rest, 1, workers, SweepError::WorkerPanicked, &dc)?;
     }
 
-    // Super-tensor accumulators. Instance 0 flows through the temporal
-    // chain of two TensorCompressors (G and C share nothing but the MASC
-    // config — they have distinct patterns and maps); instances 1..N are
-    // encoded serially after each wave as cross blocks against their
-    // neighbor's same-step values.
+    // Instance 0 flows through the temporal chain of two TensorCompressors
+    // (G and C share nothing but the MASC config — they have distinct
+    // patterns and maps); `cross[k - 1]` holds instance k's per-step
+    // `(G, C)` blocks, encoded serially after each wave against instance
+    // k − 1's same-step values.
     let mut tc_g =
         TensorCompressor::with_maps(g_pattern.clone(), g_maps.clone(), plan.masc.clone());
     let mut tc_c =
         TensorCompressor::with_maps(c_pattern.clone(), c_maps.clone(), plan.masc.clone());
-    let mut g_rows: Vec<Vec<Vec<u8>>> = Vec::new();
-    let mut c_rows: Vec<Vec<Vec<u8>>> = Vec::new();
+    let mut cross: Vec<Vec<(Vec<u8>, Vec<u8>)>> = (1..n_inst)
+        .map(|_| Vec::with_capacity(n_steps + 1))
+        .collect();
     let mut serial_time = Duration::ZERO;
     let mut collect_step = |insts: &[ForwardInst]| {
         let serial_start = Instant::now();
         tc_g.push(&insts[0].g_compact);
         tc_c.push(&insts[0].c_compact);
-        let mut g_row = Vec::with_capacity(n_inst);
-        let mut c_row = Vec::with_capacity(n_inst);
-        // Placeholder for instance 0, filled from the sealed chain below.
-        g_row.push(Vec::new());
-        c_row.push(Vec::new());
-        for k in 1..n_inst {
-            let (bytes, _) = compress_matrix_cross(
-                &insts[k].g_compact,
-                &insts[k - 1].g_compact,
-                &g_maps,
-                &plan.masc,
-            );
-            g_row.push(bytes);
-            let (bytes, _) = compress_matrix_cross(
-                &insts[k].c_compact,
-                &insts[k - 1].c_compact,
-                &c_maps,
-                &plan.masc,
-            );
-            c_row.push(bytes);
+        for (pair, blocks) in insts.windows(2).zip(cross.iter_mut()) {
+            let (prev, cur) = (&pair[0], &pair[1]);
+            let (g, _) =
+                compress_matrix_cross(&cur.g_compact, &prev.g_compact, &g_maps, &plan.masc);
+            let (c, _) =
+                compress_matrix_cross(&cur.c_compact, &prev.c_compact, &c_maps, &plan.masc);
+            blocks.push((g, c));
         }
-        g_rows.push(g_row);
-        c_rows.push(c_row);
         serial_time += serial_start.elapsed();
     };
     collect_step(&insts);
@@ -490,11 +471,7 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
     // Lockstep transient on `transient_ws`'s fixed grid (`t = step·dt`),
     // every instance advancing through the one shared stepper, so its
     // states and matrices are bitwise those of an independent single run.
-    let mut t_now = 0.0f64;
-    let mut step = 0usize;
-    let t_end = plan.tran.t_stop * (1.0 - 1e-12);
-    while t_now < t_end {
-        step += 1;
+    for step in 1..=n_steps {
         let t = step as f64 * dt;
         let advance = |k: usize, inst: &mut ForwardInst| -> Result<(), SweepError> {
             inst.be
@@ -516,55 +493,33 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
         };
         wave(&mut insts, 0, workers, SweepError::WorkerPanicked, &advance)?;
         collect_step(&insts);
-        t_now = t;
     }
 
-    // Seal the temporal chains and frame the super-tensor.
-    let frame_start = Instant::now();
-    tc_g.seal();
-    tc_c.seal();
-    let n_blocks = g_rows.len();
-    if tc_g.sealed_len() != n_blocks || tc_c.sealed_len() != n_blocks {
-        return Err(SweepError::Internal("temporal chain length != step count"));
-    }
-    for t in 0..n_blocks {
-        g_rows[t][0] = tc_g
-            .take_block(t)
-            .ok_or(SweepError::Internal("temporal G block missing"))?;
-        c_rows[t][0] = tc_c
-            .take_block(t)
-            .ok_or(SweepError::Internal("temporal C block missing"))?;
-    }
-    let header = SuperTensorHeader {
-        n_instances: n_inst,
-        n_blocks,
-        g_nnz: g_pattern.nnz(),
-        c_nnz: c_pattern.nnz(),
-    };
-    let super_tensor = wire::encode_super_tensor(&header, &g_rows, &c_rows)?;
-    drop(g_rows);
-    drop(c_rows);
-    serial_time += frame_start.elapsed();
+    // Seal instance 0's temporal chains into the tensor pair every other
+    // driver stores.
+    let seal_start = Instant::now();
+    let (g_tensor, c_tensor) = (tc_g.finish(), tc_c.finish());
+    let super_tensor_bytes = g_tensor.compressed_bytes()
+        + c_tensor.compressed_bytes()
+        + cross
+            .iter()
+            .flatten()
+            .map(|(g, c)| g.len() + c.len())
+            .sum::<usize>();
+    serial_time += seal_start.elapsed();
     let forward_time = forward_start.elapsed();
 
-    // Reverse pass: decode each step's super-block group newest-first and
-    // feed N adjoint cursors concurrently. Going end-to-end through the
-    // serialized stream keeps the wire path honest.
+    // Reverse pass: replay instance 0's pair newest-first through the
+    // shared pair reader, decode each step's cross blocks against the
+    // previous instance's decoded matrix (freeing each block as it goes),
+    // and feed N adjoint cursors concurrently.
     let adjoint_start = Instant::now();
-    let index = SuperTensorIndex::parse(&super_tensor)?;
     let mut metas = Vec::with_capacity(n_inst);
     let mut systems = Vec::with_capacity(n_inst);
     for inst in insts {
         metas.push(inst.meta);
         systems.push(inst.system);
     }
-    // Every instance shares the one fixed grid, so instance 0 stands for all.
-    check_objective_steps(&plan.objectives, metas[0].times.len()).map_err(|source| {
-        SweepError::Adjoint {
-            instance: 0,
-            source,
-        }
-    })?;
     let mut rev: Vec<ReverseInst> = Vec::with_capacity(n_inst);
     for (k, system) in systems.into_iter().enumerate() {
         // Instance 0 gets a fresh workspace — exactly what a single run's
@@ -584,18 +539,33 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
         );
         rev.push(ReverseInst { cursor, system });
     }
-    let mut g_chain = BackwardDecompressor::chained(&g_pattern, g_maps.clone());
-    let mut c_chain = BackwardDecompressor::chained(&c_pattern, c_maps.clone());
-    for t in (0..n_blocks).rev() {
+    let mut reader = BackwardJacobians::from_tensors(g_tensor, c_tensor);
+    loop {
         let decode_start = Instant::now();
+        let replayed = reader.next_back().map_err(|e| SweepError::Adjoint {
+            instance: 0,
+            source: e.into(),
+        })?;
+        let Some((t, matrices)) = replayed else {
+            break;
+        };
+        let StepMatrices::Stored { g, c } = matrices else {
+            return Err(SweepError::Internal(
+                "compressed replay yielded no matrices",
+            ));
+        };
         let mut gs = Vec::with_capacity(n_inst);
         let mut cs = Vec::with_capacity(n_inst);
-        gs.push(g_chain.decode_block(index.g_block(&super_tensor, t, 0)?)?);
-        cs.push(c_chain.decode_block(index.c_block(&super_tensor, t, 0)?)?);
-        for k in 1..n_inst {
-            let g = decompress_matrix(index.g_block(&super_tensor, t, k)?, &gs[k - 1], &g_maps)?;
+        gs.push(g);
+        cs.push(c);
+        // Instance k + 1 decodes against instance k's matrices at step t.
+        for (k, blocks) in cross.iter_mut().enumerate() {
+            let (g_block, c_block) = blocks
+                .pop()
+                .ok_or(SweepError::Internal("cross-instance block missing"))?;
+            let g = decompress_matrix(&g_block, &gs[k], &g_maps)?;
+            let c = decompress_matrix(&c_block, &cs[k], &c_maps)?;
             gs.push(g);
-            let c = decompress_matrix(index.c_block(&super_tensor, t, k)?, &cs[k - 1], &c_maps)?;
             cs.push(c);
         }
         let mats = gs
@@ -633,19 +603,18 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
 
     let stats = SweepStats {
         instances: n_inst,
-        steps: step,
+        steps: n_steps,
         forward_time,
         adjoint_time,
         serial_time,
         total_time: run_start.elapsed(),
-        super_tensor_bytes: super_tensor.len(),
-        raw_bytes: n_inst * n_blocks * (g_pattern.nnz() + c_pattern.nnz()) * 8,
+        super_tensor_bytes,
+        raw_bytes: n_inst * (n_steps + 1) * (g_pattern.nnz() + c_pattern.nnz()) * 8,
     };
     Ok(SweepResult {
         sensitivities,
         objective_values,
         metas,
-        super_tensor,
         stats,
     })
 }

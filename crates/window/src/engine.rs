@@ -104,8 +104,6 @@ fn fine_run(
             step: span.start,
             source,
         })?;
-    let mut states = Vec::with_capacity(span.len() + 1);
-    states.push(x.clone());
     for ls in 1..=span.len() {
         let gstep = span.start + ls;
         let t = gstep as f64 * dt;
@@ -122,15 +120,15 @@ fn fine_run(
                 step: gstep,
                 source,
             })?;
-        states.push(x.clone());
     }
-    // Sealing fills the capture slot; the reader itself is not needed.
-    drop(record.into_reader()?);
+    // Sealing fills the capture slot; the reader itself is not needed, and
+    // the record's states are the window's trajectory.
+    let (meta, _) = record.into_parts()?;
     let pair = lock_ignoring_poison(&slot)
         .take()
         .ok_or(WindowError::Internal("sealed tensor slot empty"))?;
     lane.tensors = Some(pair);
-    lane.states = states;
+    lane.states = meta.states;
     lane.dirty = false;
     Ok(())
 }
@@ -616,8 +614,10 @@ pub fn run_windowed(
         });
     }
 
-    // Stitch the global forward metadata. Fixed grid: `times[s] = s·dt`
-    // exactly as the monolithic transient computes them.
+    // Stitch the global forward metadata, moving each lane's states out.
+    // Fixed grid: `times[s] = s·dt` exactly as the monolithic transient
+    // computes them; every window after the first drops its local state 0,
+    // which duplicates its predecessor's last.
     let assemble_start = Instant::now();
     let mut meta = RunMeta::default();
     meta.times.reserve(n_steps + 1);
@@ -627,17 +627,10 @@ pub fn run_windowed(
         meta.times.push(s as f64 * dt);
         meta.hs.push(dt);
     }
-    meta.states.push(
-        lanes[0]
-            .states
-            .first()
-            .ok_or(WindowError::Internal("window has no states"))?
-            .clone(),
-    );
-    for lane in &lanes {
-        for ls in 1..=lane.span.len() {
-            meta.states.push(lane.states[ls].clone());
-        }
+    for (k, lane) in lanes.iter_mut().enumerate() {
+        let states = std::mem::take(&mut lane.states);
+        meta.states
+            .extend(states.into_iter().skip(usize::from(k > 0)));
     }
     if meta.states.len() != n_steps + 1 {
         return Err(WindowError::Internal("stitched state count mismatch"));

@@ -139,6 +139,47 @@ fn single_window_is_bit_identical_to_monolithic() {
     }
 }
 
+/// On a grid where `t_stop/dt` is not an integer (1e-3 / 3e-4) the
+/// monolithic transient takes four steps, the last overshooting `t_stop`;
+/// one window must integrate the same four and stay bit-identical.
+#[test]
+fn single_window_on_a_non_integral_grid_is_bit_identical_to_monolithic() {
+    let base = ladder(4);
+    let (_, objectives, params) = setup(&base);
+    let tran = TranOptions::new(1e-3, 3e-4);
+    let single = run_adjoint(
+        &mut base.clone(),
+        &tran,
+        &StoreConfig::RawMemory,
+        &objectives,
+        &params,
+    )
+    .unwrap();
+    let win = run_windowed(
+        &mut base.clone(),
+        &tran,
+        &WindowOptions::new(1),
+        &objectives,
+        &params,
+    )
+    .unwrap();
+    assert_eq!(single.tran_stats.steps, 4);
+    assert_eq!(win.stats.steps, single.tran_stats.steps);
+    for (i, row) in single.sensitivities.values.iter().enumerate() {
+        for (j, v) in row.iter().enumerate() {
+            assert_eq!(
+                win.sensitivities[i][j].to_bits(),
+                v.to_bits(),
+                "obj {i} param {j}: W=1 windowed {:e} vs monolithic {v:e}",
+                win.sensitivities[i][j]
+            );
+        }
+    }
+    for (i, v) in single.objective_values.iter().enumerate() {
+        assert_eq!(win.objective_values[i].to_bits(), v.to_bits());
+    }
+}
+
 #[test]
 fn converged_windowed_sensitivities_match_monolithic() {
     let base = ladder(4);
