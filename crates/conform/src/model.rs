@@ -16,11 +16,10 @@
 //! - [`single_flight_model`] — `masc-serve`'s in-flight key dedup
 //!   (`Server::submit`): one leader computes, waiters park on a condvar
 //!   until the key is released, everyone observes the cached value.
-//! - [`window_sweep_model`] — the window engine's dirty-lane sweep
-//!   (`crates/window/src/engine.rs`) over the one shared lane fan-out
-//!   (`crates/adjoint/src/lanes.rs::wave`): each sweep processes exactly
-//!   the lanes dirty at its start, re-dirties propagation targets between
-//!   sweeps, and surfaces the lowest-index failure deterministically.
+//!
+//! The shared lane fan-out (`masc_adjoint::lanes::wave`) has no model: it
+//! is a `std::thread::scope` fan-out with no mutex or condvar, and the
+//! window/sweep bit-identity oracles cover it.
 //!
 //! Every assertion must hold on *every explored schedule*; a violation
 //! is reported with its schedule seed, minimized preemption trace, and a
@@ -195,64 +194,6 @@ pub fn single_flight_model(s: &Sched) {
     );
 }
 
-/// Window-engine sweep bookkeeping over the shared lane fan-out
-/// (`masc_adjoint::lanes::wave`, the same protocol `masc-sweep` runs its
-/// instances on): each wave processes exactly the lanes dirty at its
-/// start on parallel workers (each clearing its own flag), propagation
-/// re-dirties a successor between waves, and worker failures surface as
-/// the lowest item index regardless of schedule.
-pub fn window_sweep_model(s: &Sched) {
-    const LANES: usize = 3;
-    let dirty = s.mutex(vec![true; LANES]);
-    let sweeps = s.mutex(Vec::<Vec<usize>>::new());
-    let failures = s.mutex(Vec::<usize>::new());
-
-    let mut round = 0usize;
-    loop {
-        let targets: Vec<usize> = {
-            let d = dirty.lock();
-            (0..LANES).filter(|&k| d[k]).collect()
-        };
-        if targets.is_empty() {
-            break;
-        }
-        sweeps.lock().push(targets.clone());
-        for k in targets {
-            let (dirty, failures) = (dirty.clone(), failures.clone());
-            s.spawn(move || {
-                dirty.lock()[k] = false;
-                // Lanes 0 and 2 "fail" in the first wave; `wave()`
-                // surfaces the lowest index deterministically.
-                if k != 1 {
-                    failures.lock().push(k);
-                }
-            });
-        }
-        s.join_all(); // the scoped join at the end of `wave()`
-        let surfaced = failures.lock().iter().copied().min();
-        if round == 0 {
-            assert_eq!(
-                surfaced,
-                Some(0),
-                "failure selection must be index-deterministic"
-            );
-            failures.lock().clear();
-            // Propagation: the first wave's mismatch re-dirties the last
-            // lane only, so the second wave is exactly `[2]`.
-            dirty.lock()[LANES - 1] = true;
-        }
-        round += 1;
-        assert!(round <= 2, "sweep failed to terminate");
-    }
-
-    let waves = sweeps.lock().clone();
-    assert_eq!(
-        waves,
-        vec![vec![0, 1, 2], vec![2]],
-        "waves did not process exactly the dirty sets"
-    );
-}
-
 /// A registered model-check harness: stable name plus entry point.
 pub type NamedModel = (&'static str, fn(&Sched));
 
@@ -261,7 +202,6 @@ pub fn models() -> Vec<NamedModel> {
     vec![
         ("serve-queue-shutdown", job_queue_model as fn(&Sched)),
         ("serve-single-flight", single_flight_model),
-        ("window-dirty-sweep", window_sweep_model),
     ]
 }
 
@@ -271,7 +211,7 @@ pub fn models() -> Vec<NamedModel> {
 /// The schedule budget is sized with margin: the armed
 /// `lost-wakeup-close` deadlock surfaces deterministically well inside
 /// the first ~700 schedules of the default seed sequence, so 2000 keeps
-/// a >3x cushion while a full three-model sweep stays under two seconds.
+/// a >3x cushion while a full two-model sweep stays under two seconds.
 pub fn model_explorer(budget: Option<Duration>) -> Explorer {
     Explorer {
         schedules: 2000,

@@ -9,13 +9,12 @@
 //!    `mutation-hooks` defect is armed. Static analysis reads source, so
 //!    any divergence would mean the lint run somehow observes process
 //!    state — a harness bug.
-//! 2. **No laundering through hook regions** — no lint pragma, no
-//!    baseline entry, and no finding may sit inside a
-//!    `#[cfg(feature = "mutation-hooks")]` region. Injected-defect code is
-//!    exactly where a stray `allow` or grandfathered baseline entry could
+//! 2. **No laundering through hook regions** — no lint pragma and no
+//!    finding may sit inside a `#[cfg(feature = "mutation-hooks")]`
+//!    region. Injected-defect code is exactly where a stray `allow` could
 //!    hide a real violation behind "it's only test scaffolding".
 
-use masc_lint::{baseline, find_root, run, Manifest, Report};
+use masc_lint::{find_root, run, Manifest, Report};
 use std::path::{Path, PathBuf};
 
 const HOOK_ATTR: &str = "#[cfg(feature = \"mutation-hooks\")]";
@@ -140,9 +139,6 @@ fn lint_verdict_is_independent_of_armed_defects() {
     assert_eq!(disarmed.pragmas, armed.pragmas);
     masc_adjoint::mutation::set_defect(masc_adjoint::mutation::Defect::None);
 
-    // The serve scheduling defect switches *concurrency-classed* code, so
-    // it additionally pins the new R6–R8 rules: arming it must not change
-    // a single concurrency finding or pragma.
     masc_serve::mutation::set_defect(masc_serve::mutation::Defect::LostWakeupClose);
     let armed = lint_workspace(&root);
     assert_eq!(
@@ -164,19 +160,14 @@ fn no_suppression_hides_inside_mutation_hook_regions() {
         !regions.is_empty(),
         "expected mutation-hooks regions; did the feature move?"
     );
-    // The serve lost-wakeup defect lives inside concurrency-classed code
-    // (crates/serve/src/server.rs), where a stray pragma could launder a
-    // real R6–R8 violation — make sure those regions are actually seen.
+    // The serve lost-wakeup defect gates code in crates/serve/src/server.rs;
+    // make sure those regions are actually seen.
     assert!(
         regions.iter().any(|r| r.file.starts_with("crates/serve/")),
         "expected mutation-hooks regions in crates/serve; did the serve defect move?"
     );
 
     let report = lint_workspace(&root);
-    let baseline_entries = match std::fs::read_to_string(root.join("lint-baseline.json")) {
-        Ok(text) => baseline::parse(&text).expect("baseline parses"),
-        Err(_) => Vec::new(),
-    };
 
     for region in &regions {
         let findings = masc_lint::workspace::findings_in_region(
@@ -188,19 +179,6 @@ fn no_suppression_hides_inside_mutation_hook_regions() {
         assert!(
             findings.is_empty(),
             "lint findings inside mutation-hooks region {}:{}-{}: {findings:?}",
-            region.file,
-            region.start,
-            region.end
-        );
-        let grandfathered = masc_lint::workspace::baseline_in_region(
-            &baseline_entries,
-            &region.file,
-            region.start,
-            region.end,
-        );
-        assert!(
-            grandfathered.is_empty(),
-            "baseline entries inside mutation-hooks region {}:{}-{}: {grandfathered:?}",
             region.file,
             region.start,
             region.end

@@ -1,15 +1,12 @@
-//! Diagnostic model: rule identifiers, findings, and output formatting.
+//! Diagnostic model: rule identifiers, findings, and errors.
 
 use std::fmt;
 
 /// Identifier of one lint rule.
 ///
-/// The `R1`–`R8` groups from the design doc map onto these as:
+/// The `R1`–`R3` groups from the design doc map onto these as:
 /// R1 = `PanicCall` + `PanicMacro` + `PanicIndex`, R2 = `UnboundedAlloc`,
-/// R3 = `ErrorPayload` + `ErrorImpl`, R4 = `ThreadSpawn`, R5 = `DocMissing`,
-/// R6 = `CondvarWaitLoop` + `CondvarPredUnguarded` + `CondvarNotifyUnguarded`,
-/// R7 = `GuardAcrossBlocking` + `LockOrder`,
-/// R8 = `SpawnDiscard` + `SenderLiveJoin` + `UnwindDiscard`.
+/// R3 = `ErrorPayload` + `ErrorImpl`.
 /// `PragmaSyntax`/`PragmaUnused` police the suppression mechanism itself
 /// and cannot be suppressed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -28,33 +25,6 @@ pub enum RuleId {
     ErrorPayload,
     /// `pub enum *Error` without `Display` + `std::error::Error` impls (R3).
     ErrorImpl,
-    /// `thread::spawn` outside a join-on-drop owner (R4).
-    ThreadSpawn,
-    /// Undocumented `pub` item in a library crate (R5).
-    DocMissing,
-    /// `Condvar::wait*` whose enclosing statement is an `if` (or no loop
-    /// at all) instead of a `while`/`loop` predicate re-check (R6).
-    CondvarWaitLoop,
-    /// Identifier read in a condvar wait predicate that is not rooted at
-    /// the guard binding passed to the wait call (R6).
-    CondvarPredUnguarded,
-    /// `notify_one`/`notify_all` with no lock acquisition in the same or
-    /// an enclosing block before the notify (R6 — the lost-wakeup class).
-    CondvarNotifyUnguarded,
-    /// A live `.lock()` guard held across `.send()`/`.recv()`/`.join()`
-    /// or blocking I/O in the same block scope (R7).
-    GuardAcrossBlocking,
-    /// Inconsistent two-lock acquisition order within one file: the
-    /// lock-order graph built from nested acquisitions has a cycle (R7).
-    LockOrder,
-    /// `scope.spawn(…)` result discarded in statement position (R8).
-    SpawnDiscard,
-    /// `.join()` on a worker while a channel sender binding is still live
-    /// (no preceding `drop(sender)`) in the same function (R8).
-    SenderLiveJoin,
-    /// `catch_unwind` result discarded or bound to `_` instead of being
-    /// mapped to a structured error (R8).
-    UnwindDiscard,
     /// Malformed `// masc-lint: allow(…)` pragma.
     PragmaSyntax,
     /// Pragma that suppressed nothing.
@@ -62,29 +32,19 @@ pub enum RuleId {
 }
 
 /// All rules, in reporting order.
-pub const ALL_RULES: [RuleId; 18] = [
+pub const ALL_RULES: [RuleId; 8] = [
     RuleId::PanicCall,
     RuleId::PanicMacro,
     RuleId::PanicIndex,
     RuleId::UnboundedAlloc,
     RuleId::ErrorPayload,
     RuleId::ErrorImpl,
-    RuleId::ThreadSpawn,
-    RuleId::DocMissing,
-    RuleId::CondvarWaitLoop,
-    RuleId::CondvarPredUnguarded,
-    RuleId::CondvarNotifyUnguarded,
-    RuleId::GuardAcrossBlocking,
-    RuleId::LockOrder,
-    RuleId::SpawnDiscard,
-    RuleId::SenderLiveJoin,
-    RuleId::UnwindDiscard,
     RuleId::PragmaSyntax,
     RuleId::PragmaUnused,
 ];
 
 impl RuleId {
-    /// Stable string form used in output, pragmas, and the baseline file.
+    /// Stable string form used in output and pragmas.
     pub fn as_str(self) -> &'static str {
         match self {
             RuleId::PanicCall => "panic-call",
@@ -93,22 +53,12 @@ impl RuleId {
             RuleId::UnboundedAlloc => "unbounded-alloc",
             RuleId::ErrorPayload => "error-payload",
             RuleId::ErrorImpl => "error-impl",
-            RuleId::ThreadSpawn => "thread-spawn",
-            RuleId::DocMissing => "doc-missing",
-            RuleId::CondvarWaitLoop => "condvar-wait-loop",
-            RuleId::CondvarPredUnguarded => "condvar-pred-unguarded",
-            RuleId::CondvarNotifyUnguarded => "condvar-notify-unguarded",
-            RuleId::GuardAcrossBlocking => "guard-across-blocking",
-            RuleId::LockOrder => "lock-order",
-            RuleId::SpawnDiscard => "spawn-discard",
-            RuleId::SenderLiveJoin => "sender-live-join",
-            RuleId::UnwindDiscard => "unwind-discard",
             RuleId::PragmaSyntax => "pragma-syntax",
             RuleId::PragmaUnused => "pragma-unused",
         }
     }
 
-    /// Parses a rule name as written in pragmas / baselines. Accepts both
+    /// Parses a rule name as written in pragmas. Accepts both
     /// the specific id (`panic-call`) and nothing else; group names are
     /// resolved by [`RuleId::group_members`].
     pub fn parse(s: &str) -> Option<RuleId> {
@@ -116,25 +66,12 @@ impl RuleId {
     }
 
     /// Expands a pragma rule name to the rules it covers: either one
-    /// specific rule, or an `R1`–`R5` group.
+    /// specific rule, or an `R1`–`R3` group.
     pub fn group_members(name: &str) -> Vec<RuleId> {
         match name {
             "R1" => vec![RuleId::PanicCall, RuleId::PanicMacro, RuleId::PanicIndex],
             "R2" => vec![RuleId::UnboundedAlloc],
             "R3" => vec![RuleId::ErrorPayload, RuleId::ErrorImpl],
-            "R4" => vec![RuleId::ThreadSpawn],
-            "R5" => vec![RuleId::DocMissing],
-            "R6" => vec![
-                RuleId::CondvarWaitLoop,
-                RuleId::CondvarPredUnguarded,
-                RuleId::CondvarNotifyUnguarded,
-            ],
-            "R7" => vec![RuleId::GuardAcrossBlocking, RuleId::LockOrder],
-            "R8" => vec![
-                RuleId::SpawnDiscard,
-                RuleId::SenderLiveJoin,
-                RuleId::UnwindDiscard,
-            ],
             other => RuleId::parse(other).into_iter().collect(),
         }
     }
@@ -164,13 +101,6 @@ pub struct Finding {
     pub message: String,
 }
 
-impl Finding {
-    /// Identity used for baseline matching: rule + file + line.
-    pub fn key(&self) -> (RuleId, &str, u32) {
-        (self.rule, &self.file, self.line)
-    }
-}
-
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -184,7 +114,7 @@ impl fmt::Display for Finding {
 /// Errors surfaced by the analyzer's own I/O and configuration handling.
 #[derive(Debug)]
 pub enum LintError {
-    /// A file or directory could not be read or written.
+    /// A file or directory could not be read.
     Io {
         /// The path involved.
         path: String,
@@ -195,11 +125,6 @@ pub enum LintError {
     Manifest {
         /// 1-based manifest line.
         line: u32,
-        /// What was wrong.
-        reason: String,
-    },
-    /// The baseline file is malformed.
-    Baseline {
         /// What was wrong.
         reason: String,
     },
@@ -214,7 +139,6 @@ impl fmt::Display for LintError {
             LintError::Manifest { line, reason } => {
                 write!(f, "manifest line {line}: {reason}")
             }
-            LintError::Baseline { reason } => write!(f, "baseline: {reason}"),
             LintError::Usage(msg) => write!(f, "usage: {msg}"),
         }
     }
@@ -227,40 +151,4 @@ impl std::error::Error for LintError {
             _ => None,
         }
     }
-}
-
-/// Escapes `s` for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders findings as a JSON array (the `--format json` payload).
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}\n",
-            f.rule,
-            json_escape(&f.file),
-            f.line,
-            json_escape(&f.message),
-            if i + 1 == findings.len() { "" } else { "," }
-        ));
-    }
-    out.push(']');
-    out
 }

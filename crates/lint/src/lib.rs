@@ -15,32 +15,18 @@
 //! | `unbounded-alloc`| R2 | wire-derived allocation sizes are `MAX_*`-guarded or use `masc_bitio::bounded` |
 //! | `error-payload`  | R3 | `pub fn … -> Result` uses structured error types |
 //! | `error-impl`     | R3 | `pub enum *Error` implements `Display` + `Error` |
-//! | `thread-spawn`   | R4 | `thread::spawn` handles are owned join-on-drop |
-//! | `doc-missing`    | R5 | `pub` items in library crates are documented |
-//! | `condvar-wait-loop`      | R6 | `Condvar::wait*` sits under a `while`/`loop` re-check, never a bare `if` |
-//! | `condvar-pred-unguarded` | R6 | wait predicates read state through the guard passed to the wait |
-//! | `condvar-notify-unguarded` | R6 | `notify_*` follows a lock acquisition (the PR 8 lost-wakeup class) |
-//! | `guard-across-blocking`  | R7 | no live lock guard across `send`/`recv`/`join`/blocking I/O |
-//! | `lock-order`             | R7 | per-file two-lock acquisition order is acyclic |
-//! | `spawn-discard`          | R8 | `scope.spawn(…)` results are consumed, never dropped in statement position |
-//! | `sender-live-join`       | R8 | channel senders are dropped before the owning worker joins |
-//! | `unwind-discard`         | R8 | `catch_unwind` results map to structured errors |
 //!
-//! R6–R8 apply to modules classified `concurrency` in the manifest and
-//! run over a lightweight intra-file [`analysis`] layer: a brace-matched
-//! block tree plus `let`-binding def/use resolution on the token stream —
-//! no full AST, same tripwire philosophy as R1/R2.
+//! Everything else is left to the standard toolchain: `missing_docs`
+//! covers public docs, and a clippy `disallowed-methods` entry bans
+//! `std::thread::spawn`.
 //!
 //! "Hardened modules" are declared in `lint-manifest.txt` (see
 //! [`manifest`]); suppressions are inline pragmas with mandatory reasons
-//! (see [`pragma`]); pre-existing findings live in `lint-baseline.json`
-//! which may only shrink (see [`baseline`]). The analyzer has no
-//! dependencies: [`lexer`] is a hand-rolled total Rust lexer and the
-//! baseline parser is a minimal recursive-descent JSON reader.
+//! (see [`pragma`]). The analyzer has no dependencies: [`lexer`] is a
+//! hand-rolled total Rust lexer.
 
-pub mod analysis;
-pub mod baseline;
-pub(crate) mod concurrency;
+#![warn(missing_docs)]
+
 pub mod diag;
 pub mod lexer;
 pub mod manifest;
@@ -49,6 +35,6 @@ pub mod rules;
 pub mod workspace;
 
 pub use diag::{Finding, LintError, RuleId};
-pub use manifest::{ClassSet, Manifest};
+pub use manifest::Manifest;
 pub use rules::{analyze, FileInput};
 pub use workspace::{find_root, run, run_sources, Report, SourceFile};

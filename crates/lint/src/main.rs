@@ -1,95 +1,51 @@
 //! `masc-lint` command-line interface.
 //!
 //! ```text
-//! masc-lint [--root DIR] [--manifest FILE] [--baseline FILE]
-//!           [--format human|json] [--write-baseline] [--no-baseline]
-//!           [--list-pragmas]
+//! masc-lint [--root DIR]
 //! ```
 //!
-//! Default mode lints the workspace and checks findings against the
-//! baseline: exit 0 when findings and baseline agree exactly, exit 1 on
-//! any new finding *or* stale baseline entry (the baseline may only
-//! shrink), exit 2 on usage or I/O errors.
+//! Lints the workspace at `DIR` (default: the nearest ancestor of the
+//! working directory whose `Cargo.toml` declares `[workspace]`) against
+//! `DIR/lint-manifest.txt` and prints every finding. Exit 0 when clean,
+//! 1 on any finding, 2 on usage or I/O errors.
 
-use masc_lint::baseline::{self, BaselineEntry};
-use masc_lint::diag::{findings_to_json, json_escape, LintError};
+use masc_lint::diag::LintError;
 use masc_lint::{find_root, run, Manifest};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Parsed command line.
-struct Options {
-    root: Option<PathBuf>,
-    manifest: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    json: bool,
-    write_baseline: bool,
-    no_baseline: bool,
-    list_pragmas: bool,
-}
+const USAGE: &str = "masc-lint [--root DIR]";
 
-fn parse_args() -> Result<Options, LintError> {
-    let mut opts = Options {
-        root: None,
-        manifest: None,
-        baseline: None,
-        json: false,
-        write_baseline: false,
-        no_baseline: false,
-        list_pragmas: false,
-    };
+/// Parses the command line: the workspace root, if given.
+fn parse_args() -> Result<Option<PathBuf>, LintError> {
+    let mut root = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let path_arg = |args: &mut dyn Iterator<Item = String>| {
-            args.next()
-                .map(PathBuf::from)
-                .ok_or_else(|| LintError::Usage(format!("{arg} requires a value")))
-        };
         match arg.as_str() {
-            "--root" => opts.root = Some(path_arg(&mut args)?),
-            "--manifest" => opts.manifest = Some(path_arg(&mut args)?),
-            "--baseline" => opts.baseline = Some(path_arg(&mut args)?),
-            "--format" => {
-                let v = args
+            "--root" => {
+                let dir = args
                     .next()
-                    .ok_or_else(|| LintError::Usage("--format requires a value".to_string()))?;
-                match v.as_str() {
-                    "json" => opts.json = true,
-                    "human" => opts.json = false,
-                    other => {
-                        return Err(LintError::Usage(format!(
-                            "unknown format `{other}` (expected human or json)"
-                        )))
-                    }
-                }
+                    .ok_or_else(|| LintError::Usage("--root requires a value".to_string()))?;
+                root = Some(PathBuf::from(dir));
             }
-            "--write-baseline" => opts.write_baseline = true,
-            "--no-baseline" => opts.no_baseline = true,
-            "--list-pragmas" => opts.list_pragmas = true,
             "--help" | "-h" => {
-                println!(
-                    "masc-lint: MASC workspace static analyzer\n\n\
-                     USAGE: masc-lint [--root DIR] [--manifest FILE] [--baseline FILE]\n\
-                    \x20                [--format human|json] [--write-baseline] [--no-baseline]\n\
-                    \x20                [--list-pragmas]"
-                );
+                println!("masc-lint: MASC workspace static analyzer\n\nUSAGE: {USAGE}");
                 std::process::exit(0);
             }
-            other => return Err(LintError::Usage(format!("unknown flag `{other}`"))),
+            other => {
+                return Err(LintError::Usage(format!(
+                    "unknown flag `{other}`; usage: {USAGE}"
+                )))
+            }
         }
     }
-    Ok(opts)
+    Ok(root)
 }
 
 fn main() -> ExitCode {
     match run_cli() {
-        Ok(clean) => {
-            if clean {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
         Err(e) => {
             eprintln!("masc-lint: error: {e}");
             ExitCode::from(2)
@@ -98,9 +54,8 @@ fn main() -> ExitCode {
 }
 
 fn run_cli() -> Result<bool, LintError> {
-    let opts = parse_args()?;
-    let root = match &opts.root {
-        Some(r) => r.clone(),
+    let root = match parse_args()? {
+        Some(r) => r,
         None => {
             let cwd = std::env::current_dir().map_err(|source| LintError::Io {
                 path: ".".to_string(),
@@ -111,10 +66,7 @@ fn run_cli() -> Result<bool, LintError> {
             })?
         }
     };
-    let manifest_path = opts
-        .manifest
-        .clone()
-        .unwrap_or_else(|| root.join("lint-manifest.txt"));
+    let manifest_path = root.join("lint-manifest.txt");
     let manifest_text =
         std::fs::read_to_string(&manifest_path).map_err(|source| LintError::Io {
             path: manifest_path.display().to_string(),
@@ -123,107 +75,13 @@ fn run_cli() -> Result<bool, LintError> {
     let manifest = Manifest::parse(&manifest_text)?;
     let report = run(&root, &manifest)?;
 
-    if opts.list_pragmas {
-        for (file, p) in &report.pragmas {
-            println!(
-                "{}:{}: allow({}) applies to line {}: {}",
-                file, p.comment_line, p.rule_name, p.applies_line, p.reason
-            );
-        }
-        return Ok(true);
+    for f in &report.findings {
+        println!("{f}");
     }
-
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("lint-baseline.json"));
-
-    if opts.write_baseline {
-        // Preserve notes from the existing baseline where keys still match.
-        let old = match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => baseline::parse(&text)?,
-            Err(_) => Vec::new(),
-        };
-        let entries: Vec<BaselineEntry> = report
-            .findings
-            .iter()
-            .map(|f| {
-                let note = old
-                    .iter()
-                    .find(|b| b.key() == f.key())
-                    .map(|b| b.note.clone())
-                    .unwrap_or_else(|| "TODO: justify or fix".to_string());
-                BaselineEntry {
-                    rule: f.rule,
-                    file: f.file.clone(),
-                    line: f.line,
-                    note,
-                }
-            })
-            .collect();
-        std::fs::write(&baseline_path, baseline::to_json(&entries)).map_err(|source| {
-            LintError::Io {
-                path: baseline_path.display().to_string(),
-                source,
-            }
-        })?;
-        eprintln!(
-            "masc-lint: wrote {} entries to {}",
-            entries.len(),
-            baseline_path.display()
-        );
-        return Ok(true);
-    }
-
-    let baseline_entries = if opts.no_baseline {
-        Vec::new()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => baseline::parse(&text)?,
-            // Missing baseline means an empty one.
-            Err(_) => Vec::new(),
-        }
-    };
-    let diff = baseline::diff(&report.findings, &baseline_entries);
-
-    if opts.json {
-        println!("{{");
-        println!("  \"files\": {},", report.files);
-        println!("  \"grandfathered\": {},", diff.grandfathered);
-        println!("  \"findings\": {},", findings_to_json(&diff.new_findings));
-        let stale: Vec<String> = diff
-            .stale_entries
-            .iter()
-            .map(|b| {
-                format!(
-                    "{{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}}}",
-                    b.rule,
-                    json_escape(&b.file),
-                    b.line
-                )
-            })
-            .collect();
-        println!("  \"stale_baseline\": [{}]", stale.join(", "));
-        println!("}}");
-    } else {
-        for f in &diff.new_findings {
-            println!("{f}");
-        }
-        for b in &diff.stale_entries {
-            println!(
-                "{}:{}: stale-baseline: `{}` entry no longer matches any finding; \
-                 delete it (the baseline may only shrink)",
-                b.file, b.line, b.rule
-            );
-        }
-        eprintln!(
-            "masc-lint: {} files, {} findings ({} grandfathered), {} new, {} stale baseline",
-            report.files,
-            report.findings.len(),
-            diff.grandfathered,
-            diff.new_findings.len(),
-            diff.stale_entries.len()
-        );
-    }
-    Ok(diff.clean())
+    eprintln!(
+        "masc-lint: {} files, {} findings",
+        report.files,
+        report.findings.len()
+    );
+    Ok(report.findings.is_empty())
 }

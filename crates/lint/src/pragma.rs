@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `<rule>` is a specific rule id (`panic-call`, `unbounded-alloc`, …) or a
-//! group (`R1`–`R5`). A trailing pragma suppresses findings on its own
+//! group (`R1`–`R3`). A trailing pragma suppresses findings on its own
 //! line; a pragma alone on a line suppresses findings on the next line that
 //! carries code. The reason is mandatory — a pragma without one is itself a
 //! finding (`pragma-syntax`) — and a pragma that suppresses nothing is a

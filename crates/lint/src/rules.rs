@@ -1,4 +1,4 @@
-//! The MASC rule engine: R1–R5 over a single file's token stream.
+//! The MASC rule engine: R1–R3 over a single file's token stream.
 //!
 //! Rules operate on *significant* tokens (comments stripped) with two
 //! region masks: `#[cfg(test)]` / `#[test]` items and `macro_rules!`
@@ -11,11 +11,10 @@
 //! `.min(…)`, a loop header) within the preceding [`GUARD_WINDOW_LINES`]
 //! lines of the same file. False accepts are possible by construction;
 //! the rules are tripwires that force every risky site to either carry an
-//! obvious nearby guard, a justification pragma, or a baseline entry.
+//! obvious nearby guard or a justification pragma.
 
 use crate::diag::{Finding, RuleId};
 use crate::lexer::{lex, Token, TokenKind};
-use crate::manifest::ClassSet;
 use crate::pragma::{self, Pragma};
 
 /// Lines above a risky site in which a guard token satisfies R1/R2.
@@ -28,9 +27,9 @@ pub struct FileInput<'s> {
     pub path: &'s str,
     /// File contents.
     pub src: &'s str,
-    /// Hardened-surface classes from the manifest (drives R1/R2).
-    pub classes: ClassSet,
-    /// True for library code (drives R3 payloads and R5 docs).
+    /// True when the manifest lists the file (drives R1/R2).
+    pub hardened: bool,
+    /// True for library code (drives R3 payloads).
     pub is_lib: bool,
 }
 
@@ -102,7 +101,7 @@ pub fn analyze(input: FileInput<'_>) -> FileAnalysis {
         ..FileAnalysis::default()
     };
     out.findings.extend(pragma_findings);
-    if input.classes.hardened() {
+    if input.hardened {
         scan.rule_panic_calls(&mut out.findings);
         scan.rule_panic_macros(&mut out.findings);
         scan.rule_panic_index(&mut out.findings);
@@ -110,36 +109,23 @@ pub fn analyze(input: FileInput<'_>) -> FileAnalysis {
     }
     if input.is_lib {
         scan.rule_error_payload(&mut out.findings);
-        scan.rule_doc_coverage(&mut out.findings);
     }
-    if input.classes.concurrency {
-        crate::concurrency::check(&scan, &mut out.findings);
-    }
-    scan.rule_thread_spawn(&mut out.findings);
     scan.collect_error_types(&mut out);
     out
 }
 
-/// Token-stream view shared by the rules (including the R6–R8
-/// concurrency rules in [`crate::concurrency`], which layer a block tree
-/// from [`crate::analysis`] on top of it).
-pub(crate) struct Scan<'s, 't> {
-    pub(crate) input: FileInput<'s>,
+/// Token-stream view shared by the rules.
+struct Scan<'s, 't> {
+    input: FileInput<'s>,
     /// Full token stream, comments included.
-    pub(crate) tokens: &'t [Token],
+    tokens: &'t [Token],
     /// Indices into `tokens` of non-comment tokens.
-    pub(crate) sig: Vec<usize>,
+    sig: Vec<usize>,
     /// Per-`sig` index: token sits in a test item or macro body.
-    pub(crate) excluded: Vec<bool>,
+    excluded: Vec<bool>,
 }
 
 impl<'s, 't> Scan<'s, 't> {
-    /// Test-only constructor for the analysis-layer unit tests.
-    #[cfg(test)]
-    pub(crate) fn for_tests(input: FileInput<'s>, tokens: &'t [Token]) -> Self {
-        Self::new(input, tokens)
-    }
-
     fn new(input: FileInput<'s>, tokens: &'t [Token]) -> Self {
         let sig: Vec<usize> = tokens
             .iter()
@@ -158,34 +144,34 @@ impl<'s, 't> Scan<'s, 't> {
     }
 
     /// The `si`-th significant token, if any.
-    pub(crate) fn tok(&self, si: usize) -> Option<&Token> {
+    fn tok(&self, si: usize) -> Option<&Token> {
         self.sig.get(si).and_then(|&i| self.tokens.get(i))
     }
 
-    pub(crate) fn kind(&self, si: usize) -> Option<TokenKind> {
+    fn kind(&self, si: usize) -> Option<TokenKind> {
         self.tok(si).map(|t| t.kind)
     }
 
-    pub(crate) fn text(&self, si: usize) -> &str {
+    fn text(&self, si: usize) -> &str {
         self.tok(si).map(|t| t.text(self.input.src)).unwrap_or("")
     }
 
-    pub(crate) fn line(&self, si: usize) -> u32 {
+    fn line(&self, si: usize) -> u32 {
         self.tok(si).map(|t| t.line).unwrap_or(0)
     }
 
-    pub(crate) fn is_punct(&self, si: usize, c: char) -> bool {
+    fn is_punct(&self, si: usize, c: char) -> bool {
         self.kind(si) == Some(TokenKind::Punct) && self.text(si) == c.to_string().as_str()
     }
 
-    pub(crate) fn is_ident(&self, si: usize, s: &str) -> bool {
+    fn is_ident(&self, si: usize, s: &str) -> bool {
         self.kind(si) == Some(TokenKind::Ident) && self.text(si) == s
     }
 
     /// True when sig tokens `si` and `si + 1` are adjacent in the source
     /// (no whitespace/comments between) — used to recognize `->` and `=>`
     /// so their `>` is not mistaken for a closing angle bracket.
-    pub(crate) fn adjacent(&self, si: usize) -> bool {
+    fn adjacent(&self, si: usize) -> bool {
         match (self.tok(si), self.tok(si + 1)) {
             (Some(a), Some(b)) => a.end == b.start,
             _ => false,
@@ -193,14 +179,14 @@ impl<'s, 't> Scan<'s, 't> {
     }
 
     /// Is the `>` at `si` the tail of a `->` / `=>` arrow?
-    pub(crate) fn gt_is_arrow(&self, si: usize) -> bool {
+    fn gt_is_arrow(&self, si: usize) -> bool {
         si > 0 && (self.text(si - 1) == "-" || self.text(si - 1) == "=") && self.adjacent(si - 1)
     }
 
     /// Index of the sig token closing the bracket opened at `si_open`
     /// (`(`/`)`, `[`/`]`, `{`/`}`). Unbalanced input returns the last
     /// token index, keeping every scan bounded.
-    pub(crate) fn match_forward(&self, si_open: usize, open: char, close: char) -> usize {
+    fn match_forward(&self, si_open: usize, open: char, close: char) -> usize {
         let mut depth = 0i64;
         let mut si = si_open;
         while let Some(t) = self.tok(si) {
@@ -352,13 +338,7 @@ impl<'s, 't> Scan<'s, 't> {
         })
     }
 
-    pub(crate) fn push(
-        &self,
-        findings: &mut Vec<Finding>,
-        rule: RuleId,
-        si: usize,
-        message: String,
-    ) {
+    fn push(&self, findings: &mut Vec<Finding>, rule: RuleId, si: usize, message: String) {
         findings.push(Finding {
             rule,
             file: self.input.path.to_string(),
@@ -728,182 +708,6 @@ impl<'s, 't> Scan<'s, 't> {
             }
         }
         None
-    }
-
-    /// R4: `thread::spawn` outside a join-on-drop owner.
-    fn rule_thread_spawn(&self, findings: &mut Vec<Finding>) {
-        let file_has_join_on_drop = self.has_drop_impl_with_join();
-        for si in 0..self.sig.len() {
-            if self.excluded[si] {
-                continue;
-            }
-            if self.is_ident(si, "spawn")
-                && si >= 3
-                && self.is_punct(si - 1, ':')
-                && self.is_punct(si - 2, ':')
-                && self.is_ident(si - 3, "thread")
-                && !file_has_join_on_drop
-            {
-                self.push(
-                    findings,
-                    RuleId::ThreadSpawn,
-                    si,
-                    "`thread::spawn` without a join-on-drop owner in this file; wrap the handle \
-                     or use `std::thread::scope`"
-                        .to_string(),
-                );
-            }
-        }
-    }
-
-    /// Does any `impl Drop for …` block in this file call `join`?
-    fn has_drop_impl_with_join(&self) -> bool {
-        for si in 0..self.sig.len() {
-            if !self.is_ident(si, "impl") {
-                continue;
-            }
-            // Find the `for` of this impl header before its `{`.
-            let mut j = si + 1;
-            let mut is_drop = false;
-            while let Some(_t) = self.tok(j) {
-                if self.is_punct(j, '{') {
-                    break;
-                }
-                if self.is_ident(j, "for") && self.is_ident(j - 1, "Drop") {
-                    is_drop = true;
-                }
-                j += 1;
-            }
-            if is_drop && self.is_punct(j, '{') {
-                let end = self.match_forward(j, '{', '}');
-                if (j..end).any(|k| self.is_ident(k, "join")) {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// R5: `pub` items need doc comments.
-    fn rule_doc_coverage(&self, findings: &mut Vec<Finding>) {
-        for si in 0..self.sig.len() {
-            if self.excluded[si] || !self.is_ident(si, "pub") {
-                continue;
-            }
-            if self.is_punct(si + 1, '(') {
-                continue; // pub(crate)/pub(super) — not public API.
-            }
-            let mut j = si + 1;
-            loop {
-                match self.text(j) {
-                    "unsafe" | "async" => j += 1,
-                    "extern" => {
-                        j += 1;
-                        if self.kind(j) == Some(TokenKind::Str) {
-                            j += 1;
-                        }
-                    }
-                    "const" if self.is_ident(j + 1, "fn") => j += 1,
-                    "static" if self.is_ident(j + 1, "mut") => break,
-                    _ => break,
-                }
-            }
-            let kind = self.text(j);
-            if !matches!(
-                kind,
-                "fn" | "struct" | "enum" | "trait" | "mod" | "const" | "static" | "type" | "union"
-            ) {
-                continue; // field, `pub use`, …
-            }
-            // `pub mod name;` — the module file documents itself via `//!`.
-            if kind == "mod" && self.is_punct(j + 2, ';') {
-                continue;
-            }
-            let name = if self.is_ident(j + 1, "mut") {
-                self.text(j + 2).to_string()
-            } else {
-                self.text(j + 1).to_string()
-            };
-            if !self.has_doc_before(si) {
-                self.push(
-                    findings,
-                    RuleId::DocMissing,
-                    si,
-                    format!("public {kind} `{name}` has no doc comment"),
-                );
-            }
-        }
-    }
-
-    /// Walks back from the `pub` at sig index `si` over attributes and
-    /// plain comments, looking for an outer doc comment (`///`, `/** */`,
-    /// or a `#[doc…]` attribute).
-    fn has_doc_before(&self, si: usize) -> bool {
-        let Some(&full_start) = self.sig.get(si) else {
-            return false;
-        };
-        let mut k = full_start;
-        while k > 0 {
-            k -= 1;
-            let Some(t) = self.tokens.get(k) else {
-                return false;
-            };
-            let text = t.text(self.input.src);
-            match t.kind {
-                TokenKind::LineComment => {
-                    if text.starts_with("///") {
-                        return true;
-                    }
-                    if text.starts_with("//!") {
-                        return false;
-                    }
-                    // Plain comment (e.g. a pragma): transparent.
-                }
-                TokenKind::BlockComment => {
-                    if text.starts_with("/**") && text != "/**/" {
-                        return true;
-                    }
-                    if text.starts_with("/*!") {
-                        return false;
-                    }
-                }
-                TokenKind::Punct if text == "]" => {
-                    // Attribute: scan back to its `[`, checking for `doc`.
-                    let mut depth = 1i64;
-                    let mut saw_doc = false;
-                    while k > 0 && depth > 0 {
-                        k -= 1;
-                        let Some(inner) = self.tokens.get(k) else {
-                            return false;
-                        };
-                        let itext = inner.text(self.input.src);
-                        match inner.kind {
-                            TokenKind::Punct if itext == "]" => depth += 1,
-                            TokenKind::Punct if itext == "[" => depth -= 1,
-                            TokenKind::Ident if itext == "doc" => saw_doc = true,
-                            _ => {}
-                        }
-                    }
-                    if saw_doc {
-                        return true;
-                    }
-                    // Step over the `#` (and `!` of an inner attribute).
-                    while k > 0 {
-                        let Some(prev) = self.tokens.get(k - 1) else {
-                            break;
-                        };
-                        let ptext = prev.text(self.input.src);
-                        if prev.kind == TokenKind::Punct && (ptext == "#" || ptext == "!") {
-                            k -= 1;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                _ => return false,
-            }
-        }
-        false
     }
 
     /// Collects `pub enum *Error` definitions and `Display`/`Error` impl

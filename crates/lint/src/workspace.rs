@@ -1,7 +1,6 @@
 //! Workspace walker: file discovery, per-file analysis, cross-file rules,
 //! and pragma resolution.
 
-use crate::baseline::BaselineEntry;
 use crate::diag::{Finding, LintError, RuleId};
 use crate::manifest::Manifest;
 use crate::pragma::Pragma;
@@ -30,17 +29,17 @@ pub struct SourceFile {
     pub path: String,
     /// File contents.
     pub src: String,
-    /// Hardened-surface classes that apply to this file.
-    pub classes: crate::manifest::ClassSet,
-    /// Whether R5 doc coverage applies (library code).
+    /// Whether the manifest lists this file (R1/R2 apply).
+    pub hardened: bool,
+    /// Whether R3 payload checks apply (library code).
     pub is_lib: bool,
 }
 
 /// Discovers and lints every workspace source file under `root`.
 ///
-/// Walks `src/` of the root package and of each `crates/*` member
-/// (skipping anything the manifest marks `skip`), so integration tests,
-/// benches, and the lint corpus are naturally out of scope.
+/// Walks `src/` of the root package and of each `crates/*` member, so
+/// integration tests, benches, and the lint corpus are naturally out of
+/// scope.
 pub fn run(root: &Path, manifest: &Manifest) -> Result<Report, LintError> {
     let mut files = Vec::new();
     collect_rs_files(&root.join("src"), &mut files)?;
@@ -60,16 +59,13 @@ pub fn run(root: &Path, manifest: &Manifest) -> Result<Report, LintError> {
     let mut sources = Vec::new();
     for path in &files {
         let rel = relative_path(root, path);
-        if manifest.skipped(&rel) {
-            continue;
-        }
         let src = std::fs::read_to_string(path).map_err(|source| LintError::Io {
             path: rel.clone(),
             source,
         })?;
         let is_lib = is_library_file(root, &rel);
         sources.push(SourceFile {
-            classes: manifest.classify(&rel),
+            hardened: manifest.hardened(&rel),
             path: rel,
             src,
             is_lib,
@@ -95,7 +91,7 @@ pub fn run_sources(sources: &[SourceFile]) -> Report {
         let analysis = analyze(FileInput {
             path: rel,
             src: &file.src,
-            classes: file.classes,
+            hardened: file.hardened,
             is_lib: file.is_lib,
         });
         report.files += 1;
@@ -181,19 +177,6 @@ pub fn findings_in_region<'f>(
     findings
         .iter()
         .filter(|f| f.file == file && f.line >= start_line && f.line <= end_line)
-        .collect()
-}
-
-/// Baseline entries that fall within `[start_line, end_line]` of `file`.
-pub fn baseline_in_region<'b>(
-    entries: &'b [BaselineEntry],
-    file: &str,
-    start_line: u32,
-    end_line: u32,
-) -> Vec<&'b BaselineEntry> {
-    entries
-        .iter()
-        .filter(|b| b.file == file && b.line >= start_line && b.line <= end_line)
         .collect()
 }
 

@@ -5,10 +5,9 @@
 //! Corpus conventions:
 //!
 //! - line 1 of every corpus file is `// lint-corpus: <flags>`, where the
-//!   comma/space-separated flags pick the hardened classes (`wire-decode`,
-//!   `store-io`, `parser`), `concurrency` (enables the R6–R8 concurrency
-//!   rules), and/or `lib` (enables the R3 payload and R5 doc rules, as
-//!   for library code);
+//!   comma/space-separated flags are a manifest class (`wire-decode`,
+//!   `store-io`, `parser`: the file is hardened) and/or `lib` (enables
+//!   the R3 payload rule, as for library code);
 //! - `//~ <rule>` at the end of a line marks an expected finding on that
 //!   line;
 //! - `//~^ <rule>` marks an expected finding on the *previous* line (used
@@ -18,7 +17,7 @@
 //! cross-file aggregation (`error-impl`) and pragma resolution run exactly
 //! as they do in a real workspace scan.
 
-use masc_lint::{run_sources, ClassSet, SourceFile};
+use masc_lint::{run_sources, SourceFile};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -29,25 +28,23 @@ fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
 }
 
-/// Parses the mandatory `// lint-corpus: <flags>` header line.
-fn parse_header(name: &str, src: &str) -> (ClassSet, bool) {
+/// Parses the mandatory `// lint-corpus: <flags>` header line into
+/// `(hardened, is_lib)`.
+fn parse_header(name: &str, src: &str) -> (bool, bool) {
     let first = src.lines().next().unwrap_or("");
     let flags = first
         .strip_prefix("// lint-corpus:")
         .unwrap_or_else(|| panic!("{name}: line 1 must be `// lint-corpus: <flags>`"));
-    let mut classes = ClassSet::default();
+    let mut hardened = false;
     let mut is_lib = false;
     for flag in flags.split([',', ' ']).filter(|f| !f.is_empty()) {
         match flag {
-            "wire-decode" => classes.wire_decode = true,
-            "store-io" => classes.store_io = true,
-            "parser" => classes.parser = true,
-            "concurrency" => classes.concurrency = true,
+            "wire-decode" | "store-io" | "parser" => hardened = true,
             "lib" => is_lib = true,
             other => panic!("{name}: unknown lint-corpus flag `{other}`"),
         }
     }
-    (classes, is_lib)
+    (hardened, is_lib)
 }
 
 /// Collects `//~ rule` (own line) and `//~^ rule` (previous line) markers.
@@ -90,12 +87,12 @@ fn load_corpus() -> (Vec<SourceFile>, BTreeSet<Key>) {
         let name = path.file_name().expect("file name").to_string_lossy();
         let rel = format!("crates/lint/tests/corpus/{name}");
         let src = std::fs::read_to_string(path).expect("read corpus file");
-        let (classes, is_lib) = parse_header(&name, &src);
+        let (hardened, is_lib) = parse_header(&name, &src);
         expected.extend(markers(&rel, &src));
         sources.push(SourceFile {
             path: rel,
             src,
-            classes,
+            hardened,
             is_lib,
         });
     }

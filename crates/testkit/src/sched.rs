@@ -1,9 +1,9 @@
 //! Deterministic interleaving explorer: a virtual scheduler over
 //! instrumented mutex/condvar shims.
 //!
-//! The R6–R8 lint rules (masc-lint) police concurrency discipline
-//! *statically*; this module backs them *dynamically*. A model — a small
-//! extraction of a real coordination core, written against the
+//! Scheduling bugs — lost wakeups, double-processed work, deadlocks —
+//! are timing-dependent, so they are checked *dynamically* here. A model
+//! — a small extraction of a real coordination core, written against the
 //! [`Sched`] shims instead of `std::sync` — is executed many times,
 //! each time under a different, fully deterministic thread interleaving:
 //!
@@ -34,8 +34,8 @@
 //! than real hardware (no weak-memory reorderings). Shared flags must be
 //! modeled as shim mutexes, never raw atomics: atomic operations are
 //! invisible to the virtual scheduler, so races on them cannot be
-//! explored. A green run bounds the bug classes R6–R8 describe; it is
-//! not a proof.
+//! explored. A green run bounds the lost-wakeup and deadlock bug
+//! classes; it is not a proof.
 //!
 //! # Example
 //!

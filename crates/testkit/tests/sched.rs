@@ -76,8 +76,8 @@ fn self_deadlock_is_detected() {
 
 #[test]
 fn condvar_while_loop_pattern_is_clean() {
-    // The disciplined pattern R6 mandates: predicate re-checked in a
-    // while loop, notify after the guarded write. No schedule may hang.
+    // The disciplined condvar pattern: predicate re-checked in a while
+    // loop, notify after the guarded write. No schedule may hang.
     let report = small_explorer().explore(|s| {
         let state = s.mutex(false);
         let cv = s.condvar();
@@ -100,8 +100,8 @@ fn condvar_while_loop_pattern_is_clean() {
 
 #[test]
 fn lost_wakeup_is_found_shrunk_and_seed_replayable() {
-    // The R6/PR-8 bug class, dynamic edition: the producer flips the
-    // flag *outside* the mutex the waiter's predicate is guarded by, so
+    // The lost-wakeup bug class masc-serve once shipped: the producer
+    // flips the flag *outside* the mutex the waiter's predicate reads, so
     // on schedules where the notify lands before the waiter registers,
     // the waiter sleeps forever.
     let model = |s: &masc_testkit::sched::Sched| {

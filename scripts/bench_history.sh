@@ -9,6 +9,11 @@
 # of failed jobs. Rows are only ever appended, so the file is the
 # trajectory the numbers took from commit to commit.
 #
+# Each row also records "loadavg": [start, end], the 1-minute load
+# average from /proc/loadavg when the script starts and after the last
+# workload (each `null` where the file is missing), so a row measured in
+# a busy spell can be told from a regression.
+#
 # usage: scripts/bench_history.sh [--seed N] [--seconds S]
 #
 # The commit is `git describe --always --dirty`, so run it on a committed
@@ -31,6 +36,14 @@ while [[ $# -gt 0 ]]; do
     shift 2
 done
 commit=$(git describe --always --dirty 2>/dev/null || echo unknown)
+
+# loadavg1: the 1-minute load average, or null without /proc/loadavg.
+loadavg1() {
+    local v
+    v=$(cut -d' ' -f1 /proc/loadavg 2>/dev/null || true)
+    echo "${v:-null}"
+}
+load_start=$(loadavg1)
 
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 bin=benchmark/target/release/masc-benchmark
@@ -55,6 +68,8 @@ for w in "${workloads[@]}"; do
 \"compress_ratio\": $(metric compress_ratio "$line"), \"failed\": ${failed:-null}}"
 done
 
-printf '{"commit": "%s", "nproc": %s, "seed": %s, "seconds": %s, "workloads": {%s}}\n' \
-    "$commit" "$(nproc)" "$seed" "$seconds" "$body" >>"$out"
+load_end=$(loadavg1)
+
+printf '{"commit": "%s", "nproc": %s, "seed": %s, "seconds": %s, "loadavg": [%s, %s], "workloads": {%s}}\n' \
+    "$commit" "$(nproc)" "$seed" "$seconds" "$load_start" "$load_end" "$body" >>"$out"
 echo "appended a row for $commit to $out" >&2

@@ -15,7 +15,6 @@ run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo build --release --offline --workspace --bins --benches
 run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 run cargo run -q --offline --release -p masc-lint
-run cargo test -q --offline -p masc-lint
 # Scheduler-shim coverage runs serially: each exploration gates its own
 # virtual threads, and serial order keeps the explorer's quiet panic
 # hook from masking unrelated test output.
@@ -23,8 +22,8 @@ run cargo test -q --offline -p masc-testkit --test sched -- --test-threads=1
 run cargo test -q --offline --workspace
 run cargo run -q --offline --release -p masc-conform -- --budget 30 --seed 4
 # Model-check gate: the deterministic interleaving explorer sweeps the
-# three worker-pool coordination models (serve queue close, serve
-# single-flight, window dirty sweep) under a wall-clock budget.
+# two worker-pool coordination models (serve queue close, serve
+# single-flight) under a wall-clock budget.
 # It prints schedules-explored per model; on failure it prints the
 # minimized preemption trace and a MASC_SCHED_REPRO seed to replay the
 # exact schedule.
