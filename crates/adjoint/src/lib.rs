@@ -73,7 +73,7 @@ pub use store::{
     StoreMetrics, TensorLayout, TensorSlot,
 };
 
-use masc_circuit::transient::{transient, transient_ws, TranError, TranOptions, TranStats};
+use masc_circuit::transient::{transient_into, TranError, TranOptions, TranStats};
 use masc_circuit::{Circuit, ParamRef, System};
 use masc_sparse::LuWorkspace;
 
@@ -156,21 +156,23 @@ pub fn run_xyce_like(
     params: &[ParamRef],
 ) -> Result<SensitivityRun, RunError> {
     let mut system = circuit.elaborate()?;
-    let mut record = ForwardRecord::new(store::TensorLayout::of(&system), &StoreConfig::Recompute)?;
-    let tran_result = transient(circuit, &mut system, tran, &mut record)?;
-    check_objective_steps(objectives, tran_result.times.len())?;
-    let objective_values = objectives
-        .iter()
-        .map(|o| o.value(&tran_result.states, &tran_result.steps))
-        .collect();
-    let (meta, _) = record.into_parts()?;
+    let record = ForwardRecord::new(store::TensorLayout::of(&system), &StoreConfig::Recompute)?;
+    let (tran_stats, objective_values, meta, _) = forward(
+        circuit,
+        &mut system,
+        tran,
+        record,
+        LuWorkspace::new(),
+        drop,
+        objectives,
+    )?;
     let sensitivities =
         adjoint_sensitivities_per_objective(circuit, &mut system, &meta, objectives, params)?;
     let store_metrics = sensitivities.stats.store.clone();
     Ok(SensitivityRun {
         objective_values,
         sensitivities,
-        tran_stats: tran_result.stats,
+        tran_stats,
         store_metrics,
     })
 }
@@ -206,11 +208,11 @@ pub fn run_adjoint(
 
 /// The forward + reverse body of [`run_adjoint`] over a caller-prepared
 /// record and forward LU workspace: transient into `record`, objective
-/// values off the trajectory, then one batched reverse sweep. The forward
-/// workspace goes to `retire_lu` as soon as the transient is done — its
-/// factors are dead weight once the reverse pass allocates its own —
-/// where `masc-serve` pools the symbolic analysis and `run_adjoint` just
-/// drops it. Also returns the run metadata, which `masc-serve` keeps next
+/// values off the trajectory the record kept, then one batched reverse
+/// sweep. The forward workspace goes to `retire_lu` as soon as the store
+/// is sealed — its factors are dead weight once the reverse pass
+/// allocates its own — where `masc-serve` pools the symbolic analysis and
+/// `run_adjoint` just drops it. Also returns the run metadata, which `masc-serve` keeps next
 /// to the tensors its record's store captured.
 ///
 /// # Errors
@@ -221,27 +223,54 @@ pub fn run_recorded(
     circuit: &Circuit,
     system: &mut System,
     tran: &TranOptions,
-    mut record: ForwardRecord,
-    mut lu: LuWorkspace,
+    record: ForwardRecord,
+    lu: LuWorkspace,
     retire_lu: impl FnOnce(LuWorkspace),
     objectives: &[Objective],
     params: &[ParamRef],
 ) -> Result<(SensitivityRun, RunMeta), RunError> {
-    let tran_result = transient_ws(circuit, system, tran, &mut record, &mut lu)?;
-    retire_lu(lu);
-    check_objective_steps(objectives, tran_result.times.len())?;
-    let objective_values = objectives
-        .iter()
-        .map(|o| o.value(&tran_result.states, &tran_result.steps))
-        .collect();
-    let (meta, reader) = record.into_parts()?;
+    let (tran_stats, objective_values, meta, reader) =
+        forward(circuit, system, tran, record, lu, retire_lu, objectives)?;
     let sensitivities = adjoint_sensitivities(circuit, system, &meta, reader, objectives, params)?;
     let store_metrics = sensitivities.stats.store.clone();
     let run = SensitivityRun {
         objective_values,
         sensitivities,
-        tran_stats: tran_result.stats,
+        tran_stats,
         store_metrics,
     };
     Ok((run, meta))
+}
+
+/// The forward half shared by [`run_recorded`] and [`run_xyce_like`]:
+/// transient into `record`, then the record split into its metadata and
+/// reader, with the objective values read off the one trajectory the
+/// record kept. On a fixed grid a bad [`Objective::AtStep`] is rejected
+/// before the DC point; an adaptive grid only knows its step count after
+/// the run.
+fn forward(
+    circuit: &Circuit,
+    system: &mut System,
+    tran: &TranOptions,
+    mut record: ForwardRecord,
+    mut lu: LuWorkspace,
+    retire_lu: impl FnOnce(LuWorkspace),
+    objectives: &[Objective],
+) -> Result<(TranStats, Vec<f64>, RunMeta, BackwardJacobians), RunError> {
+    if tran.adaptive.is_none() {
+        check_objective_steps(objectives, tran.step_count() + 1)?;
+    }
+    let tran_stats = transient_into(circuit, system, tran, &mut record, &mut lu)?;
+    // Seal before the workspace is freed: the seal's small allocations then
+    // stay out of the hole the workspace leaves, and the reverse pass's own
+    // LU storage refills it whole (on `rc_mesh` this keeps the peak RSS
+    // from depending on the seed).
+    let (meta, reader) = record.into_parts()?;
+    retire_lu(lu);
+    check_objective_steps(objectives, meta.times.len())?;
+    let objective_values = objectives
+        .iter()
+        .map(|o| o.value(&meta.states, &meta.hs))
+        .collect();
+    Ok((tran_stats, objective_values, meta, reader))
 }

@@ -11,11 +11,14 @@ use masc_adjoint::store::{
     BackwardJacobians, BackwardReader, CompressedStore, ForwardRecord, JacobianStore, RawStore,
     StoreConfig, StoreError, StoreMetrics, TensorLayout,
 };
+use masc_adjoint::{run_recorded, AdjointError, Objective, RunError};
 use masc_circuit::parser::parse_netlist;
 use masc_circuit::transient::{transient, JacobianSink, TranError};
 use masc_compress::{CompressedTensor, MascConfig, TensorCompressor};
+use masc_sparse::LuWorkspace;
 use masc_sparse::{CsrMatrix, Pattern, TripletMatrix};
 use std::error::Error;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn pattern() -> Arc<Pattern> {
@@ -121,6 +124,90 @@ fn transient_surfaces_disk_full_as_sink_error() {
         .find_map(|e| e.downcast_ref::<std::io::Error>())
         .unwrap_or_else(|| panic!("error chain must carry the I/O cause, got: {source}"));
     assert_eq!(io.to_string(), "injected disk-full fault");
+}
+
+/// A raw store that counts its `put` calls in a counter the test keeps.
+#[derive(Debug)]
+struct CountingStore {
+    inner: RawStore,
+    puts: Arc<AtomicUsize>,
+}
+
+impl JacobianStore for CountingStore {
+    fn put(&mut self, step: usize, g: &[f64], c: &[f64]) -> Result<(), StoreError> {
+        self.puts.fetch_add(1, Ordering::Relaxed);
+        self.inner.put(step, g, c)
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.inner.resident_bytes()
+    }
+
+    fn metrics(&self) -> &StoreMetrics {
+        self.inner.metrics()
+    }
+
+    fn metrics_mut(&mut self) -> &mut StoreMetrics {
+        self.inner.metrics_mut()
+    }
+
+    fn finish(self: Box<Self>) -> Result<Box<dyn BackwardReader>, StoreError> {
+        Box::new(self.inner).finish()
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// On a fixed grid the step count is known before the run, so an
+/// `AtStep` past it is rejected before the DC point: the store never sees
+/// a step.
+#[test]
+fn bad_at_step_on_a_fixed_grid_is_rejected_before_the_forward_pass() {
+    let parsed = parse_netlist(
+        "V1 in 0 SIN(0 1 1e6)\n\
+         R1 in out 1k\n\
+         C1 out 0 1n\n\
+         .tran 20n 2u\n\
+         .end",
+    )
+    .expect("valid netlist");
+    let mut circuit = parsed.circuit;
+    let mut system = circuit.elaborate().expect("elaborates");
+    let tran = parsed.tran.expect(".tran present");
+    let out = circuit.find_node("out").unwrap().unknown().unwrap();
+    let params = [circuit.find_param("R1.r").unwrap()];
+    let puts = Arc::new(AtomicUsize::new(0));
+    let store = CountingStore {
+        inner: RawStore::new(),
+        puts: puts.clone(),
+    };
+    let record = ForwardRecord::with_store(TensorLayout::of(&system), Box::new(store));
+    let max = tran.step_count();
+    let late = [Objective::AtStep {
+        unknown: out,
+        step: max + 1,
+    }];
+
+    let err = run_recorded(
+        &circuit,
+        &mut system,
+        &tran,
+        record,
+        LuWorkspace::new(),
+        drop,
+        &late,
+        &params,
+    )
+    .expect_err("a step past the grid must be rejected");
+    match err {
+        RunError::Adjoint(AdjointError::StepOutOfRange { step, max: m }) => {
+            assert_eq!((step, m), (max + 1, max));
+        }
+        other => panic!("expected StepOutOfRange, got {other:?}"),
+    }
+    assert_eq!(puts.load(Ordering::Relaxed), 0, "the store saw a step");
 }
 
 /// Records are `Send`: two threads can each run a compressed record

@@ -7,11 +7,11 @@
 #![allow(clippy::disallowed_methods)]
 
 use masc_adjoint::{
-    adjoint_sensitivities, direct_sensitivities, finite_difference, run_adjoint, AdjointError,
-    ForwardRecord, Objective, RunError, StoreConfig, TensorLayout,
+    adjoint_sensitivities, direct_sensitivities, finite_difference, run_adjoint, run_xyce_like,
+    AdjointError, ForwardRecord, Objective, RunError, StoreConfig, TensorLayout,
 };
 use masc_circuit::parser::parse_netlist;
-use masc_circuit::transient::{transient, TranOptions};
+use masc_circuit::transient::{transient, NullSink, TranOptions};
 use masc_circuit::Circuit;
 use masc_compress::MascConfig;
 
@@ -366,6 +366,60 @@ fn multiple_objectives_one_pass() {
             assert_eq!((step, m), (max + 1, max));
         }
         other => panic!("expected StepOutOfRange, got {other:?}"),
+    }
+}
+
+/// The drivers read objective values off the trajectory their record
+/// keeps; they must be, bit for bit, the values `transient`'s own
+/// collected trajectory gives — on a fixed grid and an adaptive one, with
+/// the same step and Newton counts.
+#[test]
+fn objective_values_are_those_of_the_collected_trajectory() {
+    let parsed = parse_netlist(diode_netlist()).unwrap();
+    let fixed = parsed.tran.clone().unwrap();
+    for tran in [fixed.clone(), fixed.with_adaptive(4.0, 64.0)] {
+        let mut circuit = parsed.circuit.clone();
+        let out = circuit.find_node("out").unwrap().unknown().unwrap();
+        let objectives = [
+            Objective::Integral { unknown: out },
+            Objective::IntegralSquared { unknown: out },
+            Objective::AtStep {
+                unknown: out,
+                step: 10,
+            },
+        ];
+        let params = [circuit.find_param("D1.is").unwrap()];
+
+        let mut system = circuit.elaborate().unwrap();
+        let r = transient(&circuit, &mut system, &tran, &mut NullSink).unwrap();
+        let expected: Vec<u64> = objectives
+            .iter()
+            .map(|o| o.value(&r.states, &r.steps).to_bits())
+            .collect();
+
+        let adjoint = run_adjoint(
+            &mut circuit,
+            &tran,
+            &StoreConfig::Compressed(MascConfig::default()),
+            &objectives,
+            &params,
+        )
+        .unwrap();
+        let xyce = run_xyce_like(&mut circuit, &tran, &objectives, &params).unwrap();
+        for (name, run) in [("run_adjoint", &adjoint), ("run_xyce_like", &xyce)] {
+            let bits: Vec<u64> = run.objective_values.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                bits,
+                expected,
+                "{name} objective values, adaptive = {}",
+                tran.adaptive.is_some()
+            );
+            assert_eq!(run.tran_stats.steps, r.stats.steps, "{name} steps");
+            assert_eq!(
+                run.tran_stats.newton_iterations, r.stats.newton_iterations,
+                "{name} Newton iterations"
+            );
+        }
     }
 }
 

@@ -158,7 +158,7 @@ impl TranOptions {
     }
 
     /// Number of transient steps (excluding DC) in *fixed* mode: exactly
-    /// the count [`transient_ws`] takes, i.e. the smallest `n` whose
+    /// the count [`transient_into`] takes, i.e. the smallest `n` whose
     /// `n·dt` reaches `t_stop` less a relative `1e-12`. On a grid where
     /// `t_stop/dt` is not an integer the last step overshoots `t_stop`.
     /// Adaptive runs determine their own count.
@@ -263,7 +263,7 @@ impl TranResult {
 }
 
 /// One fixed-`h` backward-Euler step: the single home of the implicit
-/// Newton solve every driver integrates with ([`transient_ws`], the sweep's
+/// Newton solve every driver integrates with ([`transient_into`], the sweep's
 /// lockstep waves, the window engine's fine and coarse propagators), so
 /// their trajectories agree bit for bit by construction.
 ///
@@ -345,7 +345,9 @@ impl BeStepper {
 }
 
 /// Runs a backward-Euler transient analysis, feeding every accepted step's
-/// Jacobians to `sink`.
+/// Jacobians to `sink` and collecting the trajectory into a
+/// [`TranResult`]: [`transient_into`] with a fresh LU workspace and a
+/// collecting sink wrapped around `sink`.
 ///
 /// # Errors
 ///
@@ -356,29 +358,79 @@ pub fn transient<S: JacobianSink>(
     opts: &TranOptions,
     sink: &mut S,
 ) -> Result<TranResult, TranError> {
-    let mut lu = LuWorkspace::new();
-    transient_ws(circuit, system, opts, sink, &mut lu)
+    let mut collect = Collect::new(sink, opts.step_count() + 1);
+    let stats = transient_into(circuit, system, opts, &mut collect, &mut LuWorkspace::new())?;
+    Ok(TranResult {
+        times: collect.times,
+        states: collect.states,
+        steps: collect.hs,
+        stats,
+    })
 }
 
-/// [`transient`] with a caller-provided LU workspace.
+/// The sink [`transient`] wraps around its caller's: forwards every call
+/// and records `(t, h, x)` once the inner sink has accepted the step, so a
+/// sink failure aborts at the same step it always did.
+struct Collect<'a, S> {
+    inner: &'a mut S,
+    times: Vec<f64>,
+    hs: Vec<f64>,
+    states: Vec<Vec<f64>>,
+}
+
+impl<'a, S: JacobianSink> Collect<'a, S> {
+    fn new(inner: &'a mut S, points: usize) -> Self {
+        Self {
+            inner,
+            times: Vec::with_capacity(points),
+            hs: Vec::with_capacity(points),
+            states: Vec::with_capacity(points),
+        }
+    }
+}
+
+impl<S: JacobianSink> JacobianSink for Collect<'_, S> {
+    fn on_step(
+        &mut self,
+        step: usize,
+        t: f64,
+        h: f64,
+        x: &[f64],
+        g: &CsrMatrix,
+        c: &CsrMatrix,
+    ) -> Result<(), SinkError> {
+        self.inner.on_step(step, t, h, x, g, c)?;
+        self.times.push(t);
+        self.hs.push(h);
+        self.states.push(x.to_vec());
+        Ok(())
+    }
+
+    fn on_finish(&mut self) -> Result<(), SinkError> {
+        self.inner.on_finish()
+    }
+}
+
+/// Runs a backward-Euler transient analysis with a caller-provided LU
+/// workspace, feeding every accepted step — the DC point as step 0, with
+/// `h = opts.dt` — to `sink`, and keeping nothing itself: whatever of the
+/// trajectory a caller needs, its sink keeps ([`transient`] collects it
+/// all).
 ///
 /// The workspace's symbolic analysis is computed once (at the first DC
 /// factorization) and every subsequent Newton iteration of every timestep
 /// refactors values-only into the same preallocated `L`/`U` storage.
-/// `masc-sweep` passes workspaces pre-seeded with one shared
-/// [`masc_sparse::SymbolicLu`] so N parameter variants skip even that
-/// first analysis.
 ///
 /// # Errors
 ///
 /// Returns [`TranError`] if the DC point or any step fails.
-pub fn transient_ws<S: JacobianSink>(
+pub fn transient_into<S: JacobianSink>(
     circuit: &Circuit,
     system: &mut System,
     opts: &TranOptions,
     sink: &mut S,
     lu: &mut LuWorkspace,
-) -> Result<TranResult, TranError> {
+) -> Result<TranStats, TranError> {
     let run_start = Instant::now();
     system.reset_stats();
     let mut stats = TranStats::default();
@@ -400,14 +452,6 @@ pub fn transient_ws<S: JacobianSink>(
             t: 0.0,
             source,
         })?;
-
-    let steps_estimate = opts.step_count();
-    let mut times = Vec::with_capacity(steps_estimate + 1);
-    let mut states = Vec::with_capacity(steps_estimate + 1);
-    let mut hs = Vec::with_capacity(steps_estimate + 1);
-    times.push(0.0);
-    states.push(x_prev.clone());
-    hs.push(opts.dt);
 
     let mut x = x_prev.clone();
 
@@ -452,9 +496,6 @@ pub fn transient_ws<S: JacobianSink>(
 
         x_prev.copy_from_slice(&x);
         t_now = t;
-        times.push(t);
-        states.push(x.clone());
-        hs.push(h_used);
         stats.steps += 1;
 
         if let Some(adaptive) = &opts.adaptive {
@@ -475,12 +516,7 @@ pub fn transient_ws<S: JacobianSink>(
 
     stats.device_eval_time = system.device_eval_time();
     stats.total_time = run_start.elapsed();
-    Ok(TranResult {
-        times,
-        states,
-        steps: hs,
-        stats,
-    })
+    Ok(stats)
 }
 
 #[cfg(test)]

@@ -1,15 +1,19 @@
 //! The one backward-Euler stepper is the whole of `transient`'s arithmetic:
-//! a loop written directly against [`BeStepper`] with `transient_ws`'s
+//! a loop written directly against [`BeStepper`] with `transient_into`'s
 //! schedule reproduces `transient` bit for bit on a nonlinear deck — fixed
 //! grid and adaptive, the latter through a forced Newton failure + retry.
+//! And `transient`'s collected trajectory is exactly what a recording sink
+//! sees through `transient_into`, failures included.
 
 #![allow(clippy::disallowed_methods)] // tests may unwrap/expect
 
 use masc_circuit::dc::dc_operating_point_ws;
 use masc_circuit::parser::parse_netlist;
-use masc_circuit::transient::{transient, BeStepper, NullSink, TranOptions};
-use masc_circuit::NewtonOptions;
-use masc_sparse::LuWorkspace;
+use masc_circuit::transient::{
+    transient, transient_into, BeStepper, JacobianSink, NullSink, SinkError, TranError, TranOptions,
+};
+use masc_circuit::{Circuit, NewtonOptions, System};
+use masc_sparse::{CsrMatrix, LuWorkspace};
 
 /// A diode clipper hit by a fast 0 → 40 V edge: at DC the source is off
 /// (trivial operating point), then the edge drags the junction through its
@@ -21,6 +25,13 @@ const DECK: &str = "V1 in 0 PULSE(0 40 1u 400n 400n 4u 10u)\n\
                     .tran 200n 4u\n\
                     .end";
 
+/// The deck's circuit and a freshly elaborated system.
+fn fresh_system() -> (Circuit, System) {
+    let mut circuit = parse_netlist(DECK).unwrap().circuit;
+    let system = circuit.elaborate().unwrap();
+    (circuit, system)
+}
+
 struct Trace {
     times: Vec<f64>,
     hs: Vec<f64>,
@@ -28,11 +39,9 @@ struct Trace {
     retries: usize,
 }
 
-/// `transient_ws`'s schedule, written out against the stepper.
+/// `transient_into`'s schedule, written out against the stepper.
 fn stepper_loop(opts: &TranOptions) -> Trace {
-    let parsed = parse_netlist(DECK).unwrap();
-    let mut circuit = parsed.circuit;
-    let mut system = circuit.elaborate().unwrap();
+    let (circuit, mut system) = fresh_system();
     let mut lu = LuWorkspace::new();
     let mut x_prev = dc_operating_point_ws(&circuit, &mut system, &opts.newton, &mut lu)
         .unwrap()
@@ -86,9 +95,7 @@ fn stepper_loop(opts: &TranOptions) -> Trace {
 }
 
 fn assert_matches_transient(opts: &TranOptions, trace: &Trace) {
-    let parsed = parse_netlist(DECK).unwrap();
-    let mut circuit = parsed.circuit;
-    let mut system = circuit.elaborate().unwrap();
+    let (circuit, mut system) = fresh_system();
     let reference = transient(&circuit, &mut system, opts, &mut NullSink).unwrap();
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&trace.times), bits(&reference.times));
@@ -107,23 +114,145 @@ fn stepper_loop_is_transient_on_the_fixed_grid() {
     assert_matches_transient(&opts, &trace);
 }
 
-#[test]
-fn stepper_loop_is_transient_through_adaptive_retries() {
+/// The deck's grid made adaptive, with too few Newton iterations to cross
+/// the diode knee in one full-size step: the edge must fail and be retried
+/// at a halved `h`.
+fn adaptive_with_retries() -> TranOptions {
     let mut opts = parse_netlist(DECK)
         .unwrap()
         .tran
         .unwrap()
         .with_adaptive(4.0, 64.0);
-    // Too few iterations to cross the diode knee in one full-size step:
-    // the edge must fail and be retried at a halved `h`.
     opts.newton = NewtonOptions {
         max_iter: 14,
         ..NewtonOptions::default()
     };
+    opts
+}
+
+#[test]
+fn stepper_loop_is_transient_through_adaptive_retries() {
+    let opts = adaptive_with_retries();
     let trace = stepper_loop(&opts);
     assert!(
         trace.retries > 0,
         "the deck must force at least one Newton failure + retry"
     );
     assert_matches_transient(&opts, &trace);
+}
+
+/// A sink that keeps every `(t, h, x)` it is offered and rejects step
+/// `fail_at`, if set.
+#[derive(Default)]
+struct Recorder {
+    trace: Vec<(f64, f64, Vec<f64>)>,
+    fail_at: Option<usize>,
+}
+
+impl JacobianSink for Recorder {
+    fn on_step(
+        &mut self,
+        step: usize,
+        t: f64,
+        h: f64,
+        x: &[f64],
+        _: &CsrMatrix,
+        _: &CsrMatrix,
+    ) -> Result<(), SinkError> {
+        if self.fail_at == Some(step) {
+            return Err(SinkError::new(std::io::Error::other("sink full")));
+        }
+        self.trace.push((t, h, x.to_vec()));
+        Ok(())
+    }
+}
+
+/// `transient`'s collected result equals what a recording sink sees
+/// through `transient_into`, bit for bit, with the same step counts.
+fn assert_collection_is_the_sink_view(opts: &TranOptions) {
+    let (circuit, mut system) = fresh_system();
+    let reference = transient(&circuit, &mut system, opts, &mut NullSink).unwrap();
+
+    let (circuit, mut system) = fresh_system();
+    let mut recorder = Recorder::default();
+    let stats = transient_into(
+        &circuit,
+        &mut system,
+        opts,
+        &mut recorder,
+        &mut LuWorkspace::new(),
+    )
+    .unwrap();
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let times: Vec<f64> = recorder.trace.iter().map(|p| p.0).collect();
+    let hs: Vec<f64> = recorder.trace.iter().map(|p| p.1).collect();
+    assert_eq!(bits(&times), bits(&reference.times));
+    assert_eq!(bits(&hs), bits(&reference.steps));
+    assert_eq!(recorder.trace.len(), reference.states.len());
+    for (n, (p, x)) in recorder.trace.iter().zip(&reference.states).enumerate() {
+        assert_eq!(bits(&p.2), bits(x), "state {n} differs");
+    }
+    assert_eq!(stats.steps, reference.stats.steps);
+    assert_eq!(stats.newton_iterations, reference.stats.newton_iterations);
+    assert_eq!(stats.steps + 1, reference.times.len());
+}
+
+#[test]
+fn transient_collects_what_transient_into_feeds_the_sink() {
+    let fixed = parse_netlist(DECK).unwrap().tran.unwrap();
+    assert_collection_is_the_sink_view(&fixed);
+
+    // 4 µs / 300 ns is not an integer: the last step overshoots t_stop.
+    let uneven = TranOptions::new(4e-6, 3e-7);
+    assert_eq!(uneven.step_count(), 14);
+    assert_collection_is_the_sink_view(&uneven);
+
+    assert_collection_is_the_sink_view(&adaptive_with_retries());
+}
+
+#[test]
+fn a_failing_sink_stops_both_entry_points_at_the_same_step() {
+    let fixed = parse_netlist(DECK).unwrap().tran.unwrap();
+    for opts in [fixed, adaptive_with_retries()] {
+        for fail_at in [0, 1, 7] {
+            let (circuit, mut system) = fresh_system();
+            let mut sink = Recorder {
+                fail_at: Some(fail_at),
+                ..Recorder::default()
+            };
+            let collected = transient(&circuit, &mut system, &opts, &mut sink).unwrap_err();
+
+            let (circuit, mut system) = fresh_system();
+            let mut sink = Recorder {
+                fail_at: Some(fail_at),
+                ..Recorder::default()
+            };
+            let streamed = transient_into(
+                &circuit,
+                &mut system,
+                &opts,
+                &mut sink,
+                &mut LuWorkspace::new(),
+            )
+            .unwrap_err();
+            assert_eq!(sink.trace.len(), fail_at);
+
+            match (collected, streamed) {
+                (
+                    TranError::Sink {
+                        step: s0, t: t0, ..
+                    },
+                    TranError::Sink {
+                        step: s1, t: t1, ..
+                    },
+                ) => {
+                    assert_eq!(s0, fail_at);
+                    assert_eq!(s1, fail_at);
+                    assert_eq!(t0.to_bits(), t1.to_bits());
+                }
+                other => panic!("expected two sink errors, got {other:?}"),
+            }
+        }
+    }
 }

@@ -468,7 +468,7 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
     };
     collect_step(&insts);
 
-    // Lockstep transient on `transient_ws`'s fixed grid (`t = step·dt`),
+    // Lockstep transient on `transient_into`'s fixed grid (`t = step·dt`),
     // every instance advancing through the one shared stepper, so its
     // states and matrices are bitwise those of an independent single run.
     for step in 1..=n_steps {

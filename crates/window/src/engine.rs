@@ -69,7 +69,7 @@ struct Lane {
 
 /// Fine backward-Euler integration of one window on the global grid
 /// (`t = step·dt`) through the same stepper as
-/// [`masc_circuit::transient::transient_ws`], so a converged windowed
+/// [`masc_circuit::transient::transient_into`], so a converged windowed
 /// trajectory is bitwise the monolithic one. Seals the window's compressed
 /// tensor pair (local block 0 holds the matrices at the seed state and
 /// anchors the compression chain).
