@@ -7,13 +7,15 @@
 #![allow(clippy::disallowed_methods)]
 
 use masc_adjoint::{
-    adjoint_sensitivities, direct_sensitivities, finite_difference, run_adjoint, run_xyce_like,
-    AdjointError, ForwardRecord, Objective, RunError, StoreConfig, TensorLayout,
+    adjoint_sensitivities, direct_sensitivities, finite_difference, run_adjoint, run_recorded,
+    run_xyce_like, AdjointError, ForwardRecord, Objective, RunError, StoreConfig, TensorLayout,
 };
 use masc_circuit::parser::parse_netlist;
 use masc_circuit::transient::{transient, NullSink, TranOptions};
 use masc_circuit::Circuit;
 use masc_compress::MascConfig;
+use masc_datasets::generators::rc_mesh;
+use masc_sparse::LuWorkspace;
 
 /// RC lowpass driven by a ramped pulse: smooth, linear, analytically sane.
 fn rc_netlist() -> &'static str {
@@ -419,6 +421,84 @@ fn objective_values_are_those_of_the_collected_trajectory() {
                 run.tran_stats.newton_iterations, r.stats.newton_iterations,
                 "{name} Newton iterations"
             );
+        }
+    }
+}
+
+/// Once the forward run has chosen an adaptive grid, the grid is data: the
+/// adjoint and the direct method over the same `RunMeta` differentiate the
+/// same discrete system, so they may differ only by rounding. The grids
+/// here both repeat and change their step; on the linear mesh that makes
+/// every LU workspace on both sides alternate between reusing its held
+/// factors and refactoring.
+#[test]
+fn adaptive_grid_adjoint_matches_direct_method() {
+    let diode = parse_netlist(diode_netlist()).unwrap();
+    let diode_tran = diode.tran.clone().unwrap().with_adaptive(4.0, 64.0);
+    let mesh = rc_mesh(4, 4, 2e-9);
+    let mesh_tran = TranOptions::new(2e-9, 2e-11).with_adaptive(8.0, 64.0);
+    let decks = [
+        (
+            "diode",
+            diode.circuit,
+            diode_tran,
+            "out",
+            &["R1.r", "D1.is", "D1.cj0"][..],
+        ),
+        (
+            "rc_mesh(4, 4)",
+            mesh,
+            mesh_tran,
+            "g3_3",
+            &["Rin.r", "Rx1_1.r", "C3_3.c", "C0_0.c"][..],
+        ),
+    ];
+    for (name, mut circuit, tran, observe, param_names) in decks {
+        let unknown = circuit.find_node(observe).unwrap().unknown().unwrap();
+        let objectives = [
+            Objective::FinalValue { unknown },
+            Objective::Integral { unknown },
+            Objective::IntegralSquared { unknown },
+        ];
+        let params: Vec<_> = param_names
+            .iter()
+            .map(|p| circuit.find_param(p).unwrap())
+            .collect();
+        let mut system = circuit.elaborate().unwrap();
+        let record = ForwardRecord::new(
+            TensorLayout::of(&system),
+            &StoreConfig::Compressed(MascConfig::default()),
+        )
+        .unwrap();
+        let (run, meta) = run_recorded(
+            &circuit,
+            &mut system,
+            &tran,
+            record,
+            LuWorkspace::new(),
+            drop,
+            &objectives,
+            &params,
+        )
+        .unwrap();
+        let hs = &meta.hs[1..];
+        assert!(
+            hs.windows(2).any(|w| w[0] != w[1]) && hs.windows(2).any(|w| w[0] == w[1]),
+            "{name}: the adaptive grid must both change and repeat its step"
+        );
+        let direct =
+            direct_sensitivities(&circuit, &mut system, &meta, &objectives, &params).unwrap();
+        // Rounding only: the two methods sum the same terms in different
+        // orders. Observed ≤ 2e-15 relative on every entry; the bound is
+        // 1e-12 relative per entry (about 4 500 ulp).
+        for (i, (a_row, d_row)) in run.sensitivities.values.iter().zip(&direct).enumerate() {
+            for (j, (a, d)) in a_row.iter().zip(d_row).enumerate() {
+                let scale = a.abs().max(d.abs()).max(f64::MIN_POSITIVE);
+                assert!(
+                    (a - d).abs() / scale <= 1e-12,
+                    "{name}: obj {i} param {j}: adjoint {a:e} vs direct {d:e} on the adaptive grid"
+                );
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Each module computes a structured result and renders the same rows or
 //! series the paper reports. Binaries under `src/bin/` wrap these with a
-//! `--scale` flag; Criterion micro-benchmarks live under `benches/`.
+//! `--scale` flag; the measured deck → gradients benchmark is `benchmark/`.
 //!
 //! Absolute numbers differ from the paper (its testbed is a 128-core EPYC
 //! with proprietary 10⁵–10⁶-element netlists; see `DESIGN.md` §5) — the

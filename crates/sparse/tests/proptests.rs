@@ -2,7 +2,8 @@
 //! (masc-testkit).
 
 use masc_sparse::{
-    lu::LuOptions, CsrMatrix, LuFactors, NumericLu, Pattern, SymbolicLu, TripletMatrix,
+    lu::LuOptions, CsrMatrix, LuError, LuFactors, LuWorkspace, NumericLu, Pattern, SymbolicLu,
+    TripletMatrix,
 };
 use masc_testkit::gen::{self, Gen};
 use masc_testkit::rng::Rng;
@@ -29,6 +30,11 @@ fn matrices(n: usize) -> impl Gen<Value = CsrMatrix> {
     })
 }
 
+/// The one-shot oracle: a fresh workspace always runs the full analysis.
+fn factor_with(a: &CsrMatrix, opts: LuOptions) -> Result<LuFactors, LuError> {
+    LuWorkspace::with_options(opts).factor(a).cloned()
+}
+
 /// A matrix plus a compatible right-hand side.
 fn matrix_and_rhs(n: usize) -> impl Gen<Value = (CsrMatrix, Vec<f64>)> {
     matrices(n).flat_map(move |a| {
@@ -45,7 +51,7 @@ prop! {
     fn lu_solves_match_dense((a, b) in matrix_and_rhs(12)) {
         let dense = a.to_dense();
         let x_ref = dense.solve(&b).expect("diagonally dominant is solvable");
-        let lu = LuFactors::factor(&a).expect("sparse LU");
+        let lu = factor_with(&a, LuOptions::default()).expect("sparse LU");
         let x = lu.solve(&b);
         for (s, d) in x.iter().zip(&x_ref) {
             prop_assert!((s - d).abs() < 1e-8 * (1.0 + d.abs()));
@@ -61,7 +67,7 @@ prop! {
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
         for rcm in [false, true] {
-            let lu = LuFactors::factor_with(&a, LuOptions { rcm_ordering: rcm, ..LuOptions::default() }).unwrap();
+            let lu = factor_with(&a, LuOptions { rcm_ordering: rcm, ..LuOptions::default() }).unwrap();
             let x = lu.solve(&b);
             let ax = a.mul_vec(&x);
             for (l, r) in ax.iter().zip(&b) {
@@ -92,7 +98,7 @@ prop! {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).sin() * 2.0).collect();
         for rcm in [false, true] {
             let opts = LuOptions { rcm_ordering: rcm, ..LuOptions::default() };
-            let one_shot = LuFactors::factor_with(&a, opts).unwrap();
+            let one_shot = factor_with(&a, opts).unwrap();
             let sym = SymbolicLu::analyze_with(&a, opts).unwrap();
             prop_assert!(sym.matches(&a));
             let mut num = NumericLu::new(&sym);
@@ -127,7 +133,7 @@ prop! {
                 *v *= scale;
             }
             num.refactor(&sym, &scaled).unwrap();
-            let fresh = LuFactors::factor_with(&scaled, sym.options()).unwrap();
+            let fresh = factor_with(&scaled, sym.options()).unwrap();
             let xr = num.factors().solve(&b);
             let xf = fresh.solve(&b);
             for (r, f) in xr.iter().zip(&xf) {
@@ -178,7 +184,7 @@ fn tiny_matrices_factor_and_solve() {
         for _ in 0..20 {
             let a = g.generate(&mut rng);
             let b: Vec<f64> = (0..n).map(|i| i as f64 - 1.5).collect();
-            let lu = LuFactors::factor(&a).expect("solvable");
+            let lu = factor_with(&a, LuOptions::default()).expect("solvable");
             let x = lu.solve(&b);
             let ax = a.mul_vec(&x);
             for (l, r) in ax.iter().zip(&b) {

@@ -1,4 +1,4 @@
-//! # masc-testkit — hermetic property-testing and micro-bench harness
+//! # masc-testkit — hermetic property-testing harness
 //!
 //! The MASC workspace builds **offline**: no crates.io dependencies, ever
 //! (see `DESIGN.md` §"Hermetic builds"). This crate supplies the testing
@@ -11,8 +11,6 @@
 //!   with bounded, invariant-preserving shrinking;
 //! - [`mod@prop`] — the [`prop!`] test macro and runner: fixed-seed cases,
 //!   `MASC_PROP_REPRO=<seed>` single-case reproduction, greedy shrinking;
-//! - [`mod@bench`] — a warmup + median wall-clock timer standing in for
-//!   criterion, used by `crates/bench/benches/*`;
 //! - [`mod@sched`] — a deterministic interleaving explorer: seeded
 //!   schedule enumeration over instrumented mutex/condvar shims, with
 //!   `MASC_SCHED_REPRO=<seed>` replay and preemption-trace shrinking,
@@ -44,7 +42,6 @@
 
 #[allow(unsafe_code)]
 pub mod alloc;
-pub mod bench;
 pub mod gen;
 pub mod prop;
 pub mod rng;

@@ -255,7 +255,8 @@ impl AdjCoarse {
             v: vec![0.0; n],
             work: Vec::new(),
         };
-        // Mint the symbolic analysis now so later applies only refactor.
+        // Factor `j` now: it never changes afterwards, so every later
+        // apply gets the workspace's held factors without an elimination.
         this.lu
             .factor(&this.j)
             .map_err(|source| WindowError::Adjoint {
