@@ -183,6 +183,10 @@ struct PackedDerivs {
 }
 
 impl PackedDerivs {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by the support-row count of the elaborated circuit"
+    )]
     fn zeros(len: usize) -> Self {
         Self {
             df: vec![0.0; len],
@@ -209,6 +213,10 @@ struct ParamSupports {
 }
 
 impl ParamSupports {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by the caller's parameter list and the system dimension `n`"
+    )]
     fn new(circuit: &Circuit, params: &[ParamRef], n: usize) -> Self {
         let mut rows = Vec::new();
         let mut offsets = Vec::with_capacity(params.len() + 1);
@@ -343,6 +351,10 @@ impl<'a> AdjointCursor<'a> {
     /// Creates a cursor around a caller-provided LU workspace — typically
     /// one seeded via [`masc_sparse::LuWorkspace::with_symbolic`] so N
     /// sweep instances share a single symbolic analysis.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by the system dimension `n` and the caller's objective and parameter lists"
+    )]
     pub fn with_workspace(
         circuit: &'a Circuit,
         system: &System,
@@ -562,6 +574,10 @@ impl<'a> AdjointCursor<'a> {
 /// # Errors
 ///
 /// Returns [`AdjointError`] on factorization failure.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by the caller's objective list"
+)]
 pub fn adjoint_sensitivities_per_objective(
     circuit: &Circuit,
     system: &mut System,

@@ -54,6 +54,10 @@ impl std::error::Error for DirectError {}
 /// # Errors
 ///
 /// Returns [`DirectError`] if any step's matrix cannot be factored.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by the system dimension `n` and the caller's objective and parameter lists"
+)]
 pub fn direct_sensitivities(
     circuit: &Circuit,
     system: &mut System,

@@ -45,6 +45,10 @@ where
     }
     let mut panicked = false;
     let failures: Vec<(usize, E)> = std::thread::scope(|scope| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "`lanes ≤ items.len()`, clamped above"
+        )]
         let mut handles = Vec::with_capacity(lanes);
         for bucket in buckets {
             handles.push(scope.spawn(move || {

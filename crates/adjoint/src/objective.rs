@@ -50,8 +50,10 @@ impl Objective {
     /// # Panics
     ///
     /// Panics if the referenced step or unknown is out of range.
-    // Documented panicking contract on caller-held (not decoded) data.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking contract on caller-held waveforms, not decoded data"
+    )]
     pub fn value(&self, states: &[Vec<f64>], hs: &[f64]) -> f64 {
         match *self {
             Objective::FinalValue { unknown } => {
@@ -105,6 +107,7 @@ impl Objective {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -41,6 +41,10 @@ impl DurationHistogram {
     }
 
     /// Records one sample.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`bucket` clamps to `BUCKETS - 1`, the last bin"
+    )]
     pub fn record(&mut self, d: Duration) {
         self.counts[Self::bucket(d)] += 1;
         self.total += 1;

@@ -27,6 +27,20 @@
 //! residency, compress/decompress durations, per-step latency
 //! histograms).
 
+// Hardened-surface rule R1 (DESIGN.md §3.10): the store decodes sealed
+// Jacobian tensors, serve's on-disk entries included, so it never panics. An
+// index that clippy cannot prove in bounds carries an
+// `#[expect(clippy::indexing_slicing, reason = "<the guard>")]`.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 mod backends;
 mod metrics;
 
@@ -149,6 +163,10 @@ impl TensorLayout {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slot maps are union indices fixed at elaboration, asserted `< union_values.len()` in debug builds"
+    )]
     fn gather(slots: &[usize], union_values: &[f64]) -> Vec<f64> {
         // Slot maps are union indices computed at elaboration time and are
         // always in range for the union value vector.

@@ -16,10 +16,6 @@
 //! allocator, so it holds exactly one `#[test]` — the counters are
 //! process-wide and a parallel test would pollute the peak.
 
-// Tests may assert with unwrap/expect; the crate's clippy.toml bans them
-// in shipping code only (masc-lint rule R1).
-#![allow(clippy::disallowed_methods)]
-
 use masc_adjoint::{run_adjoint, Objective, StoreConfig};
 use masc_circuit::transient::TranOptions;
 use masc_circuit::{Circuit, ParamRef};

@@ -11,10 +11,6 @@
 //! allocator, so it holds exactly one `#[test]` — the counters are
 //! process-wide and a parallel test would pollute the peak.
 
-// Tests may assert with unwrap/expect; the crate's clippy.toml bans them
-// in shipping code only (masc-lint rule R1).
-#![allow(clippy::disallowed_methods)]
-
 use masc_adjoint::{AdjointCursor, ForwardRecord, Objective, StoreConfig, TensorLayout};
 use masc_circuit::transient::{transient, TranOptions};
 use masc_compress::MascConfig;

@@ -7,10 +7,6 @@
 //! nonlinear deck every Newton iteration sees new values, and nothing may
 //! be skipped: at least one elimination per Newton iteration.
 
-// Tests may assert with unwrap/expect; the crate's clippy.toml bans them
-// in shipping code only (masc-lint rule R1).
-#![allow(clippy::disallowed_methods)]
-
 use masc_adjoint::{
     run_recorded, ForwardRecord, Objective, SensitivityRun, StoreConfig, TensorLayout,
 };

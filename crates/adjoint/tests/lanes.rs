@@ -3,7 +3,7 @@
 //! lowest failing index wins regardless of thread timing, and a panicking
 //! lane becomes the caller's error instead of unwinding through the scope.
 
-#![allow(clippy::disallowed_methods)] // tests may unwrap/expect
+#![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 
 use masc_adjoint::lanes::wave;
 use std::sync::Mutex;

@@ -1,9 +1,7 @@
 //! Round-trip, residency and telemetry tests for every shipped
 //! [`JacobianStore`] backend, driven through the public trait surface.
 
-// Tests may assert with unwrap/expect; the crate's clippy.toml bans them
-// in shipping code only (masc-lint rule R1).
-#![allow(clippy::disallowed_methods)]
+#![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 
 use masc_adjoint::store::{ForwardRecord, StepMatrices, StoreConfig, TensorLayout};
 use masc_circuit::transient::JacobianSink;

@@ -3,10 +3,6 @@
 //! [`TranError::Sink`] values (never a panic), and truncated tensors must
 //! decode to [`StoreError::TensorTruncated`].
 
-// Tests may assert with unwrap/expect; the crate's clippy.toml bans them
-// in shipping code only (masc-lint rule R1).
-#![allow(clippy::disallowed_methods)]
-
 use masc_adjoint::store::{
     BackwardJacobians, BackwardReader, CompressedStore, ForwardRecord, JacobianStore, RawStore,
     StoreConfig, StoreError, StoreMetrics, TensorLayout,

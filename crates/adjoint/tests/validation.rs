@@ -2,10 +2,6 @@
 //! store equivalence (all four Jacobian stores must produce identical
 //! sensitivities — MASC is lossless, so "identical" means bit-close).
 
-// Tests may assert with unwrap/expect; the crate's clippy.toml bans them
-// in shipping code only (masc-lint rule R1).
-#![allow(clippy::disallowed_methods)]
-
 use masc_adjoint::{
     adjoint_sensitivities, direct_sensitivities, finite_difference, run_adjoint, run_recorded,
     run_xyce_like, AdjointError, ForwardRecord, Objective, RunError, StoreConfig, TensorLayout,

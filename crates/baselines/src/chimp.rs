@@ -34,6 +34,10 @@ impl Compressor for ChimpLike {
         "ChimpLike"
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "encoder side: sized by `values.len()`, a held slice"
+    )]
     fn compress(&self, values: &[f64]) -> Vec<u8> {
         let mut out = Vec::with_capacity(values.len() * 4 + 8);
         varint::write_u64(&mut out, values.len() as u64);
@@ -78,6 +82,14 @@ impl Compressor for ChimpLike {
         out
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`count ≤ 4 × remaining bytes`, checked just above"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`used ≤ bytes.len()` as returned by `read_u64`"
+    )]
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
         let (count, used) = varint::read_u64(bytes)?;
         // Every value costs at least its 2 control bits, so a claimed count
@@ -123,6 +135,7 @@ impl Compressor for ChimpLike {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -44,6 +44,10 @@ impl FpzipLike {
 
     /// Lorenzo prediction for element `i` given everything before it.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every read lands before `i ≤ values.len()`, asserted in debug builds"
+    )]
     fn predict(&self, values: &[f64], i: usize) -> u64 {
         // On decode `values` holds exactly the `i` already-reconstructed
         // elements; every read below lands strictly before `i`.
@@ -74,6 +78,10 @@ impl Compressor for FpzipLike {
         "FpzipLike"
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "encoder side: sized by `values.len()`, a held slice, and the constant `LZ_TREE`"
+    )]
     fn compress(&self, values: &[f64]) -> Vec<u8> {
         let mut out = Vec::with_capacity(values.len() * 4 + 16);
         varint::write_u64(&mut out, values.len() as u64);
@@ -102,6 +110,14 @@ impl Compressor for FpzipLike {
         out
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`count ≤ MAX_DECODE_VALUES`, checked just above; `LZ_TREE` is a constant"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`pos` advances only by `read_u64`'s `used`, so `pos ≤ bytes.len()`"
+    )]
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
         let mut pos = 0usize;
         let (count, used) = varint::read_u64(bytes)?;
@@ -147,6 +163,7 @@ impl Compressor for FpzipLike {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -22,6 +22,10 @@ impl GzipLike {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "encoder side: sized by `tokens.len()`, a held slice"
+)]
 fn serialize_tokens(tokens: &[Token]) -> Vec<u8> {
     let mut out = Vec::with_capacity(tokens.len() * 2);
     varint::write_u64(&mut out, tokens.len() as u64);
@@ -49,6 +53,14 @@ fn serialize_tokens(tokens: &[Token]) -> Vec<u8> {
     out
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`count ≤ 8 × bytes.len()`, checked just above"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`raw` is the 3-byte slice a checked `get(pos..pos + 3)` returned"
+)]
 fn deserialize_tokens(bytes: &[u8]) -> Result<Vec<Token>, CodecError> {
     let (count, mut pos) = varint::read_u64(bytes)?;
     // Eight tokens cost at least nine serialized bytes (control byte plus
@@ -108,6 +120,7 @@ impl Compressor for GzipLike {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -23,9 +23,18 @@
 //! sparsity pattern or stamp structure — that asymmetry is the paper's
 //! point.
 
-// Unit tests may assert with unwrap/expect; shipping code may not (see
-// clippy.toml and masc-lint rule R1).
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+// Hardened-surface rule R1 (DESIGN.md §3.10): shipping code never panics.
+// An index that clippy cannot prove in bounds carries an
+// `#[expect(clippy::indexing_slicing, reason = "<the guard>")]`.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -30,6 +30,14 @@ impl Compressor for NdzipLike {
         "NdzipLike"
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "encoder side: sized by `values.len()`, a held slice"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`full ≤ words.len()` by construction"
+    )]
     fn compress(&self, values: &[f64]) -> Vec<u8> {
         let mut out = Vec::with_capacity(values.len() * 8 + 16);
         varint::write_u64(&mut out, values.len() as u64);
@@ -46,6 +54,10 @@ impl Compressor for NdzipLike {
         out
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`used ≤ bytes.len()` as returned by `read_u64`; `full ≤ words.len()` by construction"
+    )]
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
         let (count, used) = varint::read_u64(bytes)?;
         let mut words = rle::decode_words(&bytes[used..])?;
@@ -62,6 +74,7 @@ impl Compressor for NdzipLike {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -62,6 +62,10 @@ impl Compressor for SpiceMate {
         self.error_bound
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "encoder side: sized by `values.len()` and the held code and exact buffers"
+    )]
     fn compress(&self, values: &[f64]) -> Vec<u8> {
         let eb = self.error_bound;
         // Quantization-code stream (varint-packed) + exact-value bytes.
@@ -97,6 +101,14 @@ impl Compressor for SpiceMate {
         out
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`count ≤ codes.len()`, checked just above"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`pos` and `cpos` advance only by `read_u64`'s `used`, so each stays within its slice"
+    )]
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
         let mut pos = 0usize;
         let (count, used) = varint::read_u64(bytes)?;
@@ -144,6 +156,7 @@ impl Compressor for SpiceMate {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -4,10 +4,6 @@
 //! signed zeros), SpiceMate must respect its error bound, and every
 //! decoder must reject arbitrary bytes without panicking.
 
-// Tests may assert with unwrap/expect; the crate's clippy.toml bans them
-// in shipping code only (masc-lint rule R1).
-#![allow(clippy::disallowed_methods)]
-
 use masc_baselines::{ChimpLike, Compressor, FpzipLike, GzipLike, NdzipLike, SpiceMate};
 use masc_testkit::gen::{self, Gen};
 use masc_testkit::{prop, prop_assert, prop_assert_eq};

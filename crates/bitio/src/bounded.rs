@@ -20,9 +20,9 @@
 //! # Ok::<(), bounded::AllocBoundError>(())
 //! ```
 //!
-//! `masc-lint` recognizes calls into this module (any identifier containing
-//! `bounded`) as satisfying R2, which is the carrot that goes with the
-//! analyzer's stick.
+//! A decoder that allocates through this module needs no
+//! `#[expect(clippy::disallowed_methods)]` of its own: the claim is checked
+//! where the allocation happens (rule R2, DESIGN.md §3.10).
 
 use core::fmt;
 
@@ -79,6 +79,10 @@ pub fn check_claim(
 /// # Errors
 ///
 /// Returns [`AllocBoundError`] when `len > limit`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the length passed `check_claim(what, len, limit)` first"
+)]
 pub fn bounded_vec<T: Clone + Default>(
     what: &'static str,
     len: usize,
@@ -93,6 +97,10 @@ pub fn bounded_vec<T: Clone + Default>(
 /// # Errors
 ///
 /// Returns [`AllocBoundError`] when `len > limit`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the length passed `check_claim(what, len, limit)` first"
+)]
 pub fn bounded_filled<T: Clone>(
     what: &'static str,
     fill: T,
@@ -109,6 +117,10 @@ pub fn bounded_filled<T: Clone>(
 /// # Errors
 ///
 /// Returns [`AllocBoundError`] when `cap > limit`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the capacity passed `check_claim(what, cap, limit)` first"
+)]
 pub fn bounded_capacity<T>(
     what: &'static str,
     cap: usize,
@@ -118,6 +130,7 @@ pub fn bounded_capacity<T>(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -30,9 +30,18 @@
 //! # }
 //! ```
 
-// Unit tests may assert with unwrap/expect; shipping code may not (see
-// clippy.toml and masc-lint rule R1).
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+// Hardened-surface rule R1 (DESIGN.md §3.10): shipping code never panics.
+// An index that clippy cannot prove in bounds carries an
+// `#[expect(clippy::indexing_slicing, reason = "<the guard>")]`.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -88,9 +97,12 @@ impl BitWriter {
     }
 
     /// Creates an empty writer with capacity for `bytes` output bytes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "encoder-side capacity hint chosen by the caller, not decoded from a stream"
+    )]
     pub fn with_capacity(bytes: usize) -> Self {
         Self {
-            // masc-lint: allow(unbounded-alloc, reason = "encoder-side capacity hint chosen by the caller, not decoded from a stream")
             bytes: Vec::with_capacity(bytes),
             nbits: 0,
             current: 0,
@@ -251,6 +263,10 @@ impl<'a> BitReader<'a> {
     ///
     /// Returns [`BitReadError`] if the stream is exhausted.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`byte < self.bytes.len()`, checked just above"
+    )]
     pub fn read_bit(&mut self) -> Result<bool, BitReadError> {
         let byte = self.bit_pos / 8;
         if byte >= self.bytes.len() {
@@ -272,6 +288,10 @@ impl<'a> BitReader<'a> {
     ///
     /// Panics if `n > 64`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`n ≤ remaining_bits()` is checked on entry, so every byte read lies before the end of `bytes`"
+    )]
     pub fn read_bits(&mut self, n: u32) -> Result<u64, BitReadError> {
         assert!(n <= 64, "cannot read more than 64 bits at once");
         if n == 0 {

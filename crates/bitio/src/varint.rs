@@ -98,6 +98,10 @@ pub fn zigzag_decode(value: u64) -> i64 {
 /// element stores the gap to its predecessor. Sorted index arrays (CSR
 /// `row_ptr`, per-row sorted `col_idx`) compress to roughly one byte per
 /// entry.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "encoder side: sized by `values.len()`, a held slice"
+)]
 pub fn encode_deltas(values: &[usize]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(values.len() + 8);
     write_u64(&mut buf, values.len() as u64);
@@ -116,6 +120,10 @@ pub fn encode_deltas(values: &[usize]) -> Vec<u8> {
 ///
 /// Returns a [`VarintError`] if the buffer is truncated or malformed, or if
 /// a decoded value is negative (sorted index arrays are non-negative).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`pos` only advances by the `used` count `read_u64` returns for `buf[pos..]`, so `pos ≤ buf.len()`"
+)]
 pub fn decode_deltas(buf: &[u8]) -> Result<Vec<usize>, VarintError> {
     let (len, mut pos) = read_u64(buf)?;
     // Every delta costs at least one byte, so a claimed count beyond the

@@ -1,8 +1,6 @@
 //! Property-based tests for bit I/O and varint coding (masc-testkit).
 
-// Tests may assert with unwrap/expect; the crate's clippy.toml bans them
-// in shipping code only (masc-lint rule R1).
-#![allow(clippy::disallowed_methods)]
+#![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 
 use masc_bitio::{varint, BitReader, BitWriter};
 use masc_testkit::gen::{self, Gen};

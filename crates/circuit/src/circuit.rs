@@ -212,6 +212,10 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns [`CircuitError::Empty`] for a circuit with no unknowns.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `nnz` of the held sub-pattern"
+    )]
     pub fn elaborate(&mut self) -> Result<System, CircuitError> {
         let n_nodes = self.node_names.len();
         let mut next_branch = n_nodes;
@@ -357,6 +361,10 @@ impl System {
     }
 
     /// Allocates an [`Evaluation`] over the shared pattern.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by the elaborated system dimension `n`"
+    )]
     pub fn new_evaluation(&self) -> Evaluation {
         Evaluation {
             g: CsrMatrix::zeros(self.pattern.clone()),
@@ -373,7 +381,10 @@ impl System {
     /// # Panics
     ///
     /// Panics if buffer lengths differ from `self.n`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "caller-owned output buffers, reused across parameters with no allocation"
+    )]
     pub fn param_deriv_into(
         &self,
         circuit: &Circuit,
@@ -411,7 +422,10 @@ impl System {
     /// # Panics
     ///
     /// Panics if buffer lengths differ from `self.n`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "caller-owned output buffers, reused across parameters with no allocation"
+    )]
     pub fn param_deriv_sparse_into(
         &self,
         circuit: &Circuit,

@@ -50,6 +50,10 @@ pub fn dc_operating_point(
 /// # Errors
 ///
 /// Returns [`NewtonError`] if even the most heavily shunted stage fails.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by the elaborated system dimension `n`"
+)]
 pub fn dc_operating_point_ws(
     circuit: &Circuit,
     system: &mut System,

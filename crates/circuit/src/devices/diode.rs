@@ -181,6 +181,7 @@ impl DeviceImpl for Diode {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -242,6 +242,7 @@ impl DeviceImpl for Inductor {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
     use masc_sparse::TripletMatrix;

@@ -280,6 +280,7 @@ impl DeviceImpl for Mosfet {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -158,6 +158,7 @@ impl DeviceImpl for CurrentSource {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
     use masc_sparse::TripletMatrix;

@@ -144,6 +144,7 @@ where
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
     use masc_sparse::TripletMatrix;

@@ -22,6 +22,20 @@
 //! assert!(parsed.tran.is_some());
 //! ```
 
+// Hardened-surface rule R1 (DESIGN.md §3.10): this module parses untrusted
+// netlist text, so it never panics. An index that clippy cannot prove in
+// bounds carries an
+// `#[expect(clippy::indexing_slicing, reason = "<the guard>")]`.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use crate::circuit::Circuit;
 use crate::devices::{
     Bjt, BjtPolarity, Capacitor, CurrentSource, Device, Diode, Inductor, MosPolarity, Mosfet,
@@ -133,6 +147,10 @@ fn split_kv(tokens: &[&str]) -> (Vec<String>, Vec<(String, String)>) {
 }
 
 /// Parses a waveform spec from the tokens following the node list.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "each fixed index follows a `len()` check on the same list (`tokens` is non-empty; `a.len()` ≥ 7, 3 or 2); `chunks(2)` of an even-length list"
+)]
 fn parse_waveform(tokens: &[String], line: usize) -> Result<Waveform, ParseNetlistError> {
     if tokens.is_empty() {
         return Err(err(line, "source needs a value or waveform"));
@@ -210,6 +228,10 @@ fn parse_waveform(tokens: &[String], line: usize) -> Result<Waveform, ParseNetli
 ///
 /// Returns [`ParseNetlistError`] with the offending line on any syntax or
 /// semantic problem (bad numbers, missing nodes, duplicate names, …).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "each fixed `tokens[i]` follows a `need(n)?` or `len()` check with `n > i`"
+)]
 pub fn parse_netlist(source: &str) -> Result<ParsedNetlist, ParseNetlistError> {
     let mut circuit = Circuit::new();
     let mut tran = None;

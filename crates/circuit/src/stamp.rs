@@ -206,6 +206,7 @@ impl<'a> ParamDerivContext<'a> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
     use masc_sparse::TripletMatrix;

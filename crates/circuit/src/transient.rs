@@ -285,6 +285,10 @@ pub struct BeStepper {
 
 impl BeStepper {
     /// Allocates the buffers for `system`'s pattern.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by the elaborated system dimension `n`"
+    )]
     pub fn new(system: &System, newton: NewtonOptions) -> Self {
         Self {
             newton,
@@ -379,6 +383,10 @@ struct Collect<'a, S> {
 }
 
 impl<'a, S: JacobianSink> Collect<'a, S> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one point per step of the caller's `.tran` grid, which the run walks in full anyway"
+    )]
     fn new(inner: &'a mut S, points: usize) -> Self {
         Self {
             inner,

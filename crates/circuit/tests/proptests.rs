@@ -1,5 +1,7 @@
 //! Property tests on simulator physics invariants (masc-testkit).
 
+#![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
+
 use masc_circuit::devices::{
     Bjt, BjtPolarity, Capacitor, CurrentSource, Device, Diode, Inductor, MosPolarity, Mosfet,
     Resistor, Vccs, Vcvs, VoltageSource,

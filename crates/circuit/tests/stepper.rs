@@ -5,8 +5,6 @@
 //! And `transient`'s collected trajectory is exactly what a recording sink
 //! sees through `transient_into`, failures included.
 
-#![allow(clippy::disallowed_methods)] // tests may unwrap/expect
-
 use masc_circuit::dc::dc_operating_point_ws;
 use masc_circuit::parser::parse_netlist;
 use masc_circuit::transient::{

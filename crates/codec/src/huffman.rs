@@ -46,6 +46,14 @@ pub fn code_lengths(freqs: &[u64]) -> Vec<u32> {
 }
 
 /// Plain Huffman tree construction producing code lengths (no length cap).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by `freqs.len()`, the caller's held frequency table"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "arena indices are `arena.len() - 1` at push time, and `symbol < freqs.len() = lengths.len()`"
+)]
 fn unrestricted_code_lengths(freqs: &[u64]) -> Vec<u32> {
     #[derive(Clone, Copy)]
     struct Node {
@@ -114,6 +122,14 @@ fn unrestricted_code_lengths(freqs: &[u64]) -> Vec<u32> {
 ///
 /// Symbols are ordered by (length, symbol value); codes are consecutive
 /// integers within each length, shifted as length increases.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`max_len ≤ MAX_CODE_LEN` by the clamp above; `codes` is sized by `lengths.len()`, a held slice"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every length index is `≤ max_len` and the tables hold `max_len + 2` entries; `sym` enumerates `lengths`"
+)]
 pub fn canonical_codes(lengths: &[u32]) -> Vec<u64> {
     // Every in-repo caller caps lengths at MAX_CODE_LEN first; clamp here
     // too so hostile lengths fed directly to this pub fn cannot size the
@@ -158,6 +174,14 @@ impl Decoder {
     ///
     /// Returns [`CodecError::Corrupt`] if the lengths do not form a valid
     /// prefix code (oversubscribed Kraft sum).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`max_len ≤ MAX_CODE_LEN`, checked on entry"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`s < lengths.len()` by the range; `idx < order.len()` when `count > 0`; `codes` holds `lengths.len()` entries"
+    )]
     pub fn from_lengths(lengths: &[u32]) -> Result<Self, CodecError> {
         let max_len = lengths.iter().copied().max().unwrap_or(0);
         if max_len > MAX_CODE_LEN {
@@ -205,6 +229,10 @@ impl Decoder {
     ///
     /// [`CodecError::Truncated`] on stream exhaustion,
     /// [`CodecError::Corrupt`] if no code matches.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`code < first_code + count` is tested first, so the index is below `first_index + count ≤ symbols.len()`"
+    )]
     pub fn decode_symbol(&self, reader: &mut BitReader<'_>) -> Result<u16, CodecError> {
         let mut code = 0u64;
         for (first_code, first_index, count) in self.per_len.iter().copied() {
@@ -221,6 +249,14 @@ impl Decoder {
 ///
 /// Stream layout: varint original length; 256 code lengths packed two per
 /// byte (4 bits each, lengths ≤ 15); then the bit-packed payload.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "encoder side: a constant 136-byte header"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`u8` symbols index 256-entry tables; `chunks(2)` never yields an empty chunk"
+)]
 pub fn encode(data: &[u8]) -> Vec<u8> {
     let mut freqs = [0u64; 256];
     for &b in data {
@@ -249,6 +285,14 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`CodecError`] if the stream is truncated or inconsistent.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the length table is a constant 256 entries; `orig_len ≤ payload_bits`, checked just above"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`used ≤ packed.len()` as returned by `read_u64`; `2 * i + 1 < 256` over `0..128`"
+)]
 pub fn decode(packed: &[u8]) -> Result<Vec<u8>, CodecError> {
     let (orig_len, used) = varint::read_u64(packed)?;
     let mut reader = BitReader::new(&packed[used..]);
@@ -277,6 +321,7 @@ pub fn decode(packed: &[u8]) -> Result<Vec<u8>, CodecError> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -48,6 +48,10 @@ pub enum Token {
 }
 
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers hold `pos + MIN_MATCH ≤ data.len()`, asserted in debug builds"
+)]
 fn hash3(data: &[u8], pos: usize) -> usize {
     debug_assert!(pos + 2 < data.len(), "hash3 reads 3 bytes at pos");
     let h = u32::from(data[pos])
@@ -58,6 +62,14 @@ fn hash3(data: &[u8], pos: usize) -> usize {
 }
 
 /// Greedy LZSS parse of `data` into a token stream.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "encoder side: sized by `data.len()`, a held slice, and the constants `HASH_SIZE`, `WINDOW_SIZE`"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`pos < data.len()`; match probes stay below `pos + limit ≤ data.len()`; `hash3` masks to `HASH_SIZE`; `% WINDOW_SIZE` bounds `prev`"
+)]
 pub fn compress(data: &[u8]) -> Vec<Token> {
     let mut tokens = Vec::with_capacity(data.len() / 4 + 16);
     if data.len() < MIN_MATCH {
@@ -131,6 +143,14 @@ pub fn compress(data: &[u8]) -> Vec<Token> {
 ///
 /// Returns [`CodecError::Corrupt`] if a match refers before the start of the
 /// output or has an out-of-range distance/length.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by `tokens.len()`, a held slice"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`dist ≤ out.len()` is checked and every copied byte is pushed, so `start + i < out.len()`"
+)]
 pub fn decompress(tokens: &[Token]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::with_capacity(tokens.len() * 2);
     for &t in tokens {
@@ -159,6 +179,7 @@ pub fn decompress(tokens: &[Token]) -> Result<Vec<u8>, CodecError> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

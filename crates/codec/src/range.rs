@@ -131,6 +131,10 @@ impl RangeEncoder {
     /// # Panics
     ///
     /// Panics if `models.len() < (1 << n) - 1` or `n > 16`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: callers pass `models.len() ≥ (1 << n) - 1`, and `ctx < 1 << n`"
+    )]
     pub fn encode_bits_tree(&mut self, models: &mut [BitModel], n: u32, value: u32) {
         assert!(n <= 16);
         let mut ctx = 1usize;
@@ -187,6 +191,10 @@ impl<'a> RangeDecoder<'a> {
     /// # Errors
     ///
     /// Returns [`CodecError::Truncated`] if fewer than 5 bytes are present.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`input.len() ≥ 5`, checked just above"
+    )]
     pub fn new(input: &'a [u8]) -> Result<Self, CodecError> {
         if input.len() < 5 {
             return Err(CodecError::Truncated);
@@ -247,6 +255,10 @@ impl<'a> RangeDecoder<'a> {
     /// # Panics
     ///
     /// Panics if `models.len() < (1 << n) - 1` or `n > 16`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: callers pass `models.len() ≥ (1 << n) - 1`, and `ctx < 1 << n`"
+    )]
     pub fn decode_bits_tree(&mut self, models: &mut [BitModel], n: u32) -> Result<u32, CodecError> {
         assert!(n <= 16);
         let mut ctx = 1usize;
@@ -289,6 +301,7 @@ impl<'a> RangeDecoder<'a> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -41,6 +41,10 @@ const RANS_L: u32 = 1 << 23;
 /// Quantizes raw counts to a table summing exactly to `SCALE`.
 ///
 /// Every present symbol keeps a non-zero slot so it stays encodable.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`s` and `max_sym` range over `0..256`, the table size"
+)]
 fn quantize_freqs(raw: &[u64; 256]) -> [u32; 256] {
     let total: u64 = raw.iter().sum();
     let mut freqs = [0u32; 256];
@@ -78,6 +82,14 @@ fn quantize_freqs(raw: &[u64; 256]) -> [u32; 256] {
 ///
 /// Stream layout: varint original length; 256 varint frequencies; varint
 /// payload length; payload bytes (rANS words, emitted back-to-front).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "encoder side: sized by `data.len()`, a held slice"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`u8` symbols index 256-entry tables and `s + 1 < 257`"
+)]
 pub fn encode(data: &[u8]) -> Vec<u8> {
     let mut raw = [0u64; 256];
     for &b in data {
@@ -128,6 +140,14 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 ///
 /// Returns [`CodecError`] if the stream is truncated or the frequency table
 /// is inconsistent.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`slot_to_sym` is a constant `SCALE` entries; `orig_len ≤ MAX_DECODE_BYTES`, checked above"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`pos` advances only by `read_u64`'s `used`; cumulative slots are `< SCALE` once the table sums to `SCALE`; `payload.len() ≥ 4`"
+)]
 pub fn decode(packed: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut pos = 0usize;
     let (orig_len, used) = varint::read_u64(&packed[pos..])?;
@@ -196,6 +216,7 @@ pub fn decode(packed: &[u8]) -> Result<Vec<u8>, CodecError> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -33,6 +33,14 @@ pub const MAX_DECODE_WORDS: u64 = 1 << 24;
 ///
 /// Layout: varint word count, then repeated `[varint zero_run][varint
 /// lit_run][lit_run × 8-byte LE words]` until all words are covered.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "encoder side: sized by `words.len()`, a held slice"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i < words.len()` is tested before each read and `lit_start ≤ i`"
+)]
 pub fn encode_words(words: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(words.len() + 8);
     varint::write_u64(&mut out, words.len() as u64);
@@ -61,6 +69,14 @@ pub fn encode_words(words: &[u64]) -> Vec<u8> {
 ///
 /// Returns [`CodecError`] on truncation or if runs overshoot the declared
 /// word count.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "each zero run is checked against `count - out.len()`, and `count ≤ MAX_DECODE_WORDS`"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`pos` advances only by `read_u64`'s `used` or after a checked 8-byte `get`, so `pos ≤ packed.len()`"
+)]
 pub fn decode_words(packed: &[u8]) -> Result<Vec<u64>, CodecError> {
     let (count, mut pos) = varint::read_u64(packed)?;
     // Zero runs mean the word count is not bounded by the input length;
@@ -99,6 +115,7 @@ pub fn decode_words(packed: &[u8]) -> Result<Vec<u64>, CodecError> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

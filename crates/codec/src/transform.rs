@@ -72,6 +72,10 @@ pub const BLOCK: usize = 64;
 /// # Panics
 ///
 /// Panics if `block.len() != 64`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`trailing_zeros` of a non-zero `u64` is `< 64 = BLOCK`"
+)]
 pub fn transpose_bits(block: &mut [u64]) {
     assert_eq!(
         block.len(),
@@ -101,6 +105,7 @@ pub fn from_bits(words: &[u64]) -> Vec<f64> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -2,9 +2,7 @@
 //! (masc-testkit), plus adversarial fixed inputs: empty streams,
 //! single-symbol and all-equal payloads, and special-float byte images.
 
-// Tests may assert with unwrap/expect; the crate's clippy.toml bans them
-// in shipping code only (masc-lint rule R1).
-#![allow(clippy::disallowed_methods)]
+#![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 
 use masc_codec::{huffman, lzss, range, rans, rle, transform};
 use masc_testkit::gen::{self, Gen};

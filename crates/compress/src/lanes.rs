@@ -20,6 +20,10 @@ pub const LANES: usize = 8;
 ///
 /// Panics if the three slices differ in length (caller bug: all derive
 /// from one chunk range).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i < LANES`, the length of every `chunks_exact(LANES)` group"
+)]
 pub fn xor_residuals(values: &[f64], preds: &[u64], out: &mut [u64]) {
     assert_eq!(values.len(), preds.len(), "lane input length mismatch");
     assert_eq!(values.len(), out.len(), "lane output length mismatch");
@@ -49,6 +53,10 @@ pub fn xor_residuals(values: &[f64], preds: &[u64], out: &mut [u64]) {
 /// # Panics
 ///
 /// Panics if the slice lengths differ (caller bug).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i < LANES`, the length of every `chunks_exact(LANES)` group"
+)]
 pub fn classify_residuals(residuals: &[u64], lz: &mut [u8], tz: &mut [u8]) {
     assert_eq!(residuals.len(), lz.len(), "lane lz length mismatch");
     assert_eq!(residuals.len(), tz.len(), "lane tz length mismatch");
@@ -73,6 +81,7 @@ pub fn classify_residuals(residuals: &[u64], lz: &mut [u8], tz: &mut [u8]) {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -48,6 +48,10 @@ impl MarkovModel {
     ///
     /// Callers must validate `code < candidate_count()` first (the decode
     /// path rejects out-of-range wire codes before observing them).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`Region::index() < 3`; the chain state and `code` are `< CODES` (callers validate codes first)"
+    )]
     pub fn observe(&mut self, region: Region, code: u32) {
         debug_assert!((code as usize) < CODES, "selection code out of range");
         let r = region.index();
@@ -61,6 +65,10 @@ impl MarkovModel {
     ///
     /// Deterministic (argmax with lowest-code tie-breaking), so encoder and
     /// decoder stay synchronized without any side information.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`Region::index() < 3`; the chain state is `< CODES` and `c < candidate_count() ≤ CODES`"
+    )]
     pub fn predict(&mut self, region: Region) -> u32 {
         // The chain state only ever holds validated codes (see `observe`).
         debug_assert!(self.prev.iter().all(|&p| (p as usize) < CODES));
@@ -78,6 +86,10 @@ impl MarkovModel {
     }
 
     /// The most probable next code without advancing the chain.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`Region::index() < 3`; the chain state is `< CODES` and `c < candidate_count() ≤ CODES`"
+    )]
     pub fn peek(&self, region: Region) -> u32 {
         let r = region.index();
         let row = &self.counts[r][self.prev[r] as usize];

@@ -93,6 +93,10 @@ impl HeaderParams {
 }
 
 /// Per-region warm-up budget within one encode range.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`range` is one of `chunk_ranges(nnz, …)`, so `i < order().len()`; `Region::index() < 3`"
+)]
 fn region_warmups(
     maps: &StampMaps,
     range: core::ops::Range<usize>,
@@ -118,6 +122,10 @@ fn region_warmups(
 /// elements' 1–2 bit codes (post-warm-up selections are Markov-predicted
 /// and cost nothing). Deterministic from the maps and params, so encoder
 /// and decoder independently agree on where the selection substream ends.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`range` is one of `chunk_ranges(nnz, …)`, so `i < order().len()`; `Region::index() < 3`"
+)]
 pub(crate) fn selection_bit_count(
     maps: &StampMaps,
     range: core::ops::Range<usize>,
@@ -148,6 +156,14 @@ pub(crate) fn selection_bit_count(
 /// value, so spatial candidates never wait on decoding), after which the
 /// XOR and leading/trailing-zero classification are straight-line
 /// lane-parallel array work.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "encoder side: sized by `range.len() ≤ nnz` of the held pattern"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`range ⊆ 0..nnz` and `values.len() == nnz` (asserted by `compress_chunked`); `code < candidate_count() ≤ 4`; `Region::index() < 3`"
+)]
 pub(crate) fn encode_range_split(
     w: &mut BitWriter,
     values: &[f64],
@@ -221,6 +237,14 @@ pub(crate) fn encode_range_split(
 ///
 /// Returns [`CompressError`] on truncation, invalid selection codes, or a
 /// selection-substream length that disagrees with the header parameters.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by `range.len()`, one of `chunk_ranges(nnz, …)` over the held pattern"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`range ⊆ 0..nnz`; `local.len() == range.len()` and each wire code `< candidate_count()` are checked; `Region::index() < 3`"
+)]
 pub(crate) fn decode_range_local(
     payload: &[u8],
     sel_bits: u64,
@@ -284,6 +308,10 @@ pub(crate) fn decode_range_local(
 }
 
 /// Writes the common stream header; returns the buffer.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "encoder side: a constant 24-byte hint"
+)]
 pub(crate) fn write_header(values: &[f64], config: &MascConfig, extra_flags: u8) -> Vec<u8> {
     let mut header = Vec::with_capacity(24);
     let mut flags = extra_flags;
@@ -392,6 +420,10 @@ fn chunk_ranges(nnz: usize, chunk_size: usize) -> Vec<core::ops::Range<usize>> {
 /// Encodes every chunk and assembles the stream. `block_flags` carries the
 /// block-kind bits (none, [`FLAG_SEEDED`], or [`FLAG_CROSS_INSTANCE`]) on
 /// top of the chunked-layout flags.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "encoder side: one entry per chunk of the held pattern"
+)]
 fn compress_chunked(
     values: &[f64],
     reference: &[f64],
@@ -464,6 +496,10 @@ pub fn compress_matrix(
 /// # Panics
 ///
 /// Panics if `values.len()` differs from the pattern nnz.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by `nnz` of the held pattern"
+)]
 pub fn compress_matrix_seeded(
     values: &[f64],
     maps: &StampMaps,
@@ -507,7 +543,10 @@ struct ChunkEntry {
 }
 
 /// Parses the era-2 chunk table; returns the chunk grid and entries.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`ranges` comes from `chunk_ranges(nnz, …)` over the held pattern, at most `nnz` entries"
+)]
 fn parse_chunk_table(
     bytes: &[u8],
     nnz: usize,
@@ -564,6 +603,14 @@ fn parse_chunk_table(
 ///
 /// Returns [`CompressError`] on truncation, header inconsistency, a stream
 /// without per-chunk headers, or checksum mismatch.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by `nnz` of the held pattern and by its `chunk_ranges` sub-ranges"
+)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`order()` is a permutation of `0..nnz`; `local` holds `range.len()` values"
+)]
 pub fn decompress_matrix(
     bytes: &[u8],
     reference: &[f64],
@@ -610,6 +657,7 @@ pub fn decompress_matrix(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
     use masc_sparse::{Pattern, TripletMatrix};
@@ -632,7 +680,10 @@ mod tests {
         // smoothly. This is the structure the paper's 60 %-zero-residual
         // statistic reflects.
         let mut vals = vec![0.0; pattern.nnz()];
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "`r` also sets the row's waveform and its diagonal test"
+        )]
         for r in 0..pattern.rows() {
             for k in pattern.row_ptr()[r]..pattern.row_ptr()[r + 1] {
                 let c = pattern.col_idx()[k];

@@ -95,6 +95,14 @@ pub struct StampMaps {
 
 impl StampMaps {
     /// Builds the maps for a pattern.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `pattern.nnz()`, a validated pattern already held"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every value index from `partition_uld` and the row walk is `< nnz`, the length of each table"
+    )]
     pub fn new(pattern: &Pattern) -> Self {
         let nnz = pattern.nnz();
         let part = pattern.partition_uld();
@@ -171,6 +179,10 @@ impl StampMaps {
     /// # Panics
     ///
     /// Panics if `k` is not a value index of the pattern.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `k` must be a value index, asserted in debug builds"
+    )]
     pub fn region_of(&self, k: usize) -> Region {
         debug_assert!(k < self.region.len(), "k must be a value index");
         self.region[k]
@@ -188,6 +200,10 @@ impl StampMaps {
     /// # Panics
     ///
     /// Panics if `k` is not a value index of the pattern.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic: `k` must be a value index, asserted in debug builds"
+    )]
     pub fn order_pos_of(&self, k: usize) -> usize {
         debug_assert!(k < self.order_pos.len(), "k must be a value index");
         self.order_pos[k]
@@ -203,6 +219,10 @@ impl StampMaps {
     /// at order position `>= chunk_start`, so independently-decoded chunks
     /// never reference values outside themselves.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`k` is a value index (asserted in debug builds) and `reference.len() == nnz`; partner indices are `NONE` or value indices"
+    )]
     pub fn candidates(
         &self,
         k: usize,
@@ -256,6 +276,10 @@ impl StampMaps {
     /// decoder gives each chunk a buffer of exactly the chunk's length
     /// instead of an nnz-sized scratch matrix.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`k` is a value index (asserted in debug builds); a partner is read only at `chunk_start ≤ pos < my_pos`, inside `local`"
+    )]
     pub fn candidates_local(
         &self,
         k: usize,
@@ -328,6 +352,10 @@ impl StampMaps {
 /// statistics and the Markov model's transition mass. Inexact ties resolve
 /// to the lowest code; non-finite differences lose.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers pass `count = candidate_count() ≤ 4`, the array length"
+)]
 pub fn best_fit(candidates: &[f64; 4], count: usize, truth: f64) -> u32 {
     for i in (1..count).chain([0]) {
         if candidates[i].to_bits() == truth.to_bits() {
@@ -347,6 +375,7 @@ pub fn best_fit(candidates: &[f64; 4], count: usize, truth: f64) -> u32 {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
     use masc_sparse::TripletMatrix;

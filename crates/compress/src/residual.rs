@@ -44,6 +44,10 @@ impl ResidualState {
 }
 
 /// Encodes one residual.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`class ≤ 7` by the `min(7)`, and the histogram has 8 bins"
+)]
 pub fn encode_residual(
     w: &mut BitWriter,
     state: &mut ResidualState,
@@ -98,6 +102,10 @@ pub fn encode_residual(
 ///
 /// Panics if the slice lengths differ (caller bug: all three derive from
 /// one chunk range).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i < residuals.len() = lz.len() = tz.len()` (asserted on entry); `class ≤ 7` indexes 8 bins"
+)]
 pub fn encode_residuals_batched(
     w: &mut BitWriter,
     state: &mut ResidualState,
@@ -243,6 +251,7 @@ pub fn decode_residual(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -228,6 +228,10 @@ impl CompressedTensor {
     /// # Errors
     ///
     /// Returns [`CompressError`] if any block fails to decode.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by the held block list and the held pattern's `nnz`"
+    )]
     pub fn decompress_all(&self) -> Result<Vec<Vec<f64>>, CompressError> {
         let mut out = Vec::with_capacity(self.blocks.len());
         let mut reference = vec![0.0; self.pattern.nnz()];
@@ -283,7 +287,10 @@ impl BackwardDecompressor {
     /// # Errors
     ///
     /// Returns [`CompressError`] if the block fails to decode.
-    #[allow(clippy::should_implement_trait)] // fallible, not an Iterator
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `nnz` of the held pattern"
+    )]
     pub fn next_matrix(&mut self) -> Result<Option<(usize, Vec<f64>)>, CompressError> {
         let Some(block) = self.blocks.pop() else {
             return Ok(None);
@@ -343,6 +350,10 @@ impl CompressedTensor {
     /// # Errors
     ///
     /// Returns [`CompressError`] on truncation or a malformed pattern.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`count ≤ bytes.len()`, checked just above"
+    )]
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CompressError> {
         let mut pos = 0usize;
         let (pat_len, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
@@ -397,6 +408,7 @@ impl CompressedTensor {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
     use masc_sparse::TripletMatrix;

@@ -8,8 +8,6 @@
 //! encoders) and `tests/corpus_v2/` (era-2 encoder) are frozen artifacts
 //! and must never be regenerated.
 
-#![allow(clippy::disallowed_methods)] // tests may unwrap
-
 use masc_compress::{
     compress_matrix, decompress_matrix, CompressError, CompressedTensor, MascConfig, StampMaps,
     TensorCompressor,

@@ -2,9 +2,7 @@
 //! losslessness* for arbitrary values over arbitrary patterns
 //! (masc-testkit).
 
-// Tests may assert with unwrap/expect; the crate's clippy.toml bans them
-// in shipping code only (masc-lint rule R1).
-#![allow(clippy::disallowed_methods)]
+#![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 
 use masc_compress::{
     compress_matrix, decompress_matrix, CompressError, MascConfig, StampMaps, TensorCompressor,

@@ -6,9 +6,7 @@
 //! ±0.0, NaNs with arbitrary payload bits, infinities — and on every
 //! misaligned tail length around the lane width.
 
-// Tests may assert with unwrap/expect; the crate's clippy.toml bans them
-// in shipping code only (masc-lint rule R1).
-#![allow(clippy::disallowed_methods)]
+#![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 
 use masc_bitio::{BitReader, BitWriter};
 use masc_compress::lanes::{classify_residuals, xor_residuals, LANES};

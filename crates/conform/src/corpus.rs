@@ -37,7 +37,6 @@ impl CorpusEntry {
     }
 
     /// Parses an on-disk entry.
-    // masc-lint: allow(error-payload, reason = "fuzz-harness diagnostics are freeform strings shown to the operator, not matched on")
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let nl = bytes
             .iter()

@@ -33,7 +33,6 @@ pub trait Oracle: Sync {
 
 /// Runs `oracle` on `input`, converting panics into `Err` so decoder
 /// crashes count as conformance failures instead of aborting the harness.
-// masc-lint: allow(error-payload, reason = "the oracle protocol reports freeform failure diagnostics; they are printed, never matched on")
 pub fn run_input(oracle: &dyn Oracle, input: &[u8]) -> Result<(), String> {
     match catch_unwind(AssertUnwindSafe(|| oracle.check(input))) {
         Ok(result) => result,

@@ -8,6 +8,20 @@
 //!
 //! [`DatasetSpec::generate_cached`]: crate::registry::DatasetSpec::generate_cached
 
+// Hardened-surface rule R1 (DESIGN.md §3.10): this module decodes cache
+// files that may be corrupt, so it never panics. An index that clippy cannot
+// prove in bounds carries an
+// `#[expect(clippy::indexing_slicing, reason = "<the guard>")]`.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use crate::dataset::Dataset;
 use masc_bitio::varint;
 use masc_sparse::Pattern;
@@ -111,6 +125,10 @@ pub fn dataset_to_bytes(dataset: &Dataset) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`CacheError::Corrupt`] on malformed input.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`steps ≤ buf.len()`, checked just above"
+)]
 pub fn dataset_from_bytes(buf: &[u8]) -> Result<Dataset, CacheError> {
     if buf.get(..8) != Some(MAGIC.as_slice()) {
         return Err(CacheError::Corrupt("bad magic/version"));

@@ -55,6 +55,10 @@ impl Dataset {
 
     /// The full non-zero value stream (G then C per step, concatenated) as
     /// the pattern-blind baselines see it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by the held G and C series"
+    )]
     pub fn value_stream(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.steps() * self.nnz_per_step());
         for (g, c) in self.g_series.iter().zip(&self.c_series) {

@@ -18,8 +18,21 @@
 //! tier of encoded entries (`<key>.msc` files, written
 //! temp-file-then-rename so a crash never leaves a torn entry visible).
 //! The wire format is checksummed; a corrupt disk entry is discarded and
-//! reported as a miss, never a panic. This module decodes bytes from disk
-//! and is a `wire-decode` class in `lint-manifest.txt`.
+//! reported as a miss, never a panic.
+
+// Hardened-surface rule R1 (DESIGN.md §3.10): this module decodes cache
+// entries from disk that may be corrupt, so it never panics. An index that
+// clippy cannot prove in bounds carries an
+// `#[expect(clippy::indexing_slicing, reason = "<the guard>")]`.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 
 use masc_adjoint::RunMeta;
 use masc_bitio::bounded::check_claim;
@@ -239,6 +252,10 @@ impl<'a> EntryReader<'a> {
 ///
 /// Returns [`CacheError`] on any framing, bound, checksum, or embedded
 /// tensor failure — hostile bytes never panic and never over-allocate.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`n_times ≤ MAX_TIME_POINTS` by `check_claim` above; two tensors"
+)]
 pub fn decode_entry(bytes: &[u8]) -> Result<CacheEntry, CacheError> {
     let body_len = bytes
         .len()
@@ -629,6 +646,7 @@ impl TensorCache {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
     use masc_compress::TensorCompressor;

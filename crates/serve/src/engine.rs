@@ -81,6 +81,10 @@ pub struct JobOutcome {
 ///
 /// Returns [`ServeError`] for unparsable decks, decks without `.tran`,
 /// and unknown node/parameter names.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the protocol caps objectives at `MAX_OBJECTIVES` and named parameters at `MAX_PARAMS`"
+)]
 pub fn resolve(req: &JobRequest, masc: &MascConfig) -> Result<ResolvedJob, ServeError> {
     let parsed = parse_netlist(&req.deck)?;
     let tran = parsed.tran.clone().ok_or(ServeError::NoTran)?;

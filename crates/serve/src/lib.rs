@@ -19,7 +19,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+// Shipping code never unwraps (DESIGN.md §3.10); the cache and protocol
+// modules carry the full rule R1.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;
 pub mod engine;

@@ -26,8 +26,21 @@
 //! ```
 //!
 //! This module only parses and renders text; it allocates nothing larger
-//! than its (size-capped) input line and never panics on hostile input —
-//! it is a `wire-decode` class in `lint-manifest.txt`.
+//! than its (size-capped) input line and never panics on hostile input.
+
+// Hardened-surface rule R1 (DESIGN.md §3.10): this module parses
+// client-controlled lines, so it never panics. An index that clippy cannot
+// prove in bounds carries an
+// `#[expect(clippy::indexing_slicing, reason = "<the guard>")]`.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
 
 /// Longest accepted request line (bytes), escaped deck included.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
@@ -206,6 +219,10 @@ fn parse_objective(spec: &str) -> Result<ObjectiveSpec, ProtocolError> {
 ///
 /// The output is never longer than the input, so this allocates at most
 /// one input-sized buffer.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by `field.len() ≤ MAX_LINE_BYTES`, the held request line"
+)]
 fn unescape_deck(field: &str) -> Result<String, ProtocolError> {
     let mut out = String::with_capacity(field.len());
     let mut chars = field.chars();
@@ -226,6 +243,10 @@ fn unescape_deck(field: &str) -> Result<String, ProtocolError> {
 /// Escapes a deck for the `SOLVE` line (inverse of the parser's
 /// unescaping). Carriage returns are dropped: the protocol is
 /// line-delimited and decks are `\n`-separated card text.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "encoder side: sized by `deck.len()`, a held string"
+)]
 pub fn escape_deck(deck: &str) -> String {
     let mut out = String::with_capacity(deck.len() + deck.len() / 8);
     for c in deck.chars() {
@@ -244,6 +265,10 @@ pub fn escape_deck(deck: &str) -> String {
 /// # Errors
 ///
 /// Returns [`ProtocolError`] describing the first malformed field.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "`specs.len() ≤ MAX_OBJECTIVES`, checked just above"
+)]
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     if line.len() > MAX_LINE_BYTES {
         return Err(ProtocolError::LineTooLong { len: line.len() });
@@ -356,6 +381,7 @@ pub fn render_err(id: &str, code: &str, message: &str) -> String {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
 

@@ -365,6 +365,10 @@ pub fn run_lines<R: BufRead, W: Write + Send>(
 
     std::thread::scope(|scope| {
         let workers = server.cfg.workers.max(1);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "one handle per configured worker"
+        )]
         let mut lanes = Vec::with_capacity(workers);
         for _ in 0..workers {
             lanes.push(scope.spawn(|| loop {

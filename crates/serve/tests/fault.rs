@@ -1,8 +1,6 @@
 //! Fault-injection suite: worker death mid-job, corrupt disk cache
 //! entries, concurrent identical jobs, and shutdown with queued work.
 
-#![allow(clippy::disallowed_methods)] // tests may unwrap/expect
-
 use masc_serve::engine::{resolve, run_cold, run_hit, WorkspacePool};
 use masc_serve::server::run_lines;
 use masc_serve::{JobRequest, ObjectiveSpec, ParamSelector, ServeConfig, ServeError, Server};

@@ -2,8 +2,6 @@
 //! telemetry proof, disk-tier restarts, resolution errors, and the wire
 //! protocol loop.
 
-#![allow(clippy::disallowed_methods)] // tests may unwrap/expect
-
 use masc_adjoint::{run_adjoint, StoreConfig};
 use masc_circuit::parser::parse_netlist;
 use masc_compress::MascConfig;

@@ -31,6 +31,10 @@ impl CsrMatrix {
     }
 
     /// Creates an all-zero matrix over `pattern`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `nnz` of the held pattern"
+    )]
     pub fn zeros(pattern: Arc<Pattern>) -> Self {
         let values = vec![0.0; pattern.nnz()];
         Self { pattern, values }
@@ -107,6 +111,10 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `rows()` of the held matrix"
+    )]
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols(), "mul_vec dimension mismatch");
         let mut y = vec![0.0; self.rows()];
@@ -130,6 +138,10 @@ impl CsrMatrix {
     /// # Panics
     ///
     /// Panics if `x.len() != rows`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `cols()` of the held matrix"
+    )]
     pub fn mul_vec_transpose(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.cols()];
         self.mul_vec_transpose_into(x, &mut y);
@@ -215,6 +227,7 @@ impl CsrMatrix {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
     use crate::TripletMatrix;

@@ -18,6 +18,10 @@ pub struct DenseMatrix {
 
 impl DenseMatrix {
     /// Creates a zero-filled `rows`×`cols` matrix.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "dense reference solver: the caller's own dimensions, never decoded"
+    )]
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
@@ -78,6 +82,10 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if the matrix is not square or `b.len() != rows`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `rows` of the held matrix"
+    )]
     pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
         assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(b.len(), self.rows);

@@ -139,6 +139,10 @@ struct CscFactor {
 }
 
 impl CscFactor {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `n` and `nnz` of the matrix being factored"
+    )]
     fn with_capacity(n: usize, nnz: usize) -> Self {
         Self {
             colptr: Vec::with_capacity(n + 1),
@@ -204,6 +208,10 @@ impl LuFactors {
     /// # Panics
     ///
     /// Panics if `b.len() != dim()`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `n` of the held factors"
+    )]
     pub fn solve_into(&self, b: &[f64], work: &mut Vec<f64>, out: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n, "solve dimension mismatch");
         // c = P b
@@ -266,6 +274,10 @@ impl LuFactors {
     /// # Panics
     ///
     /// Panics if `b.len() != dim()`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `n` of the held factors"
+    )]
     pub fn solve_transpose_into(&self, b: &[f64], work: &mut Vec<f64>, out: &mut Vec<f64>) {
         assert_eq!(b.len(), self.n, "solve_transpose dimension mismatch");
         // c = Qᵀ b
@@ -403,6 +415,10 @@ pub struct NumericLu {
 
 impl NumericLu {
     /// Allocates numeric storage shaped for `sym`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by the held symbolic factorization's `n` and fill counts"
+    )]
     pub fn new(sym: &SymbolicLu) -> Self {
         let factors = LuFactors {
             n: sym.n,
@@ -427,6 +443,10 @@ impl NumericLu {
 
     /// Wraps already-computed factors from the analysis pass itself, so the
     /// first factorization through a [`LuWorkspace`] costs one elimination.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `n` of the held symbolic factorization"
+    )]
     fn from_analysis(sym: &SymbolicLu, factors: LuFactors) -> Self {
         debug_assert_eq!(factors.n, sym.n);
         Self {
@@ -697,6 +717,10 @@ fn sync_bits(copy: &mut Vec<f64>, values: &[f64]) -> bool {
 /// This is the single implementation behind [`SymbolicLu::analyze_with`]
 /// (which drops the factors) and [`LuWorkspace::factor`] (which keeps
 /// both).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by `n` and `nnz` of the held matrix being factored"
+)]
 fn gp_factor(a: &CsrMatrix, opts: LuOptions) -> Result<(SymbolicLu, LuFactors), LuError> {
     if a.rows() != a.cols() {
         return Err(LuError::NotSquare {

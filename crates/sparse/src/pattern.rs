@@ -12,6 +12,20 @@
 //! - a triangular partition of value indices into the paper's `U`, `L`, `D`
 //!   regions.
 
+// Hardened-surface rule R1 (DESIGN.md §3.10): this module decodes the
+// shared-index wire format, so it never panics. An index that clippy cannot
+// prove in bounds carries an
+// `#[expect(clippy::indexing_slicing, reason = "<the guard>")]`.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unwrap_used,
+    clippy::expect_used
+)]
+
 use crate::SparseError;
 use masc_bitio::varint;
 
@@ -45,6 +59,10 @@ impl Pattern {
     /// Returns [`SparseError::InvalidPattern`] if the arrays are
     /// inconsistent (bad lengths, unsorted or out-of-range columns, or a
     /// non-monotone `row_ptr`).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`row_ptr` has `rows + 1` entries, runs from 0 to `col_idx.len()` and is monotone, all checked before the row walk"
+    )]
     pub fn new(
         rows: usize,
         cols: usize,
@@ -104,6 +122,14 @@ impl Pattern {
         pattern
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`rows + 1 == row_ptr.len()` and `nnz == col_idx.len()`, both held arrays"
+    )]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`row_ptr` was validated by `new` (or built by triplet assembly): `r < rows` and every `k < nnz`"
+    )]
     fn build_maps(&mut self) {
         let nnz = self.col_idx.len();
         self.diag_index = vec![NONE; self.rows];
@@ -150,6 +176,10 @@ impl Pattern {
     }
 
     /// Value index of entry `(row, col)`, if structurally present.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`row < rows` is checked first and `row_ptr` is validated"
+    )]
     pub fn find(&self, row: usize, col: usize) -> Option<usize> {
         if row >= self.rows {
             return None;
@@ -167,6 +197,10 @@ impl Pattern {
     }
 
     /// Value index of the transpose partner of non-zero `k`, if present.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass a non-zero `k` of this pattern, so `k < nnz = transpose_map.len()`"
+    )]
     pub fn transpose_of(&self, k: usize) -> Option<usize> {
         match self.transpose_map[k] {
             NONE => None,
@@ -202,6 +236,10 @@ impl Pattern {
     /// strictly-upper `U`, strictly-lower `L`, and diagonal `D`.
     ///
     /// Returned vectors list value indices in row-major order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`r < rows` and `row_ptr` is validated, so every `k < nnz`"
+    )]
     pub fn partition_uld(&self) -> Partition {
         let mut upper = Vec::new();
         let mut lower = Vec::new();
@@ -247,6 +285,10 @@ impl Pattern {
     ///
     /// Returns [`SparseError::InvalidPattern`] on truncation or if the
     /// decoded arrays fail validation.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`pos ≤ rp_end ≤ bytes.len()`: `rp_end` is checked just above"
+    )]
     pub fn from_compressed_bytes(bytes: &[u8]) -> Result<Self, SparseError> {
         let truncated = SparseError::InvalidPattern("truncated pattern bytes");
         let mut pos = 0usize;

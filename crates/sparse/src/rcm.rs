@@ -11,6 +11,10 @@ use crate::Pattern;
 /// Returns `perm` with `perm[new_index] = old_index`. Applying the
 /// permutation symmetrically (`A(perm, perm)`) clusters non-zeros near the
 /// diagonal.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by `rows()` of the held pattern"
+)]
 pub fn rcm_order(pattern: &Pattern) -> Vec<usize> {
     let n = pattern.rows();
     // Build symmetrized adjacency lists (excluding self-loops).
@@ -62,6 +66,10 @@ pub fn rcm_order(pattern: &Pattern) -> Vec<usize> {
 /// Bandwidth of `pattern` under permutation `perm` (`perm[new] = old`).
 ///
 /// Useful for asserting that RCM actually helped.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by `rows()` of the held pattern"
+)]
 pub fn bandwidth(pattern: &Pattern, perm: &[usize]) -> usize {
     let n = pattern.rows();
     let mut inv = vec![0usize; n];

@@ -85,6 +85,10 @@ impl TripletMatrix {
     /// Converts to CSR, summing duplicate coordinates.
     ///
     /// The resulting matrix owns a freshly-built shared [`Pattern`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by `rows`, the assembler's own dimension"
+    )]
     pub fn to_csr(&self) -> CsrMatrix {
         let mut sorted = self.entries.clone();
         sorted.sort_by_key(|&(r, c, _)| (r, c));

@@ -1,6 +1,8 @@
 //! Property tests: sparse LU vs dense reference, pattern invariants
 //! (masc-testkit).
 
+#![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
+
 use masc_sparse::{
     lu::LuOptions, CsrMatrix, LuError, LuFactors, LuWorkspace, NumericLu, Pattern, SymbolicLu,
     TripletMatrix,

@@ -61,9 +61,6 @@
 //! # }
 //! ```
 
-// Unit tests may assert with unwrap/expect; shipping code may not (see
-// clippy.toml and masc-lint rule R1).
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -40,7 +40,10 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-#[allow(unsafe_code)]
+#[expect(
+    unsafe_code,
+    reason = "`GlobalAlloc` can only be implemented with `unsafe`"
+)]
 pub mod alloc;
 pub mod gen;
 pub mod prop;

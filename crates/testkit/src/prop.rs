@@ -164,20 +164,22 @@ where
     );
 }
 
-/// Applies one `#![key = value]` block attribute from [`prop!`](crate::prop!).
+/// Applies one `#![key = value]` block attribute from [`prop!`](crate::prop!)
+/// and returns the updated config.
 ///
 /// Recognized keys: `cases`, `seed`, `max_shrink_iters`.
 ///
 /// # Panics
 ///
 /// Panics on an unknown key.
-pub fn apply_config(config: &mut Config, key: &str, value: u64) {
+pub fn apply_config(mut config: Config, key: &str, value: u64) -> Config {
     match key {
         "cases" => config.cases = value as u32,
         "seed" => config.seed = value,
         "max_shrink_iters" => config.max_shrink_iters = value as u32,
         other => panic!("[testkit] unknown prop! config key '{other}'"),
     }
+    config
 }
 
 /// Defines deterministic property tests.
@@ -220,9 +222,7 @@ macro_rules! prop {
             $(#[$meta])*
             #[test]
             fn $name() {
-                #[allow(unused_mut)]
-                let mut config = $crate::prop::Config::default();
-                $crate::prop!(@config config, $cfg);
+                let config = $crate::prop!(@config $crate::prop::Config::default(), $cfg);
                 let gen = ($($gen,)+);
                 $crate::prop::check(
                     concat!(module_path!(), "::", stringify!($name)),
@@ -236,10 +236,14 @@ macro_rules! prop {
             }
         )*
     };
-    (@config $config:ident, [ ]) => {};
-    (@config $config:ident, [ ($key:ident, $value:expr) $($rest:tt)* ]) => {
-        $crate::prop::apply_config(&mut $config, stringify!($key), $value as u64);
-        $crate::prop!(@config $config, [ $($rest)* ]);
+    (@config $config:expr, [ ]) => {
+        $config
+    };
+    (@config $config:expr, [ ($key:ident, $value:expr) $($rest:tt)* ]) => {
+        $crate::prop!(
+            @config $crate::prop::apply_config($config, stringify!($key), $value as u64),
+            [ $($rest)* ]
+        )
     };
     // Entry point.
     ($($tokens:tt)*) => {

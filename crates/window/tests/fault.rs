@@ -2,8 +2,6 @@
 //! structured [`WindowError::WorkerPanicked`] — never a process abort or
 //! a poisoned hang.
 
-#![allow(clippy::disallowed_methods)] // tests may unwrap/expect
-
 use masc_adjoint::Objective;
 use masc_circuit::devices::{Capacitor, CurrentSource, Device, Resistor};
 use masc_circuit::transient::TranOptions;

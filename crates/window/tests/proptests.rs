@@ -7,8 +7,6 @@
 //!
 //! Failures replay with `MASC_PROP_REPRO` (masc-testkit seed replay).
 
-#![allow(clippy::disallowed_methods)] // tests may unwrap
-
 use masc_adjoint::{run_adjoint, Objective, StoreConfig};
 use masc_circuit::devices::{Capacitor, CurrentSource, Device, Resistor};
 use masc_circuit::transient::TranOptions;

@@ -5,8 +5,10 @@
 # (`--workload W --seed N --seconds S --trace 0`) on all seven workloads
 # of BENCHMARK.json and appends one JSON line to
 # results/benchmark_history.jsonl: the commit, the core count, the seed
-# and, per workload, solve_s, peak_rss_mb, compress_ratio and the number
-# of failed jobs. Rows are only ever appended, so the file is the
+# and, per workload, solve_s, peak_rss_mb, compress_ratio, the number
+# of failed jobs and the harness's exact-repeat counts ("counts": name →
+# count, `null` when the run printed none). Rows are only ever appended,
+# so the file is the
 # trajectory the numbers took from commit to commit.
 #
 # Each row also records "loadavg": [start, end], the 1-minute load
@@ -55,17 +57,31 @@ metric() {
     echo "${v:-null}"
 }
 
+# counts OUTPUT: the run's "exact-repeat counts: k=v ..." line as a JSON
+# object, or null when the run printed no such line.
+counts() {
+    local line kv pairs=""
+    line=$(grep -m1 'exact-repeat counts:' <<<"$1" || true)
+    [[ -n "$line" ]] || { echo null; return; }
+    for kv in ${line#*exact-repeat counts:}; do
+        pairs+="${pairs:+, }\"${kv%%=*}\": ${kv#*=}"
+    done
+    echo "{$pairs}"
+}
+
 workloads=(mos_chain rc_mesh ram_fanout tensor_codec sweep_batch window_pit serve_replay)
 body=""
 for w in "${workloads[@]}"; do
     echo "==> $w" >&2
     # A run whose verification fails exits non-zero but still prints its
     # result line; record it rather than stop.
-    line=$("$bin" --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1) || true
+    run=$("$bin" --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0) || true
+    line=$(tail -n 1 <<<"$run")
     failed=$(grep -o '"failed": [0-9.]*' <<<"$line" | cut -d' ' -f2 || true)
     body+="${body:+, }\"$w\": {\"solve_s\": $(metric solve_s "$line"), \
 \"peak_rss_mb\": $(metric peak_rss_mb "$line"), \
-\"compress_ratio\": $(metric compress_ratio "$line"), \"failed\": ${failed:-null}}"
+\"compress_ratio\": $(metric compress_ratio "$line"), \"failed\": ${failed:-null}, \
+\"counts\": $(counts "$run")}"
 done
 
 load_end=$(loadavg1)

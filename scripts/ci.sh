@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Hermetic CI gate: format, lint (clippy + masc-lint), build and test the
-# whole workspace with the network forbidden.
+# Hermetic CI gate: format, lint (clippy), build and test the whole
+# workspace with the network forbidden.
 # Exits nonzero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,7 +14,6 @@ run cargo fmt --all --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo build --release --offline --workspace --bins
 run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
-run cargo run -q --offline --release -p masc-lint
 # Scheduler-shim coverage runs serially: each exploration gates its own
 # virtual threads, and serial order keeps the explorer's quiet panic
 # hook from masking unrelated test output.
