@@ -261,7 +261,7 @@ fn forward(
     objectives: &[Objective],
 ) -> Result<(TranStats, Vec<f64>, RunMeta, BackwardJacobians), RunError> {
     if tran.adaptive.is_none() {
-        check_objective_steps(objectives, tran.step_count() + 1)?;
+        check_objective_steps(objectives, tran.step_count().saturating_add(1))?;
     }
     let tran_stats = transient_into(circuit, system, tran, &mut record, &mut lu)?;
     // Seal before the workspace is freed: the seal's small allocations then

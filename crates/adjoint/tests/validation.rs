@@ -367,6 +367,30 @@ fn multiple_objectives_one_pass() {
     }
 }
 
+/// A `.tran` grid whose step count saturates at `usize::MAX` still gets a
+/// structured error for an objective past its end, before any step runs.
+#[test]
+fn saturated_step_count_rejects_a_late_objective() {
+    let deck = rc_netlist().replace(".tran 100n 10u", ".tran 1e-300 1");
+    let parsed = parse_netlist(&deck).unwrap();
+    let mut circuit = parsed.circuit;
+    let tran = parsed.tran.unwrap();
+    assert_eq!(tran.step_count(), usize::MAX);
+    let out = circuit.find_node("out").unwrap().unknown().unwrap();
+    let late = [Objective::AtStep {
+        unknown: out,
+        step: usize::MAX,
+    }];
+    let params = [circuit.find_param("R1.r").unwrap()];
+    let err = run_adjoint(&mut circuit, &tran, &StoreConfig::RawMemory, &late, &params);
+    match err {
+        Err(RunError::Adjoint(AdjointError::StepOutOfRange { step, max })) => {
+            assert_eq!((step, max), (usize::MAX, usize::MAX - 1));
+        }
+        other => panic!("expected StepOutOfRange, got {other:?}"),
+    }
+}
+
 /// The drivers read objective values off the trajectory their record
 /// keeps; they must be, bit for bit, the values `transient`'s own
 /// collected trajectory gives — on a fixed grid and an adaptive one, with

@@ -362,7 +362,7 @@ pub fn transient<S: JacobianSink>(
     opts: &TranOptions,
     sink: &mut S,
 ) -> Result<TranResult, TranError> {
-    let mut collect = Collect::new(sink, opts.step_count() + 1);
+    let mut collect = Collect::new(sink, opts.step_count().saturating_add(1));
     let stats = transient_into(circuit, system, opts, &mut collect, &mut LuWorkspace::new())?;
     Ok(TranResult {
         times: collect.times,
@@ -382,12 +382,19 @@ struct Collect<'a, S> {
     states: Vec<Vec<f64>>,
 }
 
+/// The most points [`Collect`] reserves up front. Above every grid the
+/// workloads run (the largest has 16 000 steps); a longer run grows its
+/// vectors as it goes, and a `.tran` grid with an absurd step count
+/// reserves no more than this before its first step.
+const MAX_RESERVED_POINTS: usize = 1 << 16;
+
 impl<'a, S: JacobianSink> Collect<'a, S> {
     #[expect(
         clippy::disallowed_methods,
-        reason = "one point per step of the caller's `.tran` grid, which the run walks in full anyway"
+        reason = "at most `MAX_RESERVED_POINTS`, a constant"
     )]
     fn new(inner: &'a mut S, points: usize) -> Self {
+        let points = points.min(MAX_RESERVED_POINTS);
         Self {
             inner,
             times: Vec::with_capacity(points),
@@ -666,6 +673,16 @@ mod tests {
         assert_eq!(sink.calls[0], (0, 0.0));
         assert_eq!(sink.calls.last().unwrap().0, 10);
         assert!(sink.nnz > 0);
+    }
+
+    #[test]
+    fn collect_reserves_a_bounded_number_of_points() {
+        // `.tran 1e-300 1`: the step count saturates.
+        let opts = TranOptions::new(1.0, 1e-300);
+        assert_eq!(opts.step_count(), usize::MAX);
+        let mut sink = NullSink;
+        let collect = Collect::new(&mut sink, opts.step_count().saturating_add(1));
+        assert!(collect.times.capacity() < 2 * MAX_RESERVED_POINTS);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   `solve_transpose`.
 //! - [`dense`] — small dense matrices used as reference implementations in
 //!   tests and for tiny systems.
-//! - [`rcm`] — reverse Cuthill–McKee ordering for bandwidth/fill reduction.
+//! - [`amd`] — the approximate-minimum-degree column ordering the LU uses
+//!   to keep fill low.
 //!
 //! # Examples
 //!
@@ -38,11 +39,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod amd;
 pub mod csr;
 pub mod dense;
 pub mod lu;
 pub mod pattern;
-pub mod rcm;
 pub mod triplet;
 
 pub use csr::CsrMatrix;

@@ -9,9 +9,12 @@
 //! search on the partially-built `L`, a sparse triangular solve, then
 //! threshold partial pivoting with a preference for the diagonal entry
 //! (KLU-style), which keeps MNA matrices stable without destroying the
-//! fill-reducing column ordering.
+//! fill-reducing column ordering. That ordering is always the approximate
+//! minimum degree of [`crate::amd`], computed on the pattern of `A + Aᵀ`;
+//! the storage of `L`/`U` and the work of every forward and transpose solve
+//! scale with the fill it leaves.
 //!
-//! The expensive parts of that pipeline — RCM ordering, the per-column
+//! The expensive parts of that pipeline — the ordering, the per-column
 //! reachability DFS, and pivot search — depend only on the pattern and the
 //! chosen pivot sequence, so they are captured once in a [`SymbolicLu`] and
 //! replayed by [`NumericLu::refactor`], a values-only elimination into
@@ -46,7 +49,7 @@
 //! # }
 //! ```
 
-use crate::{rcm, CsrMatrix, Pattern};
+use crate::{amd, CsrMatrix, Pattern};
 use core::fmt;
 use std::sync::Arc;
 
@@ -102,7 +105,10 @@ impl fmt::Display for LuError {
 
 impl std::error::Error for LuError {}
 
-/// Options controlling factorization.
+/// Pivoting thresholds of a factorization.
+///
+/// The column ordering is not an option: every factorization orders its
+/// columns by [`amd::amd_order`], a pure function of the pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LuOptions {
     /// Threshold for accepting the diagonal pivot: the diagonal is used if
@@ -111,8 +117,6 @@ pub struct LuOptions {
     pub diag_preference: f64,
     /// Absolute magnitude below which a pivot is declared singular.
     pub pivot_epsilon: f64,
-    /// Use RCM column ordering (otherwise natural order).
-    pub rcm_ordering: bool,
 }
 
 impl Default for LuOptions {
@@ -125,7 +129,6 @@ impl Default for LuOptions {
             // stages.
             diag_preference: 0.001,
             pivot_epsilon: 1e-300,
-            rcm_ordering: true,
         }
     }
 }
@@ -321,7 +324,7 @@ impl LuFactors {
 ///
 /// An analysis runs the full Gilbert–Peierls factorization (values are
 /// needed to *choose* pivots) and records everything that does not depend on
-/// values given that pivot sequence: the RCM column permutation `Q`, the
+/// values given that pivot sequence: the AMD column permutation `Q`, the
 /// final row permutation `P`, a scatter plan mapping each CSR value slot of
 /// `A` into factor coordinates, and the complete `L`/`U` fill skeletons with
 /// `U`'s per-column entries stored in elimination order. Note the skeleton
@@ -729,11 +732,7 @@ fn gp_factor(a: &CsrMatrix, opts: LuOptions) -> Result<(SymbolicLu, LuFactors), 
         });
     }
     let n = a.rows();
-    let q = if opts.rcm_ordering {
-        rcm::rcm_order(a.pattern())
-    } else {
-        rcm::natural_order(n)
-    };
+    let q = amd::amd_order(a.pattern());
 
     // CSC view of A: csc_col[j] lists (row, value, CSR slot) of column j.
     let mut csc_colptr = vec![0usize; n + 1];
@@ -957,12 +956,8 @@ mod tests {
     }
 
     /// The one-shot oracle: a fresh workspace always runs the full analysis.
-    fn fresh_with(a: &CsrMatrix, opts: LuOptions) -> Result<LuFactors, LuError> {
-        LuWorkspace::with_options(opts).factor(a).cloned()
-    }
-
     fn fresh(a: &CsrMatrix) -> Result<LuFactors, LuError> {
-        fresh_with(a, LuOptions::default())
+        LuWorkspace::new().factor(a).cloned()
     }
 
     fn assert_solves(a: &CsrMatrix, b: &[f64]) {
@@ -1072,43 +1067,6 @@ mod tests {
     fn nan_input_rejected() {
         let a = csr_from(&[(0, 0, f64::NAN), (1, 1, 1.0)], 2);
         assert!(fresh(&a).is_err());
-    }
-
-    #[test]
-    fn natural_vs_rcm_same_solution() {
-        let n = 40;
-        let mut entries = Vec::new();
-        for i in 0..n {
-            entries.push((i, i, 3.0));
-            let far = (i * 13) % n;
-            if far != i {
-                entries.push((i, far, -0.5));
-                entries.push((far, i, -0.5));
-            }
-        }
-        let a = csr_from(&entries, n);
-        let b: Vec<f64> = (0..n).map(|i| i as f64 * 0.1).collect();
-        let x1 = fresh_with(
-            &a,
-            LuOptions {
-                rcm_ordering: true,
-                ..LuOptions::default()
-            },
-        )
-        .unwrap()
-        .solve(&b);
-        let x2 = fresh_with(
-            &a,
-            LuOptions {
-                rcm_ordering: false,
-                ..LuOptions::default()
-            },
-        )
-        .unwrap()
-        .solve(&b);
-        for (p, q) in x1.iter().zip(&x2) {
-            assert!((p - q).abs() < 1e-9 * (1.0 + q.abs()));
-        }
     }
 
     fn assert_factors_bit_equal(a: &LuFactors, b: &LuFactors) {

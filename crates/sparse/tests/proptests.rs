@@ -4,8 +4,8 @@
 #![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 
 use masc_sparse::{
-    lu::LuOptions, CsrMatrix, LuError, LuFactors, LuWorkspace, NumericLu, Pattern, SymbolicLu,
-    TripletMatrix,
+    amd::amd_order, lu::LuOptions, CsrMatrix, LuError, LuFactors, LuWorkspace, NumericLu, Pattern,
+    SymbolicLu, TripletMatrix,
 };
 use masc_testkit::gen::{self, Gen};
 use masc_testkit::rng::Rng;
@@ -27,6 +27,25 @@ fn matrices(n: usize) -> impl Gen<Value = CsrMatrix> {
         }
         for (r, s) in rowsum.iter().enumerate() {
             t.add(r, r, s + 1.0 + (r as f64) * 0.01);
+        }
+        t.to_csr()
+    })
+}
+
+/// Arbitrary square patterns: unsymmetric, with structurally zero
+/// diagonals, isolated nodes and disconnected components, and in every
+/// third case a hub row and column touching every node.
+fn patterns() -> impl Gen<Value = CsrMatrix> {
+    gen::sparse_coords(1..60, 150).map(|(n, coords)| {
+        let mut t = TripletMatrix::new(n, n);
+        for &(r, c) in &coords {
+            t.add(r, c, 1.0);
+        }
+        if coords.len() % 3 == 0 {
+            for i in 0..n {
+                t.add(0, i, 1.0);
+                t.add(i, 0, 1.0);
+            }
         }
         t.to_csr()
     })
@@ -68,13 +87,11 @@ prop! {
     fn lu_residual_is_small(a in matrices(20)) {
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        for rcm in [false, true] {
-            let lu = factor_with(&a, LuOptions { rcm_ordering: rcm, ..LuOptions::default() }).unwrap();
-            let x = lu.solve(&b);
-            let ax = a.mul_vec(&x);
-            for (l, r) in ax.iter().zip(&b) {
-                prop_assert!((l - r).abs() < 1e-8);
-            }
+        let lu = factor_with(&a, LuOptions::default()).unwrap();
+        let x = lu.solve(&b);
+        let ax = a.mul_vec(&x);
+        for (l, r) in ax.iter().zip(&b) {
+            prop_assert!((l - r).abs() < 1e-8);
         }
     }
 
@@ -98,26 +115,23 @@ prop! {
         // bit-identical solves.
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).sin() * 2.0).collect();
-        for rcm in [false, true] {
-            let opts = LuOptions { rcm_ordering: rcm, ..LuOptions::default() };
-            let one_shot = factor_with(&a, opts).unwrap();
-            let sym = SymbolicLu::analyze_with(&a, opts).unwrap();
-            prop_assert!(sym.matches(&a));
-            let mut num = NumericLu::new(&sym);
-            num.refactor(&sym, &a).unwrap();
-            let split = num.factors();
-            prop_assert_eq!(split.l_nnz(), one_shot.l_nnz());
-            prop_assert_eq!(split.u_nnz(), one_shot.u_nnz());
-            let xs = split.solve(&b);
-            let xo = one_shot.solve(&b);
-            for (s, o) in xs.iter().zip(&xo) {
-                prop_assert_eq!(s.to_bits(), o.to_bits());
-            }
-            let ts = split.solve_transpose(&b);
-            let to = one_shot.solve_transpose(&b);
-            for (s, o) in ts.iter().zip(&to) {
-                prop_assert_eq!(s.to_bits(), o.to_bits());
-            }
+        let one_shot = factor_with(&a, LuOptions::default()).unwrap();
+        let sym = SymbolicLu::analyze(&a).unwrap();
+        prop_assert!(sym.matches(&a));
+        let mut num = NumericLu::new(&sym);
+        num.refactor(&sym, &a).unwrap();
+        let split = num.factors();
+        prop_assert_eq!(split.l_nnz(), one_shot.l_nnz());
+        prop_assert_eq!(split.u_nnz(), one_shot.u_nnz());
+        let xs = split.solve(&b);
+        let xo = one_shot.solve(&b);
+        for (s, o) in xs.iter().zip(&xo) {
+            prop_assert_eq!(s.to_bits(), o.to_bits());
+        }
+        let ts = split.solve_transpose(&b);
+        let to = one_shot.solve_transpose(&b);
+        for (s, o) in ts.iter().zip(&to) {
+            prop_assert_eq!(s.to_bits(), o.to_bits());
         }
     }
 
@@ -142,6 +156,24 @@ prop! {
                 prop_assert_eq!(r.to_bits(), f.to_bits());
             }
         }
+    }
+
+    fn amd_order_is_a_permutation(a in patterns()) {
+        let mut perm = amd_order(a.pattern());
+        perm.sort_unstable();
+        prop_assert_eq!(perm, (0..a.rows()).collect::<Vec<_>>());
+    }
+
+    fn amd_order_is_a_function_of_the_pattern(a in patterns()) {
+        // A separately built copy shares no `Arc` with the original.
+        let copy = Pattern::new(
+            a.rows(),
+            a.cols(),
+            a.pattern().row_ptr().to_vec(),
+            a.pattern().col_idx().to_vec(),
+        )
+        .unwrap();
+        prop_assert_eq!(amd_order(a.pattern()), amd_order(&copy));
     }
 
     fn mul_vec_transpose_consistent(a in matrices(10)) {
