@@ -109,9 +109,9 @@ pub struct AdjointStats {
     pub recompute_time: Duration,
     /// Time evaluating parameter derivatives (`φ`).
     pub param_time: Duration,
-    /// Unified store telemetry, forward pass included (bytes per tier,
-    /// peak residency, compress/decompress/I/O/throttle time, per-step
-    /// latency histograms).
+    /// The run's store telemetry, forward pass included (sealed payload
+    /// bytes, peak residency, put/fetch time and per-step latency
+    /// histograms), as the [`BackwardJacobians`] reader held it.
     pub store: StoreMetrics,
 }
 

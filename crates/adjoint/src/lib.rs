@@ -157,15 +157,8 @@ pub fn run_xyce_like(
 ) -> Result<SensitivityRun, RunError> {
     let mut system = circuit.elaborate()?;
     let record = ForwardRecord::new(store::TensorLayout::of(&system), &StoreConfig::Recompute)?;
-    let (tran_stats, objective_values, meta, _) = forward(
-        circuit,
-        &mut system,
-        tran,
-        record,
-        LuWorkspace::new(),
-        drop,
-        objectives,
-    )?;
+    let (tran_stats, objective_values, meta, _) =
+        forward(circuit, &mut system, tran, record, objectives)?;
     let sensitivities =
         adjoint_sensitivities_per_objective(circuit, &mut system, &meta, objectives, params)?;
     let store_metrics = sensitivities.stats.store.clone();
@@ -193,47 +186,30 @@ pub fn run_adjoint(
 ) -> Result<SensitivityRun, RunError> {
     let mut system = circuit.elaborate()?;
     let record = ForwardRecord::new(store::TensorLayout::of(&system), store)?;
-    let (run, _) = run_recorded(
-        circuit,
-        &mut system,
-        tran,
-        record,
-        LuWorkspace::new(),
-        drop,
-        objectives,
-        params,
-    )?;
+    let (run, _) = run_recorded(circuit, &mut system, tran, record, objectives, params)?;
     Ok(run)
 }
 
 /// The forward + reverse body of [`run_adjoint`] over a caller-prepared
-/// record and forward LU workspace: transient into `record`, objective
-/// values off the trajectory the record kept, then one batched reverse
-/// sweep. The forward workspace goes to `retire_lu` as soon as the store
-/// is sealed — its factors are dead weight once the reverse pass
-/// allocates its own — where `masc-serve` pools the symbolic analysis and
-/// `run_adjoint` just drops it. Also returns the run metadata, which `masc-serve` keeps next
-/// to the tensors its record's store captured.
+/// record (a custom [`JacobianStore`], or a [`CompressedStore`] that
+/// captures its sealed tensors): transient into `record`, objective values
+/// off the trajectory the record kept, then one batched reverse sweep.
+/// Also returns the run metadata, which `masc-serve` keeps next to the
+/// tensors its record's store captured.
 ///
 /// # Errors
 ///
 /// Returns [`RunError`] if any stage fails.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the record, the workspace and its retirement hook are separate inputs the callers vary independently"
-)]
 pub fn run_recorded(
     circuit: &Circuit,
     system: &mut System,
     tran: &TranOptions,
     record: ForwardRecord,
-    lu: LuWorkspace,
-    retire_lu: impl FnOnce(LuWorkspace),
     objectives: &[Objective],
     params: &[ParamRef],
 ) -> Result<(SensitivityRun, RunMeta), RunError> {
     let (tran_stats, objective_values, meta, reader) =
-        forward(circuit, system, tran, record, lu, retire_lu, objectives)?;
+        forward(circuit, system, tran, record, objectives)?;
     let sensitivities = adjoint_sensitivities(circuit, system, &meta, reader, objectives, params)?;
     let store_metrics = sensitivities.stats.store.clone();
     let run = SensitivityRun {
@@ -250,26 +226,26 @@ pub fn run_recorded(
 /// reader, with the objective values read off the one trajectory the
 /// record kept. On a fixed grid a bad [`Objective::AtStep`] is rejected
 /// before the DC point; an adaptive grid only knows its step count after
-/// the run.
+/// the run. The forward LU workspace is freed once the store is sealed:
+/// its factors are dead weight once the reverse pass allocates its own.
 fn forward(
     circuit: &Circuit,
     system: &mut System,
     tran: &TranOptions,
     mut record: ForwardRecord,
-    mut lu: LuWorkspace,
-    retire_lu: impl FnOnce(LuWorkspace),
     objectives: &[Objective],
 ) -> Result<(TranStats, Vec<f64>, RunMeta, BackwardJacobians), RunError> {
     if tran.adaptive.is_none() {
         check_objective_steps(objectives, tran.step_count().saturating_add(1))?;
     }
+    let mut lu = LuWorkspace::new();
     let tran_stats = transient_into(circuit, system, tran, &mut record, &mut lu)?;
     // Seal before the workspace is freed: the seal's small allocations then
     // stay out of the hole the workspace leaves, and the reverse pass's own
     // LU storage refills it whole (on `rc_mesh` this keeps the peak RSS
     // from depending on the seed).
     let (meta, reader) = record.into_parts()?;
-    retire_lu(lu);
+    drop(lu);
     check_objective_steps(objectives, meta.times.len())?;
     let objective_values = objectives
         .iter()

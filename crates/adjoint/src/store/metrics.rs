@@ -1,13 +1,12 @@
 //! Unified store telemetry.
 //!
-//! Every [`JacobianStore`](super::JacobianStore) backend carries one
-//! [`StoreMetrics`] through the forward pass and hands it to its backward
-//! reader, so a finished reader holds the complete forward+reverse picture:
-//! bytes written, peak residency, compression/decompression time, and
-//! per-step latency histograms. This replaces the four
-//! ad-hoc fields (`store_time`/`peak_bytes`/`fetch_time`/`io_wait`) the
-//! enum-based store scattered across `ForwardRecord` and
-//! `BackwardJacobians`.
+//! One [`StoreMetrics`] per run, owned by the generic wrappers rather than
+//! by any backend: [`ForwardRecord`](super::ForwardRecord) records the
+//! per-step put latency and the residency watermark, takes the sealed
+//! payload size from the store's `finish`, and moves the metrics into the
+//! [`BackwardJacobians`](super::BackwardJacobians) reader, which adds the
+//! per-step fetch latency. A finished reader therefore holds the complete
+//! forward+reverse picture, and a backend carries no telemetry of its own.
 
 use std::time::Duration;
 
@@ -95,15 +94,14 @@ impl std::fmt::Debug for DurationHistogram {
 
 /// Unified telemetry for one Jacobian store, forward and reverse.
 ///
-/// `bytes_written` follows the *payload* view: what the backend committed
-/// to its store after any encoding (raw f64 bytes for the raw backend,
-/// compressed bytes for the compressed one). Durations are component
-/// times: `store_time` / `fetch_time` are the end-to-end per-step
-/// capture/fetch costs (they *include* compression and decompression),
-/// the rest break those down.
+/// `bytes_written` is the *payload* the store holds once sealed, set once
+/// at `finish`: both tensors' compressed bytes for the compressed backend,
+/// Σ (nnz_G + nnz_C)·8 for the raw one, zero for recompute. `store_time` /
+/// `fetch_time` are the end-to-end per-step capture/fetch costs (they
+/// *include* compression and decompression).
 #[derive(Debug, Clone, Default)]
 pub struct StoreMetrics {
-    /// Payload bytes committed to the store during the forward pass.
+    /// Payload bytes the sealed store holds.
     pub bytes_written: u64,
     /// Peak storage footprint observed, in bytes.
     pub peak_resident_bytes: usize,
@@ -111,10 +109,6 @@ pub struct StoreMetrics {
     pub store_time: Duration,
     /// Total time fetching steps during the reverse pass.
     pub fetch_time: Duration,
-    /// Portion of `store_time` spent compressing.
-    pub compress_time: Duration,
-    /// Portion of `fetch_time` spent decompressing.
-    pub decompress_time: Duration,
     /// Per-step capture latencies.
     pub put_hist: DurationHistogram,
     /// Per-step fetch latencies.
@@ -146,8 +140,6 @@ impl StoreMetrics {
         self.peak_resident_bytes = self.peak_resident_bytes.max(other.peak_resident_bytes);
         self.store_time += other.store_time;
         self.fetch_time += other.fetch_time;
-        self.compress_time += other.compress_time;
-        self.decompress_time += other.decompress_time;
         self.put_hist.merge(&other.put_hist);
         self.fetch_hist.merge(&other.fetch_hist);
     }

@@ -22,10 +22,12 @@
 //!
 //! Custom backends implement [`JacobianStore`] + [`BackwardReader`] and
 //! plug in through [`ForwardRecord::with_store`]; the throttled raw-disk
-//! bar of the Fig. 7 reproducer (`masc-bench`) is one. Every backend
-//! carries a [`StoreMetrics`] with unified telemetry (bytes written, peak
-//! residency, compress/decompress durations, per-step latency
-//! histograms).
+//! bar of the Fig. 7 reproducer (`masc-bench`) is one. A backend only
+//! keeps bytes and reads them back: the [`StoreMetrics`] telemetry (bytes
+//! written, peak residency, per-step latencies) belongs to the
+//! [`ForwardRecord`] and then to its [`BackwardJacobians`], and the one
+//! way to read stored matrices, raw ones included, is the newest-first
+//! [`BackwardJacobians::next_back`].
 
 // Hardened-surface rule R1 (DESIGN.md §3.10): the store decodes sealed
 // Jacobian tensors, serve's on-disk entries included, so it never panics. An
@@ -199,10 +201,10 @@ pub enum StepMatrices {
 /// The transient sink feeds each accepted step's compact `G`/`C` value
 /// arrays through [`put`](Self::put); [`finish`](Self::finish) seals the
 /// store into a [`BackwardReader`] that replays the matrices newest-first.
-/// Implementations own a [`StoreMetrics`] and account their traffic
-/// (bytes written, compress time) into it; the generic wrapper
-/// ([`ForwardRecord`]) adds the per-step timing histograms and the
-/// residency watermark.
+/// A store keeps no telemetry: the generic wrapper ([`ForwardRecord`])
+/// times every `put`, tracks the residency watermark through
+/// [`resident_bytes`](Self::resident_bytes), and records the payload size
+/// `finish` reports.
 pub trait JacobianStore: std::fmt::Debug + Send {
     /// Whether the store wants the matrix values at all (the recompute
     /// backend skips the gather entirely).
@@ -220,23 +222,14 @@ pub trait JacobianStore: std::fmt::Debug + Send {
     /// Current storage footprint in bytes (matrix data only).
     fn resident_bytes(&self) -> usize;
 
-    /// Telemetry accumulated so far.
-    fn metrics(&self) -> &StoreMetrics;
-
-    /// Mutable telemetry (the sink wrapper records put latencies here).
-    fn metrics_mut(&mut self) -> &mut StoreMetrics;
-
-    /// Seals the store into a newest-first reader. The reader inherits
-    /// this store's metrics and keeps accumulating into them.
+    /// Seals the store into a newest-first reader, with the payload bytes
+    /// the sealed store holds (recorded as
+    /// [`StoreMetrics::bytes_written`]).
     ///
     /// # Errors
     ///
     /// Returns [`StoreError`] if finalization I/O fails.
-    fn finish(self: Box<Self>) -> Result<Box<dyn BackwardReader>, StoreError>;
-
-    /// Runtime-typed view, for backend-specific accessors
-    /// (e.g. [`ForwardRecord::raw_matrices`]).
-    fn as_any(&self) -> &dyn std::any::Any;
+    fn finish(self: Box<Self>) -> Result<(Box<dyn BackwardReader>, u64), StoreError>;
 }
 
 /// Reverse-order matrix supplier for one finished [`JacobianStore`].
@@ -252,12 +245,6 @@ pub trait BackwardReader: std::fmt::Debug + Send {
     /// [`StoreError::TensorTruncated`] when the store holds fewer
     /// matrices than the recorded step count.
     fn fetch(&mut self, step: usize) -> Result<StepMatrices, StoreError>;
-
-    /// Telemetry, forward pass included.
-    fn metrics(&self) -> &StoreMetrics;
-
-    /// Mutable telemetry (the reader wrapper records fetch latencies).
-    fn metrics_mut(&mut self) -> &mut StoreMetrics;
 }
 
 /// Captures everything the reverse pass needs from the forward sweep.
@@ -271,6 +258,7 @@ pub struct ForwardRecord {
     /// Per step: solution vector.
     pub states: Vec<Vec<f64>>,
     store: Box<dyn JacobianStore>,
+    metrics: StoreMetrics,
 }
 
 impl ForwardRecord {
@@ -294,6 +282,7 @@ impl ForwardRecord {
             hs: Vec::new(),
             states: Vec::new(),
             store,
+            metrics: StoreMetrics::default(),
         }
     }
 
@@ -312,18 +301,11 @@ impl ForwardRecord {
         self.store.resident_bytes()
     }
 
-    /// Telemetry accumulated during the forward pass.
+    /// Telemetry accumulated during the forward pass. The sealed payload
+    /// (`bytes_written`) is recorded on the [`BackwardJacobians`] that
+    /// [`into_parts`](Self::into_parts) returns.
     pub fn metrics(&self) -> &StoreMetrics {
-        self.store.metrics()
-    }
-
-    /// Raw matrix histories, available only for [`StoreConfig::RawMemory`]
-    /// records (the direct method consumes them in forward order).
-    pub fn raw_matrices(&self) -> Option<RawSeries<'_>> {
-        self.store
-            .as_any()
-            .downcast_ref::<RawStore>()
-            .map(RawStore::series)
+        &self.metrics
     }
 
     /// Finalizes into a backward reader, discarding the run metadata
@@ -350,19 +332,18 @@ impl ForwardRecord {
             states: std::mem::take(&mut self.states),
         };
         let steps = meta.times.len();
-        let reader = self.store.finish()?;
+        let (reader, bytes_written) = self.store.finish()?;
+        self.metrics.bytes_written = bytes_written;
         Ok((
             meta,
             BackwardJacobians {
                 next_step: steps,
                 reader,
+                metrics: self.metrics,
             },
         ))
     }
 }
-
-/// Borrowed forward-order `G` and `C` value histories of a raw store.
-pub type RawSeries<'a> = (&'a [Vec<f64>], &'a [Vec<f64>]);
 
 /// The per-step scalars and states of a forward run.
 #[derive(Debug, Clone, Default)]
@@ -400,19 +381,19 @@ impl JacobianSink for ForwardRecord {
         };
         let elapsed = start.elapsed();
         result.map_err(SinkError::new)?;
-        let resident = self.store.resident_bytes();
-        let m = self.store.metrics_mut();
-        m.record_put(elapsed);
-        m.note_resident(resident);
+        self.metrics.record_put(elapsed);
+        self.metrics.note_resident(self.store.resident_bytes());
         Ok(())
     }
 }
 
-/// Reverse-order reader over a [`ForwardRecord`]'s matrices.
+/// Reverse-order reader over a [`ForwardRecord`]'s matrices; it owns the
+/// run's telemetry from the seal on.
 #[derive(Debug)]
 pub struct BackwardJacobians {
     next_step: usize,
     reader: Box<dyn BackwardReader>,
+    metrics: StoreMetrics,
 }
 
 impl BackwardJacobians {
@@ -423,7 +404,8 @@ impl BackwardJacobians {
     pub fn recompute(steps: usize) -> Self {
         Self {
             next_step: steps,
-            reader: backends::recompute_reader(),
+            reader: Box::new(RecomputeStore),
+            metrics: StoreMetrics::default(),
         }
     }
 
@@ -435,7 +417,8 @@ impl BackwardJacobians {
     pub fn from_tensors(g: CompressedTensor, c: CompressedTensor) -> Self {
         Self {
             next_step: g.len(),
-            reader: Box::new(backends::PairReader::new(g, c, StoreMetrics::default())),
+            reader: Box::new(backends::PairReader::new(g, c)),
+            metrics: StoreMetrics::default(),
         }
     }
 
@@ -446,7 +429,7 @@ impl BackwardJacobians {
 
     /// Telemetry, forward pass included.
     pub fn metrics(&self) -> &StoreMetrics {
-        self.reader.metrics()
+        &self.metrics
     }
 
     /// Fetches the matrices of the next step in reverse order
@@ -463,7 +446,7 @@ impl BackwardJacobians {
         let step = self.next_step;
         let start = Instant::now();
         let matrices = self.reader.fetch(step)?;
-        self.reader.metrics_mut().record_fetch(start.elapsed());
+        self.metrics.record_fetch(start.elapsed());
         Ok(Some((step, matrices)))
     }
 }

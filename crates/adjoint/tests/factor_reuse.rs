@@ -8,9 +8,9 @@
 //! be skipped: at least one elimination per Newton iteration.
 
 use masc_adjoint::{
-    run_recorded, ForwardRecord, Objective, SensitivityRun, StoreConfig, TensorLayout,
+    adjoint_sensitivities, ForwardRecord, Objective, SensitivityResult, StoreConfig, TensorLayout,
 };
-use masc_circuit::transient::TranOptions;
+use masc_circuit::transient::{transient_into, TranOptions, TranStats};
 use masc_circuit::Circuit;
 use masc_compress::MascConfig;
 use masc_datasets::generators::{mos_inverter_chain, rc_mesh};
@@ -19,11 +19,15 @@ use masc_sparse::LuWorkspace;
 /// Period of the decks' drive waveforms.
 const DRIVE: f64 = 0.25e-6;
 
-/// Runs `circuit` through `run_recorded` on a fixed grid of `steps` steps
-/// over one drive period, with an `Integral` objective on every fourth
-/// node and the first four parameters, and returns the run with the
-/// forward workspace's elimination count.
-fn forward_factorizations(mut circuit: Circuit, steps: usize) -> (SensitivityRun, usize) {
+/// Runs `circuit`'s transient on a fixed grid of `steps` steps over one
+/// drive period through its own forward LU workspace, then the reverse
+/// pass with an `Integral` objective on every fourth node and the first
+/// four parameters. Returns the forward statistics, the sensitivities and
+/// the forward workspace's elimination count.
+fn forward_factorizations(
+    mut circuit: Circuit,
+    steps: usize,
+) -> (TranStats, SensitivityResult, usize) {
     let dt = DRIVE / steps as f64;
     let tran = TranOptions::new(dt * steps as f64, dt);
     assert_eq!(tran.step_count(), steps);
@@ -33,51 +37,36 @@ fn forward_factorizations(mut circuit: Circuit, steps: usize) -> (SensitivityRun
         .collect();
     let params: Vec<_> = circuit.params().into_iter().take(4).collect();
     let mut system = circuit.elaborate().unwrap();
-    let record = ForwardRecord::new(
+    let mut record = ForwardRecord::new(
         TensorLayout::of(&system),
         &StoreConfig::Compressed(MascConfig::default()),
     )
     .unwrap();
-    let mut count = None;
-    let (run, _) = run_recorded(
-        &circuit,
-        &mut system,
-        &tran,
-        record,
-        LuWorkspace::new(),
-        |lu| count = Some(lu.factorizations()),
-        &objectives,
-        &params,
-    )
-    .unwrap();
-    assert_eq!(run.tran_stats.steps, steps);
-    (
-        run,
-        count.expect("run_recorded retires the forward workspace"),
-    )
+    let mut lu = LuWorkspace::new();
+    let stats = transient_into(&circuit, &mut system, &tran, &mut record, &mut lu).unwrap();
+    assert_eq!(stats.steps, steps);
+    let (meta, reader) = record.into_parts().unwrap();
+    let sensitivities =
+        adjoint_sensitivities(&circuit, &mut system, &meta, reader, &objectives, &params).unwrap();
+    (stats, sensitivities, lu.factorizations())
 }
 
 #[test]
 fn linear_fixed_grid_factors_g_then_j_once() {
-    let (run, count) = forward_factorizations(rc_mesh(8, 8, DRIVE), 64);
-    assert!(run
-        .sensitivities
-        .values
-        .iter()
-        .flatten()
-        .all(|v| v.is_finite()));
+    let (stats, sensitivities, count) = forward_factorizations(rc_mesh(8, 8, DRIVE), 64);
+    assert!(sensitivities.values.iter().flatten().all(|v| v.is_finite()));
     assert_eq!(
         count, 2,
         "rc_mesh(8, 8): {count} forward eliminations over {} Newton iterations, \
          expected 2 (DC G, then J)",
-        run.tran_stats.newton_iterations
+        stats.newton_iterations
     );
 }
 
 #[test]
 fn nonlinear_deck_skips_nothing() {
-    let (run, count) = forward_factorizations(mos_inverter_chain(150, DRIVE), 64);
-    let newton = run.tran_stats.newton_iterations;
+    let (stats, _, count) = forward_factorizations(mos_inverter_chain(150, DRIVE), 64);
+    let newton = stats.newton_iterations;
     assert!(
         count >= newton,
         "mos_inverter_chain(150): {count} forward eliminations for {newton} Newton \

@@ -5,7 +5,7 @@
 
 use masc_adjoint::store::{ForwardRecord, StepMatrices, StoreConfig, TensorLayout};
 use masc_circuit::transient::JacobianSink;
-use masc_compress::MascConfig;
+use masc_compress::{MascConfig, TensorCompressor};
 use masc_sparse::{CsrMatrix, Pattern, TripletMatrix};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,28 +34,50 @@ fn layout(p: &Arc<Pattern>) -> TensorLayout {
     }
 }
 
-fn feed(record: &mut ForwardRecord, pattern: &Arc<Pattern>, steps: usize) -> Vec<Vec<f64>> {
-    let mut g_history = Vec::new();
+/// Feeds `steps` steps and returns the `G` and `C` histories fed.
+fn feed(
+    record: &mut ForwardRecord,
+    pattern: &Arc<Pattern>,
+    steps: usize,
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let (mut g_history, mut c_history) = (Vec::new(), Vec::new());
     for s in 0..steps {
         let g_vals: Vec<f64> = (0..pattern.nnz())
             .map(|k| (s as f64) + (k as f64) * 0.1)
             .collect();
         let c_vals: Vec<f64> = (0..pattern.nnz()).map(|k| -(k as f64) - 1.0).collect();
         let g = CsrMatrix::from_parts(pattern.clone(), g_vals.clone()).unwrap();
-        let c = CsrMatrix::from_parts(pattern.clone(), c_vals).unwrap();
+        let c = CsrMatrix::from_parts(pattern.clone(), c_vals.clone()).unwrap();
         let x = vec![s as f64; 3];
         record
             .on_step(s, s as f64 * 1e-6, 1e-6, &x, &g, &c)
             .unwrap();
         g_history.push(g_vals);
+        c_history.push(c_vals);
     }
-    g_history
+    (g_history, c_history)
+}
+
+/// The payload a sealed store of `config` holds for these histories.
+fn payload_bytes(config: &StoreConfig, p: &Arc<Pattern>, g: &[Vec<f64>], c: &[Vec<f64>]) -> u64 {
+    let compressed = |history: &[Vec<f64>], masc: &MascConfig| {
+        let mut tc = TensorCompressor::new(p.clone(), masc.clone());
+        for values in history {
+            tc.push(values);
+        }
+        tc.finish().compressed_bytes() as u64
+    };
+    match config {
+        StoreConfig::Recompute => 0,
+        StoreConfig::RawMemory => (g.len() * 2 * p.nnz() * 8) as u64,
+        StoreConfig::Compressed(masc) => compressed(g, masc) + compressed(c, masc),
+    }
 }
 
 fn check_backward(config: StoreConfig) {
     let p = pattern();
     let mut record = ForwardRecord::new(layout(&p), &config).unwrap();
-    let g_history = feed(&mut record, &p, 5);
+    let (g_history, c_history) = feed(&mut record, &p, 5);
     assert_eq!(record.len(), 5);
     let mut reader = record.into_reader().unwrap();
     let mut expect = 5usize;
@@ -70,6 +92,10 @@ fn check_backward(config: StoreConfig) {
         }
     }
     assert_eq!(expect, 0);
+    assert_eq!(
+        reader.metrics().bytes_written,
+        payload_bytes(&config, &p, &g_history, &c_history)
+    );
 }
 
 #[test]

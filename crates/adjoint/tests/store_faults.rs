@@ -5,13 +5,12 @@
 
 use masc_adjoint::store::{
     BackwardJacobians, BackwardReader, CompressedStore, ForwardRecord, JacobianStore, RawStore,
-    StoreConfig, StoreError, StoreMetrics, TensorLayout,
+    StoreConfig, StoreError, TensorLayout,
 };
 use masc_adjoint::{run_recorded, AdjointError, Objective, RunError};
 use masc_circuit::parser::parse_netlist;
 use masc_circuit::transient::{transient, JacobianSink, TranError};
 use masc_compress::{CompressedTensor, MascConfig, TensorCompressor};
-use masc_sparse::LuWorkspace;
 use masc_sparse::{CsrMatrix, Pattern, TripletMatrix};
 use std::error::Error;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -71,20 +70,8 @@ impl JacobianStore for DiskFullStore {
         self.inner.resident_bytes()
     }
 
-    fn metrics(&self) -> &StoreMetrics {
-        self.inner.metrics()
-    }
-
-    fn metrics_mut(&mut self) -> &mut StoreMetrics {
-        self.inner.metrics_mut()
-    }
-
-    fn finish(self: Box<Self>) -> Result<Box<dyn BackwardReader>, StoreError> {
+    fn finish(self: Box<Self>) -> Result<(Box<dyn BackwardReader>, u64), StoreError> {
         Box::new(self.inner).finish()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -139,20 +126,8 @@ impl JacobianStore for CountingStore {
         self.inner.resident_bytes()
     }
 
-    fn metrics(&self) -> &StoreMetrics {
-        self.inner.metrics()
-    }
-
-    fn metrics_mut(&mut self) -> &mut StoreMetrics {
-        self.inner.metrics_mut()
-    }
-
-    fn finish(self: Box<Self>) -> Result<Box<dyn BackwardReader>, StoreError> {
+    fn finish(self: Box<Self>) -> Result<(Box<dyn BackwardReader>, u64), StoreError> {
         Box::new(self.inner).finish()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -186,17 +161,8 @@ fn bad_at_step_on_a_fixed_grid_is_rejected_before_the_forward_pass() {
         step: max + 1,
     }];
 
-    let err = run_recorded(
-        &circuit,
-        &mut system,
-        &tran,
-        record,
-        LuWorkspace::new(),
-        drop,
-        &late,
-        &params,
-    )
-    .expect_err("a step past the grid must be rejected");
+    let err = run_recorded(&circuit, &mut system, &tran, record, &late, &params)
+        .expect_err("a step past the grid must be rejected");
     match err {
         RunError::Adjoint(AdjointError::StepOutOfRange { step, max: m }) => {
             assert_eq!((step, m), (max + 1, max));
@@ -255,20 +221,8 @@ impl JacobianStore for LossyStore {
         self.inner.resident_bytes()
     }
 
-    fn metrics(&self) -> &StoreMetrics {
-        self.inner.metrics()
-    }
-
-    fn metrics_mut(&mut self) -> &mut StoreMetrics {
-        self.inner.metrics_mut()
-    }
-
-    fn finish(self: Box<Self>) -> Result<Box<dyn BackwardReader>, StoreError> {
+    fn finish(self: Box<Self>) -> Result<(Box<dyn BackwardReader>, u64), StoreError> {
         Box::new(self.inner).finish()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

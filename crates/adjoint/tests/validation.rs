@@ -11,7 +11,6 @@ use masc_circuit::transient::{transient, NullSink, TranOptions};
 use masc_circuit::Circuit;
 use masc_compress::MascConfig;
 use masc_datasets::generators::rc_mesh;
-use masc_sparse::LuWorkspace;
 
 /// RC lowpass driven by a ramped pulse: smooth, linear, analytically sane.
 fn rc_netlist() -> &'static str {
@@ -367,14 +366,13 @@ fn multiple_objectives_one_pass() {
     }
 }
 
-/// A `.tran` grid whose step count saturates at `usize::MAX` still gets a
+/// A grid whose step count saturates at `usize::MAX` (`parse_netlist`
+/// refuses such a `.tran` card, so it is built directly) still gets a
 /// structured error for an objective past its end, before any step runs.
 #[test]
 fn saturated_step_count_rejects_a_late_objective() {
-    let deck = rc_netlist().replace(".tran 100n 10u", ".tran 1e-300 1");
-    let parsed = parse_netlist(&deck).unwrap();
-    let mut circuit = parsed.circuit;
-    let tran = parsed.tran.unwrap();
+    let mut circuit = parse_netlist(rc_netlist()).unwrap().circuit;
+    let tran = TranOptions::new(1.0, 1e-300);
     assert_eq!(tran.step_count(), usize::MAX);
     let out = circuit.find_node("out").unwrap().unknown().unwrap();
     let late = [Objective::AtStep {
@@ -490,17 +488,8 @@ fn adaptive_grid_adjoint_matches_direct_method() {
             &StoreConfig::Compressed(MascConfig::default()),
         )
         .unwrap();
-        let (run, meta) = run_recorded(
-            &circuit,
-            &mut system,
-            &tran,
-            record,
-            LuWorkspace::new(),
-            drop,
-            &objectives,
-            &params,
-        )
-        .unwrap();
+        let (run, meta) =
+            run_recorded(&circuit, &mut system, &tran, record, &objectives, &params).unwrap();
         let hs = &meta.hs[1..];
         assert!(
             hs.windows(2).any(|w| w[0] != w[1]) && hs.windows(2).any(|w| w[0] == w[1]),

@@ -39,8 +39,7 @@ pub fn run(sizes: &[usize], steps: usize) -> Vec<Point> {
         };
         let dataset = spec.generate(1.0).expect("sweep sizes generate");
         // Drive the adjoint crate's compressed store through the
-        // JacobianStore trait; its unified StoreMetrics reports the
-        // committed compressed payload.
+        // JacobianStore trait; sealing reports the compressed payload.
         let mut store: Box<dyn JacobianStore> = Box::new(CompressedStore::new(
             dataset.g_pattern.clone(),
             dataset.c_pattern.clone(),
@@ -51,10 +50,9 @@ pub fn run(sizes: &[usize], steps: usize) -> Vec<Point> {
                 .put(step, g, c)
                 .expect("in-memory compression is infallible");
         }
-        let reader = store
+        let (_, compressed_values) = store
             .finish()
             .expect("sealing an in-memory store is infallible");
-        let compressed_values = reader.metrics().bytes_written as usize;
         let index_bytes = dataset.g_pattern.index_bytes() + dataset.c_pattern.index_bytes();
         out.push(Point {
             elements: dataset.elements,
@@ -62,7 +60,7 @@ pub fn run(sizes: &[usize], steps: usize) -> Vec<Point> {
             steps: dataset.steps(),
             raw_csr: dataset.s_csr_bytes(),
             shared_indices: dataset.s_nz_bytes() + index_bytes,
-            compressed: compressed_values + index_bytes,
+            compressed: compressed_values as usize + index_bytes,
         });
     }
     out

@@ -4,7 +4,7 @@
 //! Runs the same circuit + objectives + parameters through four Jacobian
 //! stores — every one synchronous, storing each step on the stepping
 //! thread (DESIGN.md §3.8) — and reports the reverse-pass times from the
-//! unified [`StoreMetrics`] telemetry.
+//! unified [`StoreMetrics`](masc_adjoint::StoreMetrics) telemetry.
 //! Expected shape (paper §6.4): MASC ≈ half the recompute baseline's
 //! sensitivity time and several times faster than bandwidth-limited raw
 //! disk I/O.
@@ -19,14 +19,12 @@
 use crate::render_table;
 use masc_adjoint::{
     run_adjoint, run_recorded, run_xyce_like, BackwardReader, ForwardRecord, JacobianStore,
-    Objective, RunError, SensitivityRun, StepMatrices, StoreConfig, StoreError, StoreMetrics,
-    TensorLayout,
+    Objective, RunError, SensitivityRun, StepMatrices, StoreConfig, StoreError, TensorLayout,
 };
 use masc_circuit::transient::TranOptions;
 use masc_circuit::{Circuit, ParamRef};
 use masc_compress::MascConfig;
 use masc_datasets::registry::{DatasetSpec, Family};
-use masc_sparse::LuWorkspace;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -172,16 +170,7 @@ fn run_disk(
     let layout = TensorLayout::of(&system);
     let store = ThrottledDisk::create(dir, bandwidth, &layout)?;
     let record = ForwardRecord::with_store(layout, Box::new(store));
-    let (run, _) = run_recorded(
-        circuit,
-        &mut system,
-        tran,
-        record,
-        LuWorkspace::new(),
-        drop,
-        objectives,
-        params,
-    )?;
+    let (run, _) = run_recorded(circuit, &mut system, tran, record, objectives, params)?;
     Ok(run)
 }
 
@@ -208,7 +197,6 @@ struct ThrottledDisk {
     g_nnz: usize,
     step_bytes: usize,
     steps: usize,
-    metrics: StoreMetrics,
 }
 
 impl ThrottledDisk {
@@ -229,7 +217,6 @@ impl ThrottledDisk {
             g_nnz,
             step_bytes: (g_nnz + layout.c_pattern.nnz()) * 8,
             steps: 0,
-            metrics: StoreMetrics::default(),
         })
     }
 }
@@ -246,30 +233,18 @@ impl JacobianStore for ThrottledDisk {
         let start = Instant::now();
         self.file.write_all(&bytes)?;
         throttle(bytes.len(), self.bandwidth, start.elapsed());
-        self.metrics.bytes_written += bytes.len() as u64;
         self.steps += 1;
         Ok(())
     }
 
     fn resident_bytes(&self) -> usize {
         // Everything lives on disk.
-        self.metrics.bytes_written as usize
+        self.steps * self.step_bytes
     }
 
-    fn metrics(&self) -> &StoreMetrics {
-        &self.metrics
-    }
-
-    fn metrics_mut(&mut self) -> &mut StoreMetrics {
-        &mut self.metrics
-    }
-
-    fn finish(self: Box<Self>) -> Result<Box<dyn BackwardReader>, StoreError> {
-        Ok(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+    fn finish(self: Box<Self>) -> Result<(Box<dyn BackwardReader>, u64), StoreError> {
+        let file_len = self.file.metadata()?.len();
+        Ok((self, file_len))
     }
 }
 
@@ -294,14 +269,6 @@ impl BackwardReader for ThrottledDisk {
             g,
             c: values.collect(),
         })
-    }
-
-    fn metrics(&self) -> &StoreMetrics {
-        &self.metrics
-    }
-
-    fn metrics_mut(&mut self) -> &mut StoreMetrics {
-        &mut self.metrics
     }
 }
 

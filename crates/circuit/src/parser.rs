@@ -45,6 +45,11 @@ use crate::transient::TranOptions;
 use crate::waveform::Waveform;
 use core::fmt;
 
+/// Most steps a `.tran` grid may ask for. Decks arrive from clients, and
+/// a grid like `.tran 1e-300 1` would step for ever. The bound matches the
+/// serve cache's time-point bound and is far above every real grid.
+const MAX_TRAN_STEPS: usize = 1 << 22;
+
 /// A parsed netlist: the circuit plus any `.tran` directive found.
 #[derive(Debug, Clone)]
 pub struct ParsedNetlist {
@@ -278,7 +283,14 @@ pub fn parse_netlist(source: &str) -> Result<ParsedNetlist, ParseNetlistError> {
             if dt <= 0.0 || t_stop < dt {
                 return Err(err(lineno, ".tran needs 0 < dt <= tstop"));
             }
-            tran = Some(TranOptions::new(t_stop, dt));
+            let opts = TranOptions::new(t_stop, dt);
+            if opts.step_count() > MAX_TRAN_STEPS {
+                return Err(err(
+                    lineno,
+                    format!(".tran asks for more than {MAX_TRAN_STEPS} steps"),
+                ));
+            }
+            tran = Some(opts);
             continue;
         }
         if upper_head.starts_with('.') {
@@ -640,6 +652,17 @@ V1 a 0 PULSE(0 5
     fn bad_tran_rejected() {
         assert!(parse_netlist(".tran 1u\n.end").is_err());
         assert!(parse_netlist(".tran 2m 1m\n.end").is_err());
+    }
+
+    #[test]
+    fn unbounded_tran_grid_rejected() {
+        for deck in [".tran 1e-300 1\n.end", ".tran 1e-12 1\n.end"] {
+            let e = parse_netlist(deck).unwrap_err();
+            assert_eq!(e.line, 1, "{deck:?}");
+            assert!(e.message.contains("steps"), "{deck:?}: {e}");
+        }
+        let p = parse_netlist(".tran 1 4194304\n.end").unwrap();
+        assert_eq!(p.tran.unwrap().step_count(), MAX_TRAN_STEPS);
     }
 
     #[test]

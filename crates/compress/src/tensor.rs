@@ -15,7 +15,6 @@ use crate::CompressError;
 use masc_bitio::varint;
 use masc_sparse::Pattern;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Streaming compressor for a time series of same-pattern matrices.
 #[derive(Debug, Clone)]
@@ -28,7 +27,6 @@ pub struct TensorCompressor {
     /// `blocks[t]` = `M_t` compressed against `M_{t+1}`.
     blocks: Vec<Vec<u8>>,
     stats: CompressStats,
-    compress_time: Duration,
 }
 
 impl TensorCompressor {
@@ -42,7 +40,6 @@ impl TensorCompressor {
             pending: None,
             blocks: Vec::new(),
             stats: CompressStats::new(),
-            compress_time: Duration::ZERO,
         }
     }
 
@@ -56,7 +53,6 @@ impl TensorCompressor {
             pending: None,
             blocks: Vec::new(),
             stats: CompressStats::new(),
-            compress_time: Duration::ZERO,
         }
     }
 
@@ -84,9 +80,7 @@ impl TensorCompressor {
         );
         let prev = self.pending.replace(values.to_vec());
         if let (Some(prev), Some(newest)) = (prev, self.pending.as_ref()) {
-            let start = Instant::now();
             let (bytes, stats) = compress_matrix(&prev, newest, &self.maps, &self.config);
-            self.compress_time += start.elapsed();
             self.stats.merge(&stats);
             self.blocks.push(bytes);
         }
@@ -114,30 +108,12 @@ impl TensorCompressor {
         &self.stats
     }
 
-    /// Wall time spent compressing.
-    pub fn compress_time(&self) -> Duration {
-        self.compress_time
-    }
-
-    /// Number of *sealed* compressed blocks (excludes the raw pending
-    /// matrix). Block `t` holds `M_t` compressed against `M_{t+1}`.
-    pub fn sealed_len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// The compressed bytes of sealed block `t`, if it exists.
-    pub fn compressed_block(&self, t: usize) -> Option<&[u8]> {
-        self.blocks.get(t).map(Vec::as_slice)
-    }
-
     /// Seals the trailing pending matrix by compressing it against a zero
     /// reference, so every pushed matrix is counted in the sealed blocks.
     /// No-op when nothing is pending.
     pub fn seal(&mut self) {
         if let Some(last) = self.pending.take() {
-            let start = Instant::now();
             let (bytes, stats) = compress_matrix_seeded(&last, &self.maps, &self.config);
-            self.compress_time += start.elapsed();
             self.stats.merge(&stats);
             self.blocks.push(bytes);
         }
@@ -153,7 +129,6 @@ impl TensorCompressor {
             chunk_size: self.config.chunk_size,
             blocks: self.blocks,
             stats: self.stats,
-            compress_time: self.compress_time,
         }
     }
 }
@@ -169,7 +144,6 @@ pub struct CompressedTensor {
     /// block against zeros).
     blocks: Vec<Vec<u8>>,
     stats: CompressStats,
-    compress_time: Duration,
 }
 
 impl CompressedTensor {
@@ -204,11 +178,6 @@ impl CompressedTensor {
     /// Accumulated statistics.
     pub fn stats(&self) -> &CompressStats {
         &self.stats
-    }
-
-    /// Wall time spent compressing (forward pass).
-    pub fn compress_time(&self) -> Duration {
-        self.compress_time
     }
 
     /// The shared pattern.
@@ -253,7 +222,6 @@ impl CompressedTensor {
             nnz: self.pattern.nnz(),
             blocks: self.blocks,
             reference: None,
-            decompress_time: Duration::ZERO,
         }
     }
 }
@@ -270,7 +238,6 @@ pub struct BackwardDecompressor {
     blocks: Vec<Vec<u8>>,
     /// The previously yielded (newer) matrix — the reference for the next.
     reference: Option<Vec<f64>>,
-    decompress_time: Duration,
 }
 
 impl BackwardDecompressor {
@@ -304,9 +271,7 @@ impl BackwardDecompressor {
                 &zeros
             }
         };
-        let start = Instant::now();
         let values = decompress_matrix(&block, reference, &self.maps)?;
-        self.decompress_time += start.elapsed();
         self.reference = Some(values.clone());
         Ok(Some((step, values)))
     }
@@ -315,11 +280,6 @@ impl BackwardDecompressor {
     pub fn memory_bytes(&self) -> usize {
         let blocks: usize = self.blocks.iter().map(Vec::len).sum();
         blocks + self.reference.as_ref().map_or(0, |r| r.len() * 8)
-    }
-
-    /// Wall time spent decompressing so far.
-    pub fn decompress_time(&self) -> Duration {
-        self.decompress_time
     }
 }
 
@@ -402,7 +362,6 @@ impl CompressedTensor {
             chunk_size: chunk_size as usize,
             blocks,
             stats: CompressStats::new(),
-            compress_time: Duration::ZERO,
         })
     }
 }

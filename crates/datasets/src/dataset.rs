@@ -1,10 +1,10 @@
 //! Dataset extraction: run a generated circuit's transient and capture the
 //! Jacobian tensors (the paper Table 2 artifacts).
 
-use masc_adjoint::{ForwardRecord, StoreConfig, TensorLayout};
-use masc_circuit::transient::{transient, TranError, TranOptions};
+use masc_adjoint::{ForwardRecord, StepMatrices, StoreConfig, TensorLayout};
+use masc_circuit::transient::{transient_into, TranError, TranOptions};
 use masc_circuit::Circuit;
-use masc_sparse::Pattern;
+use masc_sparse::{LuWorkspace, Pattern};
 use std::sync::Arc;
 
 /// A captured Jacobian-tensor dataset.
@@ -69,7 +69,9 @@ impl Dataset {
     }
 }
 
-/// Runs the circuit's transient and captures both Jacobian tensors.
+/// Runs the circuit's transient and captures both Jacobian tensors. The
+/// raw record is drained newest-first, so each step's arrays move into
+/// the dataset instead of being copied.
 ///
 /// # Errors
 ///
@@ -81,11 +83,24 @@ pub fn capture(name: &str, mut circuit: Circuit, tran: &TranOptions) -> Result<D
         .expect("generated circuits always elaborate");
     let mut record = ForwardRecord::new(TensorLayout::of(&system), &StoreConfig::RawMemory)
         .expect("raw store cannot fail");
-    let result = transient(&circuit, &mut system, tran, &mut record)?;
-    let (g_series, c_series) = {
-        let (g, c) = record.raw_matrices().expect("raw store");
-        (g.to_vec(), c.to_vec())
-    };
+    transient_into(
+        &circuit,
+        &mut system,
+        tran,
+        &mut record,
+        &mut LuWorkspace::new(),
+    )?;
+    let (meta, mut reader) = record.into_parts().expect("raw store cannot fail");
+    let (mut g_series, mut c_series) = (Vec::new(), Vec::new());
+    while let Some((_, matrices)) = reader.next_back().expect("raw store holds every step") {
+        let StepMatrices::Stored { g, c } = matrices else {
+            unreachable!("a raw store returns stored matrices");
+        };
+        g_series.push(g);
+        c_series.push(c);
+    }
+    g_series.reverse();
+    c_series.reverse();
     Ok(Dataset {
         name: name.to_string(),
         elements,
@@ -93,7 +108,7 @@ pub fn capture(name: &str, mut circuit: Circuit, tran: &TranOptions) -> Result<D
         c_pattern: system.c_pattern.clone(),
         g_series,
         c_series,
-        hs: result.steps,
+        hs: meta.hs,
     })
 }
 

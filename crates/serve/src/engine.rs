@@ -33,9 +33,6 @@ use masc_circuit::parser::parse_netlist;
 use masc_circuit::transient::{TranOptions, TranStats};
 use masc_circuit::{Circuit, ParamRef, System};
 use masc_compress::MascConfig;
-use masc_sparse::{LuWorkspace, Pattern, SymbolicLu};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// A job after deck canonicalization and name resolution.
 #[derive(Debug, Clone)]
@@ -133,61 +130,6 @@ pub fn resolve(req: &JobRequest, masc: &MascConfig) -> Result<ResolvedJob, Serve
     })
 }
 
-/// Most sparsity patterns whose symbolic analyses the pool retains.
-const MAX_POOL_PATTERNS: usize = 64;
-
-/// A keep-alive pool of [`SymbolicLu`] analyses keyed by sparsity
-/// pattern, so jobs over structurally identical circuits (re-submissions,
-/// parameter studies over one topology) skip the symbolic phase of the
-/// forward solves. The reverse passes deliberately do **not** draw from
-/// the pool: both the cold and hit paths factor their cursors fresh, so
-/// hit results stay bit-identical to cold results regardless of what ran
-/// before.
-#[derive(Debug, Default)]
-pub struct WorkspacePool {
-    map: HashMap<u64, Arc<SymbolicLu>>,
-}
-
-fn pattern_key(pattern: &Pattern) -> u64 {
-    crate::cache::fnv1a_bytes(&pattern.to_compressed_bytes())
-}
-
-impl WorkspacePool {
-    /// A forward-solve workspace, seeded with the pooled symbolic
-    /// analysis when one exists for this pattern.
-    pub fn checkout(&self, pattern: &Pattern) -> LuWorkspace {
-        match self.map.get(&pattern_key(pattern)) {
-            Some(sym) => LuWorkspace::with_symbolic(Arc::clone(sym)),
-            None => LuWorkspace::new(),
-        }
-    }
-
-    /// Returns a workspace's symbolic analysis to the pool.
-    pub fn deposit(&mut self, pattern: &Pattern, ws: &LuWorkspace) {
-        let Some(sym) = ws.symbolic().cloned() else {
-            return;
-        };
-        let key = pattern_key(pattern);
-        if self.map.len() >= MAX_POOL_PATTERNS && !self.map.contains_key(&key) {
-            // The pool is bounded; drop an arbitrary resident analysis.
-            if let Some(k) = self.map.keys().next().copied() {
-                self.map.remove(&k);
-            }
-        }
-        self.map.insert(key, sym);
-    }
-
-    /// Number of pooled analyses.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 fn elaborate_canonical(job: &ResolvedJob) -> Result<(Circuit, System), ServeError> {
     let parsed = parse_netlist(&job.canonical_deck)?;
     let mut circuit = parsed.circuit;
@@ -203,10 +145,7 @@ fn elaborate_canonical(job: &ResolvedJob) -> Result<(Circuit, System), ServeErro
 ///
 /// Returns [`ServeError`] if any pipeline stage fails; on error no cache
 /// entry is produced.
-pub fn run_cold(
-    job: &ResolvedJob,
-    pool: &Mutex<WorkspacePool>,
-) -> Result<(JobOutcome, CacheEntry), ServeError> {
+pub fn run_cold(job: &ResolvedJob) -> Result<(JobOutcome, CacheEntry), ServeError> {
     let (circuit, mut system) = elaborate_canonical(job)?;
     let layout = TensorLayout::of(&system);
     let mut capture = CompressedStore::new(
@@ -216,16 +155,11 @@ pub fn run_cold(
     );
     let slot = capture.capture();
     let record = ForwardRecord::with_store(layout, Box::new(capture));
-
-    let pattern = system.pattern.clone();
-    let lu = lock_ignoring_poison(pool).checkout(&pattern);
     let (run, meta) = run_recorded(
         &circuit,
         &mut system,
         &job.tran,
         record,
-        lu,
-        |lu| lock_ignoring_poison(pool).deposit(&pattern, &lu),
         &job.objectives,
         &job.params,
     )?;

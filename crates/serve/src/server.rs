@@ -14,7 +14,7 @@
 //! never stranded and the cache directory is left with no temp files.
 
 use crate::cache::{CacheMetrics, TensorCache};
-use crate::engine::{resolve, run_cold, run_hit, JobOutcome, WorkspacePool};
+use crate::engine::{resolve, run_cold, run_hit, JobOutcome};
 use crate::protocol::{self, JobRequest, Request, MAX_LINE_BYTES};
 use crate::ServeError;
 use masc_adjoint::lanes::lock_ignoring_poison as lock;
@@ -58,12 +58,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// The job server: cache, workspace pool, and single-flight state.
+/// The job server: cache and single-flight state.
 #[derive(Debug)]
 pub struct Server {
     cfg: ServeConfig,
     cache: Mutex<TensorCache>,
-    pool: Mutex<WorkspacePool>,
     inflight: Mutex<HashSet<u64>>,
     inflight_done: Condvar,
     jobs: AtomicU64,
@@ -83,7 +82,6 @@ impl Server {
         Ok(Self {
             cfg,
             cache: Mutex::new(cache),
-            pool: Mutex::new(WorkspacePool::default()),
             inflight: Mutex::new(HashSet::new()),
             inflight_done: Condvar::new(),
             jobs: AtomicU64::new(0),
@@ -173,7 +171,7 @@ impl Server {
                 }
             }
             self.cold_runs.fetch_add(1, Ordering::Relaxed);
-            let result = run_cold(&job, &self.pool);
+            let result = run_cold(&job);
             let (outcome, entry) = result?; // guard releases on error
             lock(&self.cache).put(job.key, std::sync::Arc::new(entry));
             drop(guard);

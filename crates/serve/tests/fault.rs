@@ -1,11 +1,10 @@
 //! Fault-injection suite: worker death mid-job, corrupt disk cache
 //! entries, concurrent identical jobs, and shutdown with queued work.
 
-use masc_serve::engine::{resolve, run_cold, run_hit, WorkspacePool};
+use masc_serve::engine::{resolve, run_cold, run_hit};
 use masc_serve::server::run_lines;
 use masc_serve::{JobRequest, ObjectiveSpec, ParamSelector, ServeConfig, ServeError, Server};
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("masc-serve-fault-{}-{name}", std::process::id()));
@@ -143,8 +142,7 @@ fn colliding_entry_with_foreign_fingerprint_is_rejected() {
     let other_job = resolve(&other, &masc).expect("resolve other");
     assert_ne!(job.fingerprint, other_job.fingerprint);
 
-    let pool = Mutex::new(WorkspacePool::default());
-    let (_, foreign_entry) = run_cold(&other_job, &pool).expect("cold run");
+    let (_, foreign_entry) = run_cold(&other_job).expect("cold run");
     assert!(
         matches!(
             run_hit(&job, &foreign_entry),
@@ -155,6 +153,21 @@ fn colliding_entry_with_foreign_fingerprint_is_rejected() {
     // The entry still replays fine for the job that owns it.
     let replay = run_hit(&other_job, &foreign_entry).expect("owner replay");
     assert!(replay.hit);
+}
+
+/// A client deck whose `.tran` grid would step for ever is refused at
+/// resolution with the parser's error, before any pipeline stage runs.
+#[test]
+fn unbounded_tran_grid_is_a_parse_error() {
+    let masc = ServeConfig::default().masc;
+    for tran in [".tran 1e-300 1", ".tran 1e-12 1"] {
+        let mut req = ladder_request("j", 2);
+        req.deck = req.deck.replace(".tran 0.2u 20u", tran);
+        match resolve(&req, &masc) {
+            Err(ServeError::Parse(e)) => assert!(e.message.contains("steps"), "{tran}: {e}"),
+            other => panic!("{tran}: expected a parse error, got {other:?}"),
+        }
+    }
 }
 
 /// Two identical jobs submitted concurrently run the pipeline once; the

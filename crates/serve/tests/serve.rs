@@ -369,40 +369,3 @@ fn socket_serves_sequential_connections_from_one_cache() {
         sock.display()
     );
 }
-
-/// Re-depositing a resident pattern into a full `WorkspacePool` replaces
-/// its analysis in place — the insert does not grow the map, so nothing
-/// else may be evicted for it.
-#[test]
-fn workspace_pool_redeposit_evicts_nothing() {
-    use masc_serve::engine::WorkspacePool;
-    use masc_sparse::{LuWorkspace, TripletMatrix};
-
-    // 64 (the pool bound) structurally distinct patterns: identities of
-    // growing dimension, each with its own symbolic analysis.
-    let decks: Vec<_> = (1..=64usize)
-        .map(|n| {
-            let mut t = TripletMatrix::new(n, n);
-            for i in 0..n {
-                t.add(i, i, 1.0);
-            }
-            let a = t.to_csr();
-            let mut ws = LuWorkspace::new();
-            ws.factor(&a).expect("identity factors");
-            (a.pattern().clone(), ws)
-        })
-        .collect();
-    let mut pool = WorkspacePool::default();
-    for (pattern, ws) in &decks {
-        pool.deposit(pattern, ws);
-    }
-    assert_eq!(pool.len(), 64);
-    pool.deposit(&decks[0].0, &decks[0].1);
-    assert_eq!(pool.len(), 64);
-    for (n, (pattern, _)) in decks.iter().enumerate() {
-        assert!(
-            pool.checkout(pattern).symbolic().is_some(),
-            "pattern {n} was evicted by a re-deposit"
-        );
-    }
-}

@@ -105,33 +105,16 @@ impl fmt::Display for LuError {
 
 impl std::error::Error for LuError {}
 
-/// Pivoting thresholds of a factorization.
-///
-/// The column ordering is not an option: every factorization orders its
-/// columns by [`amd::amd_order`], a pure function of the pattern.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LuOptions {
-    /// Threshold for accepting the diagonal pivot: the diagonal is used if
-    /// `|a_diag| >= diag_preference * max_col`. `1.0` = strict partial
-    /// pivoting, `0.001` = strong diagonal preference.
-    pub diag_preference: f64,
-    /// Absolute magnitude below which a pivot is declared singular.
-    pub pivot_epsilon: f64,
-}
+/// Threshold for accepting the diagonal pivot: the diagonal is used if
+/// `|a_diag| >= DIAG_PREFERENCE * max_col` (`1.0` would be strict partial
+/// pivoting). KLU's default: prefer the structural diagonal unless it is
+/// more than 1000× smaller than the column maximum. MNA chains (gm ≫ 1/R)
+/// are destroyed by strict partial pivoting: the anti-triangular pivot
+/// cascade underflows after a few hundred stages.
+const DIAG_PREFERENCE: f64 = 0.001;
 
-impl Default for LuOptions {
-    fn default() -> Self {
-        Self {
-            // KLU's default: prefer the structural diagonal unless it is
-            // more than 1000× smaller than the column maximum. MNA chains
-            // (gm ≫ 1/R) are destroyed by strict partial pivoting: the
-            // anti-triangular pivot cascade underflows after a few hundred
-            // stages.
-            diag_preference: 0.001,
-            pivot_epsilon: 1e-300,
-        }
-    }
-}
+/// Absolute magnitude below which a pivot is declared singular.
+const PIVOT_EPSILON: f64 = 1e-300;
 
 /// Compressed-column storage for one triangular factor.
 #[derive(Debug, Clone)]
@@ -341,7 +324,6 @@ impl LuFactors {
 pub struct SymbolicLu {
     n: usize,
     nnz: usize,
-    opts: LuOptions,
     pattern: Arc<Pattern>,
     /// `q[factor_col] = original_col`.
     q: Vec<usize>,
@@ -363,7 +345,7 @@ pub struct SymbolicLu {
 }
 
 impl SymbolicLu {
-    /// Analyzes a matrix with default [`LuOptions`].
+    /// Analyzes a matrix.
     ///
     /// # Errors
     ///
@@ -371,16 +353,7 @@ impl SymbolicLu {
     /// produces non-finite intermediates — the analysis performs a full
     /// pivoting factorization on the given values.
     pub fn analyze(a: &CsrMatrix) -> Result<Self, LuError> {
-        Self::analyze_with(a, LuOptions::default())
-    }
-
-    /// Analyzes with explicit [`LuOptions`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SymbolicLu::analyze`].
-    pub fn analyze_with(a: &CsrMatrix, opts: LuOptions) -> Result<Self, LuError> {
-        Ok(gp_factor(a, opts)?.0)
+        Ok(gp_factor(a)?.0)
     }
 
     /// Whether `a` has the pattern this analysis was computed on.
@@ -392,11 +365,6 @@ impl SymbolicLu {
     /// Matrix dimension the analysis was computed for.
     pub fn dim(&self) -> usize {
         self.n
-    }
-
-    /// The options the analysis was computed with.
-    pub fn options(&self) -> LuOptions {
-        self.opts
     }
 }
 
@@ -516,7 +484,7 @@ impl NumericLu {
             }
             // Validate the recorded pivot against the new values.
             let pivot = x[j];
-            if !pivot.is_finite() || pivot.abs() < sym.opts.pivot_epsilon {
+            if !pivot.is_finite() || pivot.abs() < PIVOT_EPSILON {
                 x.fill(0.0);
                 return Err(LuError::Singular(j));
             }
@@ -584,7 +552,6 @@ impl NumericLu {
 /// instance from a single shared analysis via [`LuWorkspace::with_symbolic`].
 #[derive(Debug, Clone, Default)]
 pub struct LuWorkspace {
-    opts: Option<LuOptions>,
     symbolic: Option<Arc<SymbolicLu>>,
     numeric: Option<NumericLu>,
     /// Values of the matrix the held factors belong to; emptied by an error.
@@ -593,17 +560,9 @@ pub struct LuWorkspace {
 }
 
 impl LuWorkspace {
-    /// An empty workspace with default [`LuOptions`].
+    /// An empty workspace.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty workspace with explicit [`LuOptions`].
-    pub fn with_options(opts: LuOptions) -> Self {
-        Self {
-            opts: Some(opts),
-            ..Self::default()
-        }
     }
 
     /// A workspace seeded with an existing (possibly shared) analysis.
@@ -613,7 +572,6 @@ impl LuWorkspace {
     /// [`SymbolicLu`] across threads.
     pub fn with_symbolic(sym: Arc<SymbolicLu>) -> Self {
         Self {
-            opts: Some(sym.opts),
             symbolic: Some(sym),
             ..Self::default()
         }
@@ -678,7 +636,7 @@ impl LuWorkspace {
             }
         }
         self.factorizations += 1;
-        let (sym, factors) = gp_factor(a, self.opts.unwrap_or_default())?;
+        let (sym, factors) = gp_factor(a)?;
         self.numeric = Some(NumericLu::from_analysis(&sym, factors));
         self.symbolic = Some(Arc::new(sym));
         Ok(())
@@ -717,14 +675,14 @@ fn sync_bits(copy: &mut Vec<f64>, values: &[f64]) -> bool {
 /// One-pass Gilbert–Peierls factorization that records the symbolic
 /// skeleton alongside the numeric factors.
 ///
-/// This is the single implementation behind [`SymbolicLu::analyze_with`]
+/// This is the single implementation behind [`SymbolicLu::analyze`]
 /// (which drops the factors) and [`LuWorkspace::factor`] (which keeps
 /// both).
 #[expect(
     clippy::disallowed_methods,
     reason = "sized by `n` and `nnz` of the held matrix being factored"
 )]
-fn gp_factor(a: &CsrMatrix, opts: LuOptions) -> Result<(SymbolicLu, LuFactors), LuError> {
+fn gp_factor(a: &CsrMatrix) -> Result<(SymbolicLu, LuFactors), LuError> {
     if a.rows() != a.cols() {
         return Err(LuError::NotSquare {
             rows: a.rows(),
@@ -852,7 +810,7 @@ fn gp_factor(a: &CsrMatrix, opts: LuOptions) -> Result<(SymbolicLu, LuFactors), 
                 }
             }
         }
-        if max_row == UNPIVOTED || max_abs < opts.pivot_epsilon || !max_abs.is_finite() {
+        if max_row == UNPIVOTED || max_abs < PIVOT_EPSILON || !max_abs.is_finite() {
             return Err(LuError::Singular(j));
         }
         // Prefer the structural diagonal (original row == col) when it
@@ -860,8 +818,8 @@ fn gp_factor(a: &CsrMatrix, opts: LuOptions) -> Result<(SymbolicLu, LuFactors), 
         let mut pivot_row = max_row;
         if pinv[col] == UNPIVOTED
             && mark[col] == j
-            && x[col].abs() >= opts.diag_preference * max_abs
-            && x[col].abs() >= opts.pivot_epsilon
+            && x[col].abs() >= DIAG_PREFERENCE * max_abs
+            && x[col].abs() >= PIVOT_EPSILON
         {
             pivot_row = col;
         }
@@ -926,7 +884,6 @@ fn gp_factor(a: &CsrMatrix, opts: LuOptions) -> Result<(SymbolicLu, LuFactors), 
     let sym = SymbolicLu {
         n,
         nnz,
-        opts,
         pattern: Arc::clone(a.pattern()),
         q: q.clone(),
         p: p.clone(),

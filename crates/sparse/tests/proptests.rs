@@ -4,8 +4,8 @@
 #![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 
 use masc_sparse::{
-    amd::amd_order, lu::LuOptions, CsrMatrix, LuError, LuFactors, LuWorkspace, NumericLu, Pattern,
-    SymbolicLu, TripletMatrix,
+    amd::amd_order, CsrMatrix, LuError, LuFactors, LuWorkspace, NumericLu, Pattern, SymbolicLu,
+    TripletMatrix,
 };
 use masc_testkit::gen::{self, Gen};
 use masc_testkit::rng::Rng;
@@ -52,8 +52,8 @@ fn patterns() -> impl Gen<Value = CsrMatrix> {
 }
 
 /// The one-shot oracle: a fresh workspace always runs the full analysis.
-fn factor_with(a: &CsrMatrix, opts: LuOptions) -> Result<LuFactors, LuError> {
-    LuWorkspace::with_options(opts).factor(a).cloned()
+fn fresh_factor(a: &CsrMatrix) -> Result<LuFactors, LuError> {
+    LuWorkspace::new().factor(a).cloned()
 }
 
 /// A matrix plus a compatible right-hand side.
@@ -72,7 +72,7 @@ prop! {
     fn lu_solves_match_dense((a, b) in matrix_and_rhs(12)) {
         let dense = a.to_dense();
         let x_ref = dense.solve(&b).expect("diagonally dominant is solvable");
-        let lu = factor_with(&a, LuOptions::default()).expect("sparse LU");
+        let lu = fresh_factor(&a).expect("sparse LU");
         let x = lu.solve(&b);
         for (s, d) in x.iter().zip(&x_ref) {
             prop_assert!((s - d).abs() < 1e-8 * (1.0 + d.abs()));
@@ -87,7 +87,7 @@ prop! {
     fn lu_residual_is_small(a in matrices(20)) {
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let lu = factor_with(&a, LuOptions::default()).unwrap();
+        let lu = fresh_factor(&a).unwrap();
         let x = lu.solve(&b);
         let ax = a.mul_vec(&x);
         for (l, r) in ax.iter().zip(&b) {
@@ -115,7 +115,7 @@ prop! {
         // bit-identical solves.
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).sin() * 2.0).collect();
-        let one_shot = factor_with(&a, LuOptions::default()).unwrap();
+        let one_shot = fresh_factor(&a).unwrap();
         let sym = SymbolicLu::analyze(&a).unwrap();
         prop_assert!(sym.matches(&a));
         let mut num = NumericLu::new(&sym);
@@ -149,7 +149,7 @@ prop! {
                 *v *= scale;
             }
             num.refactor(&sym, &scaled).unwrap();
-            let fresh = factor_with(&scaled, sym.options()).unwrap();
+            let fresh = fresh_factor(&scaled).unwrap();
             let xr = num.factors().solve(&b);
             let xf = fresh.solve(&b);
             for (r, f) in xr.iter().zip(&xf) {
@@ -218,7 +218,7 @@ fn tiny_matrices_factor_and_solve() {
         for _ in 0..20 {
             let a = g.generate(&mut rng);
             let b: Vec<f64> = (0..n).map(|i| i as f64 - 1.5).collect();
-            let lu = factor_with(&a, LuOptions::default()).expect("solvable");
+            let lu = fresh_factor(&a).expect("solvable");
             let x = lu.solve(&b);
             let ax = a.mul_vec(&x);
             for (l, r) in ax.iter().zip(&b) {

@@ -500,14 +500,9 @@ pub fn run_windowed(
     }
     stats.coarse_time += coarse_start.elapsed();
 
-    // Forward Parareal iteration.
-    let cap = if opts.max_iterations > 0 {
-        opts.max_iterations
-    } else if opts.periodic {
-        8 * (w + 1)
-    } else {
-        w + 1
-    };
+    // Forward Parareal iteration, capped at `w + 1` sweeps (enough for the
+    // guaranteed exact cascade); a periodic run gets a larger cap.
+    let cap = if opts.periodic { 8 * (w + 1) } else { w + 1 };
     let mut converged = false;
     while stats.forward_iterations < cap {
         stats.fine_runs += lanes.iter().filter(|l| l.dirty).count();
@@ -700,11 +695,7 @@ pub fn run_windowed(
         // recursion is parameter-independent and `φ` is cheap), so the
         // converged iteration's partials are final: no dedicated
         // accumulation row ever lands on the critical path.
-        let a_cap = if opts.max_iterations > 0 {
-            opts.max_iterations
-        } else {
-            w + 1
-        };
+        let a_cap = w + 1;
         let mut a_converged = false;
         while stats.adjoint_iterations < a_cap {
             stats.adjoint_runs += rev.iter().filter(|l| l.dirty).count();

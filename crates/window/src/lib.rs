@@ -95,9 +95,6 @@ pub struct WindowOptions {
     /// two metrics are not commensurate and benchmarks may tune this knob
     /// independently. `Some(0.0)` means bitwise convergence.
     pub adjoint_tol: Option<f64>,
-    /// Iteration cap; `0` means automatic (`windows + 1`, enough for the
-    /// guaranteed exact cascade; periodic runs get a larger cap).
-    pub max_iterations: usize,
     /// Close the time loop: the coarse problem solves `x(0) = x(T)` and
     /// the correction sweep wraps window `W−1` around to window `0`.
     /// Requires `tol > 0.0`.
@@ -121,7 +118,6 @@ impl WindowOptions {
             lanes: 1,
             tol: 0.0,
             adjoint_tol: None,
-            max_iterations: 0,
             periodic: false,
             coarse_substeps: 8,
             masc: MascConfig::default(),
