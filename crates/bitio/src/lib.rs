@@ -148,24 +148,20 @@ impl BitWriter {
         if n == 0 {
             return;
         }
-        let mut remaining = n;
-        // Fill the current partial byte first.
-        while self.nbits != 0 && remaining > 0 {
-            let bit = (value >> (remaining - 1)) & 1;
-            self.write_bit(bit != 0);
-            remaining -= 1;
-        }
-        // Then emit whole bytes directly.
-        while remaining >= 8 {
-            remaining -= 8;
-            self.bytes.push(((value >> remaining) & 0xFF) as u8);
-        }
-        // Leftover tail (< 8 bits) goes through the bit path.
-        while remaining > 0 {
-            let bit = (value >> (remaining - 1)) & 1;
-            self.write_bit(bit != 0);
-            remaining -= 1;
-        }
+        // The pending bits and the low `n` bits of `value`, MSB-aligned in
+        // one 128-bit word: `nbits + n ≤ 71` bits, of which every whole
+        // byte is emitted and the rest stays pending.
+        let total = self.nbits + n;
+        let low = u128::from(value & (u64::MAX >> (64 - n)));
+        let word = ((u128::from(self.current) << n) | low) << (128 - total);
+        let bytes = word.to_be_bytes();
+        let whole = (total / 8) as usize;
+        self.bytes
+            .extend_from_slice(bytes.get(..whole).unwrap_or_default());
+        self.nbits = total % 8;
+        self.current = bytes
+            .get(whole)
+            .map_or(0, |&b| b.checked_shr(8 - self.nbits).unwrap_or(0));
     }
 
     /// Appends a full 64-bit word.
@@ -328,6 +324,42 @@ impl<'a> BitReader<'a> {
         Ok(value)
     }
 
+    /// Consumes a run of `1` bits, at most `max` of them, and returns its
+    /// length, up to 64 bits per step.
+    ///
+    /// The run stops before the first `0` bit, after `max` ones, or at the
+    /// end of the stream, so the next read sees — and fails at — the same
+    /// position as after reading the run one bit at a time. Never fails.
+    pub fn read_ones(&mut self, max: usize) -> usize {
+        let mut run = 0;
+        while run < max {
+            let window = 64 - self.bit_pos % 8;
+            let ones = (self.peek_word().leading_ones() as usize).min(max - run);
+            self.bit_pos += ones;
+            run += ones;
+            if ones < window {
+                break;
+            }
+        }
+        run
+    }
+
+    /// The `64 - bit_pos % 8` bits from the current position, MSB-aligned;
+    /// bits past the end of the stream read as zero.
+    fn peek_word(&self) -> u64 {
+        let tail = self.bytes.get(self.bit_pos / 8..).unwrap_or_default();
+        let mut head = [0u8; 8];
+        match tail.first_chunk::<8>() {
+            Some(whole) => head = *whole,
+            None => {
+                for (dst, src) in head.iter_mut().zip(tail) {
+                    *dst = *src;
+                }
+            }
+        }
+        u64::from_be_bytes(head) << (self.bit_pos % 8)
+    }
+
     /// Reads a full 64-bit word.
     ///
     /// # Errors
@@ -365,16 +397,28 @@ mod tests {
 
     #[test]
     fn write_bits_matches_bit_by_bit() {
-        let mut a = BitWriter::new();
-        let mut b = BitWriter::new();
         let value: u64 = 0xDEAD_BEEF_0123_4567;
-        for n in [1u32, 3, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64] {
-            a.write_bits(value, n);
-            for i in (0..n).rev() {
-                b.write_bit((value >> i) & 1 != 0);
+        for offset in 0..8u32 {
+            for n in 0..=64u32 {
+                let mut a = BitWriter::new();
+                let mut b = BitWriter::new();
+                for i in 0..offset {
+                    a.write_bit(i % 3 == 0);
+                    b.write_bit(i % 3 == 0);
+                }
+                a.write_bits(value, n);
+                for i in (0..n).rev() {
+                    b.write_bit((value >> i) & 1 != 0);
+                }
+                // A trailing write shows the pending bits were kept exact.
+                a.write_bits(0b101, 3);
+                for bit in [true, false, true] {
+                    b.write_bit(bit);
+                }
+                assert_eq!(a.bit_len(), b.bit_len(), "offset {offset}, width {n}");
+                assert_eq!(a.into_bytes(), b.into_bytes(), "offset {offset}, width {n}");
             }
         }
-        assert_eq!(a.into_bytes(), b.into_bytes());
     }
 
     #[test]

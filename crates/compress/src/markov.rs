@@ -65,41 +65,44 @@ impl MarkovModel {
     ///
     /// Deterministic (argmax with lowest-code tie-breaking), so encoder and
     /// decoder stay synchronized without any side information.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`Region::index() < 3`; the chain state is `< CODES` and `c < candidate_count() ≤ CODES`"
-    )]
     pub fn predict(&mut self, region: Region) -> u32 {
-        // The chain state only ever holds validated codes (see `observe`).
-        debug_assert!(self.prev.iter().all(|&p| (p as usize) < CODES));
-        let r = region.index();
-        let p = self.prev[r] as usize;
-        let row = &self.counts[r][p];
-        let mut best = 0usize;
-        for c in 1..region.candidate_count() {
-            if row[c] > row[best] {
-                best = c;
-            }
+        let next = self.peek(region);
+        if let Some(state) = self.prev.get_mut(region.index()) {
+            *state = next;
         }
-        self.prev[r] = best as u32;
-        best as u32
+        next
     }
 
     /// The most probable next code without advancing the chain.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`Region::index() < 3`; the chain state is `< CODES` and `c < candidate_count() ≤ CODES`"
-    )]
     pub fn peek(&self, region: Region) -> u32 {
-        let r = region.index();
-        let row = &self.counts[r][self.prev[r] as usize];
-        let mut best = 0usize;
-        for c in 1..region.candidate_count() {
-            if row[c] > row[best] {
-                best = c;
+        self.frozen_walk(region).next().unwrap_or(0)
+    }
+
+    /// The chain's remaining predictions for `region` once training has
+    /// stopped — [`predict`](Self::predict) repeated. The table no longer
+    /// changes, so each step is one lookup in a successor table: the argmax
+    /// of each row over the region's codes, lowest code on ties.
+    pub(crate) fn frozen_walk(&self, region: Region) -> impl Iterator<Item = u32> {
+        let argmax = |row: [u32; CODES]| {
+            let (mut best, mut most) = (0, 0);
+            for (code, count) in row.into_iter().enumerate().take(region.candidate_count()) {
+                if count > most {
+                    (best, most) = (code as u32, count);
+                }
             }
-        }
-        best as u32
+            best
+        };
+        let r = region.index();
+        let successor = self
+            .counts
+            .get(r)
+            .map_or([0; CODES], |rows| rows.map(argmax));
+        // The chain state only ever holds validated codes (see `observe`).
+        let mut state = self.prev.get(r).copied().unwrap_or(0);
+        core::iter::repeat_with(move || {
+            state = successor.get(state as usize).copied().unwrap_or(0);
+            state
+        })
     }
 }
 

@@ -27,7 +27,7 @@
 
 use crate::config::MascConfig;
 use crate::markov::MarkovModel;
-use crate::predictor::{best_fit, StampMaps};
+use crate::predictor::{best_fit, Region, RunPredictor, StampMaps};
 use crate::residual::{decode_residual, encode_residuals_batched, ResidualState};
 use crate::stats::CompressStats;
 use crate::CompressError;
@@ -90,59 +90,61 @@ impl HeaderParams {
             min_warmup: config.markov_min_warmup,
         }
     }
+
+    /// Warm-up budget of a region run of `len` values in one chunk:
+    /// `max(min_warmup, ⌈frac·len⌉)` capped at `len`, or every value when
+    /// Markov is off (best fit everywhere).
+    fn warmup(&self, len: usize) -> usize {
+        if !self.markov {
+            return len;
+        }
+        let frac = (len as u64 * u64::from(self.warmup_permille)).div_ceil(1000) as usize;
+        frac.max(self.min_warmup).min(len)
+    }
 }
 
-/// Per-region warm-up budget within one encode range.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`range` is one of `chunk_ranges(nnz, …)`, so `i < order().len()`; `Region::index() < 3`"
-)]
-fn region_warmups(
+/// Number of selection bits a chunk over `range` (order positions)
+/// carries under `config`: the warm-up values' 1–2 bit codes, as
+/// Markov-predicted selections cost nothing.
+pub fn selection_bit_count(
     maps: &StampMaps,
     range: core::ops::Range<usize>,
-    params: &HeaderParams,
-) -> [usize; 3] {
-    if !params.markov {
-        // Best-fit everywhere.
-        return [usize::MAX; 3];
-    }
-    let mut counts = [0usize; 3];
-    for i in range {
-        counts[maps.region_of(maps.order()[i]).index()] += 1;
-    }
-    let mut out = [0usize; 3];
-    for (o, &cnt) in out.iter_mut().zip(&counts) {
-        let frac = (cnt as u64 * u64::from(params.warmup_permille)).div_ceil(1000) as usize;
-        *o = frac.max(params.min_warmup).min(cnt);
-    }
-    out
+    config: &MascConfig,
+) -> u64 {
+    chunk_selection_bits(maps, range, &HeaderParams::from_config(config))
 }
 
-/// Number of selection bits the encoder emits for `range` — the warm-up
-/// elements' 1–2 bit codes (post-warm-up selections are Markov-predicted
-/// and cost nothing). Deterministic from the maps and params, so encoder
-/// and decoder independently agree on where the selection substream ends.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`range` is one of `chunk_ranges(nnz, …)`, so `i < order().len()`; `Region::index() < 3`"
-)]
-pub(crate) fn selection_bit_count(
+/// [`selection_bit_count`] from header parameters. Deterministic, so
+/// encoder and decoder independently agree on where the selection
+/// substream ends; O(1), as a region's values in a chunk form one run.
+fn chunk_selection_bits(
     maps: &StampMaps,
     range: core::ops::Range<usize>,
     params: &HeaderParams,
 ) -> u64 {
-    let warmups = region_warmups(maps, range.clone(), params);
-    let mut seen = [0usize; 3];
-    let mut bits = 0u64;
-    for i in range {
-        let region = maps.region_of(maps.order()[i]);
-        let ri = region.index();
-        if seen[ri] < warmups[ri] {
-            seen[ri] += 1;
-            bits += u64::from(region.selection_bits());
-        }
+    maps.region_runs(range)
+        .map(|(region, run)| params.warmup(run.len()) as u64 * u64::from(region.selection_bits()))
+        .sum()
+}
+
+/// The chunk's values in encode order.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`order` holds value indices `< nnz`, and `values.len() == nnz` (asserted by `compress_chunked`)"
+)]
+fn gather(values: &[f64], order: &[usize]) -> Vec<f64> {
+    order.iter().map(|&k| values[k]).collect()
+}
+
+/// Writes a chunk's values, held in encode order, to their value indices.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`order` holds value indices `< nnz`, and `out.len() == nnz`"
+)]
+fn scatter(out: &mut [f64], order: &[usize], local: &[f64]) {
+    for (&k, &v) in order.iter().zip(local) {
+        out[k] = v;
     }
-    bits
 }
 
 /// Era-2 chunk encoder: selection substream first, then the residual
@@ -160,10 +162,6 @@ pub(crate) fn selection_bit_count(
     clippy::disallowed_methods,
     reason = "encoder side: sized by `range.len() ≤ nnz` of the held pattern"
 )]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`range ⊆ 0..nnz` and `values.len() == nnz` (asserted by `compress_chunked`); `code < candidate_count() ≤ 4`; `Region::index() < 3`"
-)]
 pub(crate) fn encode_range_split(
     w: &mut BitWriter,
     values: &[f64],
@@ -173,44 +171,15 @@ pub(crate) fn encode_range_split(
     range: core::ops::Range<usize>,
     stats: &mut CompressStats,
 ) -> u64 {
-    let chunk_start = range.start;
-    let warmups = region_warmups(maps, range.clone(), params);
-    let mut seen = [0usize; 3];
-    let mut markov = MarkovModel::new();
-    let len = range.len();
-    let mut ordered = Vec::with_capacity(len);
-    let mut preds = Vec::with_capacity(len);
+    let ordered = gather(values, maps.order().get(range.clone()).unwrap_or_default());
+    let mut preds = Vec::with_capacity(ordered.len());
     let sel_start = w.bit_len() as u64;
     // Pass 1 (scalar): resolve every selection, emit the warm-up selection
-    // bits, and collect ordered truths + chosen predictions.
-    for i in range {
-        let k = maps.order()[i];
-        let region = maps.region_of(k);
-        let ri = region.index();
-        let truth = values[k];
-        let cands = maps.candidates(k, reference, values, params.sign_invert, chunk_start);
-        let code = if seen[ri] < warmups[ri] {
-            seen[ri] += 1;
-            let code = best_fit(&cands, region.candidate_count(), truth);
-            #[cfg(feature = "mutation-hooks")]
-            let wire = crate::mutation::perturb_selection(code, region.candidate_count());
-            #[cfg(not(feature = "mutation-hooks"))]
-            let wire = code;
-            w.write_bits(u64::from(wire), region.selection_bits());
-            markov.observe(region, code);
-            code
-        } else {
-            let predicted = markov.predict(region);
-            stats.markov_predicted += 1;
-            if predicted != best_fit(&cands, region.candidate_count(), truth) {
-                stats.markov_misses += 1;
-            }
-            predicted
-        };
-        stats.record_selection(StampMaps::model_class(region, code));
-        debug_assert!((code as usize) < cands.len(), "selection within candidates");
-        ordered.push(truth);
-        preds.push(cands[code as usize].to_bits());
+    // bits, and collect the chosen predictions.
+    for run in maps.region_runs(range.clone()) {
+        let predictor = maps.run_predictor(run, reference, params.sign_invert, range.start);
+        let warmup = params.warmup(predictor.len());
+        select_run(w, &predictor, warmup, &ordered, &mut preds, stats);
     }
     let sel_bits = w.bit_len() as u64 - sel_start;
     // Pass 2 (lanes): batched XOR + leading/trailing-zero classification.
@@ -225,41 +194,70 @@ pub(crate) fn encode_range_split(
     sel_bits
 }
 
-/// Era-2 chunk decoder into a *chunk-local* buffer.
+/// Resolves the selections of one region run: best fit over the first
+/// `warmup` values (codes written and trained on), then the frozen Markov
+/// walk. Pushes each chosen prediction's bits to `preds`; `ordered` is the
+/// chunk's true values in encode order.
+fn select_run(
+    w: &mut BitWriter,
+    predictor: &RunPredictor<'_>,
+    warmup: usize,
+    ordered: &[f64],
+    preds: &mut Vec<u64>,
+    stats: &mut CompressStats,
+) {
+    let region = predictor.region;
+    let truths = ordered.get(predictor.offset..).unwrap_or_default();
+    let mut markov = MarkovModel::new();
+    for (i, &truth) in truths.iter().enumerate().take(warmup) {
+        let candidates = [0, 1, 2, 3].map(|c| predictor.at(i, c, ordered));
+        let code = best_fit(&candidates, region.candidate_count(), truth);
+        #[cfg(feature = "mutation-hooks")]
+        let wire = crate::mutation::perturb_selection(code, region.candidate_count());
+        #[cfg(not(feature = "mutation-hooks"))]
+        let wire = code;
+        w.write_bits(u64::from(wire), region.selection_bits());
+        markov.observe(region, code);
+        stats.record_selection(StampMaps::model_class(region, code));
+        preds.push(predictor.at(i, code, ordered).to_bits());
+    }
+    stats.markov_predicted += (predictor.len() - warmup) as u64;
+    for (i, code) in (warmup..predictor.len()).zip(markov.frozen_walk(region)) {
+        stats.record_selection(StampMaps::model_class(region, code));
+        preds.push(predictor.at(i, code, ordered).to_bits());
+    }
+}
+
+/// A matrix's decode buffers, reused from chunk to chunk.
+struct ChunkBuffers {
+    /// The chunk's selection codes in encode order.
+    codes: Vec<u32>,
+    /// The chunk's decoded values in encode order: `values[p - start]`
+    /// is order position `p`.
+    values: Vec<f64>,
+}
+
+/// Era-2 chunk decoder into chunk-local buffers.
 ///
 /// `payload` is one chunk's bit-contiguous substreams; `sel_bits` is the
 /// selection-substream length claimed by the chunk header (validated here
-/// against the independently recomputed count). `local` must have exactly
-/// the range's length; `local[p - range.start]` receives order position
-/// `p`'s value, so no nnz-sized scratch is touched.
+/// against the independently recomputed count). The chunk's values land in
+/// `buffers.values`, so no nnz-sized scratch is touched.
 ///
 /// # Errors
 ///
 /// Returns [`CompressError`] on truncation, invalid selection codes, or a
 /// selection-substream length that disagrees with the header parameters.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "sized by `range.len()`, one of `chunk_ranges(nnz, …)` over the held pattern"
-)]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`range ⊆ 0..nnz`; `local.len() == range.len()` and each wire code `< candidate_count()` are checked; `Region::index() < 3`"
-)]
-pub(crate) fn decode_range_local(
+fn decode_range_local(
     payload: &[u8],
     sel_bits: u64,
-    local: &mut [f64],
+    buffers: &mut ChunkBuffers,
     reference: &[f64],
     maps: &StampMaps,
     params: &HeaderParams,
     range: core::ops::Range<usize>,
 ) -> Result<(), CompressError> {
-    let chunk_start = range.start;
-    let len = range.len();
-    if local.len() != len {
-        return Err(CompressError::Corrupt("chunk buffer length mismatch"));
-    }
-    if sel_bits != selection_bit_count(maps, range.clone(), params) {
+    if sel_bits != chunk_selection_bits(maps, range.clone(), params) {
         return Err(CompressError::Corrupt(
             "chunk selection-substream length mismatch",
         ));
@@ -267,42 +265,75 @@ pub(crate) fn decode_range_local(
     if sel_bits > (payload.len() as u64) * 8 {
         return Err(CompressError::Truncated);
     }
+    let ChunkBuffers { codes, values } = buffers;
     // Pass 1: resolve the full selection-code sequence. Only the selection
     // substream is consumed; codes never depend on decoded values.
-    let warmups = region_warmups(maps, range.clone(), params);
-    let mut seen = [0usize; 3];
-    let mut markov = MarkovModel::new();
+    codes.clear();
     let mut sel = BitReader::new(payload);
-    let mut codes: Vec<u32> = Vec::with_capacity(range.len());
-    for i in range.clone() {
-        let region = maps.region_of(maps.order()[i]);
-        let ri = region.index();
-        let code = if seen[ri] < warmups[ri] {
-            seen[ri] += 1;
-            let code = sel.read_bits(region.selection_bits())? as u32;
-            if code as usize >= region.candidate_count() {
-                return Err(CompressError::Corrupt("selection code out of range"));
-            }
-            markov.observe(region, code);
-            code
-        } else {
-            markov.predict(region)
-        };
-        codes.push(code);
+    for (region, run) in maps.region_runs(range.clone()) {
+        read_run_codes(&mut sel, region, run.len(), params.warmup(run.len()), codes)?;
     }
-    // Pass 2: decode the residual substream (bit-serial, value-independent).
+    // Pass 2: decode the residual substream and reconstruct each value
+    // against the chunk-local prediction state.
+    values.clear();
     let mut res = BitReader::at_bit(payload, sel_bits as usize);
     let mut res_state = ResidualState::new();
-    let mut residuals = vec![0u64; codes.len()];
-    for slot in residuals.iter_mut() {
-        *slot = decode_residual(&mut res, &mut res_state)?;
+    for run in maps.region_runs(range.clone()) {
+        let predictor = maps.run_predictor(run, reference, params.sign_invert, range.start);
+        let run_codes = codes.get(predictor.offset..predictor.offset + predictor.len());
+        let run_codes = run_codes.unwrap_or_default();
+        decode_run_values(&mut res, &mut res_state, &predictor, run_codes, values)?;
     }
-    // Pass 3: reconstruct values against the chunk-local prediction state.
-    for (off, i) in range.enumerate() {
-        let k = maps.order()[i];
-        let cands = maps.candidates_local(k, reference, local, params.sign_invert, chunk_start);
-        let code = codes[off] as usize;
-        local[off] = f64::from_bits(cands[code].to_bits() ^ residuals[off]);
+    Ok(())
+}
+
+/// Reads one region run's selection codes: `warmup` codes from the wire,
+/// each validated and trained on, then the frozen Markov walk for the
+/// remaining `len - warmup`.
+fn read_run_codes(
+    sel: &mut BitReader<'_>,
+    region: Region,
+    len: usize,
+    warmup: usize,
+    codes: &mut Vec<u32>,
+) -> Result<(), CompressError> {
+    let mut markov = MarkovModel::new();
+    for _ in 0..warmup {
+        let code = sel.read_bits(region.selection_bits())? as u32;
+        if code as usize >= region.candidate_count() {
+            return Err(CompressError::Corrupt("selection code out of range"));
+        }
+        markov.observe(region, code);
+        codes.push(code);
+    }
+    codes.extend(markov.frozen_walk(region).take(len - warmup));
+    Ok(())
+}
+
+/// Decodes one region run's residuals and appends its values to `local`.
+/// A `1` bit is a zero residual, so a run of ones is read at once and
+/// those values are their predictions.
+fn decode_run_values(
+    res: &mut BitReader<'_>,
+    res_state: &mut ResidualState,
+    predictor: &RunPredictor<'_>,
+    codes: &[u32],
+    local: &mut Vec<f64>,
+) -> Result<(), CompressError> {
+    let mut i = 0;
+    while i < codes.len() {
+        let zeros = res.read_ones(codes.len() - i);
+        for (j, &code) in codes.iter().enumerate().skip(i).take(zeros) {
+            local.push(predictor.at(j, code, local));
+        }
+        i += zeros;
+        if let Some(&code) = codes.get(i) {
+            let residual = decode_residual(res, res_state)?;
+            local.push(f64::from_bits(
+                predictor.at(i, code, local).to_bits() ^ residual,
+            ));
+            i += 1;
+        }
     }
     Ok(())
 }
@@ -433,7 +464,12 @@ fn compress_chunked(
 ) -> (Vec<u8>, CompressStats) {
     let nnz = maps.order().len();
     assert_eq!(values.len(), nnz, "value count != pattern nnz");
-    assert_eq!(reference.len(), nnz, "reference count != pattern nnz");
+    // A seed block passes an empty reference, which predicts as all zeros.
+    let seeded = block_flags & FLAG_SEEDED != 0 && reference.is_empty();
+    assert!(
+        seeded || reference.len() == nnz,
+        "reference count != pattern nnz"
+    );
     let ranges = chunk_ranges(nnz, config.chunk_size);
     let params = HeaderParams::from_config(config);
     let mut stats = CompressStats::new();
@@ -496,17 +532,12 @@ pub fn compress_matrix(
 /// # Panics
 ///
 /// Panics if `values.len()` differs from the pattern nnz.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "sized by `nnz` of the held pattern"
-)]
 pub fn compress_matrix_seeded(
     values: &[f64],
     maps: &StampMaps,
     config: &MascConfig,
 ) -> (Vec<u8>, CompressStats) {
-    let zeros = vec![0.0f64; maps.order().len()];
-    compress_chunked(values, &zeros, maps, config, FLAG_SEEDED)
+    compress_chunked(values, &[], maps, config, FLAG_SEEDED)
 }
 
 /// Compresses a matrix as an era-3 *cross-instance* block: `reference` is
@@ -603,50 +634,58 @@ fn parse_chunk_table(
 ///
 /// Returns [`CompressError`] on truncation, header inconsistency, a stream
 /// without per-chunk headers, or checksum mismatch.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "sized by `nnz` of the held pattern and by its `chunk_ranges` sub-ranges"
-)]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`order()` is a permutation of `0..nnz`; `local` holds `range.len()` values"
-)]
 pub fn decompress_matrix(
     bytes: &[u8],
     reference: &[f64],
     maps: &StampMaps,
 ) -> Result<Vec<f64>, CompressError> {
-    let nnz = maps.order().len();
-    if reference.len() != nnz {
+    if reference.len() != maps.order().len() {
         return Err(CompressError::Corrupt("reference length != pattern nnz"));
     }
+    decode_matrix(bytes, Some(reference), maps)
+}
+
+/// [`decompress_matrix`] against `reference`, or against an all-zero
+/// reference when it is `None`. Neither a seed block nor a missing
+/// reference allocates zeros: the predictor reads an empty reference as
+/// all zeros.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sized by `nnz` of the held pattern and by its longest `chunk_ranges` sub-range"
+)]
+pub(crate) fn decode_matrix(
+    bytes: &[u8],
+    reference: Option<&[f64]>,
+    maps: &StampMaps,
+) -> Result<Vec<f64>, CompressError> {
+    let nnz = maps.order().len();
     let header = parse_header(bytes, nnz)?;
-    let zeros;
-    let reference: &[f64] = if header.seeded {
-        zeros = vec![0.0f64; nnz];
-        &zeros
-    } else {
-        reference
+    let reference = match reference {
+        Some(r) if !header.seeded => r,
+        _ => &[],
     };
     let (ranges, entries) = parse_chunk_table(bytes, nnz, header.payload_offset)?;
+    let longest = ranges.first().map_or(0, ExactSizeIterator::len);
     let mut out = vec![0.0f64; nnz];
+    let mut buffers = ChunkBuffers {
+        codes: Vec::with_capacity(longest),
+        values: Vec::with_capacity(longest),
+    };
     for (range, entry) in ranges.into_iter().zip(&entries) {
         let payload = bytes
             .get(entry.offset..entry.offset + entry.len)
             .ok_or(CompressError::Truncated)?;
-        let mut local = vec![0.0f64; range.len()];
         decode_range_local(
             payload,
             entry.sel_bits,
-            &mut local,
+            &mut buffers,
             reference,
             maps,
             &header.params,
             range.clone(),
         )?;
-        for (off, p) in range.enumerate() {
-            out[maps.order()[p]] = local[off];
-        }
+        let order = maps.order().get(range).unwrap_or_default();
+        scatter(&mut out, order, &buffers.values);
     }
     if let Some(expected) = header.expected_checksum {
         if checksum(&out) != expected {
@@ -747,14 +786,17 @@ mod tests {
             warmup_permille: 125,
             min_warmup: 1000,
         };
-        let warmups = region_warmups(&maps, 0..p.nnz(), &params);
         let mut counts = [0usize; 3];
         for i in 0..p.nnz() {
-            counts[maps.region_of(maps.order()[i]).index()] += 1;
+            counts[maps.region_at(i).index()] += 1;
         }
-        assert_eq!(warmups, counts);
-        // An empty range gets an all-zero budget.
-        assert_eq!(region_warmups(&maps, 0..0, &params), [0; 3]);
+        assert_eq!(maps.region_runs(0..p.nnz()).count(), 3);
+        for (region, run) in maps.region_runs(0..p.nnz()) {
+            assert_eq!(params.warmup(run.len()), counts[region.index()]);
+        }
+        // An empty range has no runs, and an empty run no budget.
+        assert_eq!(maps.region_runs(0..0).count(), 0);
+        assert_eq!(params.warmup(0), 0);
     }
 
     #[test]
@@ -969,7 +1011,6 @@ mod tests {
         };
         let (_, mk_stats) = compress_matrix(&cur, &reference, &maps, &config);
         assert!(mk_stats.markov_predicted > 0);
-        assert!(mk_stats.markov_accuracy() <= 1.0);
         assert_eq!(best_stats.markov_predicted, 0);
         check_round_trip(&cur, &reference, &maps, &config);
     }

@@ -27,8 +27,8 @@
 use crate::stats::ModelClass;
 use masc_sparse::Pattern;
 
-/// Sentinel for "no structural partner".
-const NONE: usize = usize::MAX;
+/// Sentinel for "no usable partner" in [`StampMaps`]' partner table.
+const NONE: u32 = u32::MAX;
 
 /// Triangular region of a non-zero (paper's U/L/D partition).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,41 +67,66 @@ impl Region {
             Region::Diag => 2,
         }
     }
+
+    /// How the partner behind selection codes 1–3 enters the prediction:
+    /// `Some(negate)` for the diagonal partners of off-diagonal values,
+    /// taken times ±1.0 (−1.0 under sign inversion), `None` for a copy.
+    fn signs(self, sign_invert: bool) -> [Option<bool>; 3] {
+        let s = Some(sign_invert);
+        match self {
+            Region::Upper => [None, s, s],
+            Region::Lower => [s, s, None],
+            Region::Diag => [None; 3],
+        }
+    }
+}
+
+/// `v` times ±1.0, spelled out as x86-64 computes the product: exact `±v`
+/// for a number, and a NaN comes back quieted with its sign and payload.
+/// Rust leaves a NaN product's sign and payload open, and the optimizer
+/// folds `-1.0 * v` into a sign flip in some contexts but not others; the
+/// wire format needs one answer.
+fn times_unit(v: f64, negate: bool) -> f64 {
+    const QUIET: u64 = 1 << 51;
+    if v.is_nan() {
+        f64::from_bits(v.to_bits() | QUIET)
+    } else if negate {
+        -v
+    } else {
+        v
+    }
 }
 
 /// Precomputed structural maps for one shared pattern — the paper's
 /// "matrix partitioning step", done once per tensor instead of per matrix.
+///
+/// Everything is indexed by *order position* (the place of a value in the
+/// D, L, U encode order), so a codec walks the tables front to back and
+/// never maps a value index back to its position. 20 bytes per non-zero.
 #[derive(Debug, Clone)]
 pub struct StampMaps {
     /// Value indices in encode order: all `D`, then all `L`, then all `U`.
     order: Vec<usize>,
     /// Region boundaries in `order`: `[0, d_end, l_end, total]`.
     bounds: [usize; 4],
-    /// Per value index: region.
-    region: Vec<Region>,
-    /// Per value index: transpose partner value index (or `NONE`).
-    transpose: Vec<usize>,
-    /// Per value index: diagonal of the row (or `NONE`).
-    diag_row: Vec<usize>,
-    /// Per value index: diagonal of the column (or `NONE`).
-    diag_col: Vec<usize>,
-    /// Per value index: the in-matrix predecessor — previous `L` non-zero
-    /// in the same row for `L`, previous diagonal for `D` (or `NONE`).
-    prev_same: Vec<usize>,
-    /// Per value index: its position in `order` (inverse permutation);
-    /// chunked codecs use it to confine in-matrix references to a chunk.
-    order_pos: Vec<usize>,
+    /// Per order position: the order positions of the partners behind
+    /// selection codes 1–3, or `NONE` when the partner is absent or does
+    /// not come earlier in the order.
+    partners: Vec<[u32; 3]>,
 }
 
 impl StampMaps {
     /// Builds the maps for a pattern.
+    ///
+    /// A partner whose order position does not fit in a `u32` (a pattern of
+    /// more than 4 294 967 294 non-zeros) is treated as absent.
     #[expect(
         clippy::disallowed_methods,
         reason = "sized by `pattern.nnz()`, a validated pattern already held"
     )]
     #[expect(
         clippy::indexing_slicing,
-        reason = "every value index from `partition_uld` and the row walk is `< nnz`, the length of each table"
+        reason = "`order` is a permutation of `0..nnz` (from `partition_uld`), the length of `order_pos` and `col_idx`"
     )]
     pub fn new(pattern: &Pattern) -> Self {
         let nnz = pattern.nnz();
@@ -113,59 +138,39 @@ impl StampMaps {
         let l_end = order.len();
         order.extend_from_slice(&part.upper);
 
-        let mut region = vec![Region::Upper; nnz];
-        for &k in &part.lower {
-            region[k] = Region::Lower;
-        }
-        for &k in &part.diag {
-            region[k] = Region::Diag;
-        }
-
-        let mut transpose = vec![NONE; nnz];
-        let mut diag_row = vec![NONE; nnz];
-        let mut diag_col = vec![NONE; nnz];
-        let mut prev_same = vec![NONE; nnz];
-
-        let col_idx = pattern.col_idx();
-        for k in 0..nnz {
-            let row = pattern.row_of(k);
-            let col = col_idx[k];
-            transpose[k] = pattern.transpose_of(k).unwrap_or(NONE);
-            diag_row[k] = pattern.diag_of(row).unwrap_or(NONE);
-            diag_col[k] = pattern.diag_of(col).unwrap_or(NONE);
-            let _ = (row, col);
-        }
-        // Last-value chains: previous L non-zero in the same row.
-        // part.lower is row-major, so a linear scan suffices.
-        let mut prev_in_row: Option<(usize, usize)> = None; // (row, value idx)
-        for &k in &part.lower {
-            let row = pattern.row_of(k);
-            if let Some((prow, pk)) = prev_in_row {
-                if prow == row {
-                    prev_same[k] = pk;
-                }
-            }
-            prev_in_row = Some((row, k));
-        }
-        // Previous-diagonal chain.
-        for w in part.diag.windows(2) {
-            prev_same[w[1]] = w[0];
-        }
-
-        let mut order_pos = vec![0usize; order.len()];
+        let mut order_pos = vec![0usize; nnz];
         for (pos, &k) in order.iter().enumerate() {
             order_pos[k] = pos;
         }
-
+        let col_idx = pattern.col_idx();
+        let mut partners = Vec::with_capacity(nnz);
+        for (pos, &k) in order.iter().enumerate() {
+            let (row, col) = (pattern.row_of(k), col_idx[k]);
+            let diag_row = pattern.diag_of(row);
+            let diag_col = pattern.diag_of(col);
+            // The in-matrix predecessor: the previous diagonal for `D`, the
+            // previous `L` non-zero of the same row for `L` (`part.lower`
+            // is row-major, so it is the order neighbour or nothing).
+            let prev = pos.checked_sub(1).map(|p| order[p]);
+            let slots = if pos < d_end {
+                [prev, None, None]
+            } else if pos < l_end {
+                let prev_same = prev.filter(|&p| pos > d_end && pattern.row_of(p) == row);
+                [diag_row, diag_col, prev_same]
+            } else {
+                [pattern.transpose_of(k), diag_row, diag_col]
+            };
+            partners.push(slots.map(|slot| {
+                slot.map(|p| order_pos[p])
+                    .filter(|&p| p < pos)
+                    .and_then(|p| u32::try_from(p).ok())
+                    .unwrap_or(NONE)
+            }));
+        }
         Self {
             order,
             bounds: [0, d_end, l_end, nnz],
-            region,
-            transpose,
-            diag_row,
-            diag_col,
-            prev_same,
-            order_pos,
+            partners,
         }
     }
 
@@ -174,156 +179,94 @@ impl StampMaps {
         &self.order
     }
 
-    /// Region of value index `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not a value index of the pattern.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "documented panic: `k` must be a value index, asserted in debug builds"
-    )]
-    pub fn region_of(&self, k: usize) -> Region {
-        debug_assert!(k < self.region.len(), "k must be a value index");
-        self.region[k]
-    }
-
-    /// `[d_start, d_end, l_end, total]` boundaries within [`order`].
-    ///
-    /// [`order`]: StampMaps::order
-    pub fn bounds(&self) -> [usize; 4] {
-        self.bounds
-    }
-
-    /// Position of value index `k` in the encode [`order`](Self::order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is not a value index of the pattern.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "documented panic: `k` must be a value index, asserted in debug builds"
-    )]
-    pub fn order_pos_of(&self, k: usize) -> usize {
-        debug_assert!(k < self.order_pos.len(), "k must be a value index");
-        self.order_pos[k]
-    }
-
-    /// The candidate predictions for value index `k`.
-    ///
-    /// `reference` is `M_{t+1}`'s values; `current` is the partially
-    /// decoded/encoded `M_t` (only already-processed positions are read).
-    /// `sign_invert` controls the diagonal negation (an ablation knob; the
-    /// paper's eq. 6 uses the negated form). In-matrix candidates
-    /// (last-value, previous-diagonal) are only used when their source lies
-    /// at order position `>= chunk_start`, so independently-decoded chunks
-    /// never reference values outside themselves.
-    #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`k` is a value index (asserted in debug builds) and `reference.len() == nnz`; partner indices are `NONE` or value indices"
-    )]
-    pub fn candidates(
-        &self,
-        k: usize,
-        reference: &[f64],
-        current: &[f64],
-        sign_invert: bool,
-        chunk_start: usize,
-    ) -> [f64; 4] {
-        debug_assert!(k < self.region.len(), "k must be a value index");
-        let temporal = reference[k];
-        let s = if sign_invert { -1.0 } else { 1.0 };
-        // All spatial candidates read the current matrix; a partner is
-        // usable only if it is structurally present AND already processed
-        // within this chunk (D ≺ L ≺ U ordering guarantees the region-level
-        // causality; `order_pos` enforces it per chunk).
-        let my_pos = self.order_pos[k];
-        let (transpose, diag_row, diag_col, prev_same) = (
-            self.transpose[k],
-            self.diag_row[k],
-            self.diag_col[k],
-            self.prev_same[k],
-        );
-        let fetch_cur = |idx: usize, scale: f64| -> f64 {
-            if idx == NONE || self.order_pos[idx] < chunk_start || self.order_pos[idx] >= my_pos {
-                temporal
-            } else {
-                scale * current[idx]
-            }
-        };
-        match self.region[k] {
-            Region::Upper => [
-                temporal,
-                fetch_cur(transpose, 1.0),
-                fetch_cur(diag_row, s),
-                fetch_cur(diag_col, s),
-            ],
-            Region::Lower => [
-                temporal,
-                fetch_cur(diag_row, s),
-                fetch_cur(diag_col, s),
-                fetch_cur(prev_same, 1.0),
-            ],
-            Region::Diag => [temporal, fetch_cur(prev_same, 1.0), temporal, temporal],
+    /// Region of order position `pos` (positions past the end are `Upper`).
+    pub fn region_at(&self, pos: usize) -> Region {
+        let [_, d_end, l_end, _] = self.bounds;
+        if pos < d_end {
+            Region::Diag
+        } else if pos < l_end {
+            Region::Lower
+        } else {
+            Region::Upper
         }
     }
 
-    /// [`candidates`](Self::candidates) over a *chunk-local* value buffer.
+    /// The non-empty intersections of `range` (order positions) with the
+    /// three region runs, in order: one region's values in a chunk are
+    /// always one contiguous run.
+    pub(crate) fn region_runs(
+        &self,
+        range: core::ops::Range<usize>,
+    ) -> impl Iterator<Item = (Region, core::ops::Range<usize>)> {
+        let [_, d_end, l_end, total] = self.bounds;
+        [
+            (Region::Diag, 0..d_end),
+            (Region::Lower, d_end..l_end),
+            (Region::Upper, l_end..total),
+        ]
+        .into_iter()
+        .filter_map(move |(region, run)| {
+            let run = run.start.max(range.start)..run.end.min(range.end);
+            (!run.is_empty()).then_some((region, run))
+        })
+    }
+
+    /// The predictor for one region run of a chunk that starts at order
+    /// position `chunk_start`. `reference` is `M_{t+1}` in value order, or
+    /// empty for an all-zero reference.
     ///
-    /// `local[p - chunk_start]` holds the decoded value of order position
-    /// `p`; only positions in `chunk_start..my_pos` are ever read, so the
-    /// decoder gives each chunk a buffer of exactly the chunk's length
-    /// instead of an nnz-sized scratch matrix.
-    #[inline]
+    /// # Panics
+    ///
+    /// Panics if `run` is not a range of order positions from `chunk_start`
+    /// on.
     #[expect(
         clippy::indexing_slicing,
-        reason = "`k` is a value index (asserted in debug builds); a partner is read only at `chunk_start ≤ pos < my_pos`, inside `local`"
+        reason = "documented panic: `run` comes from `region_runs` over `0..nnz`, the length of both tables"
     )]
-    pub fn candidates_local(
+    pub(crate) fn run_predictor<'a>(
+        &'a self,
+        (region, run): (Region, core::ops::Range<usize>),
+        reference: &'a [f64],
+        sign_invert: bool,
+        chunk_start: usize,
+    ) -> RunPredictor<'a> {
+        RunPredictor {
+            region,
+            offset: run.start - chunk_start,
+            order: &self.order[run.clone()],
+            partners: &self.partners[run],
+            reference,
+            signs: region.signs(sign_invert),
+            chunk_start,
+        }
+    }
+
+    /// The prediction selection `code` makes for order position `pos`
+    /// (eq. 6; see the module table).
+    ///
+    /// `reference` is `M_{t+1}`'s values in value order (empty for an
+    /// all-zero reference); `local[p - chunk_start]` holds the current
+    /// matrix's value at order position `p`, and only
+    /// `chunk_start ≤ p < pos` is read. `sign_invert` controls the diagonal
+    /// negation (an ablation knob; the paper's eq. 6 uses the negated form).
+    /// An absent partner, one outside the chunk, and codes 2–3 in `D` give
+    /// the temporal value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is not an order position.
+    pub fn predict(
         &self,
-        k: usize,
+        pos: usize,
+        code: u32,
         reference: &[f64],
         local: &[f64],
         sign_invert: bool,
         chunk_start: usize,
-    ) -> [f64; 4] {
-        debug_assert!(k < self.region.len(), "k must be a value index");
-        let temporal = reference[k];
-        let s = if sign_invert { -1.0 } else { 1.0 };
-        let my_pos = self.order_pos[k];
-        let (transpose, diag_row, diag_col, prev_same) = (
-            self.transpose[k],
-            self.diag_row[k],
-            self.diag_col[k],
-            self.prev_same[k],
-        );
-        let fetch_cur = |idx: usize, scale: f64| -> f64 {
-            if idx == NONE {
-                return temporal;
-            }
-            let pos = self.order_pos[idx];
-            if pos < chunk_start || pos >= my_pos {
-                temporal
-            } else {
-                scale * local[pos - chunk_start]
-            }
-        };
-        match self.region[k] {
-            Region::Upper => [
-                temporal,
-                fetch_cur(transpose, 1.0),
-                fetch_cur(diag_row, s),
-                fetch_cur(diag_col, s),
-            ],
-            Region::Lower => [
-                temporal,
-                fetch_cur(diag_row, s),
-                fetch_cur(diag_col, s),
-                fetch_cur(prev_same, 1.0),
-            ],
-            Region::Diag => [temporal, fetch_cur(prev_same, 1.0), temporal, temporal],
-        }
+    ) -> f64 {
+        let run = (self.region_at(pos), pos..pos + 1);
+        self.run_predictor(run, reference, sign_invert, chunk_start)
+            .at(0, code, local)
     }
 
     /// Maps a (region, selection-code) pair to the aggregate model class
@@ -337,6 +280,56 @@ impl StampMaps {
             (Region::Lower, 3) => ModelClass::LastValue,
             _ => ModelClass::Stamp,
         }
+    }
+}
+
+/// The predictions of one region run of a chunk, shared by the encoder and
+/// the decoder. Index `i` is the position within the run.
+pub(crate) struct RunPredictor<'a> {
+    /// The run's region.
+    pub(crate) region: Region,
+    /// Where the run starts in the chunk's buffer of values.
+    pub(crate) offset: usize,
+    order: &'a [usize],
+    partners: &'a [[u32; 3]],
+    reference: &'a [f64],
+    signs: [Option<bool>; 3],
+    chunk_start: usize,
+}
+
+impl RunPredictor<'_> {
+    /// Number of values in the run.
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// The temporal candidate `M̂` (0.0 against an empty reference).
+    #[inline]
+    fn temporal(&self, i: usize) -> f64 {
+        self.order
+            .get(i)
+            .and_then(|&k| self.reference.get(k))
+            .copied()
+            .unwrap_or(0.0)
+    }
+
+    /// The prediction of selection `code` for the run's `i`-th value;
+    /// `local` is the chunk's buffer of already-processed values.
+    #[inline]
+    pub(crate) fn at(&self, i: usize, code: u32, local: &[f64]) -> f64 {
+        let spatial = (code as usize).checked_sub(1).and_then(|slot| {
+            let partner = *self.partners.get(i)?.get(slot)?;
+            if partner == NONE {
+                return None;
+            }
+            let value = *local.get((partner as usize).checked_sub(self.chunk_start)?)?;
+            // A copy keeps a signalling NaN; the product quiets it.
+            Some(match *self.signs.get(slot)? {
+                Some(negate) => times_unit(value, negate),
+                None => value,
+            })
+        });
+        spatial.unwrap_or_else(|| self.temporal(i))
     }
 }
 
@@ -380,6 +373,24 @@ mod tests {
     use super::*;
     use masc_sparse::TripletMatrix;
 
+    /// The four candidates of value index `k`, read from a value-indexed
+    /// current matrix through a buffer of the chunk from `chunk_start`.
+    fn cands(
+        m: &StampMaps,
+        k: usize,
+        reference: &[f64],
+        current: &[f64],
+        sign_invert: bool,
+        chunk_start: usize,
+    ) -> [f64; 4] {
+        let pos = m.order().iter().position(|&j| j == k).unwrap();
+        let local: Vec<f64> = m.order()[chunk_start..]
+            .iter()
+            .map(|&j| current[j])
+            .collect();
+        [0, 1, 2, 3].map(|code| m.predict(pos, code, reference, &local, sign_invert, chunk_start))
+    }
+
     /// 3×3 structurally-symmetric pattern with full tridiagonal structure.
     fn tridiag() -> (Pattern, StampMaps) {
         let mut t = TripletMatrix::new(3, 3);
@@ -399,21 +410,20 @@ mod tests {
     fn order_covers_all_values_d_l_u() {
         let (p, m) = tridiag();
         assert_eq!(m.order().len(), p.nnz());
-        let [s, d_end, l_end, total] = m.bounds();
-        assert_eq!(s, 0);
-        assert_eq!(d_end, 3); // (0,0), (1,1), (2,2)
-        assert_eq!(l_end, 5); // (1,0), (2,1)
-        assert_eq!(total, 7);
-        // Everything before d_end is Diag, then Lower, then Upper.
+        assert_eq!(p.nnz(), 7);
+        // D: (0,0), (1,1), (2,2); then L: (1,0), (2,1); then U.
         for (i, &k) in m.order().iter().enumerate() {
-            let expect = if i < d_end {
+            let expect = if i < 3 {
                 Region::Diag
-            } else if i < l_end {
+            } else if i < 5 {
                 Region::Lower
             } else {
                 Region::Upper
             };
-            assert_eq!(m.region_of(k), expect);
+            assert_eq!(m.region_at(i), expect);
+            let (row, col) = (p.row_of(k), p.col_idx()[k]);
+            assert_eq!(row == col, expect == Region::Diag);
+            assert_eq!(row > col, expect == Region::Lower);
         }
     }
 
@@ -426,7 +436,7 @@ mod tests {
         // Upper element (0,1): spatial candidates come from the *current*
         // matrix (transpose + negated diagonals), temporal from reference.
         let k = p.find(0, 1).unwrap();
-        let c = m.candidates(k, &reference, &current, true, 0);
+        let c = cands(&m, k, &reference, &current, true, 0);
         assert_eq!(c[0], reference[k]); // temporal
         assert_eq!(c[1], current[p.find(1, 0).unwrap()]); // transpose (current)
         assert_eq!(c[2], -current[p.find(0, 0).unwrap()]); // −diag row (current)
@@ -439,8 +449,8 @@ mod tests {
         let reference: Vec<f64> = (0..p.nnz()).map(|k| 1.0 + k as f64).collect();
         let current: Vec<f64> = (0..p.nnz()).map(|k| 5.0 + k as f64).collect();
         let k = p.find(0, 1).unwrap();
-        let with = m.candidates(k, &reference, &current, true, 0);
-        let without = m.candidates(k, &reference, &current, false, 0);
+        let with = cands(&m, k, &reference, &current, true, 0);
+        let without = cands(&m, k, &reference, &current, false, 0);
         assert_eq!(with[2], -without[2]);
         assert_eq!(with[1], without[1]); // transpose unaffected
     }
@@ -461,10 +471,10 @@ mod tests {
         let reference = vec![0.5; p.nnz()];
         let mut current = vec![0.0; p.nnz()];
         current[k01] = 42.0;
-        let c = m.candidates(k11, &reference, &current, true, 0);
+        let c = cands(&m, k11, &reference, &current, true, 0);
         assert_eq!(c[3], 42.0); // last value = (2,0) of the current matrix
                                 // First lower nz in the row has no predecessor → temporal fallback.
-        let c0 = m.candidates(k01, &reference, &current, true, 0);
+        let c0 = cands(&m, k01, &reference, &current, true, 0);
         assert_eq!(c0[3], reference[k01]);
     }
 
@@ -476,11 +486,11 @@ mod tests {
         let d0 = p.find(0, 0).unwrap();
         let d1 = p.find(1, 1).unwrap();
         current[d0] = -3.0;
-        let c = m.candidates(d1, &reference, &current, true, 0);
+        let c = cands(&m, d1, &reference, &current, true, 0);
         assert_eq!(c[0], reference[d1]);
         assert_eq!(c[1], -3.0);
         // First diagonal falls back to temporal.
-        let c0 = m.candidates(d0, &reference, &current, true, 0);
+        let c0 = cands(&m, d0, &reference, &current, true, 0);
         assert_eq!(c0[1], reference[d0]);
     }
 
@@ -526,39 +536,12 @@ mod tests {
         let reference = vec![7.0, 8.0];
         let mut current = vec![0.0, 0.0];
         current[p.find(1, 1).unwrap()] = 20.0; // diagonal decoded first
-        let c = m.candidates(k, &reference, &current, true, 0);
+        let c = cands(&m, k, &reference, &current, true, 0);
         // Transpose missing, diag row missing → temporal fallbacks;
         // diag col (1,1) present and already decoded.
         assert_eq!(c[1], 7.0);
         assert_eq!(c[2], 7.0);
         assert_eq!(c[3], -20.0);
-    }
-
-    #[test]
-    fn local_candidates_agree_with_global() {
-        let (p, m) = tridiag();
-        let reference: Vec<f64> = (0..p.nnz()).map(|k| 10.0 + k as f64).collect();
-        let current: Vec<f64> = (0..p.nnz()).map(|k| 100.0 + 3.0 * k as f64).collect();
-        // Whole matrix as one chunk: local is the order-gathered current.
-        let local: Vec<f64> = m.order().iter().map(|&k| current[k]).collect();
-        for &k in m.order() {
-            assert_eq!(
-                m.candidates(k, &reference, &current, true, 0),
-                m.candidates_local(k, &reference, &local, true, 0),
-                "value {k}"
-            );
-        }
-        // Chunked: a chunk starting mid-order sees only its own span.
-        let start = 3;
-        let local_chunk: Vec<f64> = m.order()[start..].iter().map(|&k| current[k]).collect();
-        for (off, &k) in m.order()[start..].iter().enumerate() {
-            let _ = off;
-            assert_eq!(
-                m.candidates(k, &reference, &current, true, start),
-                m.candidates_local(k, &reference, &local_chunk, true, start),
-                "value {k} at chunk_start {start}"
-            );
-        }
     }
 
     #[test]
@@ -569,8 +552,8 @@ mod tests {
         let k = p.find(0, 1).unwrap(); // an Upper element, late in order
                                        // With the chunk starting at this element's own position, every
                                        // current-matrix partner is out of reach → all temporal.
-        let pos = m.order_pos_of(k);
-        let c = m.candidates(k, &reference, &current, true, pos);
+        let pos = m.order().iter().position(|&j| j == k).unwrap();
+        let c = cands(&m, k, &reference, &current, true, pos);
         assert_eq!(c, [1.0; 4]);
     }
 }

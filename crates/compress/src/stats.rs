@@ -38,9 +38,6 @@ pub struct CompressStats {
     pub output_bytes: u64,
     /// Values encoded in Markov mode (no selection bits).
     pub markov_predicted: u64,
-    /// Markov predictions that disagreed with the best-fit choice
-    /// (accuracy bookkeeping; only measurable on the encoder side).
-    pub markov_misses: u64,
 }
 
 impl CompressStats {
@@ -94,14 +91,6 @@ impl CompressStats {
         self.input_bytes as f64 / self.output_bytes as f64
     }
 
-    /// Markov prediction accuracy (1.0 when Markov mode was never used).
-    pub fn markov_accuracy(&self) -> f64 {
-        if self.markov_predicted == 0 {
-            return 1.0;
-        }
-        1.0 - self.markov_misses as f64 / self.markov_predicted as f64
-    }
-
     /// Merges another stats block into this one.
     pub fn merge(&mut self, other: &CompressStats) {
         self.temporal += other.temporal;
@@ -119,7 +108,6 @@ impl CompressStats {
         self.input_bytes += other.input_bytes;
         self.output_bytes += other.output_bytes;
         self.markov_predicted += other.markov_predicted;
-        self.markov_misses += other.markov_misses;
     }
 }
 
@@ -151,7 +139,6 @@ mod tests {
         assert_eq!(s.selection_rate(ModelClass::Temporal), 0.0);
         assert_eq!(s.zero_residual_rate(), 0.0);
         assert_eq!(s.ratio(), 0.0);
-        assert_eq!(s.markov_accuracy(), 1.0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! consumes them — freeing each compressed block as it is expanded.
 
 use crate::config::MascConfig;
-use crate::matrix::{compress_matrix, compress_matrix_seeded, decompress_matrix};
+use crate::matrix::{compress_matrix, compress_matrix_seeded, decode_matrix};
 use crate::predictor::StampMaps;
 use crate::stats::CompressStats;
 use crate::CompressError;
@@ -197,16 +197,11 @@ impl CompressedTensor {
     /// # Errors
     ///
     /// Returns [`CompressError`] if any block fails to decode.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "sized by the held block list and the held pattern's `nnz`"
-    )]
+    #[expect(clippy::disallowed_methods, reason = "sized by the held block list")]
     pub fn decompress_all(&self) -> Result<Vec<Vec<f64>>, CompressError> {
-        let mut out = Vec::with_capacity(self.blocks.len());
-        let mut reference = vec![0.0; self.pattern.nnz()];
+        let mut out: Vec<Vec<f64>> = Vec::with_capacity(self.blocks.len());
         for block in self.blocks.iter().rev() {
-            let values = decompress_matrix(block, &reference, &self.maps)?;
-            reference.copy_from_slice(&values);
+            let values = decode_matrix(block, out.last().map(Vec::as_slice), &self.maps)?;
             out.push(values);
         }
         out.reverse();
@@ -219,7 +214,6 @@ impl CompressedTensor {
     pub fn into_backward(self) -> BackwardDecompressor {
         BackwardDecompressor {
             maps: self.maps,
-            nnz: self.pattern.nnz(),
             blocks: self.blocks,
             reference: None,
         }
@@ -234,7 +228,6 @@ impl CompressedTensor {
 #[derive(Debug)]
 pub struct BackwardDecompressor {
     maps: Arc<StampMaps>,
-    nnz: usize,
     blocks: Vec<Vec<u8>>,
     /// The previously yielded (newer) matrix — the reference for the next.
     reference: Option<Vec<f64>>,
@@ -254,25 +247,15 @@ impl BackwardDecompressor {
     /// # Errors
     ///
     /// Returns [`CompressError`] if the block fails to decode.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "sized by `nnz` of the held pattern"
-    )]
     pub fn next_matrix(&mut self) -> Result<Option<(usize, Vec<f64>)>, CompressError> {
         let Some(block) = self.blocks.pop() else {
             return Ok(None);
         };
         let step = self.blocks.len();
-        let zeros;
-        let reference: &[f64] = match &self.reference {
-            Some(r) => r,
-            None => {
-                zeros = vec![0.0; self.nnz];
-                &zeros
-            }
-        };
-        let values = decompress_matrix(&block, reference, &self.maps)?;
-        self.reference = Some(values.clone());
+        let values = decode_matrix(&block, self.reference.as_deref(), &self.maps)?;
+        let reference = self.reference.get_or_insert_with(Vec::new);
+        reference.clear();
+        reference.extend_from_slice(&values);
         Ok(Some((step, values)))
     }
 
