@@ -48,16 +48,21 @@ impl MarkovModel {
     ///
     /// Callers must validate `code < candidate_count()` first (the decode
     /// path rejects out-of-range wire codes before observing them).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`Region::index() < 3`; the chain state and `code` are `< CODES` (callers validate codes first)"
-    )]
     pub fn observe(&mut self, region: Region, code: u32) {
         debug_assert!((code as usize) < CODES, "selection code out of range");
         let r = region.index();
-        let p = self.prev[r] as usize;
-        self.counts[r][p][code as usize] += 1;
-        self.prev[r] = code;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`Region::index() < 3`, the number of chains"
+        )]
+        let (state, counts) = (&mut self.prev[r], &mut self.counts[r]);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the chain state and `code` are `< CODES` (callers validate codes first)"
+        )]
+        let count = &mut counts[*state as usize][code as usize];
+        *count += 1;
+        *state = code;
     }
 
     /// Predicts the next selection for a region (Markov phase) and

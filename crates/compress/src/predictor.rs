@@ -124,10 +124,6 @@ impl StampMaps {
         clippy::disallowed_methods,
         reason = "sized by `pattern.nnz()`, a validated pattern already held"
     )]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`order` is a permutation of `0..nnz` (from `partition_uld`), the length of `order_pos` and `col_idx`"
-    )]
     pub fn new(pattern: &Pattern) -> Self {
         let nnz = pattern.nnz();
         let part = pattern.partition_uld();
@@ -140,17 +136,30 @@ impl StampMaps {
 
         let mut order_pos = vec![0usize; nnz];
         for (pos, &k) in order.iter().enumerate() {
-            order_pos[k] = pos;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`order` is a permutation of `0..nnz` (from `partition_uld`), the length of `order_pos`"
+            )]
+            let slot = &mut order_pos[k];
+            *slot = pos;
         }
         let col_idx = pattern.col_idx();
         let mut partners = Vec::with_capacity(nnz);
         for (pos, &k) in order.iter().enumerate() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`k`, an entry of `order`, is `< nnz`, the length of `col_idx`"
+            )]
             let (row, col) = (pattern.row_of(k), col_idx[k]);
             let diag_row = pattern.diag_of(row);
             let diag_col = pattern.diag_of(col);
             // The in-matrix predecessor: the previous diagonal for `D`, the
             // previous `L` non-zero of the same row for `L` (`part.lower`
             // is row-major, so it is the order neighbour or nothing).
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`p = pos - 1` and `pos < order.len()`"
+            )]
             let prev = pos.checked_sub(1).map(|p| order[p]);
             let slots = if pos < d_end {
                 [prev, None, None]
@@ -160,12 +169,17 @@ impl StampMaps {
             } else {
                 [pattern.transpose_of(k), diag_row, diag_col]
             };
-            partners.push(slots.map(|slot| {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "every slot is a value index of the pattern, `< nnz`, the length of `order_pos`"
+            )]
+            let positions = slots.map(|slot| {
                 slot.map(|p| order_pos[p])
                     .filter(|&p| p < pos)
                     .and_then(|p| u32::try_from(p).ok())
                     .unwrap_or(NONE)
-            }));
+            });
+            partners.push(positions);
         }
         Self {
             order,

@@ -102,10 +102,6 @@ pub fn encode_residual(
 ///
 /// Panics if the slice lengths differ (caller bug: all three derive from
 /// one chunk range).
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`i < residuals.len() = lz.len() = tz.len()` (asserted on entry); `class ≤ 7` indexes 8 bins"
-)]
 pub fn encode_residuals_batched(
     w: &mut BitWriter,
     state: &mut ResidualState,
@@ -118,10 +114,15 @@ pub fn encode_residuals_batched(
     assert_eq!(residuals.len(), tz.len(), "tz length mismatch");
     let mut i = 0usize;
     while i < residuals.len() {
-        if residuals[i] == 0 {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`i < residuals.len()`, the loop condition"
+        )]
+        let residual = residuals[i];
+        if residual == 0 {
             // A run of n zero residuals is n consecutive `1` bits.
             let start = i;
-            while i < residuals.len() && residuals[i] == 0 {
+            while residuals.get(i) == Some(&0) {
                 i += 1;
             }
             let mut run = i - start;
@@ -135,12 +136,21 @@ pub fn encode_residuals_batched(
             }
             continue;
         }
-        let residual = residuals[i];
         w.write_bit(false);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`i < residuals.len() = lz.len()` (asserted on entry)"
+        )]
         let lzi = u32::from(lz[i]);
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`i < residuals.len() = tz.len()` (asserted on entry)"
+        )]
         let tzi = u32::from(tz[i]);
         let class = (lzi / 8).min(7);
-        stats.lz_class_histogram[class as usize] += 1;
+        #[expect(clippy::indexing_slicing, reason = "`class ≤ 7` indexes 8 bins")]
+        let bin = &mut stats.lz_class_histogram[class as usize];
+        *bin += 1;
         let eff_lz = class * 8;
         if let Some(win) = state.window {
             if lzi >= win.eff_lz && tzi >= win.start && 64 - win.eff_lz >= tzi + (64 - lzi - tzi) {

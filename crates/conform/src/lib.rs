@@ -24,14 +24,14 @@
 //!
 //! The harness itself is validated by mutation checks (see
 //! `tests/mutation.rs`): deliberately injected defects behind the
-//! `mutation-hooks` feature of `masc-compress`/`masc-adjoint`/`masc-serve`
-//! must be caught by these oracles within a bounded budget.
+//! `mutation-hooks` feature of `masc-compress`/`masc-adjoint` must be
+//! caught by these oracles within a bounded budget.
 //!
-//! Scheduling bugs are out of reach of value fuzzing, so the worker-pool
-//! coordination cores are additionally model-checked ([`model`]) with
-//! the deterministic interleaving explorer (`masc-conform --model-check`);
-//! the serve `lost-wakeup-close` defect validates that harness the same
-//! way the fuzz defects validate the oracles.
+//! Scheduling bugs are out of reach of value fuzzing. `masc-serve` builds
+//! its two coordination points (the worker queue and single flight) from
+//! std primitives that cannot lose a wakeup, and its own tests in
+//! `crates/serve/tests/fault.rs` pin their end-to-end guarantees on the
+//! real code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +39,6 @@
 pub mod corpus;
 pub mod geninput;
 pub mod minimize;
-pub mod model;
 pub mod oracle;
 pub mod oracles;
 pub mod runner;

@@ -3,17 +3,14 @@
 //! ```text
 //! masc-conform [--budget <secs>] [--seed <u64>] [--only <oracle>]
 //!              [--corpus-dir <dir>] [--max-cases <n>] [--defect <name>]
-//!              [--list] [--replay] [--model-check] [--verbose]
+//!              [--list] [--replay] [--verbose]
 //! ```
 //!
 //! Default mode fuzzes every oracle round-robin for the budget, then
 //! replays the crash corpus as a regression pass. `--replay` skips the
 //! fuzzing. `--defect` enables an injected defect (requires the
 //! `mutation-hooks` builds this binary links against) to demonstrate the
-//! harness catches it. `--model-check` skips fuzzing entirely and runs
-//! the deterministic interleaving explorer over the worker-pool
-//! coordination models instead (budgeted by `--budget`; failures print a
-//! `MASC_SCHED_REPRO` replay line).
+//! harness catches it.
 
 use masc_conform::{all_oracles, runner, RunConfig};
 use std::path::PathBuf;
@@ -24,7 +21,6 @@ struct Cli {
     config: RunConfig,
     list: bool,
     replay_only: bool,
-    model_check: bool,
     fuzz_corpus_dir: PathBuf,
 }
 
@@ -32,9 +28,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: masc-conform [--budget <secs>] [--seed <u64>] [--only <oracle>]\n\
          \x20                   [--corpus-dir <dir>] [--max-cases <n>] [--defect <name>]\n\
-         \x20                   [--list] [--replay] [--model-check] [--verbose]\n\
-         defects: wrong-stamp-candidate | varint-len-off-by-one | stale-replay-block\n\
-         \x20        | lost-wakeup-close (model-check only)"
+         \x20                   [--list] [--replay] [--verbose]\n\
+         defects: wrong-stamp-candidate | varint-len-off-by-one | stale-replay-block"
     );
     std::process::exit(2);
 }
@@ -49,9 +44,6 @@ fn arm_defect(name: &str) {
         }
         "stale-replay-block" => {
             masc_adjoint::mutation::set_defect(masc_adjoint::mutation::Defect::StaleReplayBlock)
-        }
-        "lost-wakeup-close" => {
-            masc_serve::mutation::set_defect(masc_serve::mutation::Defect::LostWakeupClose)
         }
         other => {
             eprintln!("unknown defect {other:?}");
@@ -68,7 +60,6 @@ fn parse_args() -> Cli {
         },
         list: false,
         replay_only: false,
-        model_check: false,
         fuzz_corpus_dir: PathBuf::from("tests/corpus"),
     };
     let mut args = std::env::args().skip(1);
@@ -98,7 +89,6 @@ fn parse_args() -> Cli {
             "--defect" => arm_defect(&value("--defect")),
             "--list" => cli.list = true,
             "--replay" => cli.replay_only = true,
-            "--model-check" => cli.model_check = true,
             "--verbose" => cli.config.verbose = true,
             "--help" | "-h" => usage(),
             other => {
@@ -110,60 +100,6 @@ fn parse_args() -> Cli {
     cli
 }
 
-/// `--model-check`: explores the worker-pool coordination models within
-/// the wall-clock budget, printing per-model schedule counts and, on
-/// failure, the minimized schedule and its replay seed.
-fn run_model_check(cli: &Cli) -> ExitCode {
-    use masc_conform::model;
-    let harnesses = model::models();
-    let per_model = cli.config.budget / harnesses.len().max(1) as u32;
-    let mut explorer = model::model_explorer(Some(per_model));
-    explorer.seed = explorer.seed.wrapping_add(cli.config.seed);
-    let started = std::time::Instant::now();
-    let outcomes = model::check_all(&explorer);
-    let mut failed = false;
-    let total: usize = outcomes.iter().map(|o| o.schedules).sum();
-    println!(
-        "model check: {} schedules across {} models in {:.1?} \
-         (budget {:.1?}, {} max preemptions)",
-        total,
-        outcomes.len(),
-        started.elapsed(),
-        cli.config.budget,
-        explorer.max_preemptions,
-    );
-    for outcome in &outcomes {
-        match &outcome.failure {
-            None => println!(
-                "  {:<24} {:>5} schedules  ok",
-                outcome.name, outcome.schedules
-            ),
-            Some(failure) => {
-                failed = true;
-                println!(
-                    "  {:<24} {:>5} schedules  FAIL",
-                    outcome.name, outcome.schedules
-                );
-                println!("    {}", failure.kind);
-                println!(
-                    "    minimized to {} preemption(s) over {} decision(s)",
-                    failure.preemptions,
-                    failure.trace.len()
-                );
-                println!(
-                    "    replay: MASC_SCHED_REPRO={:x} masc-conform --model-check",
-                    failure.seed
-                );
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 fn main() -> ExitCode {
     let cli = parse_args();
     let oracles = all_oracles();
@@ -173,10 +109,6 @@ fn main() -> ExitCode {
             println!("{:<20} {}", oracle.name(), oracle.describe());
         }
         return ExitCode::SUCCESS;
-    }
-
-    if cli.model_check {
-        return run_model_check(&cli);
     }
 
     let mut failed = false;

@@ -25,8 +25,6 @@
 
 pub mod cache;
 pub mod engine;
-#[cfg(feature = "mutation-hooks")]
-pub mod mutation;
 pub mod protocol;
 pub mod server;
 

@@ -4,14 +4,16 @@
 //! [`Server::submit`] is the synchronous core: probe the cache, replay on
 //! a hit (discarding corrupt or mismatched entries and falling through to
 //! a cold run), otherwise run the full pipeline exactly once per key —
-//! concurrent identical jobs coalesce behind the first submitter instead
-//! of racing the forward transient N times. [`run_lines`] wraps it in the
-//! wire protocol over any `BufRead`/`Write` pair, sharding `SOLVE` lines
-//! across a scoped worker pool. Worker panics are caught per job
+//! concurrent identical jobs queue on the key's gate (a plain mutex)
+//! behind the first submitter instead of racing the forward transient N
+//! times. [`run_lines`] wraps it in the wire protocol over any
+//! `BufRead`/`Write` pair, sharding `SOLVE` lines across a scoped worker
+//! pool fed by an `mpsc` channel. Worker panics are caught per job
 //! (`catch_unwind`): the job answers with an `ERR … panic` line and the
-//! worker keeps serving. `SHUTDOWN` (or end of input) stops intake,
-//! drains every queued job, answers it, then says `BYE` — queued work is
-//! never stranded and the cache directory is left with no temp files.
+//! worker keeps serving. `SHUTDOWN` (or end of input) drops the channel's
+//! sender; the workers drain every queued job, answer it, then see the
+//! channel close, and `BYE` follows — queued work is never stranded and
+//! the cache directory is left with no temp files.
 
 use crate::cache::{CacheMetrics, TensorCache};
 use crate::engine::{resolve, run_cold, run_hit, JobOutcome};
@@ -19,12 +21,12 @@ use crate::protocol::{self, JobRequest, Request, MAX_LINE_BYTES};
 use crate::ServeError;
 use masc_adjoint::lanes::lock_ignoring_poison as lock;
 use masc_compress::MascConfig;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, TryLockError};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -59,12 +61,15 @@ impl Default for ServeConfig {
 }
 
 /// The job server: cache and single-flight state.
+///
+/// Single flight keeps one gate per key in flight: submitters of a key
+/// take turns on its mutex, and the last one out removes the key, so the
+/// map holds only keys that some submitter is running or waiting on.
 #[derive(Debug)]
 pub struct Server {
     cfg: ServeConfig,
     cache: Mutex<TensorCache>,
-    inflight: Mutex<HashSet<u64>>,
-    inflight_done: Condvar,
+    inflight: Mutex<HashMap<u64, Arc<Mutex<()>>>>,
     jobs: AtomicU64,
     cold_runs: AtomicU64,
     worker_panics: AtomicU64,
@@ -82,8 +87,7 @@ impl Server {
         Ok(Self {
             cfg,
             cache: Mutex::new(cache),
-            inflight: Mutex::new(HashSet::new()),
-            inflight_done: Condvar::new(),
+            inflight: Mutex::new(HashMap::new()),
             jobs: AtomicU64::new(0),
             cold_runs: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
@@ -124,58 +128,56 @@ impl Server {
     /// the fault-injection hook behind the worker-death tests.
     pub fn submit(&self, req: &JobRequest) -> Result<JobOutcome, ServeError> {
         self.jobs.fetch_add(1, Ordering::Relaxed);
+        self.run(req)
+    }
+
+    /// [`submit`](Self::submit) for a job already counted in
+    /// [`jobs`](Self::jobs).
+    fn run(&self, req: &JobRequest) -> Result<JobOutcome, ServeError> {
         if self.cfg.fault_panic_job.as_deref() == Some(req.id.as_str()) {
             panic!("injected fault: job {} configured to panic", req.id);
         }
         let job = resolve(req, &self.cfg.masc)?;
-        loop {
-            let cached = lock(&self.cache).get(job.key);
-            if let Some(entry) = cached {
-                // A `None` replay means the entry was discarded as
-                // corrupt/stale; fall through to a cold run.
-                if let Some(result) = self.replay(&job, &entry) {
-                    return result;
-                }
+        let cached = lock(&self.cache).get(job.key);
+        if let Some(entry) = cached {
+            // A `None` replay means the entry was discarded as
+            // corrupt/stale; fall through to a cold run.
+            if let Some(result) = self.replay(&job, &entry) {
+                return result;
             }
+        }
 
-            // Single flight: exactly one submitter per key runs the
-            // pipeline; the rest wait and re-probe the cache.
-            let leader = lock(&self.inflight).insert(job.key);
-            if !leader {
+        // Single flight: submitters of one key take turns on its gate, so
+        // only the first runs the pipeline and the rest find its entry.
+        // After a holder's error or panic the next one runs cold itself:
+        // errors are never shared, because the key leaves out the
+        // objectives and a sibling job may still succeed.
+        let flight = Flight::join(self, job.key);
+        let _turn = flight.gate.as_deref().map(|gate| self.take_turn(gate));
+        // A previous holder may have populated the cache since the probe.
+        let raced = lock(&self.cache).recheck(job.key);
+        if let Some(entry) = raced {
+            if let Some(result) = self.replay(&job, &entry) {
+                return result;
+            }
+        }
+        self.cold_runs.fetch_add(1, Ordering::Relaxed);
+        let (outcome, entry) = run_cold(&job)?;
+        lock(&self.cache).put(job.key, Arc::new(entry));
+        Ok(outcome)
+    }
+
+    /// Takes the turn on a key's gate, counting the wait as coalesced if
+    /// another submitter holds it. A holder that panicked poisoned only a
+    /// `()`, so the poison is ignored.
+    fn take_turn<'g>(&self, gate: &'g Mutex<()>) -> MutexGuard<'g, ()> {
+        match gate.try_lock() {
+            Ok(turn) => turn,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
                 lock(&self.cache).note_coalesced();
-                let mut inflight = lock(&self.inflight);
-                while inflight.contains(&job.key) {
-                    inflight = self
-                        .inflight_done
-                        .wait(inflight)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                drop(inflight);
-                continue;
+                lock(gate)
             }
-
-            // Leader: make sure the key is released and waiters woken on
-            // every exit path, panics included.
-            let guard = InflightGuard {
-                server: self,
-                key: job.key,
-            };
-            // Close the probe→leadership race: a previous leader may have
-            // populated the cache between our probe and our acquisition.
-            let raced = lock(&self.cache).recheck(job.key);
-            if let Some(entry) = raced {
-                drop(guard);
-                match self.replay(&job, &entry) {
-                    Some(result) => return result,
-                    None => continue,
-                }
-            }
-            self.cold_runs.fetch_add(1, Ordering::Relaxed);
-            let result = run_cold(&job);
-            let (outcome, entry) = result?; // guard releases on error
-            lock(&self.cache).put(job.key, std::sync::Arc::new(entry));
-            drop(guard);
-            return Ok(outcome);
         }
     }
 
@@ -198,17 +200,37 @@ impl Server {
     }
 }
 
-/// Releases a single-flight key on drop (normal return, error, or
-/// unwind) and wakes every waiter.
-struct InflightGuard<'a> {
+/// One submitter's handle on a key's gate. `gate` is `Some` until drop
+/// (on return, error or unwind), which releases the handle under the map
+/// lock and removes the key if the map's handle is the last one. Handles
+/// are cloned and dropped only under that lock, so the count is exact.
+struct Flight<'a> {
     server: &'a Server,
     key: u64,
+    gate: Option<Arc<Mutex<()>>>,
 }
 
-impl Drop for InflightGuard<'_> {
+impl<'a> Flight<'a> {
+    fn join(server: &'a Server, key: u64) -> Self {
+        let gate = Arc::clone(lock(&server.inflight).entry(key).or_default());
+        Self {
+            server,
+            key,
+            gate: Some(gate),
+        }
+    }
+}
+
+impl Drop for Flight<'_> {
     fn drop(&mut self) {
-        lock(&self.server.inflight).remove(&self.key);
-        self.server.inflight_done.notify_all();
+        let mut inflight = lock(&self.server.inflight);
+        drop(self.gate.take());
+        if inflight
+            .get(&self.key)
+            .is_some_and(|gate| Arc::strong_count(gate) == 1)
+        {
+            inflight.remove(&self.key);
+        }
     }
 }
 
@@ -241,7 +263,7 @@ fn respond<W: Write>(out: &Mutex<W>, line: &str) {
 }
 
 fn answer_solve<W: Write>(server: &Server, req: &JobRequest, out: &Mutex<W>) {
-    let result = catch_unwind(AssertUnwindSafe(|| server.submit(req)));
+    let result = catch_unwind(AssertUnwindSafe(|| server.run(req)));
     let line = match result {
         Ok(Ok(outcome)) => protocol::render_ok(
             &req.id,
@@ -259,15 +281,10 @@ fn answer_solve<W: Write>(server: &Server, req: &JobRequest, out: &Mutex<W>) {
     respond(out, &line);
 }
 
-/// The worker queue. `closed` lives *inside* the mutex-guarded state:
-/// a worker that observed `closed == false` under the lock is either
-/// still holding it or already parked in `Condvar::wait` (which releases
-/// the lock atomically) when the reader sets the flag under the same
-/// lock — so the close can never interleave between a worker's check and
-/// its wait, and the wake-up is never lost.
-struct JobQueue {
-    items: VecDeque<Request>,
-    closed: bool,
+/// What the reader queues for a worker: the requests answered by a line.
+enum Work {
+    Solve(JobRequest),
+    Stats,
 }
 
 /// The outcome of reading one length-capped request line.
@@ -336,7 +353,10 @@ fn read_capped_line<R: BufRead>(input: &mut R, line: &mut String) -> std::io::Re
 
 /// Serves the line protocol from `input` to `output` until `SHUTDOWN` or
 /// end of input, sharding jobs across [`ServeConfig::workers`] scoped
-/// threads. Returns `true` if an explicit `SHUTDOWN` was received.
+/// threads. The workers share the receiving end of one channel; at the
+/// end of input the reader drops the sender, `recv` hands out every job
+/// still queued and then fails, and each worker exits. Returns `true` if
+/// an explicit `SHUTDOWN` was received.
 ///
 /// # Errors
 ///
@@ -347,19 +367,10 @@ pub fn run_lines<R: BufRead, W: Write + Send>(
     output: W,
 ) -> Result<bool, ServeError> {
     let out = Mutex::new(output);
-    let queue = Mutex::new(JobQueue {
-        items: VecDeque::new(),
-        closed: false,
-    });
-    let queue_ready = Condvar::new();
+    let (queue, work) = mpsc::channel();
+    let work = Mutex::new(work);
     let mut got_shutdown = false;
     let mut read_error: Option<std::io::Error> = None;
-    // Injected-defect switch: armed, the close protocol regresses to
-    // tracking `closed` outside the queue mutex (the pre-fix shape whose
-    // lost wakeup the interleaving explorer must expose). Unarmed and in
-    // normal builds the flag below is never consulted.
-    #[cfg(feature = "mutation-hooks")]
-    let closed_outside = std::sync::atomic::AtomicBool::new(false);
 
     std::thread::scope(|scope| {
         let workers = server.cfg.workers.max(1);
@@ -370,30 +381,20 @@ pub fn run_lines<R: BufRead, W: Write + Send>(
         let mut lanes = Vec::with_capacity(workers);
         for _ in 0..workers {
             lanes.push(scope.spawn(|| loop {
-                let item = {
-                    let mut q = lock(&queue);
-                    loop {
-                        if let Some(item) = q.items.pop_front() {
-                            break Some(item);
-                        }
-                        #[cfg(feature = "mutation-hooks")]
-                        if crate::mutation::active(crate::mutation::Defect::LostWakeupClose) {
-                            if closed_outside.load(Ordering::Relaxed) {
-                                break None;
-                            }
-                            q = queue_ready.wait(q).unwrap_or_else(PoisonError::into_inner);
-                            continue;
-                        }
-                        if q.closed {
-                            break None;
-                        }
-                        q = queue_ready.wait(q).unwrap_or_else(PoisonError::into_inner);
+                // The receiver's guard is a temporary of this statement, so
+                // it is released before the job runs, and a job is counted
+                // before the next worker can take the item behind it: a
+                // `STATS` line counts every `SOLVE` queued before it.
+                let Ok(item) = lock(&work).recv().inspect(|item| {
+                    if matches!(item, Work::Solve(_)) {
+                        server.jobs.fetch_add(1, Ordering::Relaxed);
                     }
+                }) else {
+                    break;
                 };
                 match item {
-                    Some(Request::Solve(req)) => answer_solve(server, &req, &out),
-                    Some(Request::Stats) => respond(&out, &render_stats(server)),
-                    Some(Request::Shutdown) | None => break,
+                    Work::Solve(req) => answer_solve(server, &req, &out),
+                    Work::Stats => respond(&out, &render_stats(server)),
                 }
             }));
         }
@@ -416,29 +417,24 @@ pub fn run_lines<R: BufRead, W: Write + Send>(
             if line.trim().is_empty() {
                 continue;
             }
-            match protocol::parse_request(&line) {
+            let item = match protocol::parse_request(&line) {
+                Ok(Request::Solve(req)) => Work::Solve(req),
+                Ok(Request::Stats) => Work::Stats,
                 Ok(Request::Shutdown) => {
                     got_shutdown = true;
                     break;
                 }
-                Ok(req) => {
-                    lock(&queue).items.push_back(req);
-                    queue_ready.notify_one();
+                Err(e) => {
+                    respond(&out, &protocol::render_err("-", "protocol", &e.to_string()));
+                    continue;
                 }
-                Err(e) => respond(&out, &protocol::render_err("-", "protocol", &e.to_string())),
-            }
+            };
+            // The receiver outlives the scope, so the send cannot fail.
+            let _ = queue.send(item);
         }
-        // Drain: workers finish everything already queued, then exit.
-        // The flag flips under the queue lock (see [`JobQueue`]).
-        #[cfg(feature = "mutation-hooks")]
-        if crate::mutation::active(crate::mutation::Defect::LostWakeupClose) {
-            // BUG (injected): the close is published outside the queue
-            // mutex, so it can land between a worker's predicate check
-            // and its wait — the notify below is then lost forever.
-            closed_outside.store(true, Ordering::Relaxed);
-        }
-        lock(&queue).closed = true;
-        queue_ready.notify_all();
+        // Drain: workers finish everything already queued, then `recv`
+        // reports the closed channel and they exit.
+        drop(queue);
         // Consume every lane's join result: `answer_solve` catches
         // per-job panics, so an `Err` here means a lane died outside a
         // job — report it instead of letting scope exit re-raise it
@@ -457,5 +453,38 @@ pub fn run_lines<R: BufRead, W: Write + Send>(
     match read_error {
         Some(e) => Err(ServeError::Io(e)),
         None => Ok(got_shutdown),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{ObjectiveSpec, ParamSelector};
+
+    /// The gate map holds only keys in flight: once every submitter of a
+    /// key is out — after success or after an error — its entry is gone.
+    #[test]
+    fn the_last_submitter_out_removes_the_key() {
+        let server = Server::new(ServeConfig::default()).unwrap();
+        let request = |id: &str, objective| JobRequest {
+            id: id.to_string(),
+            objectives: vec![objective],
+            params: ParamSelector::All,
+            deck: "I1 a 0 DC 1e-3\nR1 a 0 1k\nC1 a 0 1n\n.tran 0.1u 5u\n.end\n".to_string(),
+        };
+        let ok = request("ok", ObjectiveSpec::FinalValue { node: "a".into() });
+        let bad = request(
+            "bad",
+            ObjectiveSpec::AtStep {
+                node: "a".into(),
+                step: 99_999,
+            },
+        );
+        std::thread::scope(|scope| {
+            for req in [&bad, &ok, &bad, &ok] {
+                scope.spawn(|| server.submit(req));
+            }
+        });
+        assert!(lock(&server.inflight).is_empty());
     }
 }

@@ -1,10 +1,13 @@
 //! Fault-injection suite: worker death mid-job, corrupt disk cache
 //! entries, concurrent identical jobs, and shutdown with queued work.
+//! The queue and single-flight tests run the server's real coordination
+//! code under real threads, repeated to vary the interleavings.
 
 use masc_serve::engine::{resolve, run_cold, run_hit};
 use masc_serve::server::run_lines;
 use masc_serve::{JobRequest, ObjectiveSpec, ParamSelector, ServeConfig, ServeError, Server};
 use std::path::PathBuf;
+use std::sync::Barrier;
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("masc-serve-fault-{}-{name}", std::process::id()));
@@ -243,4 +246,142 @@ fn shutdown_drains_queued_jobs_and_strands_no_files() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The worker queue on the real code: three workers share one channel
+/// of eight jobs and a `STATS` line, ended by `SHUTDOWN` or by plain end
+/// of input. Every job is answered exactly once, `STATS` counts the jobs
+/// queued before it, `BYE` comes last, and no run hangs (a lost close
+/// would park a worker and hang the join).
+#[test]
+fn queue_answers_every_job_once_then_closes() {
+    let decks = [2usize, 3].map(|s| masc_serve::protocol::escape_deck(&ladder_deck(s)));
+    for ending in ["SHUTDOWN\n", ""] {
+        for _ in 0..20 {
+            let server = Server::new(ServeConfig {
+                workers: 3,
+                ..ServeConfig::default()
+            })
+            .expect("server");
+            let mut input = String::new();
+            for i in 0..8 {
+                let deck = &decks[i % 2];
+                input.push_str(&format!("SOLVE q{i} final:n1 * {deck}\n"));
+                if i == 3 {
+                    input.push_str("STATS\n");
+                }
+            }
+            input.push_str(ending);
+            let mut output = Vec::new();
+            let got_shutdown =
+                run_lines(&server, input.as_bytes(), &mut output).expect("loop completes");
+            assert_eq!(got_shutdown, !ending.is_empty());
+
+            let text = String::from_utf8(output).expect("utf8 output");
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), 10, "eight answers, STATS and BYE: {text}");
+            for i in 0..8 {
+                let answers = lines
+                    .iter()
+                    .filter(|l| l.starts_with(&format!("OK q{i} ")))
+                    .count();
+                assert_eq!(answers, 1, "q{i} answered exactly once: {text}");
+            }
+            let stats: Vec<&str> = lines
+                .iter()
+                .copied()
+                .filter(|l| l.starts_with("STATS "))
+                .collect();
+            assert_eq!(stats.len(), 1, "{text}");
+            // STATS counts every SOLVE queued before it.
+            let jobs: u64 = stats[0]
+                .split_whitespace()
+                .find_map(|f| f.strip_prefix("jobs="))
+                .and_then(|n| n.parse().ok())
+                .expect("jobs= field");
+            assert!(jobs >= 4, "{}", stats[0]);
+            assert_eq!(*lines.last().expect("BYE line"), "BYE");
+            assert_eq!(server.jobs(), 8);
+        }
+    }
+}
+
+/// Four concurrent identical submits share one pipeline run and one
+/// cache insert, and all four answers are bit-identical. A barrier lines
+/// the four up, and ten rounds vary who leads.
+#[test]
+fn four_concurrent_identical_jobs_run_cold_once() {
+    let req = ladder_request("j", 3);
+    for _ in 0..10 {
+        let server = Server::new(ServeConfig::default()).expect("server");
+        let start = Barrier::new(4);
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        server.submit(&req).expect("submit")
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("join"))
+                .collect()
+        });
+
+        assert_eq!(server.cold_runs(), 1);
+        assert_eq!(server.cache_metrics().inserts, 1);
+        for outcome in &outcomes[1..] {
+            assert_eq!(
+                bits(&outcome.sensitivities),
+                bits(&outcomes[0].sensitivities)
+            );
+        }
+    }
+}
+
+/// Two jobs that share a cache key (it leaves out the objectives) do not
+/// share errors: when one fails its step check, the other still runs —
+/// cold itself if the failing job held the key first — and answers
+/// exactly as it would alone.
+#[test]
+fn a_failing_job_does_not_fail_its_key_sibling() {
+    let server = Server::new(ServeConfig::default()).expect("server");
+    let mut failing = ladder_request("bad", 3);
+    failing.objectives = vec![ObjectiveSpec::AtStep {
+        node: "n1".to_string(),
+        step: 99_999,
+    }];
+    let ok = ladder_request("ok", 3);
+
+    let start = Barrier::new(2);
+    let (bad, good) = std::thread::scope(|scope| {
+        let tb = scope.spawn(|| {
+            start.wait();
+            server.submit(&failing)
+        });
+        let tg = scope.spawn(|| {
+            start.wait();
+            server.submit(&ok)
+        });
+        (tb.join().expect("join bad"), tg.join().expect("join ok"))
+    });
+
+    assert!(
+        matches!(bad, Err(ServeError::StepOutOfRange { step: 99_999, .. })),
+        "{bad:?}"
+    );
+    let good = good.expect("the sibling succeeds");
+    let alone = Server::new(ServeConfig::default())
+        .expect("fresh server")
+        .submit(&ok)
+        .expect("sequential run");
+    assert_eq!(bits(&good.sensitivities), bits(&alone.sensitivities));
+    assert_eq!(server.cache_metrics().inserts, 1);
+    assert!(
+        (1..=2).contains(&server.cold_runs()),
+        "{}",
+        server.cold_runs()
+    );
 }

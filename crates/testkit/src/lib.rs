@@ -11,11 +11,6 @@
 //!   with bounded, invariant-preserving shrinking;
 //! - [`mod@prop`] — the [`prop!`] test macro and runner: fixed-seed cases,
 //!   `MASC_PROP_REPRO=<seed>` single-case reproduction, greedy shrinking;
-//! - [`mod@sched`] — a deterministic interleaving explorer: seeded
-//!   schedule enumeration over instrumented mutex/condvar shims, with
-//!   `MASC_SCHED_REPRO=<seed>` replay and preemption-trace shrinking,
-//!   used by `masc-conform --model-check` to model-check the worker-pool
-//!   coordination cores;
 //! - [`mod@alloc`] — a counting global allocator for memory assertions
 //!   against heap truth, installed only in single-test binaries.
 //!
@@ -48,7 +43,6 @@ pub mod alloc;
 pub mod gen;
 pub mod prop;
 pub mod rng;
-pub mod sched;
 
 pub use gen::Gen;
 pub use rng::Rng;
