@@ -25,7 +25,7 @@
 //! `C` becomes available.
 
 use crate::objective::Objective;
-use crate::store::{BackwardJacobians, RunMeta, StepMatrices, StoreError, StoreMetrics};
+use crate::store::{BackwardJacobians, RunMeta, StepMatrices, StoreError};
 use masc_circuit::{Circuit, Evaluation, ParamRef, System};
 use masc_sparse::{CsrMatrix, LuError, LuWorkspace};
 use std::time::{Duration, Instant};
@@ -103,16 +103,9 @@ pub struct AdjointStats {
     pub steps: usize,
     /// Wall time of the whole reverse pass.
     pub total_time: Duration,
-    /// Time factoring and solving transposed systems.
-    pub lu_time: Duration,
-    /// Time re-evaluating devices (non-zero only for the recompute store).
+    /// Time re-evaluating devices (non-zero only for the recompute store;
+    /// the `T_Jac` of paper Table 1).
     pub recompute_time: Duration,
-    /// Time evaluating parameter derivatives (`φ`).
-    pub param_time: Duration,
-    /// The run's store telemetry, forward pass included (sealed payload
-    /// bytes, peak residency, put/fetch time and per-step latency
-    /// histograms), as the [`BackwardJacobians`] reader held it.
-    pub store: StoreMetrics,
 }
 
 /// The sensitivity matrix `dO_i/dp_j` plus run statistics.
@@ -148,7 +141,9 @@ pub struct WindowTerminal {
 ///
 /// `meta`/`reader` come from [`crate::store::ForwardRecord::into_parts`];
 /// `system` must be the elaborated system of `circuit` (mutable for the
-/// recompute store's device re-evaluation).
+/// recompute store's device re-evaluation). The reader is drained, and its
+/// [`metrics`](BackwardJacobians::metrics) then hold the run's store
+/// telemetry, reverse fetches included.
 ///
 /// # Errors
 ///
@@ -157,7 +152,7 @@ pub fn adjoint_sensitivities(
     circuit: &Circuit,
     system: &mut System,
     meta: &RunMeta,
-    mut reader: BackwardJacobians,
+    reader: &mut BackwardJacobians,
     objectives: &[Objective],
     params: &[ParamRef],
 ) -> Result<SensitivityResult, AdjointError> {
@@ -168,9 +163,7 @@ pub fn adjoint_sensitivities(
     while let Some((step, matrices)) = reader.next_back().map_err(AdjointError::from)? {
         cursor.offer(system, step, matrices)?;
     }
-    let mut result = cursor.finish();
-    result.stats.store = reader.metrics().clone();
-    Ok(result)
+    Ok(cursor.finish())
 }
 
 /// `∂f/∂p`, `∂q/∂p` and `∂b/∂p` of every parameter at one state, packed
@@ -428,7 +421,6 @@ impl<'a> AdjointCursor<'a> {
 
         // Parameter derivatives at this step's state: left in `pool_here`
         // by the newer step's iteration, or computed fresh on the first.
-        let t0 = Instant::now();
         if !self.here_valid {
             self.supports
                 .refill(system, self.circuit, self.params, x, t, &mut self.pool_here);
@@ -448,12 +440,10 @@ impl<'a> AdjointCursor<'a> {
                 &mut self.pool_prev,
             );
         }
-        self.stats.param_time += t0.elapsed();
 
         // Factor the step's system matrix. The workspace replays the
         // recorded pivot sequence values-only; every reverse step shares
         // the one symbolic analysis.
-        let t0 = Instant::now();
         let factors = if step > 0 {
             let h = meta.hs[step];
             let jv = self.j_mat.values_mut();
@@ -500,7 +490,6 @@ impl<'a> AdjointCursor<'a> {
             }
             w_now.push(w);
         }
-        self.stats.lu_time += t0.elapsed();
 
         if let Some(mut old) = self.pending_w.replace(w_now) {
             self.w_free.append(&mut old);
@@ -589,21 +578,17 @@ pub fn adjoint_sensitivities_per_objective(
     let mut values = Vec::with_capacity(objectives.len());
     let mut stats = AdjointStats::default();
     for objective in objectives {
-        let reader = BackwardJacobians::recompute(meta.times.len());
         let result = adjoint_sensitivities(
             circuit,
             system,
             meta,
-            reader,
+            &mut BackwardJacobians::recompute(meta.times.len()),
             std::slice::from_ref(objective),
             params,
         )?;
         values.extend(result.values);
         stats.steps += result.stats.steps;
-        stats.lu_time += result.stats.lu_time;
         stats.recompute_time += result.stats.recompute_time;
-        stats.param_time += result.stats.param_time;
-        stats.store.merge(&result.stats.store);
     }
     stats.total_time = run_start.elapsed();
     Ok(SensitivityResult { values, stats })

@@ -1,5 +1,6 @@
 //! The scoped lane fan-out shared by the batched sweep and the windowed
-//! engine.
+//! engine, and the poison-tolerant lock that the compressed store's
+//! capture slot and `masc-serve`'s slot, cache and single-flight gates take.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

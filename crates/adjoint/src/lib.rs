@@ -68,9 +68,9 @@ pub use direct::{direct_sensitivities, DirectError};
 pub use fd::{finite_difference, objective_value, FdError};
 pub use objective::Objective;
 pub use store::{
-    BackwardJacobians, BackwardReader, CompressedStore, DurationHistogram, ForwardRecord,
-    JacobianStore, RawStore, RecomputeStore, RunMeta, StepMatrices, StoreConfig, StoreError,
-    StoreMetrics, TensorLayout, TensorSlot,
+    BackwardJacobians, BackwardReader, CompressedStore, ForwardRecord, JacobianStore, RawStore,
+    RecomputeStore, RunMeta, StepMatrices, StoreConfig, StoreError, StoreMetrics, TensorLayout,
+    TensorSlot,
 };
 
 use masc_circuit::transient::{transient_into, TranError, TranOptions, TranStats};
@@ -136,15 +136,16 @@ pub struct SensitivityRun {
     pub sensitivities: SensitivityResult,
     /// Forward transient statistics.
     pub tran_stats: TranStats,
-    /// Unified Jacobian-store telemetry for the whole run (forward
-    /// capture + reverse fetch; same object as `sensitivities.stats.store`).
+    /// Jacobian-store telemetry for the whole run (forward capture +
+    /// reverse fetch).
     pub store_metrics: StoreMetrics,
 }
 
 /// Runs transient + the *Xyce-like* sensitivity schedule: nothing stored,
 /// one reverse sweep per objective, Jacobians re-evaluated on every sweep
 /// (see [`adjoint_sensitivities_per_objective`]). This is the conventional
-/// baseline of paper Table 1 / Fig. 7.
+/// baseline of paper Table 1 / Fig. 7. Its `store_metrics` are the forward
+/// recompute record's: zero bytes written, and no reverse fetch time.
 ///
 /// # Errors
 ///
@@ -157,16 +158,15 @@ pub fn run_xyce_like(
 ) -> Result<SensitivityRun, RunError> {
     let mut system = circuit.elaborate()?;
     let record = ForwardRecord::new(store::TensorLayout::of(&system), &StoreConfig::Recompute)?;
-    let (tran_stats, objective_values, meta, _) =
+    let (tran_stats, objective_values, meta, reader) =
         forward(circuit, &mut system, tran, record, objectives)?;
     let sensitivities =
         adjoint_sensitivities_per_objective(circuit, &mut system, &meta, objectives, params)?;
-    let store_metrics = sensitivities.stats.store.clone();
     Ok(SensitivityRun {
         objective_values,
         sensitivities,
         tran_stats,
-        store_metrics,
+        store_metrics: reader.metrics().clone(),
     })
 }
 
@@ -208,15 +208,15 @@ pub fn run_recorded(
     objectives: &[Objective],
     params: &[ParamRef],
 ) -> Result<(SensitivityRun, RunMeta), RunError> {
-    let (tran_stats, objective_values, meta, reader) =
+    let (tran_stats, objective_values, meta, mut reader) =
         forward(circuit, system, tran, record, objectives)?;
-    let sensitivities = adjoint_sensitivities(circuit, system, &meta, reader, objectives, params)?;
-    let store_metrics = sensitivities.stats.store.clone();
+    let sensitivities =
+        adjoint_sensitivities(circuit, system, &meta, &mut reader, objectives, params)?;
     let run = SensitivityRun {
         objective_values,
         sensitivities,
         tran_stats,
-        store_metrics,
+        store_metrics: reader.metrics().clone(),
     };
     Ok((run, meta))
 }

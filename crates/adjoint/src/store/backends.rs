@@ -123,8 +123,7 @@ impl CompressedStore {
 
     /// Makes `finish` also deposit a clone of the sealed tensor pair into
     /// the returned slot, so the caller keeps the compressed artifact after
-    /// the reverse pass consumed its decoder (`masc-serve` caches the pair,
-    /// `masc-window` replays one pair per window across iterations).
+    /// the reverse pass consumed its decoder (`masc-serve` caches the pair).
     pub fn capture(&mut self) -> TensorSlot {
         let slot = TensorSlot::default();
         self.slot = Some(Arc::clone(&slot));

@@ -15,16 +15,17 @@
 //! - [`CompressedStore`] — MASC in-memory compression (paper Algorithm 2).
 //!
 //! A sealed tensor pair replays through one reader whether it comes
-//! straight out of a [`CompressedStore`] or was kept by the caller
-//! ([`CompressedStore::capture`] → [`TensorSlot`], reopened with
-//! [`BackwardJacobians::from_tensors`]): `masc-serve`'s cache hits and
-//! `masc-window`'s per-window passes read exactly what `run_adjoint` reads.
+//! straight out of a [`CompressedStore`] or was kept by the caller and
+//! reopened with [`BackwardJacobians::from_tensors`]: `masc-serve`'s cache
+//! hits (a pair [`CompressedStore::capture`] handed over through a
+//! [`TensorSlot`]) and `masc-window`'s per-window passes (a pair its fine
+//! runs seal themselves) read exactly what `run_adjoint` reads.
 //!
 //! Custom backends implement [`JacobianStore`] + [`BackwardReader`] and
 //! plug in through [`ForwardRecord::with_store`]; the throttled raw-disk
 //! bar of the Fig. 7 reproducer (`masc-bench`) is one. A backend only
 //! keeps bytes and reads them back: the [`StoreMetrics`] telemetry (bytes
-//! written, peak residency, per-step latencies) belongs to the
+//! written, peak residency, put and fetch time) belongs to the
 //! [`ForwardRecord`] and then to its [`BackwardJacobians`], and the one
 //! way to read stored matrices, raw ones included, is the newest-first
 //! [`BackwardJacobians::next_back`].
@@ -44,17 +45,15 @@
 )]
 
 mod backends;
-mod metrics;
 
 pub use backends::{CompressedStore, RawStore, RecomputeStore};
-pub use metrics::{DurationHistogram, StoreMetrics};
 
 use masc_circuit::transient::{JacobianSink, SinkError};
 use masc_circuit::System;
 use masc_compress::{CompressedTensor, MascConfig};
 use masc_sparse::{CsrMatrix, Pattern};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which Jacobian storage strategy to use.
 #[derive(Debug, Clone)]
@@ -128,6 +127,31 @@ impl From<masc_compress::CompressError> for StoreError {
     fn from(e: masc_compress::CompressError) -> Self {
         StoreError::Compress(e)
     }
+}
+
+/// Telemetry for one Jacobian store, forward and reverse.
+///
+/// One per run, owned by the generic wrappers rather than by any backend:
+/// [`ForwardRecord`] times each put, tracks the residency watermark and
+/// takes the sealed payload size from the store's `finish`, then moves the
+/// metrics into the [`BackwardJacobians`] reader, which times each fetch.
+/// A drained reader therefore holds the forward and reverse picture.
+///
+/// `bytes_written` is the *payload* the store holds once sealed: both
+/// tensors' compressed bytes for the compressed backend, Σ (nnz_G +
+/// nnz_C)·8 for the raw one, zero for recompute. `store_time` /
+/// `fetch_time` are the end-to-end per-step capture/fetch costs (they
+/// *include* compression and decompression).
+#[derive(Debug, Clone, Default)]
+pub struct StoreMetrics {
+    /// Payload bytes the sealed store holds.
+    pub bytes_written: u64,
+    /// Peak storage footprint observed, in bytes.
+    pub peak_resident_bytes: usize,
+    /// Total time capturing steps during the forward pass.
+    pub store_time: Duration,
+    /// Total time fetching steps during the reverse pass.
+    pub fetch_time: Duration,
 }
 
 /// The sealed `(G, C)` hand-off slot [`CompressedStore::capture`] fills at
@@ -381,8 +405,9 @@ impl JacobianSink for ForwardRecord {
         };
         let elapsed = start.elapsed();
         result.map_err(SinkError::new)?;
-        self.metrics.record_put(elapsed);
-        self.metrics.note_resident(self.store.resident_bytes());
+        let m = &mut self.metrics;
+        m.store_time += elapsed;
+        m.peak_resident_bytes = m.peak_resident_bytes.max(self.store.resident_bytes());
         Ok(())
     }
 }
@@ -446,7 +471,7 @@ impl BackwardJacobians {
         let step = self.next_step;
         let start = Instant::now();
         let matrices = self.reader.fetch(step)?;
-        self.metrics.record_fetch(start.elapsed());
+        self.metrics.fetch_time += start.elapsed();
         Ok(Some((step, matrices)))
     }
 }

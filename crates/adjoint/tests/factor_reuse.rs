@@ -45,9 +45,16 @@ fn forward_factorizations(
     let mut lu = LuWorkspace::new();
     let stats = transient_into(&circuit, &mut system, &tran, &mut record, &mut lu).unwrap();
     assert_eq!(stats.steps, steps);
-    let (meta, reader) = record.into_parts().unwrap();
-    let sensitivities =
-        adjoint_sensitivities(&circuit, &mut system, &meta, reader, &objectives, &params).unwrap();
+    let (meta, mut reader) = record.into_parts().unwrap();
+    let sensitivities = adjoint_sensitivities(
+        &circuit,
+        &mut system,
+        &meta,
+        &mut reader,
+        &objectives,
+        &params,
+    )
+    .unwrap();
     (stats, sensitivities, lu.factorizations())
 }
 

@@ -4,7 +4,8 @@
 
 use masc_adjoint::{
     adjoint_sensitivities, direct_sensitivities, finite_difference, run_adjoint, run_recorded,
-    run_xyce_like, AdjointError, ForwardRecord, Objective, RunError, StoreConfig, TensorLayout,
+    run_xyce_like, AdjointError, CompressedStore, ForwardRecord, Objective, RunError, StoreConfig,
+    TensorLayout,
 };
 use masc_circuit::parser::parse_netlist;
 use masc_circuit::transient::{transient, NullSink, TranOptions};
@@ -142,9 +143,16 @@ fn adjoint_matches_direct_method() {
         let mut record =
             ForwardRecord::new(TensorLayout::of(&system), &StoreConfig::RawMemory).unwrap();
         transient(&circuit, &mut system, &tran, &mut record).unwrap();
-        let (meta, reader) = record.into_parts().unwrap();
-        let adj = adjoint_sensitivities(&circuit, &mut system, &meta, reader, &objectives, &params)
-            .unwrap();
+        let (meta, mut reader) = record.into_parts().unwrap();
+        let adj = adjoint_sensitivities(
+            &circuit,
+            &mut system,
+            &meta,
+            &mut reader,
+            &objectives,
+            &params,
+        )
+        .unwrap();
         let dir = direct_sensitivities(&circuit, &mut system, &meta, &objectives, &params).unwrap();
         for (i, (a_row, d_row)) in adj.values.iter().zip(&dir).enumerate() {
             for (j, (a, d)) in a_row.iter().zip(d_row).enumerate() {
@@ -392,7 +400,8 @@ fn saturated_step_count_rejects_a_late_objective() {
 /// The drivers read objective values off the trajectory their record
 /// keeps; they must be, bit for bit, the values `transient`'s own
 /// collected trajectory gives — on a fixed grid and an adaptive one, with
-/// the same step and Newton counts.
+/// the same step and Newton counts. Their store metrics are the drained
+/// reader's: the sealed pair's compressed bytes, and none for Xyce-like.
 #[test]
 fn objective_values_are_those_of_the_collected_trajectory() {
     let parsed = parse_netlist(diode_netlist()).unwrap();
@@ -440,6 +449,21 @@ fn objective_values_are_those_of_the_collected_trajectory() {
                 "{name} Newton iterations"
             );
         }
+
+        let mut system = circuit.elaborate().unwrap();
+        let layout = TensorLayout::of(&system);
+        let mut store = CompressedStore::new(
+            layout.g_pattern.clone(),
+            layout.c_pattern.clone(),
+            MascConfig::default(),
+        );
+        let slot = store.capture();
+        let record = ForwardRecord::with_store(layout, Box::new(store));
+        run_recorded(&circuit, &mut system, &tran, record, &objectives, &params).unwrap();
+        let (g, c) = slot.lock().unwrap().take().expect("finish fills the slot");
+        let sealed = (g.compressed_bytes() + c.compressed_bytes()) as u64;
+        assert_eq!(adjoint.store_metrics.bytes_written, sealed);
+        assert_eq!(xyce.store_metrics.bytes_written, 0);
     }
 }
 

@@ -10,7 +10,6 @@ use crate::stamp::{EvalContext, ParamDerivContext, Reserver, Unknown};
 use masc_sparse::{CsrMatrix, Pattern, TripletMatrix};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// A node handle returned by [`Circuit::node`]; ground is `Node::GROUND`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -276,7 +275,6 @@ impl Circuit {
             c_pattern,
             g_slots,
             c_slots,
-            device_eval_time: Duration::ZERO,
             device_eval_count: 0,
             model_effort: self.model_effort,
         })
@@ -301,7 +299,6 @@ pub struct System {
     pub g_slots: Arc<Vec<usize>>,
     /// `c_slots[i]` = union value index of `c_pattern`'s `i`-th non-zero.
     pub c_slots: Arc<Vec<usize>>,
-    device_eval_time: Duration,
     device_eval_count: u64,
     model_effort: u32,
 }
@@ -325,8 +322,7 @@ impl System {
     /// Evaluates `f`, `q`, `b`, `G`, `C` at `(x, t)`, reusing the buffers of
     /// `out`.
     ///
-    /// Device-evaluation wall time is accumulated into the system's stats —
-    /// this is the `T_Jac` the paper's Table 1 reports.
+    /// Each call counts one sweep in [`System::device_eval_count`].
     ///
     /// # Panics
     ///
@@ -334,7 +330,6 @@ impl System {
     /// [`System::new_evaluation`].
     pub fn eval_into(&mut self, circuit: &Circuit, x: &[f64], t: f64, out: &mut Evaluation) {
         assert_eq!(x.len(), self.n, "state vector length mismatch");
-        let start = Instant::now();
         // `model_effort` repeats the evaluation sweep: each round clears
         // and restamps, so results are identical — only the cost scales.
         for _ in 0..self.model_effort.max(1) {
@@ -356,7 +351,6 @@ impl System {
                 dev.eval(&mut ctx);
             }
         }
-        self.device_eval_time += start.elapsed();
         self.device_eval_count += 1;
     }
 
@@ -488,11 +482,6 @@ impl System {
         }
     }
 
-    /// Total wall time spent in device evaluation (`T_Jac`).
-    pub fn device_eval_time(&self) -> Duration {
-        self.device_eval_time
-    }
-
     /// Number of full device-evaluation sweeps performed.
     pub fn device_eval_count(&self) -> u64 {
         self.device_eval_count
@@ -516,9 +505,8 @@ impl System {
         self.model_effort
     }
 
-    /// Resets the evaluation-time statistics.
+    /// Resets the device-evaluation count.
     pub fn reset_stats(&mut self) {
-        self.device_eval_time = Duration::ZERO;
         self.device_eval_count = 0;
     }
 }

@@ -11,7 +11,7 @@
 //! gain — and matrix condition number — grows exponentially with depth.
 
 use crate::circuit::{Circuit, System};
-use crate::newton::{newton_solve, NewtonError, NewtonOptions, NewtonStats};
+use crate::newton::{newton_solve, NewtonError, NewtonOptions};
 use masc_sparse::{CsrMatrix, LuWorkspace};
 
 /// Result of a DC operating-point solve.
@@ -19,8 +19,9 @@ use masc_sparse::{CsrMatrix, LuWorkspace};
 pub struct DcSolution {
     /// The operating point (nodes then branch currents).
     pub x: Vec<f64>,
-    /// Accumulated Newton statistics over all gmin stages.
-    pub stats: NewtonStats,
+    /// Newton iterations summed over the stages of the schedule that
+    /// converged.
+    pub iterations: usize,
     /// Number of gmin stages used (1 = converged without stepping).
     pub gmin_stages: usize,
 }
@@ -65,7 +66,6 @@ pub fn dc_operating_point_ws(
     let mut j = CsrMatrix::zeros(system.pattern.clone());
     let mut r = vec![0.0; n];
     let mut ev = system.new_evaluation();
-    let mut total = NewtonStats::default();
     // Long device chains settle roughly one stage per iteration (cutoff
     // regions have no gain to propagate corrections through), so the DC
     // budget must scale with the circuit, not be a fixed constant.
@@ -92,7 +92,7 @@ pub fn dc_operating_point_ws(
         let mut stage_x = x.clone();
         let mut ok = true;
         let mut stages = 0usize;
-        let mut stage_stats = NewtonStats::default();
+        let mut iterations = 0usize;
         for &(gshunt, scale) in schedule.iter() {
             stages += 1;
             let result = newton_solve(&mut stage_x, opts, lu, &mut j, &mut r, |x, r, j| {
@@ -110,10 +110,7 @@ pub fn dc_operating_point_ws(
                 }
             });
             match result {
-                Ok(s) => {
-                    stage_stats.iterations += s.iterations;
-                    stage_stats.lu_time += s.lu_time;
-                }
+                Ok(it) => iterations += it,
                 Err(e) => {
                     ok = false;
                     last_err = Some(e);
@@ -122,11 +119,9 @@ pub fn dc_operating_point_ws(
             }
         }
         if ok {
-            total.iterations += stage_stats.iterations;
-            total.lu_time += stage_stats.lu_time;
             return Ok(DcSolution {
                 x: stage_x,
-                stats: total,
+                iterations,
                 gmin_stages: stages,
             });
         }

@@ -1,7 +1,6 @@
 //! Damped Newton–Raphson iteration over the shared-pattern Jacobian.
 
 use masc_sparse::{CsrMatrix, LuError, LuWorkspace};
-use std::time::{Duration, Instant};
 
 /// Newton iteration controls.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,16 +69,8 @@ impl From<LuError> for NewtonError {
     }
 }
 
-/// Statistics from one Newton solve.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NewtonStats {
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Wall time spent factoring and solving.
-    pub lu_time: Duration,
-}
-
-/// Runs damped Newton on `x` until the update norm passes tolerance.
+/// Runs damped Newton on `x` until the update norm passes tolerance and
+/// returns the number of updates it applied.
 ///
 /// `assemble(x, r, j)` must fill the residual `r` and Jacobian `j` at `x`.
 ///
@@ -94,33 +85,28 @@ pub fn newton_solve<F>(
     j: &mut CsrMatrix,
     r: &mut Vec<f64>,
     mut assemble: F,
-) -> Result<NewtonStats, NewtonError>
+) -> Result<usize, NewtonError>
 where
     F: FnMut(&[f64], &mut Vec<f64>, &mut CsrMatrix),
 {
-    let mut stats = NewtonStats::default();
     let mut last_norm = f64::INFINITY;
     let mut work = Vec::new();
     let mut delta = Vec::new();
     for it in 0..opts.max_iter {
-        stats.iterations = it + 1;
         assemble(x, r, j);
         // Converged: the previous step was below tolerance AND the fresh
         // residual at the updated point is small.
         let rmax = r.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let xmax_now = x.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         if last_norm <= opts.abstol + opts.reltol * xmax_now && rmax <= opts.residual_tol {
-            stats.iterations = it;
-            return Ok(stats);
+            return Ok(it);
         }
-        let lu_start = Instant::now();
         let factors = lu.factor(j)?;
         // Solve J Δ = −r.
         for v in r.iter_mut() {
             *v = -*v;
         }
         factors.solve_into(r, &mut work, &mut delta);
-        stats.lu_time += lu_start.elapsed();
 
         // Damping: scale the whole step if any component is too large.
         let max_step = delta.iter().fold(0.0f64, |m, v| m.max(v.abs()));
@@ -158,7 +144,7 @@ mod tests {
         let mut r = vec![0.0];
         let mut x = vec![3.0];
         let mut ws = LuWorkspace::new();
-        let stats = newton_solve(
+        let iterations = newton_solve(
             &mut x,
             &NewtonOptions::default(),
             &mut ws,
@@ -172,7 +158,7 @@ mod tests {
         )
         .unwrap();
         assert!((x[0] - 2.0).abs() < 1e-8);
-        assert!(stats.iterations < 20);
+        assert!(iterations < 20);
     }
 
     /// A 2×2 nonlinear system with a known root.

@@ -8,7 +8,7 @@
 
 use crate::circuit::{Circuit, Evaluation, System};
 use crate::dc::{dc_operating_point_ws, DcSolution};
-use crate::newton::{newton_solve, NewtonError, NewtonOptions, NewtonStats};
+use crate::newton::{newton_solve, NewtonError, NewtonOptions};
 use masc_sparse::{CsrMatrix, LuWorkspace};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -230,10 +230,6 @@ pub struct TranStats {
     pub steps: usize,
     /// Total Newton iterations.
     pub newton_iterations: usize,
-    /// Time factoring/solving linear systems.
-    pub lu_time: Duration,
-    /// Time in device evaluation (`T_Jac` of paper Table 1).
-    pub device_eval_time: Duration,
     /// End-to-end wall time of the transient run.
     pub total_time: Duration,
 }
@@ -315,6 +311,7 @@ impl BeStepper {
     /// (starting from its current contents), then re-evaluates at the
     /// converged point and rolls `q_prev` forward. On failure `q_prev` is
     /// untouched, so the caller may restore `x` and retry with another `h`.
+    /// Returns the number of Newton iterations the solve took.
     ///
     /// # Errors
     ///
@@ -328,9 +325,9 @@ impl BeStepper {
         x: &mut [f64],
         t: f64,
         h: f64,
-    ) -> Result<NewtonStats, NewtonError> {
+    ) -> Result<usize, NewtonError> {
         let (ev, q_prev) = (&mut self.ev, &self.q_prev);
-        let stats = newton_solve(x, &self.newton, lu, &mut self.j, &mut self.r, |x, r, j| {
+        let iterations = newton_solve(x, &self.newton, lu, &mut self.j, &mut self.r, |x, r, j| {
             system.eval_into(circuit, x, t, ev);
             for (i, ri) in r.iter_mut().enumerate() {
                 *ri = (ev.q[i] - q_prev[i]) / h + ev.f[i] + ev.b[i];
@@ -344,7 +341,7 @@ impl BeStepper {
         })?;
         system.eval_into(circuit, x, t, &mut self.ev);
         self.q_prev.copy_from_slice(&self.ev.q);
-        Ok(stats)
+        Ok(iterations)
     }
 }
 
@@ -453,11 +450,10 @@ pub fn transient_into<S: JacobianSink>(
     // DC operating point, offered to the sink as step 0.
     let DcSolution {
         x: mut x_prev,
-        stats: dc_stats,
+        iterations: dc_iterations,
         ..
     } = dc_operating_point_ws(circuit, system, &opts.newton, lu).map_err(TranError::Dc)?;
-    stats.newton_iterations += dc_stats.iterations;
-    stats.lu_time += dc_stats.lu_time;
+    stats.newton_iterations += dc_iterations;
 
     let mut be = BeStepper::new(system, opts.newton);
     be.start(circuit, system, &x_prev, 0.0);
@@ -486,8 +482,8 @@ pub fn transient_into<S: JacobianSink>(
             }
         };
         let attempt = be.step(circuit, system, lu, &mut x, t, h_used);
-        let newton = match (attempt, &opts.adaptive) {
-            (Ok(newton), _) => newton,
+        let iterations = match (attempt, &opts.adaptive) {
+            (Ok(iterations), _) => iterations,
             (Err(source), None) => return Err(TranError::Step { step, t, source }),
             (Err(source), Some(adaptive)) => {
                 // Retry from the last accepted state with a smaller step.
@@ -500,8 +496,7 @@ pub fn transient_into<S: JacobianSink>(
                 continue;
             }
         };
-        stats.newton_iterations += newton.iterations;
-        stats.lu_time += newton.lu_time;
+        stats.newton_iterations += iterations;
 
         // A sink failure aborts the whole run: the Newton accept path
         // must not keep integrating past a state the reverse pass can
@@ -514,9 +509,9 @@ pub fn transient_into<S: JacobianSink>(
         stats.steps += 1;
 
         if let Some(adaptive) = &opts.adaptive {
-            if newton.iterations <= adaptive.grow_below {
+            if iterations <= adaptive.grow_below {
                 h = (h * 1.5).min(adaptive.h_max);
-            } else if newton.iterations >= adaptive.shrink_above {
+            } else if iterations >= adaptive.shrink_above {
                 h = (h * 0.5).max(adaptive.h_min);
             }
         }
@@ -529,7 +524,6 @@ pub fn transient_into<S: JacobianSink>(
         source,
     })?;
 
-    stats.device_eval_time = system.device_eval_time();
     stats.total_time = run_start.elapsed();
     Ok(stats)
 }

@@ -1,7 +1,9 @@
 //! The one backward-Euler stepper is the whole of `transient`'s arithmetic:
 //! a loop written directly against [`BeStepper`] with `transient_into`'s
 //! schedule reproduces `transient` bit for bit on a nonlinear deck — fixed
-//! grid and adaptive, the latter through a forced Newton failure + retry.
+//! grid and adaptive, the latter through a forced Newton failure + retry —
+//! and its Newton iteration count (the DC solve's plus each accepted step's)
+//! is `transient`'s.
 //! And `transient`'s collected trajectory is exactly what a recording sink
 //! sees through `transient_into`, failures included.
 
@@ -35,15 +37,15 @@ struct Trace {
     hs: Vec<f64>,
     states: Vec<Vec<f64>>,
     retries: usize,
+    newton_iterations: usize,
 }
 
 /// `transient_into`'s schedule, written out against the stepper.
 fn stepper_loop(opts: &TranOptions) -> Trace {
     let (circuit, mut system) = fresh_system();
     let mut lu = LuWorkspace::new();
-    let mut x_prev = dc_operating_point_ws(&circuit, &mut system, &opts.newton, &mut lu)
-        .unwrap()
-        .x;
+    let dc = dc_operating_point_ws(&circuit, &mut system, &opts.newton, &mut lu).unwrap();
+    let mut x_prev = dc.x;
     let mut be = BeStepper::new(&system, opts.newton);
     be.start(&circuit, &mut system, &x_prev, 0.0);
     let mut trace = Trace {
@@ -51,6 +53,7 @@ fn stepper_loop(opts: &TranOptions) -> Trace {
         hs: vec![opts.dt],
         states: vec![x_prev.clone()],
         retries: 0,
+        newton_iterations: dc.iterations,
     };
     let mut x = x_prev.clone();
     let (mut t_now, mut h, mut step) = (0.0f64, opts.dt, 0usize);
@@ -64,8 +67,8 @@ fn stepper_loop(opts: &TranOptions) -> Trace {
             }
         };
         let attempt = be.step(&circuit, &mut system, &mut lu, &mut x, t, h_used);
-        let newton = match (attempt, &opts.adaptive) {
-            (Ok(newton), _) => newton,
+        let iterations = match (attempt, &opts.adaptive) {
+            (Ok(iterations), _) => iterations,
             (Err(e), None) => panic!("fixed-grid step {step} failed: {e}"),
             (Err(e), Some(adaptive)) => {
                 assert!(h / 2.0 >= adaptive.h_min, "step {step} underflowed: {e}");
@@ -81,10 +84,11 @@ fn stepper_loop(opts: &TranOptions) -> Trace {
         trace.times.push(t);
         trace.hs.push(h_used);
         trace.states.push(x.clone());
+        trace.newton_iterations += iterations;
         if let Some(adaptive) = &opts.adaptive {
-            if newton.iterations <= adaptive.grow_below {
+            if iterations <= adaptive.grow_below {
                 h = (h * 1.5).min(adaptive.h_max);
-            } else if newton.iterations >= adaptive.shrink_above {
+            } else if iterations >= adaptive.shrink_above {
                 h = (h * 0.5).max(adaptive.h_min);
             }
         }
@@ -102,6 +106,7 @@ fn assert_matches_transient(opts: &TranOptions, trace: &Trace) {
     for (n, (a, b)) in trace.states.iter().zip(&reference.states).enumerate() {
         assert_eq!(bits(a), bits(b), "state {n} differs");
     }
+    assert_eq!(trace.newton_iterations, reference.stats.newton_iterations);
 }
 
 #[test]

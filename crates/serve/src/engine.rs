@@ -228,12 +228,11 @@ pub fn run_hit(job: &ResolvedJob, entry: &CacheEntry) -> Result<JobOutcome, Serv
         .map(|o| o.value(&entry.meta.states, &entry.meta.hs))
         .collect();
 
-    let reader = BackwardJacobians::from_tensors(entry.g.clone(), entry.c.clone());
     let result = adjoint_sensitivities(
         &circuit,
         &mut system,
         &entry.meta,
-        reader,
+        &mut BackwardJacobians::from_tensors(entry.g.clone(), entry.c.clone()),
         &job.objectives,
         &job.params,
     )

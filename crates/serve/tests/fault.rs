@@ -180,9 +180,17 @@ fn concurrent_identical_jobs_single_flight() {
     let server = Server::new(ServeConfig::default()).expect("server");
     let req = ladder_request("j", 3);
 
+    // Both submits leave the barrier together, so they overlap in flight.
+    let start = Barrier::new(2);
     let (a, b) = std::thread::scope(|scope| {
-        let ta = scope.spawn(|| server.submit(&req).expect("submit a"));
-        let tb = scope.spawn(|| server.submit(&req).expect("submit b"));
+        let ta = scope.spawn(|| {
+            start.wait();
+            server.submit(&req).expect("submit a")
+        });
+        let tb = scope.spawn(|| {
+            start.wait();
+            server.submit(&req).expect("submit b")
+        });
         (ta.join().expect("join a"), tb.join().expect("join b"))
     });
 

@@ -258,11 +258,8 @@ pub struct SweepStats {
     /// Wall time of the serial sections: compression during the forward
     /// pass, sealing, and the per-step decode of the reverse pass.
     /// Everything outside this is per-instance work that worker lanes run
-    /// concurrently, so `serial_time` plus `(total_time - serial_time) / N`
-    /// models the N-worker critical path.
+    /// concurrently.
     pub serial_time: Duration,
-    /// End-to-end wall time.
-    pub total_time: Duration,
     /// Compressed payload stored for the batch: instance 0's sealed `G`/`C`
     /// tensors plus every cross-instance block. This is the definition of
     /// `StoreMetrics::bytes_written`, so an N = 1 sweep stores exactly what
@@ -349,7 +346,6 @@ fn validate_param(base: &Circuit, p: &ParamRef) -> Result<(), SweepError> {
 /// Returns [`SweepError`] on an invalid plan, a failed solve, or a
 /// stored block that fails to decode.
 pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepError> {
-    let run_start = Instant::now();
     if plan.variants.is_empty() {
         return Err(SweepError::EmptyPlan);
     }
@@ -604,7 +600,6 @@ pub fn run_sweep(base: &Circuit, plan: &SweepPlan) -> Result<SweepResult, SweepE
         forward_time,
         adjoint_time,
         serial_time,
-        total_time: run_start.elapsed(),
         super_tensor_bytes,
         raw_bytes: n_inst * (n_steps + 1) * (g_pattern.nnz() + c_pattern.nnz()) * 8,
     };

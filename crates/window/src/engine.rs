@@ -2,7 +2,7 @@
 //!
 //! Forward: seed window-initial states with the serial coarse propagator,
 //! then Parareal-iterate — stale windows re-integrate concurrently, each
-//! sealing its own compressed tensor pair ([`CompressedStore::capture`]),
+//! sealing its own compressed tensor pair (two [`TensorCompressor`]s),
 //! and a serial ascending sweep corrects the seeds. A bitwise-stability
 //! guard (an unchanged seed forwards the fine end state verbatim) makes the
 //! iteration *exactly* convergent in at most `W` sweeps at `tol = 0`.
@@ -21,17 +21,18 @@
 use crate::coarse::Coarse;
 use crate::split::{split_steps, WindowSpan};
 use crate::{WindowError, WindowOptions, WindowResult, WindowStats};
-use masc_adjoint::lanes::{lock_ignoring_poison, wave};
-use masc_adjoint::store::{StepMatrices, TensorLayout};
+use masc_adjoint::lanes::wave;
+use masc_adjoint::store::StepMatrices;
 use masc_adjoint::{
-    check_objective_steps, AdjointCursor, AdjointError, BackwardJacobians, CompressedStore,
-    ForwardRecord, Objective, RunMeta, WindowTerminal,
+    check_objective_steps, AdjointCursor, AdjointError, BackwardJacobians, Objective, RunMeta,
+    WindowTerminal,
 };
 use masc_circuit::dc::dc_operating_point_ws;
-use masc_circuit::transient::{BeStepper, JacobianSink, TranOptions};
+use masc_circuit::transient::{BeStepper, TranOptions};
 use masc_circuit::{Circuit, ParamRef, System};
-use masc_compress::CompressedTensor;
+use masc_compress::{CompressedTensor, StampMaps, TensorCompressor};
 use masc_sparse::{CsrMatrix, LuWorkspace};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// L∞ distance between two equally sized vectors.
@@ -67,6 +68,10 @@ struct Lane {
     gc_end: Option<Vec<f64>>,
 }
 
+/// The `G` and `C` stamp maps, built once per run and shared by every
+/// window's compressors.
+type TensorMaps = (Arc<StampMaps>, Arc<StampMaps>);
+
 /// Fine backward-Euler integration of one window on the global grid
 /// (`t = step·dt`) through the same stepper as
 /// [`masc_circuit::transient::transient_into`], so a converged windowed
@@ -79,56 +84,38 @@ fn fine_run(
     circuit: &Circuit,
     tran: &TranOptions,
     opts: &WindowOptions,
+    maps: &TensorMaps,
 ) -> Result<(), WindowError> {
     if opts.fault_panic_window == Some(k) {
         panic!("injected fault in window {k}");
     }
     let span = lane.span;
     let dt = tran.dt;
-    let layout = TensorLayout::of(&lane.system);
-    let mut store = CompressedStore::new(
-        layout.g_pattern.clone(),
-        layout.c_pattern.clone(),
-        opts.masc.clone(),
-    );
-    let slot = store.capture();
-    let mut record = ForwardRecord::with_store(layout, Box::new(store));
-    let mut be = BeStepper::new(&lane.system, tran.newton);
-    let t_a = span.start as f64 * dt;
+    let system = &mut lane.system;
+    let mut tc_g =
+        TensorCompressor::with_maps(system.g_pattern.clone(), maps.0.clone(), opts.masc.clone());
+    let mut tc_c =
+        TensorCompressor::with_maps(system.c_pattern.clone(), maps.1.clone(), opts.masc.clone());
+    let mut states = Vec::with_capacity(span.len() + 1);
+    let mut be = BeStepper::new(system, tran.newton);
     let mut x = lane.seed.clone();
-    be.start(circuit, &mut lane.system, &x, t_a);
-    record
-        .on_step(0, t_a, dt, &x, &be.ev.g, &be.ev.c)
-        .map_err(|source| WindowError::Sink {
-            window: k,
-            step: span.start,
-            source,
-        })?;
-    for ls in 1..=span.len() {
-        let gstep = span.start + ls;
-        let t = gstep as f64 * dt;
-        be.step(circuit, &mut lane.system, &mut lane.lu, &mut x, t, dt)
-            .map_err(|source| WindowError::Step {
-                window: k,
-                step: gstep,
-                source,
-            })?;
-        record
-            .on_step(ls, t, dt, &x, &be.ev.g, &be.ev.c)
-            .map_err(|source| WindowError::Sink {
-                window: k,
-                step: gstep,
-                source,
-            })?;
+    be.start(circuit, system, &x, span.start as f64 * dt);
+    for ls in 0..=span.len() {
+        if ls > 0 {
+            let gstep = span.start + ls;
+            be.step(circuit, system, &mut lane.lu, &mut x, gstep as f64 * dt, dt)
+                .map_err(|source| WindowError::Step {
+                    window: k,
+                    step: gstep,
+                    source,
+                })?;
+        }
+        tc_g.push(&system.gather_g(be.ev.g.values()));
+        tc_c.push(&system.gather_c(be.ev.c.values()));
+        states.push(x.clone());
     }
-    // Sealing fills the capture slot; the reader itself is not needed, and
-    // the record's states are the window's trajectory.
-    let (meta, _) = record.into_parts()?;
-    let pair = lock_ignoring_poison(&slot)
-        .take()
-        .ok_or(WindowError::Internal("sealed tensor slot empty"))?;
-    lane.tensors = Some(pair);
-    lane.states = meta.states;
+    lane.tensors = Some((tc_g.finish(), tc_c.finish()));
+    lane.states = states;
     lane.dirty = false;
     Ok(())
 }
@@ -396,7 +383,6 @@ pub fn run_windowed(
     objectives: &[Objective],
     params: &[ParamRef],
 ) -> Result<WindowResult, WindowError> {
-    let run_start = Instant::now();
     if tran.adaptive.is_some() {
         return Err(WindowError::AdaptiveUnsupported);
     }
@@ -439,6 +425,10 @@ pub fn run_windowed(
     let sys0 = systems
         .first_mut()
         .ok_or(WindowError::Internal("no window systems"))?;
+    let maps: TensorMaps = (
+        Arc::new(StampMaps::new(&sys0.g_pattern)),
+        Arc::new(StampMaps::new(&sys0.c_pattern)),
+    );
     let dc = dc_operating_point_ws(circuit, sys0, &tran.newton, &mut seed_lu)
         .map_err(WindowError::Dc)?;
     let sym = seed_lu.symbolic().cloned();
@@ -510,7 +500,7 @@ pub fn run_windowed(
             if !lane.dirty {
                 return Ok(());
             }
-            fine_run(k, lane, circuit, tran, opts)
+            fine_run(k, lane, circuit, tran, opts, &maps)
         };
         wave(
             &mut lanes,
@@ -815,7 +805,6 @@ pub fn run_windowed(
         dodp
     };
     stats.serial_time += fold_start.elapsed();
-    stats.total_time = run_start.elapsed();
 
     Ok(WindowResult {
         objective_values,

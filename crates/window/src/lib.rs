@@ -5,8 +5,8 @@
 //! propagator (a large-step backward-Euler transient sharing the run's one
 //! [`masc_sparse::SymbolicLu`]), and then iterates Parareal corrections:
 //! every iteration integrates the stale windows *concurrently* on
-//! `std::thread::scope` lanes, each lane writing its own sealed compressed
-//! tensor pair ([`masc_adjoint::CompressedStore::capture`]),
+//! `std::thread::scope` lanes, each lane sealing its own compressed
+//! tensor pair ([`masc_compress::TensorCompressor`]),
 //! until the interface jumps between consecutive windows fall below
 //! `tol`. The reverse pass mirrors the scheme: per-window adjoint chains
 //! run concurrently, adjoint terminal conditions are stitched backward
@@ -64,7 +64,6 @@ pub use engine::run_windowed;
 pub use split::{split_steps, WindowSpan};
 
 use masc_adjoint::{AdjointError, RunMeta, StoreError};
-use masc_circuit::transient::SinkError;
 use masc_circuit::{CircuitError, NewtonError};
 use masc_compress::MascConfig;
 use std::time::Duration;
@@ -173,16 +172,7 @@ pub enum WindowError {
         /// Underlying Newton failure.
         source: NewtonError,
     },
-    /// A window's Jacobian sink rejected a step.
-    Sink {
-        /// The window that failed.
-        window: usize,
-        /// The failing *global* step index.
-        step: usize,
-        /// Underlying sink failure.
-        source: SinkError,
-    },
-    /// A window's compressed tensor could not be sealed or reopened.
+    /// A window's compressed tensor could not be decoded.
     Store(StoreError),
     /// A window's adjoint pass failed.
     Adjoint {
@@ -232,11 +222,6 @@ impl std::fmt::Display for WindowError {
                 step,
                 source,
             } => write!(f, "window {window} step {step} failed: {source}"),
-            WindowError::Sink {
-                window,
-                step,
-                source,
-            } => write!(f, "window {window} step {step}: {source}"),
             WindowError::Store(e) => write!(f, "per-window tensor store failed: {e}"),
             WindowError::Adjoint { window, source } => {
                 write!(f, "window {window} adjoint pass failed: {source}")
@@ -259,7 +244,6 @@ impl std::error::Error for WindowError {
             WindowError::Circuit(e) => Some(e),
             WindowError::Dc(e) => Some(e),
             WindowError::Coarse { source, .. } | WindowError::Step { source, .. } => Some(source),
-            WindowError::Sink { source, .. } => Some(source),
             WindowError::Store(e) => Some(e),
             WindowError::Adjoint { source, .. } => Some(source),
             _ => None,
@@ -275,8 +259,8 @@ impl From<StoreError> for WindowError {
 
 /// Convergence telemetry and timing of one windowed run.
 ///
-/// The timings report the serial sections (`coarse_time`, `serial_time`)
-/// next to the end-to-end wall (`total_time`).
+/// The timings report the serial sections (`coarse_time`, `serial_time`);
+/// a caller that wants the end-to-end wall times the call.
 #[derive(Debug, Clone, Default)]
 pub struct WindowStats {
     /// Windows actually used (after clamping to the step count).
@@ -305,8 +289,6 @@ pub struct WindowStats {
     /// Wall time of the remaining serial sections (DC, correction sweeps,
     /// terminal stitching, the deterministic fold).
     pub serial_time: Duration,
-    /// End-to-end wall time.
-    pub total_time: Duration,
     /// Final wrap-around residual in periodic mode.
     pub periodic_residual: Option<f64>,
 }

@@ -266,7 +266,6 @@ fn window_stats_record_a_monotone_convergence_trace() {
     assert!(s.window_bytes.iter().all(|&b| b > 0));
     assert!(s.fine_runs >= 4, "every window integrates at least once");
     assert!(s.adjoint_runs >= 3);
-    assert!(s.total_time >= s.serial_time);
     assert!(s.periodic_residual.is_none());
 }
 

@@ -10,6 +10,10 @@ run() {
     "$@"
 }
 
+# The two line counts every CHANGES entry carries: crate sources and
+# crate tests.
+echo "==> loc: crates src $(find crates -path '*/src/*' -name '*.rs' | xargs cat | wc -l)," \
+    "crates tests $(find crates -path '*/tests/*' -name '*.rs' | xargs cat | wc -l)"
 run cargo fmt --all --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
 run cargo build --release --offline --workspace --bins
