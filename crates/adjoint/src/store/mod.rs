@@ -49,7 +49,7 @@ mod backends;
 pub use backends::{CompressedStore, RawStore, RecomputeStore};
 
 use masc_circuit::transient::{JacobianSink, SinkError};
-use masc_circuit::System;
+use masc_circuit::{gather_into, System};
 use masc_compress::{CompressedTensor, MascConfig};
 use masc_sparse::{CsrMatrix, Pattern};
 use std::sync::{Arc, Mutex};
@@ -188,17 +188,6 @@ impl TensorLayout {
             c_slots: system.c_slots.clone(),
         }
     }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "slot maps are union indices fixed at elaboration, asserted `< union_values.len()` in debug builds"
-    )]
-    fn gather(slots: &[usize], union_values: &[f64]) -> Vec<f64> {
-        // Slot maps are union indices computed at elaboration time and are
-        // always in range for the union value vector.
-        debug_assert!(slots.iter().all(|&s| s < union_values.len()));
-        slots.iter().map(|&s| union_values[s]).collect()
-    }
 }
 
 /// One reverse-order step's matrices, or a request to recompute them.
@@ -283,6 +272,9 @@ pub struct ForwardRecord {
     pub states: Vec<Vec<f64>>,
     store: Box<dyn JacobianStore>,
     metrics: StoreMetrics,
+    /// Gather buffers for the step's compact `G`/`C`, reused every step.
+    g_compact: Vec<f64>,
+    c_compact: Vec<f64>,
 }
 
 impl ForwardRecord {
@@ -307,6 +299,8 @@ impl ForwardRecord {
             states: Vec::new(),
             store,
             metrics: StoreMetrics::default(),
+            g_compact: Vec::new(),
+            c_compact: Vec::new(),
         }
     }
 
@@ -397,9 +391,9 @@ impl JacobianSink for ForwardRecord {
         let start = Instant::now();
         let result = if self.store.wants_matrices() {
             // Gather each tensor's real non-zeros off the union pattern.
-            let g_compact = TensorLayout::gather(&self.layout.g_slots, g.values());
-            let c_compact = TensorLayout::gather(&self.layout.c_slots, c.values());
-            self.store.put(step, &g_compact, &c_compact)
+            gather_into(&self.layout.g_slots, g.values(), &mut self.g_compact);
+            gather_into(&self.layout.c_slots, c.values(), &mut self.c_compact);
+            self.store.put(step, &self.g_compact, &self.c_compact)
         } else {
             self.store.put(step, &[], &[])
         };

@@ -15,6 +15,7 @@
 //! the paper's evaluation quantifies.
 
 use crate::Compressor;
+use masc_bitio::cursor::ByteCursor;
 use masc_bitio::{varint, BitReader, BitWriter};
 use masc_codec::CodecError;
 
@@ -86,19 +87,16 @@ impl Compressor for ChimpLike {
         clippy::disallowed_methods,
         reason = "`count ≤ 4 × remaining bytes`, checked just above"
     )]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`used ≤ bytes.len()` as returned by `read_u64`"
-    )]
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let (count, used) = varint::read_u64(bytes)?;
+        let mut cur = ByteCursor::new(bytes);
+        let count = cur.read_varint()?;
         // Every value costs at least its 2 control bits, so a claimed count
         // beyond the remaining payload cannot be satisfied; reject it
         // before trusting it with an allocation.
-        if count > ((bytes.len() - used) as u64).saturating_mul(4) {
+        if count > (cur.remaining() as u64).saturating_mul(4) {
             return Err(CodecError::Truncated);
         }
-        let mut r = BitReader::new(&bytes[used..]);
+        let mut r = BitReader::new(cur.rest());
         let mut out = Vec::with_capacity(count as usize);
         let mut prev = 0u64;
         let mut window: Option<(u32, u32)> = None;

@@ -18,6 +18,7 @@
 //! structure). The default is a 1-D stream (previous-value prediction).
 
 use crate::Compressor;
+use masc_bitio::cursor::ByteCursor;
 use masc_bitio::varint;
 use masc_codec::range::{BitModel, RangeDecoder, RangeEncoder};
 use masc_codec::CodecError;
@@ -114,14 +115,9 @@ impl Compressor for FpzipLike {
         clippy::disallowed_methods,
         reason = "`count ≤ MAX_DECODE_VALUES`, checked just above; `LZ_TREE` is a constant"
     )]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`pos` advances only by `read_u64`'s `used`, so `pos ≤ bytes.len()`"
-    )]
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let mut pos = 0usize;
-        let (count, used) = varint::read_u64(bytes)?;
-        pos += used;
+        let mut cur = ByteCursor::new(bytes);
+        let count = cur.read_varint()?;
         // The range decoder zero-pads past the input tail instead of
         // reporting truncation, so the claimed count is not bounded by the
         // input length; cap it so an adversarial header cannot demand
@@ -129,13 +125,9 @@ impl Compressor for FpzipLike {
         if count > MAX_DECODE_VALUES {
             return Err(CodecError::Corrupt("implausible value count"));
         }
-        let (row_len, used) = varint::read_u64(&bytes[pos..])?;
-        pos += used;
-        let shape = FpzipLike {
-            row_len: row_len as usize,
-        };
+        let shape = FpzipLike::with_row_len(cur.read_varint()? as usize);
         let mut models = vec![BitModel::new(); LZ_TREE];
-        let mut dec = RangeDecoder::new(&bytes[pos..])?;
+        let mut dec = RangeDecoder::new(cur.rest())?;
         let mut out = Vec::with_capacity(count as usize);
         for i in 0..count as usize {
             let lz = dec.decode_bits_tree(&mut models, 7)?;

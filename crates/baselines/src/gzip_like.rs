@@ -7,6 +7,7 @@
 //! Huffman-coded as a whole.
 
 use crate::Compressor;
+use masc_bitio::cursor::ByteCursor;
 use masc_bitio::varint;
 use masc_codec::lzss::{self, Token};
 use masc_codec::{huffman, CodecError};
@@ -57,12 +58,9 @@ fn serialize_tokens(tokens: &[Token]) -> Vec<u8> {
     clippy::disallowed_methods,
     reason = "`count ≤ 8 × bytes.len()`, checked just above"
 )]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`raw` is the 3-byte slice a checked `get(pos..pos + 3)` returned"
-)]
 fn deserialize_tokens(bytes: &[u8]) -> Result<Vec<Token>, CodecError> {
-    let (count, mut pos) = varint::read_u64(bytes)?;
+    let mut cur = ByteCursor::new(bytes);
+    let count = cur.read_varint()?;
     // Eight tokens cost at least nine serialized bytes (control byte plus
     // one byte each), so a claimed count beyond eight tokens per input byte
     // is truncated garbage; reject it before trusting it with an
@@ -72,21 +70,16 @@ fn deserialize_tokens(bytes: &[u8]) -> Result<Vec<Token>, CodecError> {
     }
     let mut tokens = Vec::with_capacity(count as usize);
     while (tokens.len() as u64) < count {
-        let control = *bytes.get(pos).ok_or(CodecError::Truncated)?;
-        pos += 1;
+        let control = cur.read_u8()?;
         let in_group = ((count - tokens.len() as u64) as usize).min(8);
         for i in 0..in_group {
             if control & (1 << i) != 0 {
-                let raw = bytes.get(pos..pos + 3).ok_or(CodecError::Truncated)?;
-                let dist = u32::from(raw[0]) | (u32::from(raw[1]) << 8);
-                let len = u32::from(raw[2]) + 3;
+                let [lo, hi, len] = cur.read_array()?;
+                let dist = u32::from(lo) | (u32::from(hi) << 8);
+                let len = u32::from(len) + 3;
                 tokens.push(Token::Match { dist, len });
-                pos += 3;
             } else {
-                tokens.push(Token::Literal(
-                    *bytes.get(pos).ok_or(CodecError::Truncated)?,
-                ));
-                pos += 1;
+                tokens.push(Token::Literal(cur.read_u8()?));
             }
         }
     }

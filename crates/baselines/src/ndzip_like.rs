@@ -11,6 +11,7 @@
 //! maximum ratio — the paper measures it near 1.0–1.1× on Jacobian data.
 
 use crate::Compressor;
+use masc_bitio::cursor::ByteCursor;
 use masc_bitio::varint;
 use masc_codec::{rle, transform, CodecError};
 
@@ -34,10 +35,6 @@ impl Compressor for NdzipLike {
         clippy::disallowed_methods,
         reason = "encoder side: sized by `values.len()`, a held slice"
     )]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`full ≤ words.len()` by construction"
-    )]
     fn compress(&self, values: &[f64]) -> Vec<u8> {
         let mut out = Vec::with_capacity(values.len() * 8 + 16);
         varint::write_u64(&mut out, values.len() as u64);
@@ -46,26 +43,21 @@ impl Compressor for NdzipLike {
         // first word of each block still deltas against its predecessor).
         transform::delta_previous(&mut words);
         // Transpose full blocks; the ragged tail stays un-transposed.
-        let full = words.len() / transform::BLOCK * transform::BLOCK;
-        for block in words[..full].chunks_mut(transform::BLOCK) {
+        for block in words.chunks_exact_mut(transform::BLOCK) {
             transform::transpose_bits(block);
         }
         out.extend_from_slice(&rle::encode_words(&words));
         out
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`used ≤ bytes.len()` as returned by `read_u64`; `full ≤ words.len()` by construction"
-    )]
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let (count, used) = varint::read_u64(bytes)?;
-        let mut words = rle::decode_words(&bytes[used..])?;
+        let mut cur = ByteCursor::new(bytes);
+        let count = cur.read_varint()?;
+        let mut words = rle::decode_words(cur.rest())?;
         if words.len() != count as usize {
             return Err(CodecError::Corrupt("word count mismatch"));
         }
-        let full = words.len() / transform::BLOCK * transform::BLOCK;
-        for block in words[..full].chunks_mut(transform::BLOCK) {
+        for block in words.chunks_exact_mut(transform::BLOCK) {
             transform::transpose_bits(block);
         }
         transform::undo_delta_previous(&mut words);

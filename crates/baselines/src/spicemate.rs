@@ -15,6 +15,7 @@
 //! lossless compression.
 
 use crate::Compressor;
+use masc_bitio::cursor::{self, ByteCursor};
 use masc_bitio::varint;
 use masc_codec::{rans, CodecError};
 
@@ -95,8 +96,7 @@ impl Compressor for SpiceMate {
         let mut out = Vec::with_capacity(packed_codes.len() + exact.len() + 24);
         varint::write_u64(&mut out, values.len() as u64);
         varint::write_u64(&mut out, self.error_bound.to_bits());
-        varint::write_u64(&mut out, packed_codes.len() as u64);
-        out.extend_from_slice(&packed_codes);
+        cursor::write_prefixed(&mut out, &packed_codes);
         out.extend_from_slice(&exact);
         out
     }
@@ -105,27 +105,14 @@ impl Compressor for SpiceMate {
         clippy::disallowed_methods,
         reason = "`count ≤ codes.len()`, checked just above"
     )]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`pos` and `cpos` advance only by `read_u64`'s `used`, so each stays within its slice"
-    )]
     fn decompress(&self, bytes: &[u8]) -> Result<Vec<f64>, CodecError> {
-        let mut pos = 0usize;
-        let (count, used) = varint::read_u64(bytes)?;
-        pos += used;
-        let (eb_bits, used) = varint::read_u64(&bytes[pos..])?;
-        pos += used;
-        let eb = f64::from_bits(eb_bits);
+        let mut cur = ByteCursor::new(bytes);
+        let count = cur.read_varint()?;
+        let eb = f64::from_bits(cur.read_varint()?);
         if !(eb > 0.0 && eb.is_finite()) {
             return Err(CodecError::Corrupt("bad error bound"));
         }
-        let (code_len, used) = varint::read_u64(&bytes[pos..])?;
-        pos += used;
-        let code_end = pos
-            .checked_add(code_len as usize)
-            .ok_or(CodecError::Truncated)?;
-        let codes = rans::decode(bytes.get(pos..code_end).ok_or(CodecError::Truncated)?)?;
-        let mut exact = bytes.get(code_end..).ok_or(CodecError::Truncated)?;
+        let codes = rans::decode(cur.read_prefixed()?)?;
         // Every value consumes at least one code byte, so a claimed count
         // beyond the decoded code stream cannot be satisfied; reject it
         // before trusting it with an allocation.
@@ -134,17 +121,12 @@ impl Compressor for SpiceMate {
         }
         let mut out = Vec::with_capacity(count as usize);
         let mut prev = 0.0f64;
-        let mut cpos = 0usize;
+        let mut code_cur = ByteCursor::new(&codes);
         for _ in 0..count {
-            let (code, used) = varint::read_u64(&codes[cpos..])?;
-            cpos += used;
+            let code = code_cur.read_varint()?;
             if code == 0 {
-                let raw: [u8; 8] = exact
-                    .get(..8)
-                    .and_then(|s| s.try_into().ok())
-                    .ok_or(CodecError::Truncated)?;
-                prev = f64::from_le_bytes(raw);
-                exact = exact.get(8..).unwrap_or(&[]);
+                // The exact values follow the code stream.
+                prev = f64::from_le_bytes(cur.read_array()?);
             } else {
                 let bin = code as i64 - BIAS;
                 prev += (bin as f64) * 2.0 * eb;

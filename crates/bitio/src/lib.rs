@@ -7,8 +7,12 @@
 //! - [`BitWriter`] — an append-only, MSB-first bit sink backed by `Vec<u8>`.
 //! - [`BitReader`] — the matching MSB-first bit source over a byte slice.
 //!
-//! Byte-oriented helpers live in [`varint`] (LEB128 + ZigZag) and are used to
-//! compress integer index arrays.
+//! Byte-oriented helpers live in [`varint`] (LEB128 + ZigZag), used to
+//! compress integer index arrays, and in [`cursor`]: [`cursor::ByteCursor`]
+//! is the bounds-checked reader every byte-framed decoder reads through
+//! (varints, bytes, arrays, length-prefixed slices, `f64` runs), and its
+//! writer helpers frame what it reads. [`bounded`] checks decoded size
+//! claims before allocating.
 //!
 //! # Examples
 //!
@@ -46,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod bounded;
+pub mod cursor;
 pub mod varint;
 
 use core::fmt;

@@ -16,12 +16,15 @@
 //! assert_eq!(used, 2);
 //! ```
 
+use crate::cursor::ByteCursor;
 use core::fmt;
 
-/// Error returned when a varint cannot be decoded.
+/// Error returned when a varint, or any [`ByteCursor`] read, cannot be
+/// decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VarintError {
-    /// The buffer ended in the middle of a varint.
+    /// The buffer ended in the middle of a varint, or before the bytes a
+    /// read needs.
     Truncated,
     /// The varint encoded a value wider than 64 bits.
     Overflow,
@@ -120,26 +123,20 @@ pub fn encode_deltas(values: &[usize]) -> Vec<u8> {
 ///
 /// Returns a [`VarintError`] if the buffer is truncated or malformed, or if
 /// a decoded value is negative (sorted index arrays are non-negative).
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`pos` only advances by the `used` count `read_u64` returns for `buf[pos..]`, so `pos ≤ buf.len()`"
-)]
 pub fn decode_deltas(buf: &[u8]) -> Result<Vec<usize>, VarintError> {
-    let (len, mut pos) = read_u64(buf)?;
+    let mut cur = ByteCursor::new(buf);
+    let len = cur.read_varint()?;
     // Every delta costs at least one byte, so a claimed count beyond the
     // remaining input is truncated garbage; reject it before trusting it
     // with an allocation.
-    let mut out = crate::bounded::bounded_capacity(
-        "delta-coded index array",
-        len as usize,
-        buf.len().saturating_sub(pos),
-    )
-    .map_err(|_| VarintError::Truncated)?;
+    let mut out =
+        crate::bounded::bounded_capacity("delta-coded index array", len as usize, cur.remaining())
+            .map_err(|_| VarintError::Truncated)?;
     let mut prev: i64 = 0;
     for _ in 0..len {
-        let (raw, used) = read_u64(&buf[pos..])?;
-        pos += used;
-        prev += zigzag_decode(raw);
+        prev = prev
+            .checked_add(zigzag_decode(cur.read_varint()?))
+            .ok_or(VarintError::Overflow)?;
         if prev < 0 {
             return Err(VarintError::Overflow);
         }

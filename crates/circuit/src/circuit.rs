@@ -303,6 +303,14 @@ pub struct System {
     model_effort: u32,
 }
 
+/// Gathers `union_values` at `slots` (a [`System`]'s `g_slots` or
+/// `c_slots`: a sub-tensor's compact form) into `out`, replacing its
+/// contents and keeping its allocation.
+pub fn gather_into(slots: &[usize], union_values: &[f64], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(slots.iter().map(|&s| union_values[s]));
+}
+
 /// One full evaluation of the system at `(x, t)`.
 #[derive(Debug, Clone)]
 pub struct Evaluation {
@@ -446,13 +454,17 @@ impl System {
     /// Gathers a union-pattern value array into the `G` sub-tensor's
     /// compact form (the stored/compressed representation).
     pub fn gather_g(&self, union_values: &[f64]) -> Vec<f64> {
-        self.g_slots.iter().map(|&s| union_values[s]).collect()
+        let mut out = Vec::new();
+        gather_into(&self.g_slots, union_values, &mut out);
+        out
     }
 
     /// Gathers a union-pattern value array into the `C` sub-tensor's
     /// compact form.
     pub fn gather_c(&self, union_values: &[f64]) -> Vec<f64> {
-        self.c_slots.iter().map(|&s| union_values[s]).collect()
+        let mut out = Vec::new();
+        gather_into(&self.c_slots, union_values, &mut out);
+        out
     }
 
     /// Scatters a compact `G` array back onto a union-pattern value array

@@ -51,7 +51,7 @@ pub mod stamp;
 pub mod transient;
 pub mod waveform;
 
-pub use circuit::{Circuit, CircuitError, Evaluation, Node, ParamRef, System};
+pub use circuit::{gather_into, Circuit, CircuitError, Evaluation, Node, ParamRef, System};
 pub use dc::{dc_operating_point, DcSolution};
 pub use devices::Device;
 pub use newton::{NewtonError, NewtonOptions};

@@ -20,6 +20,7 @@
 //! ```
 
 use crate::CodecError;
+use masc_bitio::cursor::ByteCursor;
 use masc_bitio::{varint, BitReader, BitWriter};
 
 /// Maximum Huffman code length in bits.
@@ -289,18 +290,14 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
     clippy::disallowed_methods,
     reason = "the length table is a constant 256 entries; `orig_len ≤ payload_bits`, checked just above"
 )]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`used ≤ packed.len()` as returned by `read_u64`; `2 * i + 1 < 256` over `0..128`"
-)]
 pub fn decode(packed: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let (orig_len, used) = varint::read_u64(packed)?;
-    let mut reader = BitReader::new(&packed[used..]);
+    let mut cur = ByteCursor::new(packed);
+    let orig_len = cur.read_varint()?;
+    let mut reader = BitReader::new(cur.rest());
     let mut lengths = vec![0u32; 256];
-    for i in 0..128 {
+    for [hi, lo] in lengths.as_chunks_mut().0 {
         let byte = reader.read_bits(8)?;
-        lengths[2 * i] = (byte >> 4) as u32;
-        lengths[2 * i + 1] = (byte & 0xF) as u32;
+        (*hi, *lo) = ((byte >> 4) as u32, (byte & 0xF) as u32);
     }
     if orig_len == 0 {
         return Ok(Vec::new());
@@ -308,7 +305,7 @@ pub fn decode(packed: &[u8]) -> Result<Vec<u8>, CodecError> {
     // Every symbol costs at least one payload bit, so a claimed length
     // beyond the remaining bits cannot be satisfied; reject it before
     // trusting it with an allocation.
-    let payload_bits = ((packed.len() - used).saturating_sub(128) as u64).saturating_mul(8);
+    let payload_bits = (cur.remaining().saturating_sub(128) as u64).saturating_mul(8);
     if orig_len > payload_bits {
         return Err(CodecError::Truncated);
     }

@@ -22,6 +22,7 @@
 //! ```
 
 use crate::CodecError;
+use masc_bitio::cursor::{self, ByteCursor};
 use masc_bitio::varint;
 
 /// log2 of the total frequency scale.
@@ -129,8 +130,7 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
         state >>= 8;
     }
     payload.reverse();
-    varint::write_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
+    cursor::write_prefixed(&mut out, &payload);
     out
 }
 
@@ -146,17 +146,15 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 )]
 #[expect(
     clippy::indexing_slicing,
-    reason = "`pos` advances only by `read_u64`'s `used`; cumulative slots are `< SCALE` once the table sums to `SCALE`; `payload.len() ≥ 4`"
+    reason = "cumulative slots are `< SCALE` once the table sums to `SCALE`"
 )]
 pub fn decode(packed: &[u8]) -> Result<Vec<u8>, CodecError> {
-    let mut pos = 0usize;
-    let (orig_len, used) = varint::read_u64(&packed[pos..])?;
-    pos += used;
+    let mut cur = ByteCursor::new(packed);
+    let orig_len = cur.read_varint()?;
     let mut freqs = [0u32; 256];
     let mut total: u64 = 0;
     for f in freqs.iter_mut() {
-        let (v, used) = varint::read_u64(&packed[pos..])?;
-        pos += used;
+        let v = cur.read_varint()?;
         *f = u32::try_from(v).map_err(|_| CodecError::Corrupt("frequency too large"))?;
         total += v;
     }
@@ -183,22 +181,8 @@ pub fn decode(packed: &[u8]) -> Result<Vec<u8>, CodecError> {
         }
     }
 
-    let (payload_len, used) = varint::read_u64(&packed[pos..])?;
-    pos += used;
-    let payload_end = pos
-        .checked_add(payload_len as usize)
-        .ok_or(CodecError::Truncated)?;
-    let payload = packed.get(pos..payload_end).ok_or(CodecError::Truncated)?;
-    if payload.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-
-    let mut cursor = 0usize;
-    let mut state: u32 = 0;
-    for _ in 0..4 {
-        state = (state << 8) | u32::from(payload[cursor]);
-        cursor += 1;
-    }
+    let mut payload = ByteCursor::new(cur.read_prefixed()?);
+    let mut state = u32::from_be_bytes(payload.read_array()?);
     let mut out = Vec::with_capacity(orig_len as usize);
     for _ in 0..orig_len {
         let slot = state & (SCALE - 1);
@@ -206,9 +190,7 @@ pub fn decode(packed: &[u8]) -> Result<Vec<u8>, CodecError> {
         let f = freqs[sym as usize];
         state = f * (state >> SCALE_BITS) + slot - cum[sym as usize];
         while state < RANS_L {
-            let byte = payload.get(cursor).copied().ok_or(CodecError::Truncated)?;
-            state = (state << 8) | u32::from(byte);
-            cursor += 1;
+            state = (state << 8) | u32::from(payload.read_u8()?);
         }
         out.push(sym);
     }
@@ -298,12 +280,12 @@ mod tests {
         let data = vec![1u8, 2, 3];
         let packed = encode(&data);
         // Recode the header with a broken frequency for symbol 1.
-        let (len, l0) = varint::read_u64(&packed).unwrap();
-        assert_eq!(len, 3);
-        let mut broken = packed[..l0].to_vec();
-        let (f0, u0) = varint::read_u64(&packed[l0..]).unwrap();
+        let mut cur = ByteCursor::new(&packed);
+        assert_eq!(cur.read_varint().unwrap(), 3);
+        let mut broken = packed[..cur.position()].to_vec();
+        let f0 = cur.read_varint().unwrap();
         varint::write_u64(&mut broken, f0 + 1); // perturb symbol 0's freq
-        broken.extend_from_slice(&packed[l0 + u0..]);
+        broken.extend_from_slice(cur.rest());
         assert!(matches!(decode(&broken), Err(CodecError::Corrupt(_))));
     }
 }

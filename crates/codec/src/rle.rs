@@ -20,6 +20,7 @@
 //! ```
 
 use crate::CodecError;
+use masc_bitio::cursor::ByteCursor;
 use masc_bitio::{bounded, varint};
 
 /// Upper bound on a stream's claimed decompressed word count.
@@ -73,12 +74,9 @@ pub fn encode_words(words: &[u64]) -> Vec<u8> {
     clippy::disallowed_methods,
     reason = "each zero run is checked against `count - out.len()`, and `count ≤ MAX_DECODE_WORDS`"
 )]
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`pos` advances only by `read_u64`'s `used` or after a checked 8-byte `get`, so `pos ≤ packed.len()`"
-)]
 pub fn decode_words(packed: &[u8]) -> Result<Vec<u64>, CodecError> {
-    let (count, mut pos) = varint::read_u64(packed)?;
+    let mut cur = ByteCursor::new(packed);
+    let count = cur.read_varint()?;
     // Zero runs mean the word count is not bounded by the input length;
     // cap it so an adversarial header cannot demand unbounded allocation.
     if count > MAX_DECODE_WORDS {
@@ -88,24 +86,17 @@ pub fn decode_words(packed: &[u8]) -> Result<Vec<u64>, CodecError> {
     let mut out = bounded::bounded_capacity("rle word buffer", count, MAX_DECODE_WORDS as usize)
         .map_err(|_| CodecError::Corrupt("implausible word count"))?;
     while out.len() < count {
-        let (zeros, used) = varint::read_u64(&packed[pos..])?;
-        pos += used;
+        let zeros = cur.read_varint()?;
         if zeros > (count - out.len()) as u64 {
             return Err(CodecError::Corrupt("zero run overshoots word count"));
         }
         out.resize(out.len() + zeros as usize, 0);
-        let (lits, used) = varint::read_u64(&packed[pos..])?;
-        pos += used;
+        let lits = cur.read_varint()?;
         if lits > (count - out.len()) as u64 {
             return Err(CodecError::Corrupt("literal run overshoots word count"));
         }
         for _ in 0..lits {
-            let bytes: [u8; 8] = packed
-                .get(pos..pos + 8)
-                .and_then(|s| s.try_into().ok())
-                .ok_or(CodecError::Truncated)?;
-            out.push(u64::from_le_bytes(bytes));
-            pos += 8;
+            out.push(u64::from_le_bytes(cur.read_array()?));
         }
         if zeros == 0 && lits == 0 && out.len() < count {
             return Err(CodecError::Corrupt("empty run pair"));

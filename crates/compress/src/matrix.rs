@@ -31,6 +31,7 @@ use crate::predictor::{best_fit, Region, RunPredictor, StampMaps};
 use crate::residual::{decode_residual, encode_residuals_batched, ResidualState};
 use crate::stats::CompressStats;
 use crate::CompressError;
+use masc_bitio::cursor::ByteCursor;
 use masc_bitio::{varint, BitReader, BitWriter};
 
 pub(crate) const FLAG_MARKOV: u8 = 1 << 0;
@@ -368,23 +369,21 @@ pub(crate) fn write_header(values: &[f64], config: &MascConfig, extra_flags: u8)
     header
 }
 
-/// Parsed header plus the offset where the chunk table begins.
+/// Parsed stream header.
 pub(crate) struct ParsedHeader {
     pub params: HeaderParams,
     pub expected_checksum: Option<u64>,
     /// Seed block: decode against zeros, not the caller's reference.
     pub seeded: bool,
-    pub payload_offset: usize,
 }
 
-/// Parses a stream header, validating the era and nnz against the maps.
+/// Parses a stream header, validating the era and nnz against the maps;
+/// leaves `cur` at the chunk table.
 pub(crate) fn parse_header(
-    bytes: &[u8],
+    cur: &mut ByteCursor<'_>,
     expected_nnz: usize,
 ) -> Result<ParsedHeader, CompressError> {
-    let mut pos = 0usize;
-    let flags = *bytes.first().ok_or(CompressError::Truncated)?;
-    pos += 1;
+    let flags = cur.read_u8()?;
     if flags & FLAG_UNKNOWN_MASK != 0 {
         return Err(CompressError::Corrupt("unknown header flag bits"));
     }
@@ -399,31 +398,18 @@ pub(crate) fn parse_header(
             "cross-instance flag combined with seeded flag",
         ));
     }
-    let (stored_nnz, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-    pos += used;
-    if stored_nnz as usize != expected_nnz {
+    if cur.read_varint()? as usize != expected_nnz {
         return Err(CompressError::Corrupt("stored nnz != pattern nnz"));
     }
     let expected_checksum = if flags & FLAG_CHECKSUM != 0 {
-        let cs: [u8; 8] = bytes
-            .get(pos..pos + 8)
-            .and_then(|s| s.try_into().ok())
-            .ok_or(CompressError::Truncated)?;
-        pos += 8;
-        Some(u64::from_le_bytes(cs))
+        Some(u64::from_le_bytes(cur.read_array()?))
     } else {
         None
     };
     let markov = flags & FLAG_MARKOV != 0;
     let (warmup_permille, min_warmup) = if markov {
-        let pm: [u8; 2] = bytes
-            .get(pos..pos + 2)
-            .and_then(|s| s.try_into().ok())
-            .ok_or(CompressError::Truncated)?;
-        pos += 2;
-        let (mw, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-        pos += used;
-        (u32::from(u16::from_le_bytes(pm)), mw as usize)
+        let pm = u16::from_le_bytes(cur.read_array()?);
+        (u32::from(pm), cur.read_varint()? as usize)
     } else {
         (0, 0)
     };
@@ -436,7 +422,6 @@ pub(crate) fn parse_header(
         },
         expected_checksum,
         seeded: flags & FLAG_SEEDED != 0,
-        payload_offset: pos,
     })
 }
 
@@ -567,59 +552,45 @@ pub fn compress_matrix_cross(
 }
 
 /// Parsed era-2 per-chunk header entry.
-struct ChunkEntry {
+struct ChunkEntry<'a> {
     sel_bits: u64,
-    offset: usize,
-    len: usize,
+    payload: &'a [u8],
 }
 
-/// Parses the era-2 chunk table; returns the chunk grid and entries.
+/// Parses the era-2 chunk table and locates every chunk's payload;
+/// returns the chunk grid and entries.
 #[expect(
     clippy::disallowed_methods,
     reason = "`ranges` comes from `chunk_ranges(nnz, …)` over the held pattern, at most `nnz` entries"
 )]
-fn parse_chunk_table(
-    bytes: &[u8],
+fn parse_chunk_table<'a>(
+    cur: &mut ByteCursor<'a>,
     nnz: usize,
-    mut pos: usize,
-) -> Result<(Vec<core::ops::Range<usize>>, Vec<ChunkEntry>), CompressError> {
-    let (chunk_size, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-    pos += used;
-    let (n_chunks, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-    pos += used;
+) -> Result<(Vec<core::ops::Range<usize>>, Vec<ChunkEntry<'a>>), CompressError> {
+    let chunk_size = cur.read_varint()?;
+    let n_chunks = cur.read_varint()?;
     let ranges = chunk_ranges(nnz, chunk_size as usize);
     if ranges.len() != n_chunks as usize {
         return Err(CompressError::Corrupt("chunk count mismatch"));
     }
-    let mut entries: Vec<ChunkEntry> = Vec::with_capacity(ranges.len());
+    let mut heads = Vec::with_capacity(ranges.len());
     for range in &ranges {
-        let chunk_flags = *bytes.get(pos).ok_or(CompressError::Truncated)?;
-        pos += 1;
-        if chunk_flags != 0 {
+        if cur.read_u8()? != 0 {
             return Err(CompressError::Corrupt("unknown chunk flag bits"));
         }
-        let (count, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-        pos += used;
-        if count as usize != range.len() {
+        if cur.read_varint()? as usize != range.len() {
             return Err(CompressError::Corrupt("chunk element count mismatch"));
         }
-        let (sel_bits, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-        pos += used;
-        let (len, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-        pos += used;
-        entries.push(ChunkEntry {
-            sel_bits,
-            offset: 0,
-            len: len as usize,
-        });
+        let sel_bits = cur.read_varint()?;
+        heads.push((sel_bits, cur.read_varint()?));
     }
-    for entry in entries.iter_mut() {
-        entry.offset = pos;
-        pos = pos.checked_add(entry.len).ok_or(CompressError::Truncated)?;
-    }
-    if pos > bytes.len() {
-        return Err(CompressError::Truncated);
-    }
+    let entries = heads
+        .into_iter()
+        .map(|(sel_bits, len)| {
+            let payload = cur.read_bytes(len as usize)?;
+            Ok(ChunkEntry { sel_bits, payload })
+        })
+        .collect::<Result<_, CompressError>>()?;
     Ok((ranges, entries))
 }
 
@@ -659,12 +630,13 @@ pub(crate) fn decode_matrix(
     maps: &StampMaps,
 ) -> Result<Vec<f64>, CompressError> {
     let nnz = maps.order().len();
-    let header = parse_header(bytes, nnz)?;
+    let mut cur = ByteCursor::new(bytes);
+    let header = parse_header(&mut cur, nnz)?;
     let reference = match reference {
         Some(r) if !header.seeded => r,
         _ => &[],
     };
-    let (ranges, entries) = parse_chunk_table(bytes, nnz, header.payload_offset)?;
+    let (ranges, entries) = parse_chunk_table(&mut cur, nnz)?;
     let longest = ranges.first().map_or(0, ExactSizeIterator::len);
     let mut out = vec![0.0f64; nnz];
     let mut buffers = ChunkBuffers {
@@ -672,11 +644,8 @@ pub(crate) fn decode_matrix(
         values: Vec::with_capacity(longest),
     };
     for (range, entry) in ranges.into_iter().zip(&entries) {
-        let payload = bytes
-            .get(entry.offset..entry.offset + entry.len)
-            .ok_or(CompressError::Truncated)?;
         decode_range_local(
-            payload,
+            entry.payload,
             entry.sel_bits,
             &mut buffers,
             reference,
@@ -1183,7 +1152,7 @@ mod tests {
         assert!(stats.output_bytes > 0);
         let flags = bytes[0];
         assert!(flags & FLAG_CROSS_INSTANCE != 0 && flags & FLAG_SEEDED == 0);
-        let header = parse_header(&bytes, p.nnz()).unwrap();
+        let header = parse_header(&mut ByteCursor::new(&bytes), p.nnz()).unwrap();
         assert!(!header.seeded);
         let out = decompress_matrix(&bytes, &prev_instance, &maps).unwrap();
         for (a, b) in cur.iter().zip(&out) {
@@ -1267,16 +1236,14 @@ mod tests {
             ..MascConfig::default()
         };
         let (bytes, _) = compress_matrix(&cur, &reference, &maps, &config);
-        let header = parse_header(&bytes, p.nnz()).unwrap();
+        let mut reader = ByteCursor::new(&bytes);
+        parse_header(&mut reader, p.nnz()).unwrap();
         // Skip [varint chunk_size][varint n_chunks] to the first per-chunk
         // flag byte and set a bit there.
-        let mut pos = header.payload_offset;
-        let (_, used) = varint::read_u64(&bytes[pos..]).unwrap();
-        pos += used;
-        let (_, used) = varint::read_u64(&bytes[pos..]).unwrap();
-        pos += used;
+        reader.read_varint().unwrap();
+        reader.read_varint().unwrap();
         let mut mutated = bytes.clone();
-        mutated[pos] = 0x01;
+        mutated[reader.position()] = 0x01;
         assert_eq!(
             decompress_matrix(&mutated, &reference, &maps),
             Err(CompressError::Corrupt("unknown chunk flag bits"))

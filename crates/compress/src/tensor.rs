@@ -12,6 +12,7 @@ use crate::matrix::{compress_matrix, compress_matrix_seeded, decode_matrix};
 use crate::predictor::StampMaps;
 use crate::stats::CompressStats;
 use crate::CompressError;
+use masc_bitio::cursor::{self, ByteCursor};
 use masc_bitio::varint;
 use masc_sparse::Pattern;
 use std::sync::Arc;
@@ -78,11 +79,15 @@ impl TensorCompressor {
             self.pattern.nnz(),
             "value count != pattern nnz"
         );
-        let prev = self.pending.replace(values.to_vec());
-        if let (Some(prev), Some(newest)) = (prev, self.pending.as_ref()) {
-            let (bytes, stats) = compress_matrix(&prev, newest, &self.maps, &self.config);
-            self.stats.merge(&stats);
-            self.blocks.push(bytes);
+        match &mut self.pending {
+            Some(prev) => {
+                let (bytes, stats) = compress_matrix(prev, values, &self.maps, &self.config);
+                self.stats.merge(&stats);
+                self.blocks.push(bytes);
+                // The newest matrix takes over the previous one's buffer.
+                prev.copy_from_slice(values);
+            }
+            None => self.pending = Some(values.to_vec()),
         }
     }
 
@@ -272,9 +277,7 @@ impl CompressedTensor {
     /// Serializes the tensor to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        let pat = self.pattern.to_compressed_bytes();
-        varint::write_u64(&mut out, pat.len() as u64);
-        out.extend_from_slice(&pat);
+        cursor::write_prefixed(&mut out, &self.pattern.to_compressed_bytes());
         varint::write_u64(&mut out, 0); // former parallel-decode flag; ignored on read
         varint::write_u64(&mut out, self.chunk_size as u64);
         varint::write_u64(&mut out, self.blocks.len() as u64);
@@ -298,24 +301,12 @@ impl CompressedTensor {
         reason = "`count ≤ bytes.len()`, checked just above"
     )]
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CompressError> {
-        let mut pos = 0usize;
-        let (pat_len, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-        pos += used;
-        let pat_end = pos
-            .checked_add(pat_len as usize)
-            .ok_or(CompressError::Truncated)?;
-        let pattern = Pattern::from_compressed_bytes(
-            bytes.get(pos..pat_end).ok_or(CompressError::Truncated)?,
-        )
-        .map_err(|_| CompressError::Corrupt("bad pattern in tensor header"))?;
-        pos = pat_end;
-        let (_, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-        pos += used;
-        let (chunk_size, used) =
-            varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-        pos += used;
-        let (count, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-        pos += used;
+        let mut cur = ByteCursor::new(bytes);
+        let pattern = Pattern::from_compressed_bytes(cur.read_prefixed()?)
+            .map_err(|_| CompressError::Corrupt("bad pattern in tensor header"))?;
+        let _former_parallel_flag = cur.read_varint()?;
+        let chunk_size = cur.read_varint()?;
+        let count = cur.read_varint()?;
         // Every framed block costs at least its one-byte length varint, so a
         // claimed count beyond the remaining input is truncated garbage;
         // reject it before trusting it with an allocation.
@@ -324,18 +315,7 @@ impl CompressedTensor {
         }
         let mut blocks = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            let (len, used) = varint::read_u64(bytes.get(pos..).ok_or(CompressError::Truncated)?)?;
-            pos += used;
-            let end = pos
-                .checked_add(len as usize)
-                .ok_or(CompressError::Truncated)?;
-            blocks.push(
-                bytes
-                    .get(pos..end)
-                    .ok_or(CompressError::Truncated)?
-                    .to_vec(),
-            );
-            pos = end;
+            blocks.push(cur.read_prefixed()?.to_vec());
         }
         let pattern = Arc::new(pattern);
         let maps = Arc::new(StampMaps::new(&pattern));

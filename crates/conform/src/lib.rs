@@ -66,20 +66,3 @@ pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
         Box::new(oracles::window::WindowEquivalence),
     ]
 }
-
-/// FNV-1a over `bytes` — the same per-name hash `masc_testkit::prop` uses,
-/// so `MASC_PROP_REPRO` seeds mean the same thing here.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Per-case seed: base seed mixed with the oracle name and case index,
-/// exactly like `masc_testkit::prop::check` derives case seeds.
-pub fn case_seed(base: u64, oracle: &str, case: u64) -> u64 {
-    (base ^ fnv1a(oracle.as_bytes())) ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}

@@ -1,8 +1,9 @@
 //! Budgeted round-robin fuzz driver with shrink-and-persist on failure.
 
 use crate::corpus::{self, CorpusEntry};
+use crate::minimize;
 use crate::oracle::{run_input, Oracle};
-use crate::{case_seed, minimize};
+use masc_testkit::prop::{case_seed, repro_seed};
 use masc_testkit::Rng;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -148,11 +149,7 @@ pub fn run(oracles: &[Box<dyn Oracle>], cfg: &RunConfig) -> RunReport {
         .filter(|o| cfg.only.as_deref().is_none_or(|only| only == o.name()))
         .collect();
 
-    let repro = std::env::var("MASC_PROP_REPRO").ok().and_then(|raw| {
-        let raw = raw.trim();
-        raw.strip_prefix("0x")
-            .map_or_else(|| raw.parse().ok(), |hex| u64::from_str_radix(hex, 16).ok())
-    });
+    let repro = repro_seed();
 
     let mut reports: Vec<OracleReport> = selected
         .iter()

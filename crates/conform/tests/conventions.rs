@@ -8,7 +8,10 @@
 //!   somewhere in its crate;
 //! - no `allow`/`expect` attribute sits inside a
 //!   `#[cfg(feature = "mutation-hooks")]` region, where a suppression could
-//!   hide a real violation behind "it's only test scaffolding".
+//!   hide a real violation behind "it's only test scaffolding";
+//! - no library code outside `crates/bitio/src` calls `varint::read_u64`:
+//!   decoders read varints through `masc_bitio::cursor::ByteCursor`, the
+//!   one owner of bounding a read against the bytes that remain.
 //!
 //! Library source is `src/` of every crate that has a `src/lib.rs`, minus
 //! `main.rs` and `src/bin/`, read up to the file's first `#[cfg(test)]`.
@@ -30,6 +33,13 @@ const PAYLOAD_EXEMPTIONS: [(&str, &str, &str); 2] = [
         "the oracle protocol reports freeform failure diagnostics; they are printed, never matched on",
     ),
 ];
+
+/// `(file, reason)` for the library files allowed to call
+/// `varint::read_u64` outside `masc-bitio`.
+const CURSOR_EXEMPTIONS: [(&str, &str); 1] = [(
+    "crates/conform/src/oracles/codec.rs",
+    "the codec-decode oracle fuzzes the varint reader itself, so it must call it on raw bytes",
+)];
 
 fn workspace_root() -> PathBuf {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -202,6 +212,44 @@ fn error_enums_implement_display_and_error() {
         missing.is_empty(),
         "error enums without impls: {missing:#?}"
     );
+}
+
+#[test]
+fn decoders_read_varints_through_the_byte_cursor() {
+    let root = workspace_root();
+    let mut used = [false; CURSOR_EXEMPTIONS.len()];
+    let mut offenders = Vec::new();
+    for files in library_crates(&root) {
+        for (file, src) in &files {
+            if file.starts_with("crates/bitio/src/") {
+                continue;
+            }
+            for (i, line) in src.lines().enumerate() {
+                if line.trim_start().starts_with("//") {
+                    continue;
+                }
+                // `BitReader::read_u64` is a method (`.read_u64(`); the
+                // varint reader is called by path or as an import.
+                let calls_varint = line
+                    .match_indices("read_u64(")
+                    .any(|(at, _)| !line[..at].ends_with('.'));
+                if !calls_varint {
+                    continue;
+                }
+                match CURSOR_EXEMPTIONS.iter().position(|&(f, _)| f == file) {
+                    Some(e) => used[e] = true,
+                    None => offenders.push(format!("{file}:{}", i + 1)),
+                }
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "read varints through `masc_bitio::cursor::ByteCursor`: {offenders:#?}"
+    );
+    for (&(file, _), used) in CURSOR_EXEMPTIONS.iter().zip(used) {
+        assert!(used, "exemption {file} matches nothing; remove it");
+    }
 }
 
 #[test]

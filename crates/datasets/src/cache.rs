@@ -23,7 +23,8 @@
 )]
 
 use crate::dataset::Dataset;
-use masc_bitio::varint;
+use masc_bitio::cursor::{write_f64s, write_prefixed, ByteCursor};
+use masc_bitio::varint::{self, VarintError};
 use masc_sparse::Pattern;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -58,64 +59,31 @@ impl From<std::io::Error> for CacheError {
     }
 }
 
-impl From<masc_bitio::varint::VarintError> for CacheError {
-    fn from(_: masc_bitio::varint::VarintError) -> Self {
-        CacheError::Corrupt("bad varint")
+impl From<VarintError> for CacheError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::Truncated => CacheError::Corrupt("truncated"),
+            VarintError::Overflow => CacheError::Corrupt("bad varint"),
+        }
     }
-}
-
-fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    varint::write_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-fn read_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CacheError> {
-    let (len, used) = varint::read_u64(buf.get(*pos..).ok_or(CacheError::Corrupt("truncated"))?)?;
-    *pos += used;
-    let end = pos
-        .checked_add(len as usize)
-        .ok_or(CacheError::Corrupt("truncated"))?;
-    let slice = buf.get(*pos..end).ok_or(CacheError::Corrupt("truncated"))?;
-    *pos = end;
-    Ok(slice)
-}
-
-fn write_f64s(out: &mut Vec<u8>, values: &[f64]) {
-    varint::write_u64(out, values.len() as u64);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn read_f64s(buf: &[u8], pos: &mut usize) -> Result<Vec<f64>, CacheError> {
-    let (len, used) = varint::read_u64(buf.get(*pos..).ok_or(CacheError::Corrupt("truncated"))?)?;
-    *pos += used;
-    let end = (len as usize)
-        .checked_mul(8)
-        .and_then(|b| pos.checked_add(b))
-        .ok_or(CacheError::Corrupt("truncated"))?;
-    let bytes = buf.get(*pos..end).ok_or(CacheError::Corrupt("truncated"))?;
-    *pos = end;
-    Ok(bytes
-        .chunks_exact(8)
-        // chunks_exact yields exactly 8 bytes; the default arm is dead.
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap_or_default()))
-        .collect())
 }
 
 /// Serializes a dataset to bytes.
 pub fn dataset_to_bytes(dataset: &Dataset) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
-    write_bytes(&mut out, dataset.name.as_bytes());
+    write_prefixed(&mut out, dataset.name.as_bytes());
     varint::write_u64(&mut out, dataset.elements as u64);
-    write_bytes(&mut out, &dataset.g_pattern.to_compressed_bytes());
-    write_bytes(&mut out, &dataset.c_pattern.to_compressed_bytes());
+    write_prefixed(&mut out, &dataset.g_pattern.to_compressed_bytes());
+    write_prefixed(&mut out, &dataset.c_pattern.to_compressed_bytes());
+    varint::write_u64(&mut out, dataset.hs.len() as u64);
     write_f64s(&mut out, &dataset.hs);
     varint::write_u64(&mut out, dataset.g_series.len() as u64);
     for (g, c) in dataset.g_series.iter().zip(&dataset.c_series) {
-        write_f64s(&mut out, g);
-        write_f64s(&mut out, c);
+        for run in [g, c] {
+            varint::write_u64(&mut out, run.len() as u64);
+            write_f64s(&mut out, run);
+        }
     }
     out
 }
@@ -130,22 +98,20 @@ pub fn dataset_to_bytes(dataset: &Dataset) -> Vec<u8> {
     reason = "`steps ≤ buf.len()`, checked just above"
 )]
 pub fn dataset_from_bytes(buf: &[u8]) -> Result<Dataset, CacheError> {
-    if buf.get(..8) != Some(MAGIC.as_slice()) {
+    let mut cur = ByteCursor::new(buf);
+    if cur.read_array().ok() != Some(*MAGIC) {
         return Err(CacheError::Corrupt("bad magic/version"));
     }
-    let mut pos = 8usize;
-    let name = String::from_utf8(read_bytes(buf, &mut pos)?.to_vec())
+    let name = String::from_utf8(cur.read_prefixed()?.to_vec())
         .map_err(|_| CacheError::Corrupt("bad name"))?;
-    let (elements, used) =
-        varint::read_u64(buf.get(pos..).ok_or(CacheError::Corrupt("truncated"))?)?;
-    pos += used;
-    let g_pattern = Pattern::from_compressed_bytes(read_bytes(buf, &mut pos)?)
+    let elements = cur.read_varint()?;
+    let g_pattern = Pattern::from_compressed_bytes(cur.read_prefixed()?)
         .map_err(|_| CacheError::Corrupt("bad g pattern"))?;
-    let c_pattern = Pattern::from_compressed_bytes(read_bytes(buf, &mut pos)?)
+    let c_pattern = Pattern::from_compressed_bytes(cur.read_prefixed()?)
         .map_err(|_| CacheError::Corrupt("bad c pattern"))?;
-    let hs = read_f64s(buf, &mut pos)?;
-    let (steps, used) = varint::read_u64(buf.get(pos..).ok_or(CacheError::Corrupt("truncated"))?)?;
-    pos += used;
+    let n = cur.read_varint()?;
+    let hs = cur.read_f64s(n as usize)?;
+    let steps = cur.read_varint()?;
     // Every step costs at least two length varints, so a claimed step count
     // beyond the remaining input is truncated garbage; reject it before
     // trusting it with an allocation.
@@ -155,8 +121,10 @@ pub fn dataset_from_bytes(buf: &[u8]) -> Result<Dataset, CacheError> {
     let mut g_series = Vec::with_capacity(steps as usize);
     let mut c_series = Vec::with_capacity(steps as usize);
     for _ in 0..steps {
-        g_series.push(read_f64s(buf, &mut pos)?);
-        c_series.push(read_f64s(buf, &mut pos)?);
+        for series in [&mut g_series, &mut c_series] {
+            let n = cur.read_varint()?;
+            series.push(cur.read_f64s(n as usize)?);
+        }
     }
     Ok(Dataset {
         name,

@@ -2,8 +2,10 @@
 //! determinism (the benchmarks' numbers must be reproducible), and the
 //! cache's corrupt-entry fallback.
 
-use masc_datasets::cache::{dataset_to_bytes, load_or_generate};
-use masc_datasets::{table1_circuits, table2_datasets};
+use masc_datasets::cache::{dataset_from_bytes, dataset_to_bytes, load_or_generate};
+use masc_datasets::{table1_circuits, table2_datasets, Dataset};
+use masc_sparse::Pattern;
+use std::sync::Arc;
 
 #[test]
 fn registry_names_are_unique_and_resolvable() {
@@ -98,4 +100,30 @@ fn generate_cached_matches_uncached() {
     let direct = spec.generate(0.03).expect("generate");
     assert_eq!(dataset_to_bytes(&cached), dataset_to_bytes(&direct));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_strict_prefix_of_a_cache_file_is_rejected() {
+    let diag = Arc::new(Pattern::new(2, 2, vec![0, 1, 2], vec![0, 1]).unwrap());
+    let small = Dataset {
+        name: "d".to_string(),
+        elements: 2,
+        g_pattern: diag.clone(),
+        c_pattern: diag,
+        g_series: vec![vec![1.0, -2.0], vec![3.0, 4.0]],
+        c_series: vec![vec![0.5, 0.25], vec![]],
+        hs: vec![0.0, 1e-3],
+    };
+    let bytes = dataset_to_bytes(&small);
+    let back = dataset_from_bytes(&bytes).unwrap();
+    assert_eq!(
+        (back.g_series, back.c_series),
+        (small.g_series, small.c_series)
+    );
+    for cut in 0..bytes.len() {
+        assert!(
+            dataset_from_bytes(&bytes[..cut]).is_err(),
+            "prefix of {cut} bytes"
+        );
+    }
 }

@@ -36,7 +36,8 @@
 
 use masc_adjoint::RunMeta;
 use masc_bitio::bounded::check_claim;
-use masc_bitio::varint;
+use masc_bitio::cursor::{write_f64s, write_prefixed, ByteCursor};
+use masc_bitio::varint::{self, VarintError};
 use masc_circuit::transient::TranOptions;
 use masc_compress::{CompressError, CompressedTensor, MascConfig};
 use std::collections::HashMap;
@@ -53,22 +54,15 @@ const MAX_STATE_VALUES: usize = 1 << 28;
 /// for unescaping and the option debug strings).
 const MAX_FINGERPRINT_BYTES: usize = 1 << 22;
 
-/// FNV-1a over `bytes` (same constants as `masc-conform` / `masc-testkit`).
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut hash = seed;
+/// FNV-1a over `bytes` from the standard offset basis (same constants as
+/// `masc-testkit`).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// The FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a of one byte string from the standard offset basis.
-pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_OFFSET, bytes)
 }
 
 /// The full identity string of one job: canonical deck text + transient
@@ -88,7 +82,7 @@ pub fn job_fingerprint(canonical_deck: &str, tran: &TranOptions, masc: &MascConf
 /// embedded fingerprint differs from the job's is discarded and treated
 /// as a miss — so a 64-bit key is sufficient for addressing.
 pub fn entry_key(canonical_deck: &str, tran: &TranOptions, masc: &MascConfig) -> u64 {
-    fnv1a_bytes(job_fingerprint(canonical_deck, tran, masc).as_bytes())
+    fnv1a(job_fingerprint(canonical_deck, tran, masc).as_bytes())
 }
 
 /// One decoded cache entry: the full replay state for a job.
@@ -162,9 +156,12 @@ impl From<masc_bitio::bounded::AllocBoundError> for CacheError {
     }
 }
 
-impl From<masc_bitio::varint::VarintError> for CacheError {
-    fn from(e: masc_bitio::varint::VarintError) -> Self {
-        CacheError::Varint(e)
+impl From<VarintError> for CacheError {
+    fn from(e: VarintError) -> Self {
+        match e {
+            VarintError::Truncated => CacheError::Truncated,
+            VarintError::Overflow => CacheError::Varint(e),
+        }
     }
 }
 
@@ -185,64 +182,21 @@ impl From<std::io::Error> for CacheError {
 pub fn encode_entry(entry: &CacheEntry) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    varint::write_u64(&mut out, entry.fingerprint.len() as u64);
-    out.extend_from_slice(entry.fingerprint.as_bytes());
+    write_prefixed(&mut out, entry.fingerprint.as_bytes());
     varint::write_u64(&mut out, entry.meta.times.len() as u64);
-    for &t in &entry.meta.times {
-        out.extend_from_slice(&t.to_le_bytes());
-    }
-    for &h in &entry.meta.hs {
-        out.extend_from_slice(&h.to_le_bytes());
-    }
+    write_f64s(&mut out, &entry.meta.times);
+    write_f64s(&mut out, &entry.meta.hs);
     let state_len = entry.meta.states.first().map_or(0, Vec::len);
     varint::write_u64(&mut out, state_len as u64);
     for row in &entry.meta.states {
-        for &x in row {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
+        write_f64s(&mut out, row);
     }
     for tensor in [&entry.g, &entry.c] {
-        let bytes = tensor.to_bytes();
-        varint::write_u64(&mut out, bytes.len() as u64);
-        out.extend_from_slice(&bytes);
+        write_prefixed(&mut out, &tensor.to_bytes());
     }
-    let checksum = fnv1a(FNV_OFFSET, &out);
+    let checksum = fnv1a(&out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
-}
-
-/// A bounds-checked forward reader over an entry's payload bytes.
-struct EntryReader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> EntryReader<'a> {
-    fn u64(&mut self) -> Result<u64, CacheError> {
-        let (v, used) = varint::read_u64(self.bytes)?;
-        self.bytes = self.bytes.get(used..).ok_or(CacheError::Truncated)?;
-        Ok(v)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CacheError> {
-        let taken = self.bytes.get(..n).ok_or(CacheError::Truncated)?;
-        self.bytes = self.bytes.get(n..).ok_or(CacheError::Truncated)?;
-        Ok(taken)
-    }
-
-    /// Reads `n` f64 values, bounding the allocation by the bytes
-    /// actually present.
-    fn f64s(&mut self, n: usize, what: &'static str) -> Result<Vec<f64>, CacheError> {
-        check_claim(what, n, self.bytes.len() / 8)?;
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(c);
-                f64::from_le_bytes(b)
-            })
-            .collect())
-    }
 }
 
 /// Decodes an entry, verifying the checksum before trusting any length
@@ -254,44 +208,38 @@ impl<'a> EntryReader<'a> {
 /// tensor failure — hostile bytes never panic and never over-allocate.
 #[expect(
     clippy::disallowed_methods,
-    reason = "`n_times ≤ MAX_TIME_POINTS` by `check_claim` above; two tensors"
+    reason = "`n_times ≤ MAX_TIME_POINTS` by `check_claim` above"
 )]
 pub fn decode_entry(bytes: &[u8]) -> Result<CacheEntry, CacheError> {
-    let body_len = bytes
-        .len()
-        .checked_sub(8)
-        .filter(|&l| l >= MAGIC.len())
+    let (body, tail) = bytes
+        .split_last_chunk()
+        .filter(|(body, _)| body.len() >= MAGIC.len())
         .ok_or(CacheError::Truncated)?;
-    let (body, tail) = (
-        bytes.get(..body_len).ok_or(CacheError::Truncated)?,
-        bytes.get(body_len..).ok_or(CacheError::Truncated)?,
-    );
-    let mut expect = [0u8; 8];
-    expect.copy_from_slice(tail);
-    if fnv1a(FNV_OFFSET, body) != u64::from_le_bytes(expect) {
+    if fnv1a(body) != u64::from_le_bytes(*tail) {
         return Err(CacheError::Checksum);
     }
-    let (magic, payload) = (
-        body.get(..MAGIC.len()).ok_or(CacheError::Truncated)?,
-        body.get(MAGIC.len()..).ok_or(CacheError::Truncated)?,
-    );
-    if magic != MAGIC {
+    let mut r = ByteCursor::new(body);
+    if r.read_array()? != MAGIC {
         return Err(CacheError::BadMagic);
     }
 
-    let mut r = EntryReader { bytes: payload };
-    let fp_len = check_claim(
+    let fingerprint = r.read_prefixed()?;
+    check_claim(
         "cache fingerprint bytes",
-        r.u64()? as usize,
+        fingerprint.len(),
         MAX_FINGERPRINT_BYTES,
     )?;
-    let fingerprint = std::str::from_utf8(r.take(fp_len)?)
+    let fingerprint = std::str::from_utf8(fingerprint)
         .map_err(|_| CacheError::BadFingerprint)?
         .to_string();
-    let n_times = check_claim("cache time points", r.u64()? as usize, MAX_TIME_POINTS)?;
-    let times = r.f64s(n_times, "cache times")?;
-    let hs = r.f64s(n_times, "cache step sizes")?;
-    let state_len = r.u64()? as usize;
+    let n_times = check_claim(
+        "cache time points",
+        r.read_varint()? as usize,
+        MAX_TIME_POINTS,
+    )?;
+    let times = r.read_f64s(n_times)?;
+    let hs = r.read_f64s(n_times)?;
+    let state_len = r.read_varint()? as usize;
     check_claim(
         "cache state values",
         n_times.saturating_mul(state_len),
@@ -299,18 +247,12 @@ pub fn decode_entry(bytes: &[u8]) -> Result<CacheEntry, CacheError> {
     )?;
     let mut states = Vec::with_capacity(n_times);
     for _ in 0..n_times {
-        states.push(r.f64s(state_len, "cache state row")?);
+        states.push(r.read_f64s(state_len)?);
     }
 
-    let mut tensors = Vec::with_capacity(2);
-    for _ in 0..2 {
-        let len = check_claim("cache tensor bytes", r.u64()? as usize, r.bytes.len())?;
-        tensors.push(CompressedTensor::from_bytes(r.take(len)?)?);
-    }
-    let (Some(c), Some(g)) = (tensors.pop(), tensors.pop()) else {
-        return Err(CacheError::LengthMismatch);
-    };
-    if !r.bytes.is_empty() || g.len() != n_times || c.len() != n_times {
+    let g = CompressedTensor::from_bytes(r.read_prefixed()?)?;
+    let c = CompressedTensor::from_bytes(r.read_prefixed()?)?;
+    if r.remaining() != 0 || g.len() != n_times || c.len() != n_times {
         return Err(CacheError::LengthMismatch);
     }
     Ok(CacheEntry {

@@ -27,6 +27,7 @@
 )]
 
 use crate::SparseError;
+use masc_bitio::cursor::{self, ByteCursor};
 use masc_bitio::varint;
 
 /// Sentinel for "no such entry" in structural maps.
@@ -271,11 +272,8 @@ impl Pattern {
         let mut out = Vec::new();
         varint::write_u64(&mut out, self.rows as u64);
         varint::write_u64(&mut out, self.cols as u64);
-        let rp = varint::encode_deltas(&self.row_ptr);
-        let ci = varint::encode_deltas(&self.col_idx);
-        varint::write_u64(&mut out, rp.len() as u64);
-        out.extend_from_slice(&rp);
-        out.extend_from_slice(&ci);
+        cursor::write_prefixed(&mut out, &varint::encode_deltas(&self.row_ptr));
+        out.extend_from_slice(&varint::encode_deltas(&self.col_idx));
         out
     }
 
@@ -285,30 +283,14 @@ impl Pattern {
     ///
     /// Returns [`SparseError::InvalidPattern`] on truncation or if the
     /// decoded arrays fail validation.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`pos ≤ rp_end ≤ bytes.len()`: `rp_end` is checked just above"
-    )]
     pub fn from_compressed_bytes(bytes: &[u8]) -> Result<Self, SparseError> {
-        let truncated = SparseError::InvalidPattern("truncated pattern bytes");
-        let mut pos = 0usize;
-        let take = |pos: &mut usize| -> Result<u64, SparseError> {
-            let rest = bytes.get(*pos..).ok_or_else(|| truncated.clone())?;
-            let (v, used) = varint::read_u64(rest).map_err(|_| truncated.clone())?;
-            *pos += used;
-            Ok(v)
-        };
-        let rows = take(&mut pos)?;
-        let cols = take(&mut pos)?;
-        let rp_len = take(&mut pos)?;
-        let rp_end = pos
-            .checked_add(rp_len as usize)
-            .ok_or_else(|| truncated.clone())?;
-        if rp_end > bytes.len() {
-            return Err(truncated);
-        }
-        let row_ptr = varint::decode_deltas(&bytes[pos..rp_end]).map_err(|_| truncated.clone())?;
-        let col_idx = varint::decode_deltas(&bytes[rp_end..]).map_err(|_| truncated.clone())?;
+        let truncated = |_| SparseError::InvalidPattern("truncated pattern bytes");
+        let mut cur = ByteCursor::new(bytes);
+        let rows = cur.read_varint().map_err(truncated)?;
+        let cols = cur.read_varint().map_err(truncated)?;
+        let rp = cur.read_prefixed().map_err(truncated)?;
+        let row_ptr = varint::decode_deltas(rp).map_err(truncated)?;
+        let col_idx = varint::decode_deltas(cur.rest()).map_err(truncated)?;
         Self::new(rows as usize, cols as usize, row_ptr, col_idx)
     }
 }
@@ -447,11 +429,13 @@ mod tests {
 
     #[test]
     fn corrupt_bytes_rejected() {
-        let p = tridiag3();
-        let mut bytes = p.to_compressed_bytes();
-        bytes.truncate(3);
-        assert!(Pattern::from_compressed_bytes(&bytes).is_err());
-        assert!(Pattern::from_compressed_bytes(&[]).is_err());
+        let bytes = tridiag3().to_compressed_bytes();
+        for cut in 0..bytes.len() {
+            assert!(
+                Pattern::from_compressed_bytes(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes"
+            );
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ use masc_adjoint::{
 };
 use masc_circuit::dc::dc_operating_point_ws;
 use masc_circuit::transient::{BeStepper, TranOptions};
-use masc_circuit::{Circuit, CircuitError, NewtonError, ParamRef, System};
+use masc_circuit::{gather_into, Circuit, CircuitError, NewtonError, ParamRef, System};
 use masc_compress::{
     compress_matrix_cross, decompress_matrix, CompressError, MascConfig, StampMaps,
     TensorCompressor,
@@ -299,14 +299,9 @@ impl ForwardInst {
     /// Records the accepted point `(t, h)` the stepper just evaluated:
     /// gathers the compact `G`/`C` arrays and extends the history.
     fn record(&mut self, t: f64, h: f64) {
-        let gv = self.be.ev.g.values();
-        for (dst, &slot) in self.g_compact.iter_mut().zip(self.system.g_slots.iter()) {
-            *dst = gv[slot];
-        }
-        let cv = self.be.ev.c.values();
-        for (dst, &slot) in self.c_compact.iter_mut().zip(self.system.c_slots.iter()) {
-            *dst = cv[slot];
-        }
+        let ev = &self.be.ev;
+        gather_into(&self.system.g_slots, ev.g.values(), &mut self.g_compact);
+        gather_into(&self.system.c_slots, ev.c.values(), &mut self.c_compact);
         self.meta.times.push(t);
         self.meta.hs.push(h);
         self.meta.states.push(self.x.clone());

@@ -56,12 +56,29 @@ impl Default for Config {
     }
 }
 
+/// Parses a seed written in decimal or `0x`-hex; `None` for anything else.
 fn parse_u64(s: &str) -> Option<u64> {
+    let s = s.trim();
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16).ok()
     } else {
         s.parse().ok()
     }
+}
+
+/// The case seed `MASC_PROP_REPRO` names, if it is set to a decimal or
+/// `0x`-hex `u64`; a garbage value reads as unset.
+pub fn repro_seed() -> Option<u64> {
+    std::env::var("MASC_PROP_REPRO")
+        .ok()
+        .and_then(|v| parse_u64(&v))
+}
+
+/// The seed of case `case` of the property (or fuzz oracle) `name` under
+/// base seed `base` — the seed a failure report prints and
+/// [`repro_seed`] replays.
+pub fn case_seed(base: u64, name: &str, case: u64) -> u64 {
+    (base ^ fnv1a(name.as_bytes())) ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// FNV-1a, used to give every test its own seed stream.
@@ -109,17 +126,13 @@ where
     G: Gen,
     P: Fn(&G::Value),
 {
-    let base = config.seed ^ fnv1a(name.as_bytes());
-    if let Some(repro) = std::env::var("MASC_PROP_REPRO")
-        .ok()
-        .and_then(|v| parse_u64(&v))
-    {
+    if let Some(repro) = repro_seed() {
         run_one(name, config, &gen, &prop, repro, 0);
         return;
     }
     for case in 0..config.cases {
-        let case_seed = base ^ (u64::from(case)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        run_one(name, config, &gen, &prop, case_seed, case);
+        let seed = case_seed(config.seed, name, u64::from(case));
+        run_one(name, config, &gen, &prop, seed, case);
     }
 }
 

@@ -29,7 +29,7 @@ use masc_adjoint::{
 };
 use masc_circuit::dc::dc_operating_point_ws;
 use masc_circuit::transient::{BeStepper, TranOptions};
-use masc_circuit::{Circuit, ParamRef, System};
+use masc_circuit::{gather_into, Circuit, ParamRef, System};
 use masc_compress::{CompressedTensor, StampMaps, TensorCompressor};
 use masc_sparse::{CsrMatrix, LuWorkspace};
 use std::sync::Arc;
@@ -97,6 +97,7 @@ fn fine_run(
     let mut tc_c =
         TensorCompressor::with_maps(system.c_pattern.clone(), maps.1.clone(), opts.masc.clone());
     let mut states = Vec::with_capacity(span.len() + 1);
+    let (mut g, mut c) = (Vec::new(), Vec::new());
     let mut be = BeStepper::new(system, tran.newton);
     let mut x = lane.seed.clone();
     be.start(circuit, system, &x, span.start as f64 * dt);
@@ -110,8 +111,10 @@ fn fine_run(
                     source,
                 })?;
         }
-        tc_g.push(&system.gather_g(be.ev.g.values()));
-        tc_c.push(&system.gather_c(be.ev.c.values()));
+        gather_into(&system.g_slots, be.ev.g.values(), &mut g);
+        gather_into(&system.c_slots, be.ev.c.values(), &mut c);
+        tc_g.push(&g);
+        tc_c.push(&c);
         states.push(x.clone());
     }
     lane.tensors = Some((tc_g.finish(), tc_c.finish()));
