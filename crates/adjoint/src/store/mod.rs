@@ -172,9 +172,9 @@ pub struct TensorLayout {
     /// `C`'s own sub-pattern.
     pub c_pattern: Arc<Pattern>,
     /// Union value index of each `G` sub-pattern non-zero.
-    pub g_slots: Arc<Vec<usize>>,
+    pub g_slots: Arc<Vec<u32>>,
     /// Union value index of each `C` sub-pattern non-zero.
-    pub c_slots: Arc<Vec<usize>>,
+    pub c_slots: Arc<Vec<u32>>,
 }
 
 impl TensorLayout {

@@ -24,7 +24,7 @@ fn pattern() -> Arc<Pattern> {
 
 /// A trivial layout where both tensors cover the whole union pattern.
 fn layout(p: &Arc<Pattern>) -> TensorLayout {
-    let identity = Arc::new((0..p.nnz()).collect::<Vec<_>>());
+    let identity = Arc::new((0..p.nnz() as u32).collect::<Vec<_>>());
     TensorLayout {
         union: p.clone(),
         g_pattern: p.clone(),

@@ -29,7 +29,7 @@ fn pattern() -> Arc<Pattern> {
 }
 
 fn layout(p: &Arc<Pattern>) -> TensorLayout {
-    let identity = Arc::new((0..p.nnz()).collect::<Vec<_>>());
+    let identity = Arc::new((0..p.nnz() as u32).collect::<Vec<_>>());
     TensorLayout {
         union: p.clone(),
         g_pattern: p.clone(),

@@ -3,10 +3,14 @@
 //! A [`Circuit`] is built by naming nodes and adding devices; `elaborate`
 //! freezes it into a [`System`] with a single shared sparsity [`Pattern`]
 //! covering the union of all `G` and `C` stamps (one structure for the whole
-//! run — the precondition for the paper's shared-indices technique).
+//! run — the precondition for the paper's shared-indices technique), and
+//! binds every device's stamp sites to value indices of that pattern once,
+//! so evaluation never searches it (DESIGN.md §3.16).
 
 use crate::devices::Device;
-use crate::stamp::{EvalContext, ParamDerivContext, Reserver, Unknown};
+use crate::stamp::{
+    slot_entry, Bound, EvalContext, ParamDerivContext, Sites, Unknown, C_LOCAL, UNRESERVED,
+};
 use masc_sparse::{CsrMatrix, Pattern, TripletMatrix};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -204,9 +208,10 @@ impl Circuit {
 
     /// Freezes the circuit into a solvable [`System`].
     ///
-    /// Assigns branch unknowns, reserves every stamp slot, and builds the
+    /// Assigns branch unknowns, reserves every stamp site, builds the
     /// single shared pattern (union of `G` and `C` structures plus all node
-    /// diagonals, which gmin stepping needs).
+    /// diagonals, which gmin stepping needs), and binds each device's sites
+    /// to value indices of that pattern.
     ///
     /// # Errors
     ///
@@ -231,42 +236,72 @@ impl Circuit {
         }
         let mut gt = TripletMatrix::new(n, n);
         let mut ct = TripletMatrix::new(n, n);
-        {
-            let mut res = Reserver::new(&mut gt, &mut ct);
-            for dev in &self.devices {
-                dev.reserve(&mut res);
+        let mut sites = Sites::default();
+        let mut entry_count = 0;
+        for dev in &self.devices {
+            sites.clear();
+            dev.sites(&mut sites);
+            for &(r, c) in sites.g() {
+                if let (Some(r), Some(c)) = (r, c) {
+                    gt.add(r, c, 0.0);
+                    entry_count += 1;
+                }
             }
-            // Node diagonals for gmin stepping / shunt conductances.
-            for i in 0..n_nodes {
-                res.reserve_g(Some(i), Some(i));
+            for (&(r, c), &reserve) in sites.c().iter().zip(sites.c_reserved()) {
+                if let (Some(r), Some(c)) = (r, c) {
+                    if reserve {
+                        ct.add(r, c, 0.0);
+                    }
+                    entry_count += 1;
+                }
             }
         }
-        // Union pattern: stamp G and C over one structure so that
-        // J = G + C/h shares it too.
-        let mut union = TripletMatrix::new(n, n);
-        for t in [&gt, &ct] {
-            for (r, c, _) in t.to_csr().iter() {
-                union.add(r, c, 0.0);
-            }
+        // Node diagonals for gmin stepping / shunt conductances.
+        for i in 0..n_nodes {
+            gt.add(i, i, 0.0);
         }
-        let pattern = union.to_csr().pattern().clone();
         // Per-tensor sub-patterns: G and C each keep only their own
         // structural non-zeros (the paper's S_NZ definition), with gather
         // maps back into the union for assembly.
         let g_pattern = gt.to_csr().pattern().clone();
+        drop(gt);
         let c_pattern = ct.to_csr().pattern().clone();
-        let slots_of = |sub: &Pattern| -> Arc<Vec<usize>> {
+        drop(ct);
+        // Union pattern: stamp G and C over one structure so that
+        // J = G + C/h shares it too.
+        let mut union = TripletMatrix::new(n, n);
+        for sub in [&g_pattern, &c_pattern] {
+            for r in 0..n {
+                for &c in &sub.col_idx()[sub.row_ptr()[r]..sub.row_ptr()[r + 1]] {
+                    union.add(r, c, 0.0);
+                }
+            }
+        }
+        let pattern = union.to_csr().pattern().clone();
+        drop(union);
+        assert!(
+            pattern.nnz() < UNRESERVED as usize,
+            "pattern too large for u32 value indices"
+        );
+        let slots_of = |sub: &Pattern| -> Arc<Vec<u32>> {
             let mut slots = Vec::with_capacity(sub.nnz());
             for r in 0..sub.rows() {
                 for k in sub.row_ptr()[r]..sub.row_ptr()[r + 1] {
                     let c = sub.col_idx()[k];
-                    slots.push(pattern.find(r, c).expect("union covers sub-pattern"));
+                    let slot = pattern.find(r, c).expect("union covers sub-pattern");
+                    slots.push(slot as u32);
                 }
             }
             Arc::new(slots)
         };
         let g_slots = slots_of(&g_pattern);
         let c_slots = slots_of(&c_pattern);
+        let stamp_slots = Arc::new(SlotTable::bind(
+            &self.devices,
+            &pattern,
+            &mut sites,
+            entry_count,
+        ));
         Ok(System {
             n,
             n_nodes,
@@ -275,8 +310,72 @@ impl Circuit {
             c_pattern,
             g_slots,
             c_slots,
+            stamp_slots,
             device_eval_count: 0,
             model_effort: self.model_effort,
+        })
+    }
+}
+
+/// Every device's stamp sites bound to value indices of the union pattern
+/// (DESIGN.md §3.16): one flat `u32` table sized exactly, with one entry
+/// per site off ground packing the site's local index with its value index
+/// (see [`slot_entry`]), device after device in local order.
+#[derive(Debug)]
+struct SlotTable {
+    entries: Box<[u32]>,
+    /// Entries of each device, in device order.
+    counts: Box<[u8]>,
+}
+
+impl SlotTable {
+    /// Binds the sites of `devices`, `entry_count` of them off ground,
+    /// against `pattern`, reusing `sites` as scratch.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by the device count and by `entry_count`, the sites the same devices just listed"
+    )]
+    fn bind(devices: &[Device], pattern: &Pattern, sites: &mut Sites, entry_count: usize) -> Self {
+        let mut entries = Vec::with_capacity(entry_count);
+        let mut counts = Vec::with_capacity(devices.len());
+        for dev in devices {
+            sites.clear();
+            dev.sites(sites);
+            assert!(
+                sites.g().len() <= C_LOCAL && sites.c().len() <= C_LOCAL,
+                "{} lists more than {C_LOCAL} G or C stamp sites",
+                dev.name()
+            );
+            let start = entries.len();
+            let g = sites.g().iter().enumerate();
+            let c = (C_LOCAL..).zip(sites.c());
+            for (local, &(r, c)) in g.chain(c) {
+                if let (Some(r), Some(c)) = (r, c) {
+                    let slot = pattern.find(r, c).map_or(UNRESERVED, |k| k as u32);
+                    entries.push(slot_entry(local, slot));
+                }
+            }
+            counts.push((entries.len() - start) as u8);
+        }
+        debug_assert_eq!(entries.len(), entry_count);
+        Self {
+            entries: entries.into_boxed_slice(),
+            counts: counts.into_boxed_slice(),
+        }
+    }
+
+    /// Number of devices bound.
+    fn devices(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Each device's slot entries, in device order.
+    fn per_device(&self) -> impl Iterator<Item = &[u32]> {
+        let mut rest = &self.entries[..];
+        self.counts.iter().map(move |&n| {
+            let (head, tail) = rest.split_at(usize::from(n));
+            rest = tail;
+            head
         })
     }
 }
@@ -296,9 +395,10 @@ pub struct System {
     /// Sub-pattern of slots `C` actually populates.
     pub c_pattern: Arc<Pattern>,
     /// `g_slots[i]` = union value index of `g_pattern`'s `i`-th non-zero.
-    pub g_slots: Arc<Vec<usize>>,
+    pub g_slots: Arc<Vec<u32>>,
     /// `c_slots[i]` = union value index of `c_pattern`'s `i`-th non-zero.
-    pub c_slots: Arc<Vec<usize>>,
+    pub c_slots: Arc<Vec<u32>>,
+    stamp_slots: Arc<SlotTable>,
     device_eval_count: u64,
     model_effort: u32,
 }
@@ -306,9 +406,9 @@ pub struct System {
 /// Gathers `union_values` at `slots` (a [`System`]'s `g_slots` or
 /// `c_slots`: a sub-tensor's compact form) into `out`, replacing its
 /// contents and keeping its allocation.
-pub fn gather_into(slots: &[usize], union_values: &[f64], out: &mut Vec<f64>) {
+pub fn gather_into(slots: &[u32], union_values: &[f64], out: &mut Vec<f64>) {
     out.clear();
-    out.extend(slots.iter().map(|&s| union_values[s]));
+    out.extend(slots.iter().map(|&s| union_values[s as usize]));
 }
 
 /// One full evaluation of the system at `(x, t)`.
@@ -332,12 +432,28 @@ impl System {
     ///
     /// Each call counts one sweep in [`System::device_eval_count`].
     ///
+    /// Every device writes `G` and `C` through the slots bound at
+    /// elaboration, in the order of its sites.
+    ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.n` or `out` was not created by
-    /// [`System::new_evaluation`].
+    /// Panics if `x.len() != self.n`, if `circuit` does not have the
+    /// devices this system was elaborated from, or if `out` was not created
+    /// by [`System::new_evaluation`].
     pub fn eval_into(&mut self, circuit: &Circuit, x: &[f64], t: f64, out: &mut Evaluation) {
         assert_eq!(x.len(), self.n, "state vector length mismatch");
+        let devices = circuit.devices();
+        let slots = &*self.stamp_slots;
+        assert!(
+            devices.len() == slots.devices(),
+            "circuit has {} devices but this system was elaborated from {}",
+            devices.len(),
+            slots.devices()
+        );
+        assert!(
+            out.g.nnz() == self.pattern.nnz() && out.c.nnz() == self.pattern.nnz(),
+            "evaluation buffers do not match this system's pattern"
+        );
         // `model_effort` repeats the evaluation sweep: each round clears
         // and restamps, so results are identical — only the cost scales.
         for _ in 0..self.model_effort.max(1) {
@@ -346,16 +462,10 @@ impl System {
             out.f.iter_mut().for_each(|v| *v = 0.0);
             out.q.iter_mut().for_each(|v| *v = 0.0);
             out.b.iter_mut().for_each(|v| *v = 0.0);
-            let mut ctx = EvalContext {
-                x,
-                t,
-                g: &mut out.g,
-                c: &mut out.c,
-                f: &mut out.f,
-                q: &mut out.q,
-                b: &mut out.b,
-            };
-            for dev in circuit.devices() {
+            let scatter = Bound::new(out.g.values_mut(), out.c.values_mut());
+            let mut ctx = EvalContext::new(x, t, &mut out.f, &mut out.q, &mut out.b, scatter);
+            for (dev, entries) in devices.iter().zip(slots.per_device()) {
+                ctx.scatter_mut().bind(entries);
                 dev.eval(&mut ctx);
             }
         }
@@ -477,7 +587,7 @@ impl System {
         assert_eq!(compact.len(), self.g_slots.len());
         union_values.iter_mut().for_each(|v| *v = 0.0);
         for (&slot, &v) in self.g_slots.iter().zip(compact) {
-            union_values[slot] = v;
+            union_values[slot as usize] = v;
         }
     }
 
@@ -490,7 +600,7 @@ impl System {
         assert_eq!(compact.len(), self.c_slots.len());
         union_values.iter_mut().for_each(|v| *v = 0.0);
         for (&slot, &v) in self.c_slots.iter().zip(compact) {
-            union_values[slot] = v;
+            union_values[slot as usize] = v;
         }
     }
 

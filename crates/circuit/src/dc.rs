@@ -66,6 +66,16 @@ pub fn dc_operating_point_ws(
     let mut j = CsrMatrix::zeros(system.pattern.clone());
     let mut r = vec![0.0; n];
     let mut ev = system.new_evaluation();
+    // Value indices of the node diagonals the gmin shunts add to,
+    // reserved at elaboration.
+    let node_diag: Vec<usize> = (0..system.n_nodes)
+        .map(|i| {
+            system
+                .pattern
+                .diag_of(i)
+                .expect("node diagonal reserved at elaboration")
+        })
+        .collect();
     // Long device chains settle roughly one stage per iteration (cutoff
     // regions have no gain to propagate corrections through), so the DC
     // budget must scale with the circuit, not be a fixed constant.
@@ -100,12 +110,12 @@ pub fn dc_operating_point_ws(
                 for (ri, (fi, bi)) in r.iter_mut().zip(ev.f.iter().zip(&ev.b)) {
                     *ri = fi + scale * bi;
                 }
-                j.values_mut().copy_from_slice(ev.g.values());
+                let jv = j.values_mut();
+                jv.copy_from_slice(ev.g.values());
                 if gshunt > 0.0 {
-                    for node in 0..system.n_nodes {
+                    for (node, &k) in node_diag.iter().enumerate() {
                         r[node] += gshunt * x[node];
-                        j.add_at(node, node, gshunt)
-                            .expect("node diagonal reserved at elaboration");
+                        jv[k] += gshunt;
                     }
                 }
             });

@@ -18,7 +18,7 @@
 //! GMIN conductances across both junctions aid convergence.
 
 use super::{limexp, DeviceImpl, GMIN, VT};
-use crate::stamp::{EvalContext, ParamDerivContext, Reserver, Unknown};
+use crate::stamp::{pair, EvalContext, ParamDerivContext, Scatter, Sites, Unknown};
 
 /// Bipolar transistor polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,23 +145,20 @@ impl DeviceImpl for Bjt {
         &self.name
     }
 
-    fn reserve(&self, res: &mut Reserver<'_>) {
+    fn sites(&self, sites: &mut Sites) {
         let (c, b, e) = (self.collector, self.base, self.emitter);
-        // Full 3×3 coupling block in G.
-        for &row in &[c, b, e] {
-            for &col in &[c, b, e] {
-                res.reserve_g(row, col);
+        // Full 3×3 coupling block in G, row by row with the base column
+        // first.
+        for row in [c, b, e] {
+            for col in [b, e, c] {
+                sites.push_g(row, col);
             }
         }
-        if self.tf != 0.0 {
-            res.reserve_c_pair(self.base, self.emitter);
-        }
-        if self.tr != 0.0 {
-            res.reserve_c_pair(self.base, self.collector);
-        }
+        sites.push_c_pair(b, e, self.tf != 0.0);
+        sites.push_c_pair(b, c, self.tr != 0.0);
     }
 
-    fn eval(&self, ctx: &mut EvalContext<'_>) {
+    fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>) {
         let (c, b, e) = (self.collector, self.base, self.emitter);
         let s = self.sign();
         // Polarity mirroring: I_pnp(v) = −I_npn(−v). Conductances and
@@ -181,35 +178,30 @@ impl DeviceImpl for Bjt {
         let die_dvbe = -(op.dic_dvbe + op.dib_dvbe);
         let die_dvbc = -(op.dic_dvbc + op.dib_dvbc);
 
-        ctx.add_g(c, b, op.dic_dvbe + op.dic_dvbc);
-        ctx.add_g(c, e, -op.dic_dvbe);
-        ctx.add_g(c, c, -op.dic_dvbc);
-
-        ctx.add_g(b, b, op.dib_dvbe + op.dib_dvbc);
-        ctx.add_g(b, e, -op.dib_dvbe);
-        ctx.add_g(b, c, -op.dib_dvbc);
-
-        ctx.add_g(e, b, die_dvbe + die_dvbc);
-        ctx.add_g(e, e, -die_dvbe);
-        ctx.add_g(e, c, -die_dvbc);
+        ctx.scatter_g(
+            0,
+            &[
+                op.dic_dvbe + op.dic_dvbc,
+                -op.dic_dvbe,
+                -op.dic_dvbc,
+                op.dib_dvbe + op.dib_dvbc,
+                -op.dib_dvbe,
+                -op.dib_dvbc,
+                die_dvbe + die_dvbc,
+                -die_dvbe,
+                -die_dvbc,
+            ],
+        );
 
         if self.tf != 0.0 {
             ctx.add_q(b, s * op.qbe);
             ctx.add_q(e, -s * op.qbe);
-            let cd = op.dqbe_dvbe;
-            ctx.add_c(b, b, cd);
-            ctx.add_c(e, e, cd);
-            ctx.add_c(b, e, -cd);
-            ctx.add_c(e, b, -cd);
+            ctx.scatter_c(0, &pair(op.dqbe_dvbe));
         }
         if self.tr != 0.0 {
             ctx.add_q(b, s * op.qbc);
             ctx.add_q(c, -s * op.qbc);
-            let cd = op.dqbc_dvbc;
-            ctx.add_c(b, b, cd);
-            ctx.add_c(c, c, cd);
-            ctx.add_c(b, c, -cd);
-            ctx.add_c(c, b, -cd);
+            ctx.scatter_c(4, &pair(op.dqbc_dvbc));
         }
     }
 
@@ -303,7 +295,7 @@ impl DeviceImpl for Bjt {
 #[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
-    use masc_sparse::TripletMatrix;
+    use crate::devices::{eval_alone, Device};
 
     fn eval_at(
         bjt: &Bjt,
@@ -314,25 +306,8 @@ mod tests {
         masc_sparse::CsrMatrix,
         masc_sparse::CsrMatrix,
     ) {
-        let mut gt = TripletMatrix::new(3, 3);
-        let mut ct = TripletMatrix::new(3, 3);
-        {
-            let mut res = Reserver::new(&mut gt, &mut ct);
-            bjt.reserve(&mut res);
-        }
-        let mut g = gt.to_csr();
-        let mut c = ct.to_csr();
-        let (mut f, mut q, mut b) = (vec![0.0; 3], vec![0.0; 3], vec![0.0; 3]);
-        bjt.eval(&mut EvalContext {
-            x,
-            t: 0.0,
-            g: &mut g,
-            c: &mut c,
-            f: &mut f,
-            q: &mut q,
-            b: &mut b,
-        });
-        (f, q, g, c)
+        let e = eval_alone(Device::Bjt(bjt.clone()), x, 0.0);
+        (e.f, e.q, e.g, e.c)
     }
 
     fn forward_active() -> ([f64; 3], Bjt) {

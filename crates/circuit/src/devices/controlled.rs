@@ -7,7 +7,7 @@
 //! textbook symmetric ones.
 
 use super::DeviceImpl;
-use crate::stamp::{EvalContext, ParamDerivContext, Reserver, Unknown};
+use crate::stamp::{EvalContext, ParamDerivContext, Scatter, Sites, Unknown};
 
 /// A voltage-controlled current source: `I(a→b) = gm · (V(cp) − V(cn))`.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,23 +48,20 @@ impl DeviceImpl for Vccs {
         &self.name
     }
 
-    fn reserve(&self, res: &mut Reserver<'_>) {
-        for &row in &[self.a, self.b] {
-            for &col in &[self.cp, self.cn] {
-                res.reserve_g(row, col);
+    fn sites(&self, sites: &mut Sites) {
+        for row in [self.a, self.b] {
+            for col in [self.cp, self.cn] {
+                sites.push_g(row, col);
             }
         }
     }
 
-    fn eval(&self, ctx: &mut EvalContext<'_>) {
+    fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>) {
         let vc = ctx.value(self.cp) - ctx.value(self.cn);
         let i = self.gm * vc;
         ctx.add_f(self.a, i);
         ctx.add_f(self.b, -i);
-        ctx.add_g(self.a, self.cp, self.gm);
-        ctx.add_g(self.a, self.cn, -self.gm);
-        ctx.add_g(self.b, self.cp, -self.gm);
-        ctx.add_g(self.b, self.cn, self.gm);
+        ctx.scatter_g(0, &[self.gm, -self.gm, -self.gm, self.gm]);
     }
 
     fn param_names(&self) -> &'static [&'static str] {
@@ -135,32 +132,27 @@ impl DeviceImpl for Vcvs {
         &self.name
     }
 
-    fn reserve(&self, res: &mut Reserver<'_>) {
+    fn sites(&self, sites: &mut Sites) {
         let br = self.branch;
-        res.reserve_g(self.a, br);
-        res.reserve_g(self.b, br);
-        res.reserve_g(br, self.a);
-        res.reserve_g(br, self.b);
-        res.reserve_g(br, self.cp);
-        res.reserve_g(br, self.cn);
+        sites.push_g(self.a, br);
+        sites.push_g(self.b, br);
+        sites.push_g(br, self.a);
+        sites.push_g(br, self.b);
+        sites.push_g(br, self.cp);
+        sites.push_g(br, self.cn);
     }
 
-    fn eval(&self, ctx: &mut EvalContext<'_>) {
+    fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>) {
         let br = self.branch;
         let i = ctx.value(br);
         ctx.add_f(self.a, i);
         ctx.add_f(self.b, -i);
-        ctx.add_g(self.a, br, 1.0);
-        ctx.add_g(self.b, br, -1.0);
         // Branch: (va − vb) − gain·(vcp − vcn) = 0.
         let v = ctx.value(self.a)
             - ctx.value(self.b)
             - self.gain * (ctx.value(self.cp) - ctx.value(self.cn));
         ctx.add_f(br, v);
-        ctx.add_g(br, self.a, 1.0);
-        ctx.add_g(br, self.b, -1.0);
-        ctx.add_g(br, self.cp, -self.gain);
-        ctx.add_g(br, self.cn, self.gain);
+        ctx.scatter_g(0, &[1.0, -1.0, 1.0, -1.0, -self.gain, self.gain]);
     }
 
     fn param_names(&self) -> &'static [&'static str] {
@@ -193,35 +185,17 @@ impl DeviceImpl for Vcvs {
 #[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
-    use masc_sparse::TripletMatrix;
+    use crate::devices::{eval_alone, Device};
 
-    fn eval3(dev: &impl DeviceImpl, x: &[f64]) -> (Vec<f64>, masc_sparse::CsrMatrix) {
-        let n = x.len();
-        let mut gt = TripletMatrix::new(n, n);
-        let mut ct = TripletMatrix::new(n, n);
-        {
-            let mut res = Reserver::new(&mut gt, &mut ct);
-            dev.reserve(&mut res);
-        }
-        let mut g = gt.to_csr();
-        let mut c = ct.to_csr();
-        let (mut f, mut q, mut b) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        dev.eval(&mut EvalContext {
-            x,
-            t: 0.0,
-            g: &mut g,
-            c: &mut c,
-            f: &mut f,
-            q: &mut q,
-            b: &mut b,
-        });
-        (f, g)
+    fn eval3(dev: Device, x: &[f64]) -> (Vec<f64>, masc_sparse::CsrMatrix) {
+        let e = eval_alone(dev, x, 0.0);
+        (e.f, e.g)
     }
 
     #[test]
     fn vccs_injects_proportional_current() {
         let g = Vccs::new("G1", Some(0), Some(1), Some(2), None, 2e-3);
-        let (f, gm) = eval3(&g, &[0.0, 0.0, 1.5]);
+        let (f, gm) = eval3(Device::Vccs(g), &[0.0, 0.0, 1.5]);
         assert!((f[0] - 3e-3).abs() < 1e-15);
         assert!((f[1] + 3e-3).abs() < 1e-15);
         assert_eq!(gm.get(0, 2), Some(2e-3));
@@ -233,7 +207,7 @@ mod tests {
         let mut e = Vcvs::new("E1", Some(0), None, Some(1), None, 10.0);
         e.branch = Some(2);
         // x = [out, ctrl, i]: out = 10·ctrl at the solution.
-        let (f, g) = eval3(&e, &[5.0, 0.5, -1e-3]);
+        let (f, g) = eval3(Device::Vcvs(e), &[5.0, 0.5, -1e-3]);
         assert_eq!(f[2], 0.0); // branch residual zero
         assert!((f[0] + 1e-3).abs() < 1e-15); // branch current into out
         assert_eq!(g.get(2, 0), Some(1.0));

@@ -7,7 +7,7 @@
 //! compression study: both `G` and `C` tensors vary over time.
 
 use super::{limexp, DeviceImpl, GMIN, VT};
-use crate::stamp::{EvalContext, ParamDerivContext, Reserver, Unknown};
+use crate::stamp::{pair, EvalContext, ParamDerivContext, Scatter, Sites, Unknown};
 
 /// Forward-bias depletion-capacitance linearization point.
 const FC: f64 = 0.5;
@@ -92,31 +92,23 @@ impl DeviceImpl for Diode {
         &self.name
     }
 
-    fn reserve(&self, res: &mut Reserver<'_>) {
-        res.reserve_g_pair(self.anode, self.cathode);
-        if self.cj0 != 0.0 {
-            res.reserve_c_pair(self.anode, self.cathode);
-        }
+    fn sites(&self, sites: &mut Sites) {
+        sites.push_g_pair(self.anode, self.cathode);
+        sites.push_c_pair(self.anode, self.cathode, self.cj0 != 0.0);
     }
 
-    fn eval(&self, ctx: &mut EvalContext<'_>) {
+    fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>) {
         let vd = ctx.value(self.anode) - ctx.value(self.cathode);
         let (i, g) = self.current(vd);
         let (a, c) = (self.anode, self.cathode);
         ctx.add_f(a, i);
         ctx.add_f(c, -i);
-        ctx.add_g(a, a, g);
-        ctx.add_g(c, c, g);
-        ctx.add_g(a, c, -g);
-        ctx.add_g(c, a, -g);
+        ctx.scatter_g(0, &pair(g));
         if self.cj0 != 0.0 {
             let (q, cd) = self.charge(vd);
             ctx.add_q(a, q);
             ctx.add_q(c, -q);
-            ctx.add_c(a, a, cd);
-            ctx.add_c(c, c, cd);
-            ctx.add_c(a, c, -cd);
-            ctx.add_c(c, a, -cd);
+            ctx.scatter_c(0, &pair(cd));
         }
     }
 

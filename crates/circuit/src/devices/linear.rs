@@ -5,7 +5,7 @@
 //! `S(i,i) = S(j,j) = -S(i,j) = -S(j,i)`.
 
 use super::DeviceImpl;
-use crate::stamp::{EvalContext, ParamDerivContext, Reserver, Unknown};
+use crate::stamp::{pair, EvalContext, ParamDerivContext, Scatter, Sites, Unknown};
 
 /// A linear resistor.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,12 +39,16 @@ impl DeviceImpl for Resistor {
         &self.name
     }
 
-    fn reserve(&self, res: &mut Reserver<'_>) {
-        res.reserve_g_pair(self.a, self.b);
+    fn sites(&self, sites: &mut Sites) {
+        sites.push_g_pair(self.a, self.b);
     }
 
-    fn eval(&self, ctx: &mut EvalContext<'_>) {
-        ctx.stamp_conductance(self.a, self.b, 1.0 / self.resistance);
+    fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>) {
+        let g = 1.0 / self.resistance;
+        let v = ctx.value(self.a) - ctx.value(self.b);
+        ctx.add_f(self.a, g * v);
+        ctx.add_f(self.b, -g * v);
+        ctx.scatter_g(0, &pair(g));
     }
 
     fn param_names(&self) -> &'static [&'static str] {
@@ -107,20 +111,16 @@ impl DeviceImpl for Capacitor {
         &self.name
     }
 
-    fn reserve(&self, res: &mut Reserver<'_>) {
-        res.reserve_c_pair(self.a, self.b);
+    fn sites(&self, sites: &mut Sites) {
+        sites.push_c_pair(self.a, self.b, true);
     }
 
-    fn eval(&self, ctx: &mut EvalContext<'_>) {
+    fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>) {
         let v = ctx.value(self.a) - ctx.value(self.b);
         let q = self.capacitance * v;
         ctx.add_q(self.a, q);
         ctx.add_q(self.b, -q);
-        let c = self.capacitance;
-        ctx.add_c(self.a, self.a, c);
-        ctx.add_c(self.b, self.b, c);
-        ctx.add_c(self.a, self.b, -c);
-        ctx.add_c(self.b, self.a, -c);
+        ctx.scatter_c(0, &pair(self.capacitance));
     }
 
     fn param_names(&self) -> &'static [&'static str] {
@@ -189,30 +189,27 @@ impl DeviceImpl for Inductor {
         &self.name
     }
 
-    fn reserve(&self, res: &mut Reserver<'_>) {
+    fn sites(&self, sites: &mut Sites) {
         let br = self.branch;
-        res.reserve_g(self.a, br);
-        res.reserve_g(self.b, br);
-        res.reserve_g(br, self.a);
-        res.reserve_g(br, self.b);
-        res.reserve_c(br, br);
+        sites.push_g(self.a, br);
+        sites.push_g(self.b, br);
+        sites.push_g(br, self.a);
+        sites.push_g(br, self.b);
+        sites.push_c(br, br);
     }
 
-    fn eval(&self, ctx: &mut EvalContext<'_>) {
+    fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>) {
         let br = self.branch;
         let i = ctx.value(br);
         // KCL: current i flows a → b through the inductor.
         ctx.add_f(self.a, i);
         ctx.add_f(self.b, -i);
-        ctx.add_g(self.a, br, 1.0);
-        ctx.add_g(self.b, br, -1.0);
         // Branch: L di/dt = va − vb  →  f_br = −(va − vb), q_br = L i.
         let v = ctx.value(self.a) - ctx.value(self.b);
         ctx.add_f(br, -v);
-        ctx.add_g(br, self.a, -1.0);
-        ctx.add_g(br, self.b, 1.0);
+        ctx.scatter_g(0, &[1.0, -1.0, -1.0, 1.0]);
         ctx.add_q(br, self.inductance * i);
-        ctx.add_c(br, br, self.inductance);
+        ctx.scatter_c(0, &[self.inductance]);
     }
 
     fn param_names(&self) -> &'static [&'static str] {
@@ -245,42 +242,12 @@ impl DeviceImpl for Inductor {
 #[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
-    use masc_sparse::TripletMatrix;
-
-    fn eval_device(dev: &impl DeviceImpl, n: usize, x: &[f64]) -> DeviceEval {
-        let mut gt = TripletMatrix::new(n, n);
-        let mut ct = TripletMatrix::new(n, n);
-        {
-            let mut res = Reserver::new(&mut gt, &mut ct);
-            dev.reserve(&mut res);
-        }
-        let mut g = gt.to_csr();
-        let mut c = ct.to_csr();
-        let (mut f, mut q, mut b) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        dev.eval(&mut EvalContext {
-            x,
-            t: 0.0,
-            g: &mut g,
-            c: &mut c,
-            f: &mut f,
-            q: &mut q,
-            b: &mut b,
-        });
-        DeviceEval { g, c, f, q, b }
-    }
-
-    struct DeviceEval {
-        g: masc_sparse::CsrMatrix,
-        c: masc_sparse::CsrMatrix,
-        f: Vec<f64>,
-        q: Vec<f64>,
-        b: Vec<f64>,
-    }
+    use crate::devices::{eval_alone, Device};
 
     #[test]
     fn resistor_stamp_symmetry() {
         let r = Resistor::new("R1", Some(0), Some(1), 100.0);
-        let e = eval_device(&r, 2, &[1.0, 0.0]);
+        let e = eval_alone(Device::Resistor(r), &[1.0, 0.0], 0.0);
         // The paper's stamp relation: S(i,i) = S(j,j) = -S(i,j) = -S(j,i).
         assert_eq!(e.g.get(0, 0), Some(0.01));
         assert_eq!(e.g.get(1, 1), Some(0.01));
@@ -294,7 +261,7 @@ mod tests {
     #[test]
     fn resistor_to_ground() {
         let r = Resistor::new("R1", Some(0), None, 50.0);
-        let e = eval_device(&r, 1, &[2.0]);
+        let e = eval_alone(Device::Resistor(r), &[2.0], 0.0);
         assert_eq!(e.g.get(0, 0), Some(0.02));
         assert!((e.f[0] - 0.04).abs() < 1e-15);
     }
@@ -302,7 +269,7 @@ mod tests {
     #[test]
     fn capacitor_charge_and_c_matrix() {
         let c = Capacitor::new("C1", Some(0), Some(1), 1e-6);
-        let e = eval_device(&c, 2, &[3.0, 1.0]);
+        let e = eval_alone(Device::Capacitor(c), &[3.0, 1.0], 0.0);
         assert!((e.q[0] - 2e-6).abs() < 1e-18);
         assert!((e.q[1] + 2e-6).abs() < 1e-18);
         assert_eq!(e.c.get(0, 0), Some(1e-6));
@@ -315,7 +282,7 @@ mod tests {
         let mut l = Inductor::new("L1", Some(0), Some(1), 1e-3);
         l.branch = Some(2);
         // x = [va, vb, i]
-        let e = eval_device(&l, 3, &[2.0, 0.5, 0.1]);
+        let e = eval_alone(Device::Inductor(l), &[2.0, 0.5, 0.1], 0.0);
         assert!((e.f[0] - 0.1).abs() < 1e-15); // i into node a
         assert!((e.f[1] + 0.1).abs() < 1e-15);
         assert!((e.f[2] + 1.5).abs() < 1e-15); // −(va − vb)
@@ -349,7 +316,7 @@ mod tests {
         let eps = r0 * 1e-7;
         let f_at = |rv: f64| {
             let r = Resistor::new("R", Some(0), Some(1), rv);
-            eval_device(&r, 2, &x).f
+            eval_alone(Device::Resistor(r), &x, 0.0).f
         };
         let hi = f_at(r0 + eps);
         let lo = f_at(r0 - eps);

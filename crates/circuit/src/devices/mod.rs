@@ -4,10 +4,15 @@
 //! V/I sources, and the nonlinear diode, BJT (Ebers–Moll transport form)
 //! and MOSFET (Shichman–Hodges level 1). Each device knows how to:
 //!
-//! - reserve its Jacobian stamp slots ([`Device::reserve`]) — the union of
-//!   these reservations *is* the shared sparsity pattern;
-//! - evaluate its contributions to `f`, `q`, `b`, `G`, `C`
-//!   ([`Device::eval`]);
+//! - list its Jacobian stamp sites in its kernel's local order
+//!   ([`Device::sites`]) — the union of the reserved sites *is* the shared
+//!   sparsity pattern, and elaboration binds every site to a value index
+//!   once;
+//! - evaluate its contributions ([`Device::eval`]): the kernel adds `f`,
+//!   `q`, `b` directly and hands its local `G`/`C` values, in site order,
+//!   to the context's scatter. A block gated by a parameter (diode `cj0`,
+//!   BJT `tf`/`tr`, MOSFET `cgs`/`cgd`) keeps its sites whatever the
+//!   parameter, and the kernel skips the block while the parameter is 0;
 //! - report and perturb its named parameters, and stamp the analytic
 //!   parameter derivatives `∂f/∂p`, `∂q/∂p`, `∂b/∂p` that the sensitivity
 //!   engines consume ([`Device::stamp_param_deriv`]).
@@ -26,7 +31,7 @@ pub use linear::{Capacitor, Inductor, Resistor};
 pub use mosfet::{MosPolarity, Mosfet};
 pub use sources::{CurrentSource, VoltageSource};
 
-use crate::stamp::{EvalContext, ParamDerivContext, Reserver, Unknown};
+use crate::stamp::{EvalContext, ParamDerivContext, Scatter, Sites, Unknown};
 
 /// Thermal voltage at ~300 K, used by all junction devices.
 pub const VT: f64 = 0.02585;
@@ -124,13 +129,16 @@ impl Device {
         }
     }
 
-    /// Declares every matrix slot the device will stamp.
-    pub fn reserve(&self, res: &mut Reserver<'_>) {
-        dispatch!(self, d => d.reserve(res))
+    /// Appends every `G`/`C` site the device's kernel writes, in its
+    /// local order.
+    pub fn sites(&self, sites: &mut Sites) {
+        dispatch!(self, d => d.sites(sites))
     }
 
-    /// Accumulates `f`, `q`, `b`, `G`, `C` at the context's state and time.
-    pub fn eval(&self, ctx: &mut EvalContext<'_>) {
+    /// Accumulates `f`, `q`, `b` at the context's state and time, and
+    /// scatters the local `G`, `C` values in the order of
+    /// [`Device::sites`].
+    pub fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>) {
         dispatch!(self, d => d.eval(ctx))
     }
 
@@ -186,13 +194,28 @@ impl Device {
 /// it. Not exported: the public surface is the enum.
 pub(crate) trait DeviceImpl {
     fn name(&self) -> &str;
-    fn reserve(&self, res: &mut Reserver<'_>);
-    fn eval(&self, ctx: &mut EvalContext<'_>);
+    fn sites(&self, sites: &mut Sites);
+    fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>);
     fn param_names(&self) -> &'static [&'static str];
     fn param(&self, i: usize) -> f64;
     fn set_param(&mut self, i: usize, value: f64);
     fn stamp_param_deriv(&self, i: usize, ctx: &mut ParamDerivContext<'_>);
     fn unknowns(&self) -> Vec<Unknown>;
+}
+
+/// Evaluates `device` alone over `x.len()` unknowns through the
+/// production bind-and-scatter path; its branch unknowns are the last ones.
+#[cfg(test)]
+pub(crate) fn eval_alone(device: Device, x: &[f64], t: f64) -> crate::Evaluation {
+    let mut ckt = crate::Circuit::new();
+    for i in 0..x.len() - device.branch_count() {
+        ckt.node(&format!("n{i}"));
+    }
+    ckt.add(device).expect("one device");
+    let mut sys = ckt.elaborate().expect("elaborates");
+    let mut ev = sys.new_evaluation();
+    sys.eval_into(&ckt, x, t, &mut ev);
+    ev
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! background typical of the paper's MOS datasets.
 
 use super::{DeviceImpl, GMIN};
-use crate::stamp::{EvalContext, ParamDerivContext, Reserver, Unknown};
+use crate::stamp::{pair, EvalContext, ParamDerivContext, Scatter, Sites, Unknown};
 
 /// Channel polarity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -164,50 +164,35 @@ impl DeviceImpl for Mosfet {
         &self.name
     }
 
-    fn reserve(&self, res: &mut Reserver<'_>) {
+    fn sites(&self, sites: &mut Sites) {
         let (d, g, s) = (self.drain, self.gate, self.source);
-        for &row in &[d, s] {
-            for &col in &[d, g, s] {
-                res.reserve_g(row, col);
+        for row in [d, s] {
+            for col in [d, g, s] {
+                sites.push_g(row, col);
             }
         }
-        if self.cgs != 0.0 {
-            res.reserve_c_pair(g, s);
-        }
-        if self.cgd != 0.0 {
-            res.reserve_c_pair(g, d);
-        }
+        sites.push_c_pair(g, s, self.cgs != 0.0);
+        sites.push_c_pair(g, d, self.cgd != 0.0);
     }
 
-    fn eval(&self, ctx: &mut EvalContext<'_>) {
+    fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>) {
         let (d, g, s) = (self.drain, self.gate, self.source);
         let (vd, vg, vs) = (ctx.value(d), ctx.value(g), ctx.value(s));
         let (id, dvd, dvg, dvs) = self.current(vd, vg, vs);
         ctx.add_f(d, id);
         ctx.add_f(s, -id);
-        ctx.add_g(d, d, dvd);
-        ctx.add_g(d, g, dvg);
-        ctx.add_g(d, s, dvs);
-        ctx.add_g(s, d, -dvd);
-        ctx.add_g(s, g, -dvg);
-        ctx.add_g(s, s, -dvs);
+        ctx.scatter_g(0, &[dvd, dvg, dvs, -dvd, -dvg, -dvs]);
         if self.cgs != 0.0 {
             let q = self.cgs * (vg - vs);
             ctx.add_q(g, q);
             ctx.add_q(s, -q);
-            ctx.add_c(g, g, self.cgs);
-            ctx.add_c(s, s, self.cgs);
-            ctx.add_c(g, s, -self.cgs);
-            ctx.add_c(s, g, -self.cgs);
+            ctx.scatter_c(0, &pair(self.cgs));
         }
         if self.cgd != 0.0 {
             let q = self.cgd * (vg - vd);
             ctx.add_q(g, q);
             ctx.add_q(d, -q);
-            ctx.add_c(g, g, self.cgd);
-            ctx.add_c(d, d, self.cgd);
-            ctx.add_c(g, d, -self.cgd);
-            ctx.add_c(d, g, -self.cgd);
+            ctx.scatter_c(4, &pair(self.cgd));
         }
     }
 

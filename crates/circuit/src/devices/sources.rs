@@ -1,7 +1,7 @@
 //! Independent voltage and current sources.
 
 use super::DeviceImpl;
-use crate::stamp::{EvalContext, ParamDerivContext, Reserver, Unknown};
+use crate::stamp::{EvalContext, ParamDerivContext, Scatter, Sites, Unknown};
 use crate::waveform::Waveform;
 
 /// An independent voltage source; introduces a branch-current unknown.
@@ -42,27 +42,24 @@ impl DeviceImpl for VoltageSource {
         &self.name
     }
 
-    fn reserve(&self, res: &mut Reserver<'_>) {
+    fn sites(&self, sites: &mut Sites) {
         let br = self.branch;
-        res.reserve_g(self.a, br);
-        res.reserve_g(self.b, br);
-        res.reserve_g(br, self.a);
-        res.reserve_g(br, self.b);
+        sites.push_g(self.a, br);
+        sites.push_g(self.b, br);
+        sites.push_g(br, self.a);
+        sites.push_g(br, self.b);
     }
 
-    fn eval(&self, ctx: &mut EvalContext<'_>) {
+    fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>) {
         let br = self.branch;
         let i = ctx.value(br);
         // Positive branch current flows from `a` through the source to `b`.
         ctx.add_f(self.a, i);
         ctx.add_f(self.b, -i);
-        ctx.add_g(self.a, br, 1.0);
-        ctx.add_g(self.b, br, -1.0);
         // Branch: va − vb − V(t) = 0.
         let v = ctx.value(self.a) - ctx.value(self.b);
         ctx.add_f(br, v);
-        ctx.add_g(br, self.a, 1.0);
-        ctx.add_g(br, self.b, -1.0);
+        ctx.scatter_g(0, &[1.0, -1.0, 1.0, -1.0]);
         ctx.add_b(br, -self.waveform.value(ctx.t));
     }
 
@@ -121,11 +118,11 @@ impl DeviceImpl for CurrentSource {
         &self.name
     }
 
-    fn reserve(&self, _res: &mut Reserver<'_>) {
-        // Purely an rhs contribution; no Jacobian slots.
+    fn sites(&self, _sites: &mut Sites) {
+        // Purely an rhs contribution; no Jacobian sites.
     }
 
-    fn eval(&self, ctx: &mut EvalContext<'_>) {
+    fn eval<S: Scatter>(&self, ctx: &mut EvalContext<'_, S>) {
         let i = self.waveform.value(ctx.t);
         ctx.add_b(self.a, i);
         ctx.add_b(self.b, -i);
@@ -161,63 +158,29 @@ impl DeviceImpl for CurrentSource {
 #[expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 mod tests {
     use super::*;
-    use masc_sparse::TripletMatrix;
+    use crate::devices::{eval_alone, Device};
 
     #[test]
     fn vsource_branch_equation() {
-        let mut v = VoltageSource::new("V1", Some(0), None, Waveform::Dc(5.0));
-        v.branch = Some(1);
-        let mut gt = TripletMatrix::new(2, 2);
-        let mut ct = TripletMatrix::new(2, 2);
-        {
-            let mut res = Reserver::new(&mut gt, &mut ct);
-            v.reserve(&mut res);
-        }
-        let mut g = gt.to_csr();
-        let mut c = ct.to_csr();
-        let x = [5.0, -0.25];
-        let (mut f, mut q, mut b) = (vec![0.0; 2], vec![0.0; 2], vec![0.0; 2]);
-        v.eval(&mut EvalContext {
-            x: &x,
-            t: 0.0,
-            g: &mut g,
-            c: &mut c,
-            f: &mut f,
-            q: &mut q,
-            b: &mut b,
-        });
+        let v = VoltageSource::new("V1", Some(0), None, Waveform::Dc(5.0));
+        let e = eval_alone(Device::VoltageSource(v), &[5.0, -0.25], 0.0);
         // KCL at node 0 sees the branch current.
-        assert_eq!(f[0], -0.25);
+        assert_eq!(e.f[0], -0.25);
         // Branch row: f + b = va − V = 5 − 5 = 0 at the solution.
-        assert_eq!(f[1] + b[1], 0.0);
-        assert_eq!(g.get(1, 0), Some(1.0));
-        assert_eq!(g.get(0, 1), Some(1.0));
+        assert_eq!(e.f[1] + e.b[1], 0.0);
+        assert_eq!(e.g.get(1, 0), Some(1.0));
+        assert_eq!(e.g.get(0, 1), Some(1.0));
     }
 
     #[test]
     fn isource_pushes_current() {
         let i = CurrentSource::new("I1", Some(0), Some(1), Waveform::Dc(1e-3));
-        let mut gt = TripletMatrix::new(2, 2);
-        let mut ct = TripletMatrix::new(2, 2);
-        {
-            let mut res = Reserver::new(&mut gt, &mut ct);
-            i.reserve(&mut res);
-        }
-        let mut g = gt.to_csr();
-        let mut c = ct.to_csr();
-        let x = [0.0, 0.0];
-        let (mut f, mut q, mut b) = (vec![0.0; 2], vec![0.0; 2], vec![0.0; 2]);
-        i.eval(&mut EvalContext {
-            x: &x,
-            t: 0.0,
-            g: &mut g,
-            c: &mut c,
-            f: &mut f,
-            q: &mut q,
-            b: &mut b,
-        });
-        assert_eq!(b, vec![1e-3, -1e-3]);
-        assert_eq!(g.nnz(), 0);
+        let e = eval_alone(Device::CurrentSource(i), &[0.0, 0.0], 0.0);
+        assert_eq!(e.b, vec![1e-3, -1e-3]);
+        // No Jacobian sites: only the node diagonals elaboration reserves
+        // for gmin stepping, all zero.
+        assert_eq!(e.g.nnz(), 2);
+        assert!(e.g.values().iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -254,22 +217,7 @@ mod tests {
                 theta: 0.0,
             },
         );
-        let gt = TripletMatrix::new(1, 1);
-        let ct = TripletMatrix::new(1, 1);
-        let mut g = gt.to_csr();
-        let mut c = ct.to_csr();
-        let x = [0.0];
-        let (mut f, mut q, mut b) = (vec![0.0; 1], vec![0.0; 1], vec![0.0; 1]);
-        i.eval(&mut EvalContext {
-            x: &x,
-            t: 0.25,
-            g: &mut g,
-            c: &mut c,
-            f: &mut f,
-            q: &mut q,
-            b: &mut b,
-        });
-        assert!((b[0] - 1.0).abs() < 1e-12);
-        let _ = (gt.len(), ct.len());
+        let e = eval_alone(Device::CurrentSource(i), &[0.0], 0.25);
+        assert!((e.b[0] - 1.0).abs() < 1e-12);
     }
 }

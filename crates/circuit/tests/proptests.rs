@@ -2,6 +2,9 @@
 
 #![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 
+mod common;
+
+use common::{bitwise_equal, restamped};
 use masc_circuit::devices::{
     Bjt, BjtPolarity, Capacitor, CurrentSource, Device, Diode, Inductor, MosPolarity, Mosfet,
     Resistor, Vccs, Vcvs, VoltageSource,
@@ -258,6 +261,26 @@ prop! {
                     p.path, df[r], dq[r], db[r]
                 );
             }
+        }
+    }
+
+    /// Evaluation through the slots bound at elaboration writes what
+    /// restamping each kernel's local values through `CsrMatrix::add_at`
+    /// writes, bit for bit: on random multi-device circuits whose devices
+    /// share slots, and on one device of every kind with random terminals.
+    fn bound_slots_match_the_add_at_restamp(mut mesh in circuits(),
+                                            mut kinds in every_device_kind(),
+                                            voltages in gen::vecs(gen::range_f64(-5.0, 5.0), 12..13),
+                                            t in gen::range_f64(0.0, 2e-6)) {
+        for ckt in [&mut mesh, &mut kinds] {
+            let mut sys = ckt.elaborate().expect("elaborates");
+            let x: Vec<f64> = voltages.iter().copied().cycle().take(sys.n).collect();
+            let mut ev = sys.new_evaluation();
+            sys.eval_into(ckt, &x, t, &mut ev);
+            let (reference, unwritten) = restamped(ckt, &sys, &x, t);
+            prop_assert!(unwritten == 0, "{unwritten} sites unwritten with every block active");
+            let same = bitwise_equal(&ev, &reference);
+            prop_assert!(same.is_ok(), "bound vs restamp: {same:?}");
         }
     }
 

@@ -12,6 +12,11 @@
 //! - no library code outside `crates/bitio/src` calls `varint::read_u64`:
 //!   decoders read varints through `masc_bitio::cursor::ByteCursor`, the
 //!   one owner of bounding a read against the bytes that remain.
+//! - no device model under `crates/circuit/src/devices/` and no library
+//!   code in `crates/circuit/src/stamp.rs` calls `add_at(` or `.find(` or
+//!   names `CsrMatrix`: device evaluation writes `G`/`C` through the slots
+//!   bound at elaboration, so it performs no pattern search (DESIGN.md
+//!   §3.16).
 //!
 //! Library source is `src/` of every crate that has a `src/lib.rs`, minus
 //! `main.rs` and `src/bin/`, read up to the file's first `#[cfg(test)]`.
@@ -250,6 +255,42 @@ fn decoders_read_varints_through_the_byte_cursor() {
     for (&(file, _), used) in CURSOR_EXEMPTIONS.iter().zip(used) {
         assert!(used, "exemption {file} matches nothing; remove it");
     }
+}
+
+#[test]
+fn device_evaluation_never_searches_the_pattern() {
+    let root = workspace_root();
+    let mut scanned = 0;
+    let mut offenders = Vec::new();
+    for files in library_crates(&root) {
+        for (file, src) in &files {
+            if !(file.starts_with("crates/circuit/src/devices/")
+                || file == "crates/circuit/src/stamp.rs")
+            {
+                continue;
+            }
+            scanned += 1;
+            for (i, line) in src.lines().enumerate() {
+                if line.trim_start().starts_with("//") {
+                    continue;
+                }
+                if ["add_at(", ".find(", "CsrMatrix"]
+                    .iter()
+                    .any(|needle| line.contains(needle))
+                {
+                    offenders.push(format!("{file}:{}", i + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        scanned >= 8,
+        "found {scanned} device and stamp files; did they move?"
+    );
+    assert!(
+        offenders.is_empty(),
+        "device evaluation must write G/C through bound slots, not search the pattern: {offenders:#?}"
+    );
 }
 
 #[test]
