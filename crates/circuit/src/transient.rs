@@ -308,8 +308,10 @@ impl BeStepper {
     }
 
     /// Newton-solves `(q(x) − q_prev)/h + f(x) + b(t) = 0` for `x` in place
-    /// (starting from its current contents), then re-evaluates at the
-    /// converged point and rolls `q_prev` forward. On failure `q_prev` is
+    /// (starting from its current contents) and rolls `q_prev` forward.
+    /// The solve's last evaluation is of the converged point, so `ev`
+    /// already holds it: a step evaluates the devices once per Newton
+    /// iteration plus once at the converged point. On failure `q_prev` is
     /// untouched, so the caller may restore `x` and retry with another `h`.
     /// Returns the number of Newton iterations the solve took.
     ///
@@ -339,7 +341,6 @@ impl BeStepper {
                 *jv += cv / h;
             }
         })?;
-        system.eval_into(circuit, x, t, &mut self.ev);
         self.q_prev.copy_from_slice(&self.ev.q);
         Ok(iterations)
     }

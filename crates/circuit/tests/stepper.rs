@@ -259,3 +259,37 @@ fn a_failing_sink_stops_both_entry_points_at_the_same_step() {
         }
     }
 }
+
+#[test]
+fn a_step_evaluates_once_per_newton_iteration_plus_the_converged_point() {
+    let opts = parse_netlist(DECK).unwrap().tran.unwrap();
+    let (circuit, mut system) = fresh_system();
+    let mut lu = LuWorkspace::new();
+    let mut x = dc_operating_point_ws(&circuit, &mut system, &opts.newton, &mut lu)
+        .unwrap()
+        .x;
+    let mut be = BeStepper::new(&system, opts.newton);
+    be.start(&circuit, &mut system, &x, 0.0);
+    let mut check = system.new_evaluation();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for step in 1..=opts.step_count() {
+        let t = step as f64 * opts.dt;
+        let before = system.device_eval_count();
+        let iterations = be
+            .step(&circuit, &mut system, &mut lu, &mut x, t, opts.dt)
+            .unwrap();
+        assert_eq!(
+            system.device_eval_count() - before,
+            iterations as u64 + 1,
+            "step {step}"
+        );
+        // What the stepper holds is the evaluation of the converged point.
+        system.eval_into(&circuit, &x, t, &mut check);
+        assert_eq!(bits(be.ev.g.values()), bits(check.g.values()));
+        assert_eq!(bits(be.ev.c.values()), bits(check.c.values()));
+        assert_eq!(bits(&be.ev.f), bits(&check.f));
+        assert_eq!(bits(&be.ev.q), bits(&check.q));
+        assert_eq!(bits(&be.ev.b), bits(&check.b));
+        assert_eq!(bits(be.q_prev()), bits(&check.q));
+    }
+}

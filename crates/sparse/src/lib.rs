@@ -48,7 +48,7 @@ pub mod triplet;
 
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
-pub use lu::{LuError, LuFactors, LuWorkspace, NumericLu, SymbolicLu};
+pub use lu::{LuError, LuFactors, LuWorkspace, SymbolicLu};
 pub use pattern::Pattern;
 pub use triplet::TripletMatrix;
 

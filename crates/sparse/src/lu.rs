@@ -16,11 +16,13 @@
 //!
 //! The expensive parts of that pipeline — the ordering, the per-column
 //! reachability DFS, and pivot search — depend only on the pattern and the
-//! chosen pivot sequence, so they are captured once in a [`SymbolicLu`] and
-//! replayed by [`NumericLu::refactor`], a values-only elimination into
-//! preallocated `L`/`U` storage (KLU's *refactorization*). [`LuWorkspace`]
-//! is the one entry point that factors: it analyzes the first matrix of a
-//! pattern, refactors later ones, falls back to a fresh analysis when the
+//! chosen pivot sequence, so they are captured once in a [`SymbolicLu`]:
+//! the permutations and the `L`/`U` fill skeletons, held nowhere else.
+//! [`LuFactors`] are that analysis behind its `Arc` plus the values of `L`
+//! and `U`. [`LuWorkspace`] is the one entry point that factors: it
+//! analyzes the first matrix of a pattern, then replays the recorded
+//! elimination with each later matrix's values into the storage it holds
+//! (KLU's *refactorization*), falls back to a fresh analysis when the
 //! recorded pivot sequence goes numerically bad, and skips the elimination
 //! altogether when a matrix is bit for bit the one it factored last (a
 //! linear circuit's `J = G + C/h` on a fixed grid never changes).
@@ -71,14 +73,6 @@ pub enum LuError {
     Singular(usize),
     /// A non-finite value (NaN/∞) appeared during factorization.
     NotFinite,
-    /// A refactorization was attempted with a matrix whose sparsity pattern
-    /// does not match the one the [`SymbolicLu`] was analyzed on.
-    PatternMismatch {
-        /// Non-zero count the symbolic analysis was built for.
-        expected_nnz: usize,
-        /// Non-zero count of the offending matrix.
-        got_nnz: usize,
-    },
 }
 
 impl fmt::Display for LuError {
@@ -91,14 +85,6 @@ impl fmt::Display for LuError {
                 write!(f, "matrix numerically singular at column {col}")
             }
             LuError::NotFinite => write!(f, "non-finite value during factorization"),
-            LuError::PatternMismatch {
-                expected_nnz,
-                got_nnz,
-            } => write!(
-                f,
-                "refactor pattern mismatch: symbolic analysis has {expected_nnz} \
-                 non-zeros, matrix has {got_nnz}"
-            ),
         }
     }
 }
@@ -116,58 +102,37 @@ const DIAG_PREFERENCE: f64 = 0.001;
 /// Absolute magnitude below which a pivot is declared singular.
 const PIVOT_EPSILON: f64 = 1e-300;
 
-/// Compressed-column storage for one triangular factor.
-#[derive(Debug, Clone)]
-struct CscFactor {
-    colptr: Vec<usize>,
-    rowidx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl CscFactor {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "sized by `n` and `nnz` of the matrix being factored"
-    )]
-    fn with_capacity(n: usize, nnz: usize) -> Self {
-        Self {
-            colptr: Vec::with_capacity(n + 1),
-            rowidx: Vec::with_capacity(nnz),
-            values: Vec::with_capacity(nnz),
-        }
-    }
-}
-
 /// A computed LU factorization `P·A·Q = L·U`.
 ///
 /// `L` is unit-lower-triangular (unit diagonal implied), `U` upper
 /// triangular; `P` is the row pivot permutation, `Q` the fill-reducing
-/// column permutation. Produced by [`LuWorkspace::factor`].
+/// column permutation. The permutations and the compressed-column
+/// skeletons of `L` and `U` are the [`SymbolicLu`] the factors were
+/// eliminated on, read through its shared `Arc`; the factors own only the
+/// values. Produced by [`LuWorkspace::factor`].
 #[derive(Debug, Clone)]
 pub struct LuFactors {
-    n: usize,
-    l: CscFactor,
-    u: CscFactor,
-    /// `p[factor_row] = original_row`.
-    p: Vec<usize>,
-    /// `q[factor_col] = original_col`.
-    q: Vec<usize>,
+    sym: Arc<SymbolicLu>,
+    /// Values of `L`, parallel to the skeleton's `l_rows`.
+    l_values: Vec<f64>,
+    /// Values of `U`, parallel to the skeleton's `u_rows`.
+    u_values: Vec<f64>,
 }
 
 impl LuFactors {
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
-        self.n
+        self.sym.n
     }
 
     /// Non-zeros in `L` (excluding the implied unit diagonal).
     pub fn l_nnz(&self) -> usize {
-        self.l.rowidx.len()
+        self.sym.l_rows.len()
     }
 
     /// Non-zeros in `U` (including the diagonal).
     pub fn u_nnz(&self) -> usize {
-        self.u.rowidx.len()
+        self.sym.u_rows.len()
     }
 
     /// Solves `A x = b`.
@@ -199,40 +164,46 @@ impl LuFactors {
         reason = "sized by `n` of the held factors"
     )]
     pub fn solve_into(&self, b: &[f64], work: &mut Vec<f64>, out: &mut Vec<f64>) {
-        assert_eq!(b.len(), self.n, "solve dimension mismatch");
+        let s = &*self.sym;
+        // Slices bound once: indexing the `Vec`s behind the `Arc` inside
+        // the loops would reload their pointers after every store to `y`.
+        let (n, p, q) = (s.n, &s.p[..], &s.q[..]);
+        let (lp, li, lx) = (&s.l_colptr[..], &s.l_rows[..], &self.l_values[..]);
+        let (up, ui, ux) = (&s.u_colptr[..], &s.u_rows[..], &self.u_values[..]);
+        assert_eq!(b.len(), n, "solve dimension mismatch");
         // c = P b
         work.clear();
-        work.extend((0..self.n).map(|i| b[self.p[i]]));
+        work.extend((0..n).map(|i| b[p[i]]));
         let y = &mut work[..];
         // L y' = c (unit lower, column-oriented forward substitution)
-        for j in 0..self.n {
+        for j in 0..n {
             let yj = y[j];
             if yj == 0.0 {
                 continue;
             }
-            for t in self.l.colptr[j]..self.l.colptr[j + 1] {
-                y[self.l.rowidx[t]] -= self.l.values[t] * yj;
+            for t in lp[j]..lp[j + 1] {
+                y[li[t]] -= lx[t] * yj;
             }
         }
         // U z = y' (column-oriented backward substitution; diagonal entry
         // is the last element of each column).
-        for j in (0..self.n).rev() {
-            let start = self.u.colptr[j];
-            let end = self.u.colptr[j + 1];
-            let diag = self.u.values[end - 1];
+        for j in (0..n).rev() {
+            let start = up[j];
+            let end = up[j + 1];
+            let diag = ux[end - 1];
             let zj = y[j] / diag;
             y[j] = zj;
             if zj != 0.0 {
                 for t in start..end - 1 {
-                    y[self.u.rowidx[t]] -= self.u.values[t] * zj;
+                    y[ui[t]] -= ux[t] * zj;
                 }
             }
         }
         // x = Q z
         out.clear();
-        out.resize(self.n, 0.0);
-        for j in 0..self.n {
-            out[self.q[j]] = y[j];
+        out.resize(n, 0.0);
+        for j in 0..n {
+            out[q[j]] = y[j];
         }
     }
 
@@ -265,34 +236,40 @@ impl LuFactors {
         reason = "sized by `n` of the held factors"
     )]
     pub fn solve_transpose_into(&self, b: &[f64], work: &mut Vec<f64>, out: &mut Vec<f64>) {
-        assert_eq!(b.len(), self.n, "solve_transpose dimension mismatch");
+        let s = &*self.sym;
+        // Slices bound once: indexing the `Vec`s behind the `Arc` inside
+        // the loops would reload their pointers after every store to `y`.
+        let (n, p, q) = (s.n, &s.p[..], &s.q[..]);
+        let (lp, li, lx) = (&s.l_colptr[..], &s.l_rows[..], &self.l_values[..]);
+        let (up, ui, ux) = (&s.u_colptr[..], &s.u_rows[..], &self.u_values[..]);
+        assert_eq!(b.len(), n, "solve_transpose dimension mismatch");
         // c = Qᵀ b
         work.clear();
-        work.extend((0..self.n).map(|j| b[self.q[j]]));
+        work.extend((0..n).map(|j| b[q[j]]));
         let y = &mut work[..];
         // Uᵀ w = c : Uᵀ is lower triangular; row-oriented over U's columns.
-        for j in 0..self.n {
-            let start = self.u.colptr[j];
-            let end = self.u.colptr[j + 1];
+        for j in 0..n {
+            let start = up[j];
+            let end = up[j + 1];
             let mut acc = y[j];
             for t in start..end - 1 {
-                acc -= self.u.values[t] * y[self.u.rowidx[t]];
+                acc -= ux[t] * y[ui[t]];
             }
-            y[j] = acc / self.u.values[end - 1];
+            y[j] = acc / ux[end - 1];
         }
         // Lᵀ z = w : Lᵀ is unit upper triangular.
-        for j in (0..self.n).rev() {
+        for j in (0..n).rev() {
             let mut acc = y[j];
-            for t in self.l.colptr[j]..self.l.colptr[j + 1] {
-                acc -= self.l.values[t] * y[self.l.rowidx[t]];
+            for t in lp[j]..lp[j + 1] {
+                acc -= lx[t] * y[li[t]];
             }
             y[j] = acc;
         }
         // x = Pᵀ z  (x[p[i]] = z[i])
         out.clear();
-        out.resize(self.n, 0.0);
-        for i in 0..self.n {
-            out[self.p[i]] = y[i];
+        out.resize(n, 0.0);
+        for i in 0..n {
+            out[p[i]] = y[i];
         }
     }
 
@@ -300,168 +277,54 @@ impl LuFactors {
     pub fn fill_ratio(&self, a_nnz: usize) -> f64 {
         (self.l_nnz() + self.u_nnz()) as f64 / a_nnz.max(1) as f64
     }
-}
 
-/// The structure half of an LU factorization: ordering, pivot sequence, and
-/// fill pattern, computed once per sparsity pattern.
-///
-/// An analysis runs the full Gilbert–Peierls factorization (values are
-/// needed to *choose* pivots) and records everything that does not depend on
-/// values given that pivot sequence: the AMD column permutation `Q`, the
-/// final row permutation `P`, a scatter plan mapping each CSR value slot of
-/// `A` into factor coordinates, and the complete `L`/`U` fill skeletons with
-/// `U`'s per-column entries stored in elimination order. Note the skeleton
-/// emits *every* reached fill position — no value-dependent pruning — so a
-/// later [`NumericLu::refactor`] with different values on the same pattern
-/// (e.g. the transient `J = G + C/h` after a DC-only `G` analysis) never
-/// lacks a slot.
-///
-/// Pivot validity is the one value-dependent thing a refactorization must
-/// re-check; [`NumericLu::refactor`] reports [`LuError::Singular`] when the
-/// recorded pivot goes numerically bad, and [`LuWorkspace`] answers that
-/// with a fresh analysis.
-#[derive(Debug, Clone)]
-pub struct SymbolicLu {
-    n: usize,
-    nnz: usize,
-    pattern: Arc<Pattern>,
-    /// `q[factor_col] = original_col`.
-    q: Vec<usize>,
-    /// `p[factor_row] = original_row`.
-    p: Vec<usize>,
-    /// Scatter plan: per factor column `j`, slots `a_colptr[j]..a_colptr[j+1]`
-    /// give (destination factor row, source CSR value slot) pairs for the
-    /// entries of `A(:, q[j])`.
-    a_colptr: Vec<usize>,
-    a_rows: Vec<usize>,
-    a_src: Vec<usize>,
-    /// `L` skeleton: factor rows `> j` per column, in emission order.
-    l_colptr: Vec<usize>,
-    l_rows: Vec<usize>,
-    /// `U` skeleton: factor rows `< j` per column in elimination order,
-    /// then the diagonal `j` as the last entry.
-    u_colptr: Vec<usize>,
-    u_rows: Vec<usize>,
-}
-
-impl SymbolicLu {
-    /// Analyzes a matrix.
+    /// Replays the recorded elimination with `a`'s values into these
+    /// factors' value storage, sizing it on the first call. `x` is scratch
+    /// in factor-row coordinates, all zeros between calls (error paths
+    /// re-zero it wholesale).
+    ///
+    /// A refactorization skips ordering, reachability DFS, and pivot
+    /// search: it scatters values through the symbolic scatter plan and
+    /// streams through the recorded skeleton, the KLU refactorization fast
+    /// path. On the matrix the analysis was computed from, the resulting
+    /// values are bit-identical to the analysis's own.
+    ///
+    /// The caller has checked `self.sym.matches(a)`.
     ///
     /// # Errors
     ///
-    /// Returns [`LuError`] if the matrix is not square, is singular, or
-    /// produces non-finite intermediates — the analysis performs a full
-    /// pivoting factorization on the given values.
-    pub fn analyze(a: &CsrMatrix) -> Result<Self, LuError> {
-        Ok(gp_factor(a)?.0)
-    }
-
-    /// Whether `a` has the pattern this analysis was computed on.
-    pub fn matches(&self, a: &CsrMatrix) -> bool {
-        Arc::ptr_eq(&self.pattern, a.pattern())
-            || (self.n == a.rows() && self.n == a.cols() && *self.pattern == **a.pattern())
-    }
-
-    /// Matrix dimension the analysis was computed for.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-}
-
-/// The values half of an LU factorization: preallocated `L`/`U` storage
-/// refilled by replaying a [`SymbolicLu`]'s recorded elimination.
-///
-/// A refactorization skips ordering, reachability DFS, and pivot search —
-/// it scatters values through the symbolic scatter plan and streams through
-/// the recorded skeleton, which is the KLU refactorization fast path. On
-/// the matrix the analysis was computed from, the resulting factors are
-/// bit-identical to the analysis's own.
-#[derive(Debug, Clone)]
-pub struct NumericLu {
-    factors: LuFactors,
-    /// Scatter/elimination scratch in factor-row coordinates. Invariant:
-    /// all zeros between calls (error paths re-zero it wholesale).
-    x: Vec<f64>,
-}
-
-impl NumericLu {
-    /// Allocates numeric storage shaped for `sym`.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "sized by the held symbolic factorization's `n` and fill counts"
-    )]
-    pub fn new(sym: &SymbolicLu) -> Self {
-        let factors = LuFactors {
-            n: sym.n,
-            l: CscFactor {
-                colptr: sym.l_colptr.clone(),
-                rowidx: sym.l_rows.clone(),
-                values: vec![0.0; sym.l_rows.len()],
-            },
-            u: CscFactor {
-                colptr: sym.u_colptr.clone(),
-                rowidx: sym.u_rows.clone(),
-                values: vec![0.0; sym.u_rows.len()],
-            },
-            p: sym.p.clone(),
-            q: sym.q.clone(),
-        };
-        Self {
-            factors,
-            x: vec![0.0; sym.n],
-        }
-    }
-
-    /// Wraps already-computed factors from the analysis pass itself, so the
-    /// first factorization through a [`LuWorkspace`] costs one elimination.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "sized by `n` of the held symbolic factorization"
-    )]
-    fn from_analysis(sym: &SymbolicLu, factors: LuFactors) -> Self {
-        debug_assert_eq!(factors.n, sym.n);
-        Self {
-            factors,
-            x: vec![0.0; sym.n],
-        }
-    }
-
-    /// Replays the recorded elimination with `a`'s values.
-    ///
-    /// # Errors
-    ///
-    /// - [`LuError::PatternMismatch`] if `a`'s pattern is not the analyzed
-    ///   one (the factors keep their previous contents).
     /// - [`LuError::Singular`] if a recorded pivot position is too small or
     ///   non-finite for the new values — the recorded pivot *sequence* is
     ///   no longer valid and a fresh analysis is needed.
     /// - [`LuError::NotFinite`] if `a` contains or produces non-finite
-    ///   values. After any error the factor contents are unspecified.
-    pub fn refactor(&mut self, sym: &SymbolicLu, a: &CsrMatrix) -> Result<(), LuError> {
-        if !sym.matches(a) {
-            return Err(LuError::PatternMismatch {
-                expected_nnz: sym.nnz,
-                got_nnz: a.nnz(),
-            });
-        }
+    ///   values. After any error the values are unspecified.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sized by the held analysis's `n` and fill counts"
+    )]
+    fn refactor(&mut self, a: &CsrMatrix, x: &mut Vec<f64>) -> Result<(), LuError> {
+        let sym = &*self.sym;
         let n = sym.n;
+        x.resize(n, 0.0);
+        self.l_values.resize(sym.l_rows.len(), 0.0);
+        self.u_values.resize(sym.u_rows.len(), 0.0);
         let vals = a.values();
-        let x = &mut self.x[..];
-        let l_colptr = &self.factors.l.colptr;
-        let l_rows = &self.factors.l.rowidx;
-        let l_vals = &mut self.factors.l.values;
-        let u_colptr = &self.factors.u.colptr;
-        let u_rows = &self.factors.u.rowidx;
-        let u_vals = &mut self.factors.u.values;
+        // Slices, as in the solves.
+        let x = &mut x[..];
+        let (a_colptr, a_rows, a_src) = (&sym.a_colptr[..], &sym.a_rows[..], &sym.a_src[..]);
+        let (l_colptr, l_rows, l_vals) =
+            (&sym.l_colptr[..], &sym.l_rows[..], &mut self.l_values[..]);
+        let (u_colptr, u_rows, u_vals) =
+            (&sym.u_colptr[..], &sym.u_rows[..], &mut self.u_values[..]);
         for j in 0..n {
             // Scatter A(:, q[j]) into factor-row coordinates.
-            for k in sym.a_colptr[j]..sym.a_colptr[j + 1] {
-                let v = vals[sym.a_src[k]];
+            for k in a_colptr[j]..a_colptr[j + 1] {
+                let v = vals[a_src[k]];
                 if !v.is_finite() {
                     x.fill(0.0);
                     return Err(LuError::NotFinite);
                 }
-                x[sym.a_rows[k]] = v;
+                x[a_rows[k]] = v;
             }
             // Eliminate with the already-refactored columns, in recorded
             // order. U's column j (minus the trailing diagonal) *is* the
@@ -511,17 +374,73 @@ impl NumericLu {
         }
         Ok(())
     }
+}
 
-    /// The current factors (valid after a successful [`refactor`]).
+/// The structure half of an LU factorization: ordering, pivot sequence, and
+/// fill pattern, computed once per sparsity pattern.
+///
+/// An analysis runs the full Gilbert–Peierls factorization (values are
+/// needed to *choose* pivots) and records everything that does not depend on
+/// values given that pivot sequence: the AMD column permutation `Q`, the
+/// final row permutation `P`, a scatter plan mapping each CSR value slot of
+/// `A` into factor coordinates, and the complete `L`/`U` fill skeletons with
+/// `U`'s per-column entries stored in elimination order. Note the skeleton
+/// emits *every* reached fill position — no value-dependent pruning — so a
+/// later refactorization with different values on the same pattern (e.g.
+/// the transient `J = G + C/h` after a DC-only `G` analysis) never lacks a
+/// slot.
+///
+/// Pivot validity is the one value-dependent thing a refactorization must
+/// re-check; when a recorded pivot goes numerically bad, [`LuWorkspace`]
+/// answers with a fresh analysis.
+///
+/// The analysis is the only holder of these arrays: every [`LuFactors`]
+/// eliminated on it, in every workspace seeded with it, reads them through
+/// one shared `Arc`.
+#[derive(Debug, Clone)]
+pub struct SymbolicLu {
+    n: usize,
+    pattern: Arc<Pattern>,
+    /// `q[factor_col] = original_col`.
+    q: Vec<usize>,
+    /// `p[factor_row] = original_row`.
+    p: Vec<usize>,
+    /// Scatter plan: per factor column `j`, slots `a_colptr[j]..a_colptr[j+1]`
+    /// give (destination factor row, source CSR value slot) pairs for the
+    /// entries of `A(:, q[j])`.
+    a_colptr: Vec<usize>,
+    a_rows: Vec<usize>,
+    a_src: Vec<usize>,
+    /// `L` skeleton: factor rows `> j` per column, in emission order.
+    l_colptr: Vec<usize>,
+    l_rows: Vec<usize>,
+    /// `U` skeleton: factor rows `< j` per column in elimination order,
+    /// then the diagonal `j` as the last entry.
+    u_colptr: Vec<usize>,
+    u_rows: Vec<usize>,
+}
+
+impl SymbolicLu {
+    /// Analyzes a matrix.
     ///
-    /// [`refactor`]: NumericLu::refactor
-    pub fn factors(&self) -> &LuFactors {
-        &self.factors
+    /// # Errors
+    ///
+    /// Returns [`LuError`] if the matrix is not square, is singular, or
+    /// produces non-finite intermediates — the analysis performs a full
+    /// pivoting factorization on the given values.
+    pub fn analyze(a: &CsrMatrix) -> Result<Self, LuError> {
+        gp_factor(a).map(|(sym, _, _)| sym)
     }
 
-    /// Consumes the numeric storage, yielding the factors.
-    pub fn into_factors(self) -> LuFactors {
-        self.factors
+    /// Whether `a` has the pattern this analysis was computed on.
+    pub fn matches(&self, a: &CsrMatrix) -> bool {
+        Arc::ptr_eq(&self.pattern, a.pattern())
+            || (self.n == a.rows() && self.n == a.cols() && *self.pattern == **a.pattern())
+    }
+
+    /// Matrix dimension the analysis was computed for.
+    pub fn dim(&self) -> usize {
+        self.n
     }
 }
 
@@ -530,10 +449,11 @@ impl NumericLu {
 ///
 /// The first `factor` call on a pattern runs a full analysis. Later calls
 /// on the pattern of the cached [`SymbolicLu`] take the values-only
-/// [`NumericLu::refactor`] fast path. If a refactorization reports
-/// [`LuError::Singular`] — the recorded pivot sequence went bad for the
-/// new values — the workspace transparently falls back to a fresh
-/// analysis, so every call pivots as an independent factorization would.
+/// refactorization fast path into the `L`/`U` value storage the workspace
+/// holds. If a refactorization finds a recorded pivot numerically bad
+/// ([`LuError::Singular`]), the workspace transparently falls back to a
+/// fresh analysis, so every call pivots as an independent factorization
+/// would.
 ///
 /// The workspace also keeps a copy of the values of its last successful
 /// factorization (one `nnz`-long buffer, reused). When the incoming matrix
@@ -550,10 +470,18 @@ impl NumericLu {
 /// transient stepper, DC solver, and adjoint reverse pass each hold one
 /// across all their iterations, and `masc-sweep` seeds one per sweep
 /// instance from a single shared analysis via [`LuWorkspace::with_symbolic`].
+/// A seeded workspace adds only its value storage: the skeleton stays in
+/// the one shared analysis.
 #[derive(Debug, Clone, Default)]
 pub struct LuWorkspace {
-    symbolic: Option<Arc<SymbolicLu>>,
-    numeric: Option<NumericLu>,
+    /// The cached analysis and the values last eliminated on it. A seeded
+    /// workspace holds the analysis with empty values until its first
+    /// elimination; its copy of values is empty then too, so that call
+    /// never skips.
+    factors: Option<LuFactors>,
+    /// Refactorization scratch in factor-row coordinates, all zeros
+    /// between calls.
+    x: Vec<f64>,
     /// Values of the matrix the held factors belong to; emptied by an error.
     factored: Vec<f64>,
     factorizations: usize,
@@ -572,14 +500,18 @@ impl LuWorkspace {
     /// [`SymbolicLu`] across threads.
     pub fn with_symbolic(sym: Arc<SymbolicLu>) -> Self {
         Self {
-            symbolic: Some(sym),
+            factors: Some(LuFactors {
+                sym,
+                l_values: Vec::new(),
+                u_values: Vec::new(),
+            }),
             ..Self::default()
         }
     }
 
     /// The cached analysis, if any.
     pub fn symbolic(&self) -> Option<&Arc<SymbolicLu>> {
-        self.symbolic.as_ref()
+        self.factors.as_ref().map(|f| &f.sym)
     }
 
     /// How many eliminations this workspace has run: every refactor and
@@ -602,32 +534,26 @@ impl LuWorkspace {
         let changed = sync_bits(&mut self.factored, a.values());
         // `matches` compares whole patterns when `a` does not share the
         // analysis's `Arc`, so it runs once here and the result is passed on.
-        let sym = self.symbolic.clone().filter(|s| s.matches(a));
-        if changed || sym.is_none() || self.numeric.is_none() {
-            if let Err(e) = self.eliminate(a, sym) {
+        let matches = self.factors.as_ref().is_some_and(|f| f.sym.matches(a));
+        if changed || !matches {
+            if let Err(e) = self.eliminate(a, matches) {
                 self.factored.clear();
                 return Err(e);
             }
         }
-        match self.numeric.as_ref() {
-            Some(num) => Ok(num.factors()),
-            // Unreachable: `numeric` is populated by every successful
-            // elimination and checked before a skip; structured for
-            // panic-freedom instead of unwrap.
-            None => Err(LuError::Singular(0)),
-        }
+        // `factors` is populated by every successful elimination and
+        // checked before a skip; structured for panic-freedom instead of
+        // unwrap.
+        self.factors.as_ref().ok_or(LuError::Singular(0))
     }
 
-    /// Runs one elimination of `a` into `numeric`: a refactor on `sym`, the
-    /// cached analysis if it matches `a`'s pattern, and a fresh analysis
-    /// without one or when the refactor finds its pivot sequence singular.
-    fn eliminate(&mut self, a: &CsrMatrix, sym: Option<Arc<SymbolicLu>>) -> Result<(), LuError> {
-        if let Some(sym) = sym {
-            let num = self
-                .numeric
-                .get_or_insert_with(|| NumericLu::new(sym.as_ref()));
+    /// Runs one elimination of `a`: a refactor on the cached analysis if
+    /// it `matches` `a`'s pattern, and a fresh analysis without one or when
+    /// the refactor finds its pivot sequence singular.
+    fn eliminate(&mut self, a: &CsrMatrix, matches: bool) -> Result<(), LuError> {
+        if let Some(factors) = self.factors.as_mut().filter(|_| matches) {
             self.factorizations += 1;
-            match num.refactor(sym.as_ref(), a) {
+            match factors.refactor(a, &mut self.x) {
                 Ok(()) => return Ok(()),
                 // Pivot sequence went numerically bad: fall through to a
                 // fresh analysis, like an independent factorization would.
@@ -636,9 +562,12 @@ impl LuWorkspace {
             }
         }
         self.factorizations += 1;
-        let (sym, factors) = gp_factor(a)?;
-        self.numeric = Some(NumericLu::from_analysis(&sym, factors));
-        self.symbolic = Some(Arc::new(sym));
+        let (sym, l_values, u_values) = gp_factor(a)?;
+        self.factors = Some(LuFactors {
+            sym: Arc::new(sym),
+            l_values,
+            u_values,
+        });
         Ok(())
     }
 }
@@ -672,17 +601,17 @@ fn sync_bits(copy: &mut Vec<f64>, values: &[f64]) -> bool {
     }
 }
 
-/// One-pass Gilbert–Peierls factorization that records the symbolic
-/// skeleton alongside the numeric factors.
+/// One-pass Gilbert–Peierls factorization: the analysis, with the `L` and
+/// `U` values it computed on the way.
 ///
 /// This is the single implementation behind [`SymbolicLu::analyze`]
-/// (which drops the factors) and [`LuWorkspace::factor`] (which keeps
-/// both).
+/// (which drops the values) and [`LuWorkspace::factor`] (which keeps
+/// both). The index arrays it builds move into the analysis.
 #[expect(
     clippy::disallowed_methods,
     reason = "sized by `n` and `nnz` of the held matrix being factored"
 )]
-fn gp_factor(a: &CsrMatrix) -> Result<(SymbolicLu, LuFactors), LuError> {
+fn gp_factor(a: &CsrMatrix) -> Result<(SymbolicLu, Vec<f64>, Vec<f64>), LuError> {
     if a.rows() != a.cols() {
         return Err(LuError::NotSquare {
             rows: a.rows(),
@@ -719,10 +648,15 @@ fn gp_factor(a: &CsrMatrix) -> Result<(SymbolicLu, LuFactors), LuError> {
         }
     }
 
-    let mut l = CscFactor::with_capacity(n, nnz * 4);
-    let mut u = CscFactor::with_capacity(n, nnz * 4);
-    l.colptr.push(0);
-    u.colptr.push(0);
+    // Compressed-column L and U: pointers, row indices, values.
+    let mut l_colptr = Vec::with_capacity(n + 1);
+    let mut l_rows = Vec::with_capacity(nnz * 4);
+    let mut l_values = Vec::with_capacity(nnz * 4);
+    let mut u_colptr = Vec::with_capacity(n + 1);
+    let mut u_rows = Vec::with_capacity(nnz * 4);
+    let mut u_values = Vec::with_capacity(nnz * 4);
+    l_colptr.push(0);
+    u_colptr.push(0);
 
     // pinv[original_row] = factor position, or UNPIVOTED.
     let mut pinv = vec![UNPIVOTED; n];
@@ -749,10 +683,10 @@ fn gp_factor(a: &CsrMatrix) -> Result<(SymbolicLu, LuFactors), LuError> {
                 let pk = pinv[r];
                 let mut descended = false;
                 if pk != UNPIVOTED {
-                    let start = l.colptr[pk];
-                    let end = l.colptr[pk + 1];
+                    let start = l_colptr[pk];
+                    let end = l_colptr[pk + 1];
                     while start + *cursor < end {
-                        let child = l.rowidx[start + *cursor];
+                        let child = l_rows[start + *cursor];
                         *cursor += 1;
                         if mark[child] != j {
                             mark[child] = j;
@@ -793,8 +727,8 @@ fn gp_factor(a: &CsrMatrix) -> Result<(SymbolicLu, LuFactors), LuError> {
             if xr == 0.0 {
                 continue;
             }
-            for t in l.colptr[pk]..l.colptr[pk + 1] {
-                x[l.rowidx[t]] -= l.values[t] * xr;
+            for t in l_colptr[pk]..l_colptr[pk + 1] {
+                x[l_rows[t]] -= l_values[t] * xr;
             }
         }
 
@@ -830,13 +764,13 @@ fn gp_factor(a: &CsrMatrix) -> Result<(SymbolicLu, LuFactors), LuError> {
             let r = topo[idx];
             let pk = pinv[r];
             if pk != UNPIVOTED {
-                u.rowidx.push(pk);
-                u.values.push(x[r]);
+                u_rows.push(pk);
+                u_values.push(x[r]);
             }
         }
-        u.rowidx.push(j);
-        u.values.push(pivot_val);
-        u.colptr.push(u.rowidx.len());
+        u_rows.push(j);
+        u_values.push(pivot_val);
+        u_colptr.push(u_rows.len());
 
         // --- Emit L column j (original row ids for now). Every unpivoted
         // reached row is emitted, including exact zeros: the skeleton must
@@ -851,11 +785,11 @@ fn gp_factor(a: &CsrMatrix) -> Result<(SymbolicLu, LuFactors), LuError> {
                 if !v.is_finite() {
                     return Err(LuError::NotFinite);
                 }
-                l.rowidx.push(r);
-                l.values.push(v);
+                l_rows.push(r);
+                l_values.push(v);
             }
         }
-        l.colptr.push(l.rowidx.len());
+        l_colptr.push(l_rows.len());
 
         // Clear x for the next column.
         for &r in &topo {
@@ -864,7 +798,7 @@ fn gp_factor(a: &CsrMatrix) -> Result<(SymbolicLu, LuFactors), LuError> {
     }
 
     // Convert L's row indices from original rows to factor positions.
-    for r in &mut l.rowidx {
+    for r in &mut l_rows {
         debug_assert!(pinv[*r] != UNPIVOTED);
         *r = pinv[*r];
     }
@@ -881,22 +815,25 @@ fn gp_factor(a: &CsrMatrix) -> Result<(SymbolicLu, LuFactors), LuError> {
         }
         a_colptr.push(a_rows.len());
     }
+    // L and U grew by push from a guess; trim them to what they hold.
+    l_rows.shrink_to_fit();
+    l_values.shrink_to_fit();
+    u_rows.shrink_to_fit();
+    u_values.shrink_to_fit();
     let sym = SymbolicLu {
         n,
-        nnz,
         pattern: Arc::clone(a.pattern()),
-        q: q.clone(),
-        p: p.clone(),
+        q,
+        p,
         a_colptr,
         a_rows,
         a_src,
-        l_colptr: l.colptr.clone(),
-        l_rows: l.rowidx.clone(),
-        u_colptr: u.colptr.clone(),
-        u_rows: u.rowidx.clone(),
+        l_colptr,
+        l_rows,
+        u_colptr,
+        u_rows,
     };
-
-    Ok((sym, LuFactors { n, l, u, p, q }))
+    Ok((sym, l_values, u_values))
 }
 
 #[cfg(test)]
@@ -1027,29 +964,41 @@ mod tests {
     }
 
     fn assert_factors_bit_equal(a: &LuFactors, b: &LuFactors) {
-        assert_eq!(a.n, b.n);
-        assert_eq!(a.p, b.p);
-        assert_eq!(a.q, b.q);
-        assert_eq!(a.l.colptr, b.l.colptr);
-        assert_eq!(a.l.rowidx, b.l.rowidx);
-        assert_eq!(a.u.colptr, b.u.colptr);
-        assert_eq!(a.u.rowidx, b.u.rowidx);
-        for (x, y) in a.l.values.iter().zip(&b.l.values) {
+        let (s, t) = (&*a.sym, &*b.sym);
+        assert_eq!(s.n, t.n);
+        assert_eq!(s.p, t.p);
+        assert_eq!(s.q, t.q);
+        assert_eq!(s.l_colptr, t.l_colptr);
+        assert_eq!(s.l_rows, t.l_rows);
+        assert_eq!(s.u_colptr, t.u_colptr);
+        assert_eq!(s.u_rows, t.u_rows);
+        assert_eq!(a.l_values.len(), s.l_rows.len());
+        assert_eq!(a.u_values.len(), s.u_rows.len());
+        for (x, y) in a.l_values.iter().zip(&b.l_values) {
             assert_eq!(x.to_bits(), y.to_bits(), "L value mismatch");
         }
-        for (x, y) in a.u.values.iter().zip(&b.u.values) {
+        for (x, y) in a.u_values.iter().zip(&b.u_values) {
             assert_eq!(x.to_bits(), y.to_bits(), "U value mismatch");
         }
+    }
+
+    /// Refactors `a` on `sym` through a workspace seeded with it, asserting
+    /// that the call ran exactly one elimination and kept the analysis: a
+    /// `Singular` fallback would run two and replace it.
+    fn refactor_on(sym: &Arc<SymbolicLu>, a: &CsrMatrix) -> LuFactors {
+        let mut ws = LuWorkspace::with_symbolic(Arc::clone(sym));
+        let got = ws.factor(a).unwrap().clone();
+        assert_eq!(ws.factorizations(), 1);
+        assert!(Arc::ptr_eq(sym, &got.sym));
+        got
     }
 
     #[test]
     fn split_bit_identical_to_oneshot() {
         let a = csr_from(&[(0, 0, 4.0), (0, 1, 1.0), (1, 0, 2.0), (1, 1, 3.0)], 2);
         let oneshot = fresh(&a).unwrap();
-        let sym = SymbolicLu::analyze(&a).unwrap();
-        let mut num = NumericLu::new(&sym);
-        num.refactor(&sym, &a).unwrap();
-        assert_factors_bit_equal(&oneshot, num.factors());
+        let sym = Arc::new(SymbolicLu::analyze(&a).unwrap());
+        assert_factors_bit_equal(&oneshot, &refactor_on(&sym, &a));
     }
 
     #[test]
@@ -1064,17 +1013,15 @@ mod tests {
             }
         }
         let a = csr_from(&entries, n);
-        let sym = SymbolicLu::analyze(&a).unwrap();
-        let mut num = NumericLu::new(&sym);
+        let sym = Arc::new(SymbolicLu::analyze(&a).unwrap());
         // New values on the same pattern (still diagonally dominant so the
         // recorded pivot sequence stays the one a fresh factor would pick).
         let mut b = a.clone();
         for (k, v) in b.values_mut().iter_mut().enumerate() {
             *v *= 1.0 + 0.003 * k as f64;
         }
-        num.refactor(&sym, &b).unwrap();
         let oneshot = fresh(&b).unwrap();
-        assert_factors_bit_equal(&oneshot, num.factors());
+        assert_factors_bit_equal(&oneshot, &refactor_on(&sym, &b));
     }
 
     /// A 3×3 tridiagonal matrix with two stored zeros off the diagonal.
@@ -1099,19 +1046,18 @@ mod tests {
         // matrix scattered onto the G∪C union pattern); refactor with those
         // slots populated. The skeleton must carry the fill regardless.
         let zeroed = with_stored_zeros();
-        let sym = SymbolicLu::analyze(&zeroed).unwrap();
+        let sym = Arc::new(SymbolicLu::analyze(&zeroed).unwrap());
         let mut full = zeroed.clone();
         for v in full.values_mut().iter_mut() {
             if *v == 0.0 {
                 *v = -0.5;
             }
         }
-        let mut num = NumericLu::new(&sym);
-        num.refactor(&sym, &full).unwrap();
+        let got = refactor_on(&sym, &full);
         let oneshot = fresh(&full).unwrap();
-        assert_factors_bit_equal(&oneshot, num.factors());
+        assert_factors_bit_equal(&oneshot, &got);
         let b = [1.0, 2.0, 3.0];
-        let x = num.factors().solve(&b);
+        let x = got.solve(&b);
         let ax = full.mul_vec(&x);
         for (l, r) in ax.iter().zip(&b) {
             assert!((l - r).abs() < 1e-12);
@@ -1120,14 +1066,18 @@ mod tests {
 
     #[test]
     fn refactor_pattern_mismatch_rejected() {
+        // A workspace seeded for one pattern never refactors another on its
+        // skeleton: it analyzes the other afresh, in one elimination.
         let a = csr_from(&[(0, 0, 4.0), (0, 1, 1.0), (1, 0, 2.0), (1, 1, 3.0)], 2);
         let other = csr_from(&[(0, 0, 4.0), (1, 1, 3.0)], 2);
-        let sym = SymbolicLu::analyze(&a).unwrap();
-        let mut num = NumericLu::new(&sym);
-        assert!(matches!(
-            num.refactor(&sym, &other),
-            Err(LuError::PatternMismatch { .. })
-        ));
+        let sym = Arc::new(SymbolicLu::analyze(&a).unwrap());
+        assert!(!sym.matches(&other));
+        let mut ws = LuWorkspace::with_symbolic(Arc::clone(&sym));
+        let got = ws.factor(&other).unwrap().clone();
+        assert_eq!(ws.factorizations(), 1);
+        assert!(!Arc::ptr_eq(&sym, &got.sym));
+        assert!(got.sym.matches(&other));
+        assert_factors_bit_equal(&fresh(&other).unwrap(), &got);
     }
 
     #[test]

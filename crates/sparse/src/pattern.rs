@@ -217,16 +217,6 @@ impl Pattern {
         }
     }
 
-    /// Raw transpose map (internal to the predictor; `NONE` = absent).
-    pub fn transpose_map(&self) -> &[usize] {
-        &self.transpose_map
-    }
-
-    /// Raw diagonal map (`NONE` = absent).
-    pub fn diag_index(&self) -> &[usize] {
-        &self.diag_index
-    }
-
     /// Returns `true` if the structural pattern is symmetric (every `(i,j)`
     /// has a matching `(j,i)`). MNA matrices are structurally symmetric.
     pub fn is_structurally_symmetric(&self) -> bool {

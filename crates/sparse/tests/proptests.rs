@@ -4,12 +4,12 @@
 #![expect(clippy::disallowed_methods, reason = "sizes chosen by the test")]
 
 use masc_sparse::{
-    amd::amd_order, CsrMatrix, LuError, LuFactors, LuWorkspace, NumericLu, Pattern, SymbolicLu,
-    TripletMatrix,
+    amd::amd_order, CsrMatrix, LuError, LuFactors, LuWorkspace, Pattern, SymbolicLu, TripletMatrix,
 };
 use masc_testkit::gen::{self, Gen};
 use masc_testkit::rng::Rng;
 use masc_testkit::{prop, prop_assert, prop_assert_eq};
+use std::sync::Arc;
 
 /// Random diagonally-dominant sparse matrices (always solvable).
 fn matrices(n: usize) -> impl Gen<Value = CsrMatrix> {
@@ -116,11 +116,14 @@ prop! {
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).sin() * 2.0).collect();
         let one_shot = fresh_factor(&a).unwrap();
-        let sym = SymbolicLu::analyze(&a).unwrap();
+        let sym = Arc::new(SymbolicLu::analyze(&a).unwrap());
         prop_assert!(sym.matches(&a));
-        let mut num = NumericLu::new(&sym);
-        num.refactor(&sym, &a).unwrap();
-        let split = num.factors();
+        let mut ws = LuWorkspace::with_symbolic(Arc::clone(&sym));
+        let split = ws.factor(&a).unwrap().clone();
+        // One elimination on the seeded analysis: a refactor, not a
+        // `Singular` fallback that re-analyzed.
+        prop_assert_eq!(ws.factorizations(), 1);
+        prop_assert!(Arc::ptr_eq(&sym, ws.symbolic().unwrap()));
         prop_assert_eq!(split.l_nnz(), one_shot.l_nnz());
         prop_assert_eq!(split.u_nnz(), one_shot.u_nnz());
         let xs = split.solve(&b);
@@ -141,16 +144,18 @@ prop! {
         // matrix from scratch.
         let n = a.rows();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos() + 0.25).collect();
-        let sym = SymbolicLu::analyze(&a).unwrap();
-        let mut num = NumericLu::new(&sym);
-        for scale in [1.0, 1.5, 0.25, 7.0] {
+        let sym = Arc::new(SymbolicLu::analyze(&a).unwrap());
+        let mut ws = LuWorkspace::with_symbolic(Arc::clone(&sym));
+        for (calls, scale) in [1.0, 1.5, 0.25, 7.0].into_iter().enumerate() {
             let mut scaled = a.clone();
             for v in scaled.values_mut() {
                 *v *= scale;
             }
-            num.refactor(&sym, &scaled).unwrap();
+            let xr = ws.factor(&scaled).unwrap().solve(&b);
+            // Exactly one more elimination, on the seeded analysis.
+            prop_assert_eq!(ws.factorizations(), calls + 1);
+            prop_assert!(Arc::ptr_eq(&sym, ws.symbolic().unwrap()));
             let fresh = fresh_factor(&scaled).unwrap();
-            let xr = num.factors().solve(&b);
             let xf = fresh.solve(&b);
             for (r, f) in xr.iter().zip(&xf) {
                 prop_assert_eq!(r.to_bits(), f.to_bits());
