@@ -137,6 +137,14 @@ pub struct WindowTerminal {
     pub h: f64,
 }
 
+/// Offers [`adjoint_sensitivities`] makes on the caller's thread before it
+/// starts the cursor lane. The cursor's first two offers allocate its LU
+/// analysis and its recycled `w` buffers; made here, they land in the
+/// caller's heap arena, and the lane's steady state allocates nothing. A
+/// lane that allocates grows a second glibc arena: started at the first
+/// offer, it raised the benchmark's `rc_mesh` peak RSS by 1.6 MB.
+const INLINE_OFFERS: usize = 2;
+
 /// Runs the adjoint reverse pass.
 ///
 /// `meta`/`reader` come from [`crate::store::ForwardRecord::into_parts`];
@@ -144,6 +152,13 @@ pub struct WindowTerminal {
 /// recompute store's device re-evaluation). The reader is drained, and its
 /// [`metrics`](BackwardJacobians::metrics) then hold the run's store
 /// telemetry, reverse fetches included.
+///
+/// After the first two steps the pass runs on two lanes: this thread
+/// fetches (decodes) step `n − 1` while a scoped lane offers step `n` to
+/// the [`AdjointCursor`]. The same reader feeds the same cursor the same
+/// matrices in the same order, so the result is bit-identical to a serial
+/// fetch–offer loop, and so is the error: the first failure in that loop's
+/// order wins. A panic on the lane resumes on this thread.
 ///
 /// # Errors
 ///
@@ -160,10 +175,60 @@ pub fn adjoint_sensitivities(
         return Err(AdjointError::EmptyRecord);
     }
     let mut cursor = AdjointCursor::new(circuit, system, meta, objectives, params);
-    while let Some((step, matrices)) = reader.next_back().map_err(AdjointError::from)? {
+    for _ in 0..INLINE_OFFERS {
+        let Some((step, matrices)) = reader.next_back()? else {
+            return Ok(cursor.finish());
+        };
         cursor.offer(system, step, matrices)?;
     }
-    Ok(cursor.finish())
+    let Some(first) = reader.next_back()? else {
+        return Ok(cursor.finish());
+    };
+    Ok(replay_on_lane(cursor, system, reader, first)?.finish())
+}
+
+/// The two-lane steady state of [`adjoint_sensitivities`], from the
+/// already fetched `first` step down to step 0.
+///
+/// The rendezvous channel holds nothing, so besides the step the lane is
+/// offering at most one decoded step waits here. Every step the lane has
+/// received is newer than any step this thread fails to fetch, so the
+/// lane's error wins over a fetch error, as in the serial loop; a lane
+/// error or panic drops the receiver, the next send fails and decoding
+/// stops.
+fn replay_on_lane<'a>(
+    mut cursor: AdjointCursor<'a>,
+    system: &mut System,
+    reader: &mut BackwardJacobians,
+    first: (usize, StepMatrices),
+) -> Result<AdjointCursor<'a>, AdjointError> {
+    std::thread::scope(|scope| {
+        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, StepMatrices)>(0);
+        let lane = scope.spawn(move || -> Result<AdjointCursor<'a>, AdjointError> {
+            for (step, matrices) in rx {
+                cursor.offer(system, step, matrices)?;
+            }
+            Ok(cursor)
+        });
+        let mut next = first;
+        let fetched = loop {
+            if tx.send(next).is_err() {
+                // The lane stopped on an error; joining it reports that.
+                break Ok(());
+            }
+            match reader.next_back() {
+                Ok(Some(step)) => next = step,
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        drop(tx);
+        let cursor = lane
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))?;
+        fetched?;
+        Ok(cursor)
+    })
 }
 
 /// `∂f/∂p`, `∂q/∂p` and `∂b/∂p` of every parameter at one state, packed
@@ -301,10 +366,11 @@ pub struct AdjointCursor<'a> {
     start: Instant,
     stats: AdjointStats,
     dodp: Vec<Vec<f64>>,
-    g_mat: CsrMatrix,
     c_mat: CsrMatrix,
+    /// `G`, then `J = G + C/h` formed over it in place.
     j_mat: CsrMatrix,
-    ev: Evaluation,
+    /// The recompute store's evaluation buffers, made on its first step.
+    ev: Option<Evaluation>,
     lu: LuWorkspace,
     pending_w: Option<Vec<Vec<f64>>>,
     pending_h: f64,
@@ -369,10 +435,9 @@ impl<'a> AdjointCursor<'a> {
             start: Instant::now(),
             stats: AdjointStats::default(),
             dodp: vec![vec![0.0f64; n_par]; objectives.len()],
-            g_mat: CsrMatrix::zeros(system.pattern.clone()),
             c_mat: CsrMatrix::zeros(system.pattern.clone()),
             j_mat: CsrMatrix::zeros(system.pattern.clone()),
-            ev: system.new_evaluation(),
+            ev: None,
             lu,
             pending_w: None,
             pending_h: 0.0,
@@ -407,14 +472,15 @@ impl<'a> AdjointCursor<'a> {
         // Obtain G_step, C_step.
         match matrices {
             StepMatrices::Stored { g, c } => {
-                system.scatter_g(&g, self.g_mat.values_mut());
+                system.scatter_g(&g, self.j_mat.values_mut());
                 system.scatter_c(&c, self.c_mat.values_mut());
             }
             StepMatrices::Recompute => {
                 let t0 = Instant::now();
-                system.eval_into(self.circuit, x, t, &mut self.ev);
-                self.g_mat.values_mut().copy_from_slice(self.ev.g.values());
-                self.c_mat.values_mut().copy_from_slice(self.ev.c.values());
+                let ev = self.ev.get_or_insert_with(|| system.new_evaluation());
+                system.eval_into(self.circuit, x, t, ev);
+                self.j_mat.values_mut().copy_from_slice(ev.g.values());
+                self.c_mat.values_mut().copy_from_slice(ev.c.values());
                 self.stats.recompute_time += t0.elapsed();
             }
         }
@@ -441,21 +507,42 @@ impl<'a> AdjointCursor<'a> {
             );
         }
 
-        // Factor the step's system matrix. The workspace replays the
-        // recorded pivot sequence values-only; every reverse step shares
-        // the one symbolic analysis.
-        let factors = if step > 0 {
+        // Factor the step's system matrix, `J = G + C/h` formed over `G`
+        // (`G` alone at the DC point). The workspace replays the recorded
+        // pivot sequence values-only; every reverse step shares the one
+        // symbolic analysis.
+        if step > 0 {
             let h = meta.hs[step];
-            let jv = self.j_mat.values_mut();
-            jv.copy_from_slice(self.g_mat.values());
-            for (jv, cv) in jv.iter_mut().zip(self.c_mat.values()) {
+            for (jv, cv) in self.j_mat.values_mut().iter_mut().zip(self.c_mat.values()) {
                 *jv += cv / h;
             }
-            self.lu.factor(&self.j_mat)
-        } else {
-            self.lu.factor(&self.g_mat)
         }
-        .map_err(|source| AdjointError::Lu { step, source })?;
+        let factors = self
+            .lu
+            .factor(&self.j_mat)
+            .map_err(|source| AdjointError::Lu { step, source })?;
+
+        // φ_step over every parameter's support, once for all objectives.
+        // It overwrites `pool_here.df`: after the swap below that pool is
+        // `pool_prev`, which the next offer refills before reading it.
+        let h = meta.hs[step];
+        let here = &mut self.pool_here;
+        if step > 0 {
+            for (((phi, dq), dq_prev), db) in here
+                .df
+                .iter_mut()
+                .zip(&here.dq)
+                .zip(&self.pool_prev.dq)
+                .zip(&here.db)
+            {
+                *phi = (dq - dq_prev) / h + *phi + db;
+            }
+        } else {
+            for (phi, db) in here.df.iter_mut().zip(&here.db) {
+                *phi += db;
+            }
+        }
+        let phi = &self.pool_here.df;
 
         let mut w_now = std::mem::take(&mut self.w_spare);
         for (i, objective) in self.objectives.iter().enumerate() {
@@ -472,19 +559,11 @@ impl<'a> AdjointCursor<'a> {
             factors.solve_transpose_into(&self.v, &mut self.solve_work, &mut w);
             // Accumulate -w^T phi(p), summing only over each parameter's
             // support.
-            let h = meta.hs[step];
-            let (here, prev, rows) = (&self.pool_here, &self.pool_prev, &self.supports.rows);
+            let rows = &self.supports.rows;
             for (j, dodp) in self.dodp[i].iter_mut().enumerate() {
                 let mut acc = 0.0;
-                if step > 0 {
-                    for k in self.supports.span(j) {
-                        let phi = (here.dq[k] - prev.dq[k]) / h + here.df[k] + here.db[k];
-                        acc += w[rows[k]] * phi;
-                    }
-                } else {
-                    for k in self.supports.span(j) {
-                        acc += w[rows[k]] * (here.df[k] + here.db[k]);
-                    }
+                for k in self.supports.span(j) {
+                    acc += w[rows[k]] * phi[k];
                 }
                 *dodp -= acc;
             }

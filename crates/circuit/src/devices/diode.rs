@@ -156,8 +156,9 @@ impl DeviceImpl for Diode {
             2 => {
                 // q ∝ CJ0: ∂q/∂CJ0 = q/CJ0 (well-defined via unit CJ0).
                 let unit = Diode {
+                    name: String::new(),
                     cj0: 1.0,
-                    ..self.clone()
+                    ..*self
                 };
                 let (q1, _) = unit.charge(vd);
                 ctx.add_dq(a, q1);

@@ -237,9 +237,16 @@ impl DeviceImpl for Mosfet {
             0..=4 => {
                 let v0 = self.param(i);
                 let eps = (v0.abs() * 1e-7).max(1e-16);
-                let mut hi = self.clone();
+                // Perturbed copies without the name: no allocation.
+                let mut hi = Mosfet {
+                    name: String::new(),
+                    ..*self
+                };
                 hi.set_param(i, v0 + eps);
-                let mut lo = self.clone();
+                let mut lo = Mosfet {
+                    name: String::new(),
+                    ..*self
+                };
                 lo.set_param(i, v0 - eps);
                 let d_id = (hi.current(vd, vg, vs).0 - lo.current(vd, vg, vs).0) / (2.0 * eps);
                 ctx.add_df(d, d_id);

@@ -39,9 +39,11 @@ use masc_bitio::bounded::check_claim;
 use masc_bitio::cursor::{write_f64s, write_prefixed, ByteCursor};
 use masc_bitio::varint::{self, VarintError};
 use masc_circuit::transient::TranOptions;
+use masc_circuit::{Circuit, System};
 use masc_compress::{CompressError, CompressedTensor, MascConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Entry wire-format magic (`MSV2` — v2 added the embedded fingerprint).
 const MAGIC: [u8; 4] = *b"MSV2";
@@ -97,6 +99,24 @@ pub struct CacheEntry {
     pub g: CompressedTensor,
     /// The sealed compressed `C` tensor.
     pub c: CompressedTensor,
+    /// The canonical deck as this entry's first hit elaborated it, kept so
+    /// that later hits replay without parsing the deck again. Filled by a
+    /// hit, not by the cold run, so an entry that is never hit holds no
+    /// circuit. Never encoded: an entry read from disk starts empty. The
+    /// memory tier's byte budget counts encoded bytes only, so this is
+    /// outside it.
+    pub(crate) elaborated: OnceLock<std::sync::Arc<Elaborated>>,
+}
+
+/// An elaborated canonical deck: the circuit and its system as
+/// elaboration left it. Hits share the circuit and clone the system,
+/// which is a few `Arc`s.
+#[derive(Debug)]
+pub(crate) struct Elaborated {
+    /// The parsed, elaborated circuit.
+    pub(crate) circuit: Circuit,
+    /// Its system as elaboration left it.
+    pub(crate) system: System,
 }
 
 /// Why an entry failed to load, decode, or persist.
@@ -260,6 +280,7 @@ pub fn decode_entry(bytes: &[u8]) -> Result<CacheEntry, CacheError> {
         meta: RunMeta { times, hs, states },
         g,
         c,
+        elaborated: OnceLock::new(),
     })
 }
 
@@ -619,6 +640,7 @@ mod tests {
             },
             g: g.finish(),
             c: c.finish(),
+            elaborated: OnceLock::new(),
         }
     }
 

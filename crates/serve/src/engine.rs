@@ -19,7 +19,7 @@
 //! matrices), which is what makes hit results bit-identical to the cold
 //! run that populated the entry.
 
-use crate::cache::{entry_key, job_fingerprint, CacheEntry};
+use crate::cache::{entry_key, job_fingerprint, CacheEntry, Elaborated};
 use crate::protocol::{JobRequest, ObjectiveSpec, ParamSelector};
 use crate::ServeError;
 use masc_adjoint::lanes::lock_ignoring_poison;
@@ -31,8 +31,9 @@ use masc_adjoint::{
 use masc_circuit::netlist::write_netlist;
 use masc_circuit::parser::parse_netlist;
 use masc_circuit::transient::{TranOptions, TranStats};
-use masc_circuit::{Circuit, ParamRef, System};
+use masc_circuit::ParamRef;
 use masc_compress::MascConfig;
+use std::sync::{Arc, OnceLock};
 
 /// A job after deck canonicalization and name resolution.
 #[derive(Debug, Clone)]
@@ -130,11 +131,11 @@ pub fn resolve(req: &JobRequest, masc: &MascConfig) -> Result<ResolvedJob, Serve
     })
 }
 
-fn elaborate_canonical(job: &ResolvedJob) -> Result<(Circuit, System), ServeError> {
+fn elaborate_canonical(job: &ResolvedJob) -> Result<Elaborated, ServeError> {
     let parsed = parse_netlist(&job.canonical_deck)?;
     let mut circuit = parsed.circuit;
     let system = circuit.elaborate()?;
-    Ok((circuit, system))
+    Ok(Elaborated { circuit, system })
 }
 
 /// Runs the full pipeline for a cache miss: forward transient through a
@@ -146,7 +147,10 @@ fn elaborate_canonical(job: &ResolvedJob) -> Result<(Circuit, System), ServeErro
 /// Returns [`ServeError`] if any pipeline stage fails; on error no cache
 /// entry is produced.
 pub fn run_cold(job: &ResolvedJob) -> Result<(JobOutcome, CacheEntry), ServeError> {
-    let (circuit, mut system) = elaborate_canonical(job)?;
+    let Elaborated {
+        circuit,
+        mut system,
+    } = elaborate_canonical(job)?;
     let layout = TensorLayout::of(&system);
     let mut capture = CompressedStore::new(
         layout.g_pattern.clone(),
@@ -182,6 +186,7 @@ pub fn run_cold(job: &ResolvedJob) -> Result<(JobOutcome, CacheEntry), ServeErro
         meta,
         g,
         c,
+        elaborated: OnceLock::new(),
     };
     Ok((outcome, entry))
 }
@@ -189,7 +194,9 @@ pub fn run_cold(job: &ResolvedJob) -> Result<(JobOutcome, CacheEntry), ServeErro
 /// Replays a cached entry: validates it against the job, then runs
 /// [`adjoint_sensitivities`] over the cached tensors, with objective values
 /// read off the cached trajectory. The forward transient never runs — the
-/// returned [`TranStats`] are all zero.
+/// returned [`TranStats`] are all zero. Only an entry's first hit
+/// elaborates the canonical deck; the entry keeps that elaboration for
+/// the hits after it.
 ///
 /// # Errors
 ///
@@ -204,7 +211,11 @@ pub fn run_hit(job: &ResolvedJob, entry: &CacheEntry) -> Result<JobOutcome, Serv
     if entry.fingerprint != job.fingerprint {
         return Err(ServeError::CacheMismatch);
     }
-    let (circuit, mut system) = elaborate_canonical(job)?;
+    let elaborated = match entry.elaborated.get() {
+        Some(kept) => Arc::clone(kept),
+        None => Arc::new(elaborate_canonical(job)?),
+    };
+    let mut system = elaborated.system.clone();
     // Stale-entry defense: the cached tensors must also match the job's
     // exact sparsity structure and trajectory shape.
     if *entry.g.pattern() != system.g_pattern || *entry.c.pattern() != system.c_pattern {
@@ -220,6 +231,8 @@ pub fn run_hit(job: &ResolvedJob, entry: &CacheEntry) -> Result<JobOutcome, Serv
     {
         return Err(ServeError::CacheMismatch);
     }
+    // The entry fits the deck: later hits reuse this elaboration.
+    entry.elaborated.get_or_init(|| Arc::clone(&elaborated));
     check_objective_steps(&job.objectives, n_times)?;
 
     let objective_values: Vec<f64> = job
@@ -229,7 +242,7 @@ pub fn run_hit(job: &ResolvedJob, entry: &CacheEntry) -> Result<JobOutcome, Serv
         .collect();
 
     let result = adjoint_sensitivities(
-        &circuit,
+        &elaborated.circuit,
         &mut system,
         &entry.meta,
         &mut BackwardJacobians::from_tensors(entry.g.clone(), entry.c.clone()),

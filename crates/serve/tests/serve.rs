@@ -142,8 +142,14 @@ fn disk_tier_survives_server_restart() {
     assert!(hit.hit);
     assert_eq!(hit.tran_stats.steps, 0);
     assert_eq!(bits(&hit.sensitivities), bits(&cold.sensitivities));
+    // The promoted entry keeps the elaboration its disk hit made; the
+    // memory hit that reuses it answers the same bits.
+    let again = second.submit(&req).expect("memory hit");
+    assert!(again.hit);
+    assert_eq!(bits(&again.sensitivities), bits(&cold.sensitivities));
     let m = second.cache_metrics();
     assert_eq!(m.disk_hits, 1);
+    assert_eq!(m.mem_hits, 1);
     assert_eq!(second.cold_runs(), 0);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -287,6 +293,17 @@ fn line_protocol_round_trip() {
     assert_eq!(*lines.last().expect("BYE line"), "BYE");
 }
 
+/// Kills and reaps a child process on drop, so a test that fails midway
+/// leaves no server running.
+struct ReapOnDrop(std::process::Child);
+
+impl Drop for ReapOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 /// Two clients connecting *sequentially* over `--socket` share one
 /// server process and one cache: the first connection's cold run primes
 /// the cache, the second connection (after the first hangs up without
@@ -303,29 +320,32 @@ fn socket_serves_sequential_connections_from_one_cache() {
     ));
     let _ = std::fs::remove_file(&sock);
 
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_masc-serve"))
-        .args(["--socket"])
-        .arg(&sock)
-        .args(["--workers", "1"])
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn masc-serve");
+    let mut child = ReapOnDrop(
+        std::process::Command::new(env!("CARGO_BIN_EXE_masc-serve"))
+            .args(["--socket"])
+            .arg(&sock)
+            .args(["--workers", "1"])
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn masc-serve"),
+    );
 
-    // Wait for the listener to bind.
-    let mut bound = false;
-    for _ in 0..200 {
-        if sock.exists() {
-            bound = true;
-            break;
+    // `bind()` creates the socket file before `listen()`, so the file
+    // existing does not mean the server accepts: retry the connect itself.
+    let connect = || -> UnixStream {
+        for _ in 0..200 {
+            if let Ok(stream) = UnixStream::connect(&sock) {
+                return stream;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(25));
         }
-        std::thread::sleep(std::time::Duration::from_millis(25));
-    }
-    assert!(bound, "server never bound {}", sock.display());
+        panic!("server never accepted on {}", sock.display());
+    };
 
     let deck = masc_serve::protocol::escape_deck(&ladder_deck(2));
     let solve = format!("SOLVE j final:n1 * {deck}\n");
     let ask = |input: &str| -> Vec<String> {
-        let mut stream = UnixStream::connect(&sock).expect("connect");
+        let mut stream = connect();
         stream.write_all(input.as_bytes()).expect("send");
         stream
             .shutdown(std::net::Shutdown::Write)
@@ -361,7 +381,7 @@ fn socket_serves_sequential_connections_from_one_cache() {
     assert_eq!(second.last().map(String::as_str), Some("BYE"));
 
     // SHUTDOWN stops the process and removes the socket file.
-    let status = child.wait().expect("server exit");
+    let status = child.0.wait().expect("server exit");
     assert!(status.success(), "clean exit after SHUTDOWN: {status:?}");
     assert!(
         !sock.exists(),

@@ -50,19 +50,39 @@ if [[ "$P1" != "$P2" ]]; then
     exit 1
 fi
 
-# The panicking job is first in the queue, so its worker is the first
-# free one and answers STATS after the panic has been counted. A captured
-# backtrace can take longer than a cold solve, so none is captured.
-if ! OUT2=$(RUST_BACKTRACE=0 "$BIN" --workers 3 --panic-on jb <<EOF
-SOLVE jb final:n1 * $DECK
-SOLVE j1 final:n1 * $DECK
-SOLVE j2 final:n1 * $DECK
-STATS
-EOF
-); then
+# The panicking job counts its panic before its ERR line is written, so
+# STATS is sent only after that line has been read: whichever worker takes
+# it then must report the panic. A captured backtrace can take longer than
+# a cold solve, so none is captured.
+coproc SERVE { RUST_BACKTRACE=0 "$BIN" --workers 3 --panic-on jb; }
+SERVE_PID_SAVED=$SERVE_PID
+# Bash drops the coprocess's descriptors once it exits: move them to
+# descriptors of our own so its last lines stay readable, and so closing
+# ours is its end of input.
+exec {FROM_SERVE}<&"${SERVE[0]}" {TO_SERVE}>&"${SERVE[1]}"
+eval "exec ${SERVE[0]}<&- ${SERVE[1]}>&-"
+printf 'SOLVE %s final:n1 * %s\n' jb "$DECK" j1 "$DECK" j2 "$DECK" >&"$TO_SERVE"
+OUT2=""
+while :; do
+    if ! IFS= read -r -t 60 LINE <&"$FROM_SERVE"; then
+        echo "serve smoke: no ERR jb panic line within 60 s" >&2
+        kill "$SERVE_PID_SAVED" 2>/dev/null || true
+        exit 1
+    fi
+    OUT2+="$LINE"$'\n'
+    [[ "$LINE" == "ERR jb panic "* ]] && break
+done
+printf 'STATS\n' >&"$TO_SERVE"
+exec {TO_SERVE}>&-
+while IFS= read -r LINE <&"$FROM_SERVE"; do
+    OUT2+="$LINE"$'\n'
+done
+exec {FROM_SERVE}<&-
+if ! wait "$SERVE_PID_SAVED"; then
     echo "serve smoke: the binary exited nonzero at end of input" >&2
     exit 1
 fi
+OUT2=${OUT2%$'\n'}
 echo "$OUT2"
 grep -q '^ERR jb panic ' <<<"$OUT2" || {
     echo "serve smoke: the panicking job was not answered with ERR jb panic" >&2
